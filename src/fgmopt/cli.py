@@ -14,12 +14,10 @@ import pathlib
 import sys
 import time
 
-from . import __version__, neural, pipeline, problems
+from . import neural, pipeline, problems, version_fingerprint
 from .errors import FgmoptError
-from .fem import ThermoelasticSolver, run_thermoelastic, write_result_files
+from .fem import run_thermoelastic, write_result_files
 from .profiles import genes_from_dict, genes_to_profiles, tensor_product
-
-FINGERPRINT = json.dumps({"package": "fgmopt", "version": __version__}, sort_keys=True)
 
 
 def _stage(name: str, t0: float):
@@ -28,7 +26,7 @@ def _stage(name: str, t0: float):
 
 
 def _profile_for(args):
-    """Resolve the (config, profile, solver-config label) for eval/export.
+    """Resolve the (config, profile) pair for eval/export.
 
     --power-law evaluates on the problem's published reference configuration
     (reference materials/support; the three-layer field for problem1 along
@@ -65,31 +63,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_stress(args) -> int:
+def cmd_train(args) -> int:
     t0 = time.perf_counter()
     dataset = pipeline.load_dataset(args.dataset)
     _stage("load-dataset", t0)
     t0 = time.perf_counter()
-    model, history = pipeline.train_stress_model(dataset, args.seed,
-                                                 max_samples=args.max_samples)
-    _stage("train-stress", t0)
-    neural.save_model(model, args.out)
-    if args.history:
-        neural.history_to_csv(history, args.history)
-    print(json.dumps({"model": str(args.out),
-                      "train_r2": history[-1]["train_r2"],
-                      "test_r2": history[-1].get("test_r2")}, sort_keys=True))
-    return 0
-
-
-def cmd_train_temp(args) -> int:
-    t0 = time.perf_counter()
-    dataset = pipeline.load_dataset(args.dataset)
-    _stage("load-dataset", t0)
-    t0 = time.perf_counter()
-    model, history = pipeline.train_temperature_model(dataset, args.seed,
-                                                      max_samples=args.max_samples)
-    _stage("train-temp", t0)
+    model, history = args.train(dataset, args.seed, max_samples=args.max_samples)
+    _stage(args.command, t0)
     neural.save_model(model, args.out)
     if args.history:
         neural.history_to_csv(history, args.history)
@@ -101,7 +81,7 @@ def cmd_train_temp(args) -> int:
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    exp = pipeline.load_experiment_config(args.experiment)
+    exp = json.loads(pathlib.Path(args.experiment).read_text())
     bundle = pipeline.run_experiment(exp, args.out, seed=args.seed)
     _stage("optimize", t0)
     print(json.dumps({"out": str(args.out),
@@ -154,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fgmopt",
         description="Gradation design for two-phase graded plates: FEM, surrogates, GA.")
-    p.add_argument("--version", action="version", version=FINGERPRINT)
+    p.add_argument("--version", action="version",
+                   version=json.dumps(version_fingerprint(), sort_keys=True))
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate an FEM-labelled profile dataset")
@@ -166,22 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes; results are identical for any value")
     g.set_defaults(fn=cmd_gen_data)
 
-    ts = sub.add_parser("train-stress", help="train the peak-stress regressor")
-    ts.add_argument("--dataset", required=True)
-    ts.add_argument("--out", required=True)
-    ts.add_argument("--seed", type=int, default=0)
-    ts.add_argument("--max-samples", type=int, default=None,
-                    help="cap on samples used (80/20 of the cap)")
-    ts.add_argument("--history", default=None, help="write per-epoch metrics CSV here")
-    ts.set_defaults(fn=cmd_train_stress)
-
-    tt = sub.add_parser("train-temp", help="train the temperature-field operator")
-    tt.add_argument("--dataset", required=True)
-    tt.add_argument("--out", required=True)
-    tt.add_argument("--seed", type=int, default=0)
-    tt.add_argument("--max-samples", type=int, default=None)
-    tt.add_argument("--history", default=None)
-    tt.set_defaults(fn=cmd_train_temp)
+    for name, train, text in (
+            ("train-stress", pipeline.train_stress_model, "train the peak-stress regressor"),
+            ("train-temp", pipeline.train_temperature_model,
+             "train the temperature-field operator")):
+        t = sub.add_parser(name, help=text)
+        t.add_argument("--dataset", required=True)
+        t.add_argument("--out", required=True)
+        t.add_argument("--seed", type=int, default=0)
+        t.add_argument("--max-samples", type=int, default=None,
+                       help="cap on samples used (80/20 of the cap)")
+        t.add_argument("--history", default=None, help="write per-epoch metrics CSV here")
+        t.set_defaults(fn=cmd_train, train=train)
 
     o = sub.add_parser("optimize", help="run a configured GA experiment")
     o.add_argument("--experiment", required=True, help="experiment JSON file")

@@ -29,20 +29,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    MissingSummary,
     NonPositiveConductivity,
     OutOfDomain,
     PhiOutOfRange,
     SingularSystem,
 )
-from .profiles import Profile2D
+from .profiles import Profile2D, grid_points
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -79,13 +78,6 @@ class MaterialPair:
     metal: PhaseProperties
     ceramic: PhaseProperties
     name: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "metal": vars(self.metal).copy(),
-            "ceramic": vars(self.ceramic).copy(),
-            "name": self.name,
-        }
 
 
 MATERIALS = {
@@ -230,7 +222,6 @@ class ProblemConfig:
     mode: str = "plane_strain"
     uniform_delta_theta: float | None = None
     heat_source: float = 0.0
-    reference_temperature: float = 0.0
     effective_stress_source: str = "inplane"  # "physical3d" | "isothermal_2d"
     name: str = ""
 
@@ -243,78 +234,6 @@ class ProblemConfig:
             raise ValueError("need thermal BCs or a uniform temperature change")
         if self.L <= 0 or self.H <= 0 or self.nx < 1 or self.ny < 1:
             raise ValueError("bad geometry or mesh density")
-
-
-def _thermal_bc_from_dict(d: dict, L: float, H: float):
-    kind = d["type"]
-    if kind == "adiabatic":
-        return Adiabatic()
-    if kind == "flux":
-        return Flux(q=float(d["q"]))
-    if kind == "convection":
-        return Convection(h=float(d["h"]), t_inf=float(d.get("t_inf", 0.0)))
-    if kind == "dirichlet":
-        if "profile" in d:
-            if d["profile"] != "half_sine":
-                raise ValueError(f"unknown dirichlet profile {d['profile']!r}")
-            amp = float(d["amplitude"])
-            axis = d.get("along", "x")
-            span = L if axis == "x" else H
-            if axis == "x":
-                return Dirichlet(lambda x, y, a=amp, s=span: a * math.sin(math.pi * x / (2 * s)))
-            return Dirichlet(lambda x, y, a=amp, s=span: a * math.sin(math.pi * y / (2 * s)))
-        return Dirichlet(float(d.get("value", 0.0)))
-    raise ValueError(f"unknown thermal bc type {kind!r}")
-
-
-def problem_config_from_dict(d: dict) -> ProblemConfig:
-    """Build a ProblemConfig from the JSON schema (see README)."""
-    mats = d["materials"]
-    if isinstance(mats, str):
-        pair = MATERIALS[mats]
-    else:
-        pair = MaterialPair(
-            metal=PhaseProperties(**mats["metal"]),
-            ceramic=PhaseProperties(**mats["ceramic"]),
-            name=mats.get("name", "inline"),
-        )
-    L, H = float(d["geometry"]["L"]), float(d["geometry"]["H"])
-    thermal = None
-    if "thermal_bcs" in d and d["thermal_bcs"] is not None:
-        thermal = ThermalBCSet(
-            **{e: _thermal_bc_from_dict(v, L, H) for e, v in d["thermal_bcs"].items()}
-        )
-    mech_d = d.get("mech_bcs", {})
-    mech = MechBCSet(
-        edges=tuple(
-            EdgeConstraint(c["edge"], c["component"], float(c.get("value", 0.0)))
-            for c in mech_d.get("edges", ())
-        ),
-        points=tuple(
-            PointConstraint(c["corner"], c["component"], float(c.get("value", 0.0)))
-            for c in mech_d.get("points", ())
-        ),
-        tractions=tuple(
-            EdgeTraction(c["edge"], float(c.get("tx", 0.0)), float(c.get("ty", 0.0)))
-            for c in mech_d.get("tractions", ())
-        ),
-        body_force=tuple(mech_d.get("body_force", (0.0, 0.0))),
-    )
-    return ProblemConfig(
-        L=L,
-        H=H,
-        nx=int(d["mesh"]["nx"]),
-        ny=int(d["mesh"]["ny"]),
-        materials=pair,
-        mech=mech,
-        thermal=thermal,
-        mode=d.get("mode", "plane_strain"),
-        uniform_delta_theta=d.get("uniform_delta_theta"),
-        heat_source=float(d.get("heat_source", 0.0)),
-        reference_temperature=float(d.get("reference_temperature", 0.0)),
-        effective_stress_source=d.get("effective_stress_source", "inplane"),
-        name=d.get("name", ""),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +286,9 @@ class Mesh:
         ys = np.linspace(0.0, H, NY)
         X, Y = np.meshgrid(xs, ys, indexing="xy")  # node id = iy*NX + ix
         coords = np.column_stack([X.ravel(), Y.ravel()])
-        conn = np.empty((nx * ny, 9), dtype=np.int64)
-        for ey in range(ny):
-            for ex in range(nx):
-                e = ey * nx + ex
-                for jl in range(3):
-                    for il in range(3):
-                        conn[e, 3 * jl + il] = (2 * ey + jl) * NX + (2 * ex + il)
+        # element e = ey*nx + ex, local node a = 3*jl + il -> (2*ey + jl)*NX + 2*ex + il
+        first = (2 * NX * np.arange(ny, dtype=np.int64)[:, None] + 2 * np.arange(nx)).ravel()
+        conn = first[:, None] + (NX * np.arange(3, dtype=np.int64)[:, None] + np.arange(3)).ravel()
         return cls(nx=nx, ny=ny, L=L, H=H, coords=coords, conn=conn)
 
     @property
@@ -439,16 +354,13 @@ class FemResult:
     nodal_displacement: np.ndarray  # (n_nodes, 2)
     gauss_xy: np.ndarray  # (n_elems, 9, 2)
     gauss_effective_stress: np.ndarray  # (n_elems, 9)
+    temperature_grid: np.ndarray  # (nx+1, ny+1) on the profile node grid
     sigma_e_max: float
     v_ca: float
     max_metal_temperature: float
 
     def summary(self) -> dict:
-        return {
-            "sigma_e_max": self.sigma_e_max,
-            "v_ca": self.v_ca,
-            "max_metal_temperature": self.max_metal_temperature,
-        }
+        return {k: getattr(self, k) for k in ("sigma_e_max", "v_ca", "max_metal_temperature")}
 
 
 def write_result_files(result: FemResult, out_dir) -> None:
@@ -471,8 +383,8 @@ def write_result_files(result: FemResult, out_dir) -> None:
     g = result.gauss_xy.reshape(-1, 2)
     dump("effective_stress.csv", g[:, 0], g[:, 1], result.gauss_effective_stress.ravel())
     p = result.profile
-    px, py = np.meshgrid(np.linspace(0, p.L, p.nx + 1), np.linspace(0, p.H, p.ny + 1), indexing="ij")
-    dump("volume_fraction.csv", px.ravel(), py.ravel(), p.grid.ravel())
+    pts = grid_points(p.L, p.H, p.nx, p.ny)
+    dump("volume_fraction.csv", pts[:, 0], pts[:, 1], p.grid.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +401,6 @@ def effective_stress(sxx, syy, szz, sxy):
     return np.sqrt(
         0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2) + 3.0 * sxy**2
     )
-
-
-def effective_stress_tensor(sigma) -> float:
-    """Von Mises invariant of a 3x3 symmetric stress tensor."""
-    s = np.asarray(sigma, dtype=float)
-    if s.shape != (3, 3):
-        raise ValueError("expected a 3x3 tensor")
-    dev = s - np.trace(s) / 3.0 * np.eye(3)
-    return float(np.sqrt(1.5 * np.tensordot(dev, dev)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +463,8 @@ class ThermoelasticSolver:
         # physical gauss coordinates (n_elems, 9, 2)
         xi = np.array([p[0] for p in pts])
         eta = np.array([p[1] for p in pts])
-        ex = np.arange(mesh.nx)
-        ey = np.arange(mesh.ny)
-        x0 = np.repeat(ex * hx, 1)
-        centers_x = np.tile(x0 + hx / 2.0, mesh.ny)
-        centers_y = np.repeat(ey * hy + hy / 2.0, mesh.nx)
+        centers_x = np.tile(np.arange(mesh.nx) * hx + hx / 2.0, mesh.ny)
+        centers_y = np.repeat(np.arange(mesh.ny) * hy + hy / 2.0, mesh.nx)
         gx = centers_x[:, None] + xi[None, :] * hx / 2.0
         gy = centers_y[:, None] + eta[None, :] * hy / 2.0
         self.gauss_xy = np.stack([gx, gy], axis=-1)
@@ -789,10 +689,8 @@ class ThermoelasticSolver:
         return np.einsum("pa,pa->p", N, vals)
 
     def temperature_on_profile_grid(self, theta_nodal: np.ndarray, profile: Profile2D) -> np.ndarray:
-        xs = np.linspace(0.0, profile.L, profile.nx + 1)
-        ys = np.linspace(0.0, profile.H, profile.ny + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return self.interpolate_field(theta_nodal, X.ravel(), Y.ravel()).reshape(X.shape)
+        pts = grid_points(profile.L, profile.H, profile.nx, profile.ny)
+        return self.interpolate_field(theta_nodal, pts[:, 0], pts[:, 1]).reshape(profile.grid.shape)
 
     def v_ca(self, profile: Profile2D) -> float:
         """Domain-average ceramic fraction by the element Gauss rule."""
@@ -818,6 +716,7 @@ class ThermoelasticSolver:
             nodal_displacement=u,
             gauss_xy=self.gauss_xy,
             gauss_effective_stress=se,
+            temperature_grid=theta_grid,
             sigma_e_max=float(se.max()),
             v_ca=self.v_ca(profile),
             max_metal_temperature=max_metal_t,

@@ -19,7 +19,7 @@ everywhere, sigma_star = 0 forces the surrogate everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .profiles import (
     average_ceramic_fraction,
     generate_genes,
     genes_to_profiles,
+    grid_points,
     tensor_product,
 )
 from .rng import derived_rng, make_rng
@@ -71,9 +72,6 @@ class ConstraintSpec:
     sigma_allow: float | None = None  # peak effective stress limit [Pa]
     weight: float = 1.0e8  # shared penalty weight, objective units
 
-    def any_active(self) -> bool:
-        return any(v is not None for v in (self.v_star, self.theta_max, self.sigma_allow))
-
 
 @dataclass
 class Individual:
@@ -88,16 +86,8 @@ class Individual:
     dnn_sigma: float | None  # recorded surrogate prediction, if one was made
 
     def summary(self) -> dict:
-        return {
-            "objective": self.objective,
-            "penalty": self.penalty,
-            "fitness": self.fitness,
-            "eval_source": self.eval_source,
-            "sigma_e_max": self.sigma_e_max,
-            "v_ca": self.v_ca,
-            "max_metal_temperature": self.max_metal_temperature,
-            "dnn_sigma": self.dnn_sigma,
-        }
+        """Every field but the genes."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "genes"}
 
 
 def eta_schedule(base: float, g: int, floor: float = 0.01, sign: float = 1.0) -> float:
@@ -179,21 +169,14 @@ def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability:
 def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
     """Sum of weight * max(0, normalized violation)^2 over active constraints."""
     penalty = 0.0
-    if spec.v_star is not None:
-        v = summaries.get("v_ca")
-        if v is None:
-            raise MissingSummary("v_ca required by the volume constraint")
-        penalty += spec.weight * max(0.0, v / spec.v_star - 1.0) ** 2
-    if spec.theta_max is not None:
-        t = summaries.get("max_metal_temperature")
-        if t is None:
-            raise MissingSummary("max_metal_temperature required by the thermal constraint")
-        penalty += spec.weight * max(0.0, t / spec.theta_max - 1.0) ** 2
-    if spec.sigma_allow is not None:
-        s = summaries.get("sigma_e_max")
-        if s is None:
-            raise MissingSummary("sigma_e_max required by the stress constraint")
-        penalty += spec.weight * max(0.0, s / spec.sigma_allow - 1.0) ** 2
+    for limit, key in ((spec.v_star, "v_ca"), (spec.theta_max, "max_metal_temperature"),
+                       (spec.sigma_allow, "sigma_e_max")):
+        if limit is None:
+            continue
+        value = summaries.get(key)
+        if value is None:
+            raise MissingSummary(f"{key} required by an active constraint")
+        penalty += spec.weight * max(0.0, value / limit - 1.0) ** 2
     return penalty
 
 
@@ -214,12 +197,7 @@ class FitnessEvaluator:
         self.stress_model = stress_model
         self.temp_model = temp_model
         cfg = solver.config
-        self._grid_x, self._grid_y = np.meshgrid(
-            np.linspace(0.0, cfg.L, cfg.nx + 1),
-            np.linspace(0.0, cfg.H, cfg.ny + 1),
-            indexing="ij",
-        )
-        self._grid_pts = np.column_stack([self._grid_x.ravel(), self._grid_y.ravel()])
+        self._grid_pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
 
     def evaluate(self, genes: GradationGenes) -> Individual:
         px, py = genes_to_profiles(genes)
@@ -276,16 +254,6 @@ class GenerationStats:
     best_penalty: float
     feasible_fraction: float
     eval_sources: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_fitness": self.best_fitness,
-            "best_objective": self.best_objective,
-            "best_penalty": self.best_penalty,
-            "feasible_fraction": self.feasible_fraction,
-            "eval_sources": dict(self.eval_sources),
-        }
 
 
 @dataclass

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import version_fingerprint
 from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance
 from .rng import make_rng
 
@@ -104,10 +104,7 @@ class DenseNet:
         return grads, delta
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend((layer.weights, layer.bias))
-        return out
+        return [p for layer in self.layers for p in (layer.weights, layer.bias)]
 
     def to_dict(self) -> dict:
         return {
@@ -204,10 +201,46 @@ def _check_finite(params):
 
 
 def _flat_grads(net_grads):
-    out = []
-    for dw, db in net_grads:
-        out.extend((dw, db))
-    return out
+    return [g for pair in net_grads for g in pair]
+
+
+def _epoch_metrics(pred_tr, y_tr, pred_te, y_te) -> dict:
+    """MSE and R^2 on both sides of the split; test R^2 is skipped when
+    undefined (fewer than 2 test values, or zero variance)."""
+    row = {
+        "train_mse": float(np.mean((pred_tr - y_tr) ** 2)),
+        "train_r2": r2_score(pred_tr, y_tr),
+    }
+    if len(y_te):
+        row["test_mse"] = float(np.mean((pred_te - y_te) ** 2))
+        try:
+            row["test_r2"] = r2_score(pred_te, y_te)
+        except ZeroVariance:
+            pass
+    return row
+
+
+def _train_staged(params, n_items: int, batch_grads, epoch_metrics, stages, rng):
+    """The staged schedule shared by both models; returns one history row per epoch.
+
+    Each epoch shuffles ``range(n_items)``, takes one Adam step per minibatch
+    with the flat gradient list ``batch_grads(indices)`` and then records
+    ``epoch_metrics()``.  ``params`` are updated in place.
+    """
+    rng = make_rng(rng)
+    if n_items == 0:
+        raise EmptyDataset("empty training set")
+    opt = Adam(params)
+    history = []
+    for si, stage in enumerate(stages):
+        for _ in range(stage.epochs):
+            order = rng.permutation(n_items)
+            for start in range(0, n_items, stage.batch_size):
+                opt.step(batch_grads(order[start : start + stage.batch_size]), stage.learning_rate)
+            _check_finite(params)
+            history.append({"stage": si, "epoch": len(history) + 1,
+                            "learning_rate": stage.learning_rate, **epoch_metrics()})
+    return history
 
 
 def train_regressor(net: DenseNet, x_train, y_train, x_test, y_test, stages, rng):
@@ -216,42 +249,26 @@ def train_regressor(net: DenseNet, x_train, y_train, x_test, y_test, stages, rng
     History rows: dict(stage, epoch, learning_rate, train_mse, test_mse,
     train_r2, test_r2).  The net is mutated in place.
     """
-    rng = make_rng(rng)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float).reshape(len(x_train), -1))
-    if x_train.shape[0] == 0:
-        raise EmptyDataset("empty training set")
     x_test = np.asarray(x_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float).reshape(len(x_test), -1)
-    opt = Adam(net.parameters())
-    history = []
-    epoch_total = 0
-    for si, stage in enumerate(stages):
-        for _ in range(stage.epochs):
-            order = rng.permutation(len(x_train))
-            for start in range(0, len(order), stage.batch_size):
-                idx = order[start : start + stage.batch_size]
-                grads, _ = mse_backprop(net, x_train[idx], y_train[idx])
-                opt.step(_flat_grads(grads), stage.learning_rate)
-            _check_finite(net.parameters())
-            epoch_total += 1
-            pred_tr = np.atleast_2d(net.forward(x_train))
-            pred_te = np.atleast_2d(net.forward(x_test)) if len(x_test) else np.zeros((0, 1))
-            row = {
-                "stage": si,
-                "epoch": epoch_total,
-                "learning_rate": stage.learning_rate,
-                "train_mse": float(np.mean((pred_tr - y_train) ** 2)),
-                "train_r2": r2_score(pred_tr, y_train),
-            }
-            if len(x_test):
-                row["test_mse"] = float(np.mean((pred_te - y_test) ** 2))
-                try:
-                    row["test_r2"] = r2_score(pred_te, y_test)
-                except ZeroVariance:
-                    pass  # degenerate split (fewer than 2 test samples)
-            history.append(row)
-    return history
+
+    def batch_grads(idx):
+        grads, _ = mse_backprop(net, x_train[idx], y_train[idx])
+        return _flat_grads(grads)
+
+    def epoch_metrics():
+        pred_te = np.atleast_2d(net.forward(x_test)) if len(x_test) else None
+        return _epoch_metrics(np.atleast_2d(net.forward(x_train)), y_train, pred_te, y_test)
+
+    return _train_staged(net.parameters(), len(x_train), batch_grads, epoch_metrics, stages, rng)
+
+
+def _fit_fingerprint(model: str, stages, split, **extra) -> dict:
+    tr, te = split
+    return version_fingerprint(model=model, stages=[vars(s).copy() for s in stages],
+                               n_train=int(len(tr)), n_test=int(len(te)), **extra)
 
 
 def history_to_csv(history, path):
@@ -263,10 +280,6 @@ def history_to_csv(history, path):
         w.writeheader()
         for row in history:
             w.writerow({c: row.get(c, "") for c in cols})
-
-
-def _fingerprint(extra: dict) -> dict:
-    return {"package": "fgmopt", "version": __version__, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +297,7 @@ class StressSurrogate:
         self.output_scale = float(output_scale)
         self.nx_nodes = nx_nodes
         self.ny_nodes = ny_nodes
-        self.fingerprint = fingerprint or _fingerprint({})
+        self.fingerprint = fingerprint or version_fingerprint()
 
     @classmethod
     def build(cls, rng, nx_nodes: int, ny_nodes: int, output_scale: float,
@@ -308,12 +321,7 @@ class StressSurrogate:
         y = np.asarray(sigma_max, dtype=float) / self.output_scale
         tr, te = test_fraction_split
         history = train_regressor(self.net, x[tr], y[tr], x[te], y[te], stages, rng)
-        self.fingerprint = _fingerprint({
-            "model": "stress_surrogate",
-            "stages": [vars(s).copy() for s in stages],
-            "n_train": int(len(tr)),
-            "n_test": int(len(te)),
-        })
+        self.fingerprint = _fit_fingerprint("stress_surrogate", stages, test_fraction_split)
         return history
 
     def to_dict(self) -> dict:
@@ -351,7 +359,7 @@ class OperatorNet:
         self.trunk = trunk
         self.temperature_scale = float(temperature_scale)
         self.L, self.H = float(L), float(H)
-        self.fingerprint = fingerprint or _fingerprint({})
+        self.fingerprint = fingerprint or version_fingerprint()
 
     @classmethod
     def build(cls, rng, nx_nodes: int, ny_nodes: int, L: float, H: float,
@@ -384,51 +392,32 @@ class OperatorNet:
         ``temp_grids`` is (n_samples, n_points) aligned with ``points``;
         ``split`` is (train sample indices, test sample indices).
         """
-        rng = make_rng(rng)
         feats = StressSurrogate.features(profiles_x, profiles_y)
         targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
         pts = self._norm_points(points)
         tr, te = split
-        if len(tr) == 0:
-            raise EmptyDataset("empty training set")
         n_pts = pts.shape[0]
+
+        def batch_grads(idx):
+            s_idx = tr[idx // n_pts]
+            p_idx = idx % n_pts
+            fb, bcache = self.branch.forward_cached(feats[s_idx])
+            gt, tcache = self.trunk.forward_cached(pts[p_idx])
+            pred = np.einsum("nc,nc->n", fb, gt)
+            resid = (pred - targets[s_idx, p_idx]) * (2.0 / idx.size)
+            gb, _ = self.branch.backward(bcache, resid[:, None] * gt)
+            gtr, _ = self.trunk.backward(tcache, resid[:, None] * fb)
+            return _flat_grads(gb) + _flat_grads(gtr)
+
+        def epoch_metrics():
+            g = self.trunk.forward(pts).T
+            pred_te = self.branch.forward(feats[te]) @ g if len(te) else None
+            return _epoch_metrics(self.branch.forward(feats[tr]) @ g, targets[tr],
+                                  pred_te, targets[te])
+
         params = self.branch.parameters() + self.trunk.parameters()
-        opt = Adam(params)
-        history = []
-        epoch_total = 0
-        pair_count = len(tr) * n_pts
-        for si, stage in enumerate(stages):
-            for _ in range(stage.epochs):
-                order = rng.permutation(pair_count)
-                for start in range(0, pair_count, stage.batch_size):
-                    idx = order[start : start + stage.batch_size]
-                    s_idx = tr[idx // n_pts]
-                    p_idx = idx % n_pts
-                    fb, bcache = self.branch.forward_cached(feats[s_idx])
-                    gt, tcache = self.trunk.forward_cached(pts[p_idx])
-                    pred = np.einsum("nc,nc->n", fb, gt)
-                    resid = (pred - targets[s_idx, p_idx]) * (2.0 / idx.size)
-                    gb, _ = self.branch.backward(bcache, resid[:, None] * gt)
-                    gtr, _ = self.trunk.backward(tcache, resid[:, None] * fb)
-                    opt.step(_flat_grads(gb) + _flat_grads(gtr), stage.learning_rate)
-                _check_finite(params)
-                epoch_total += 1
-                row = {"stage": si, "epoch": epoch_total, "learning_rate": stage.learning_rate}
-                pred_tr = self.branch.forward(feats[tr]) @ self.trunk.forward(pts).T
-                row["train_mse"] = float(np.mean((pred_tr - targets[tr]) ** 2))
-                row["train_r2"] = r2_score(pred_tr, targets[tr])
-                if len(te):
-                    pred_te = self.branch.forward(feats[te]) @ self.trunk.forward(pts).T
-                    row["test_mse"] = float(np.mean((pred_te - targets[te]) ** 2))
-                    row["test_r2"] = r2_score(pred_te, targets[te])
-                history.append(row)
-        self.fingerprint = _fingerprint({
-            "model": "operator_net",
-            "stages": [vars(s).copy() for s in stages],
-            "n_train": int(len(tr)),
-            "n_test": int(len(te)),
-            "n_points": int(n_pts),
-        })
+        history = _train_staged(params, len(tr) * n_pts, batch_grads, epoch_metrics, stages, rng)
+        self.fingerprint = _fit_fingerprint("operator_net", stages, split, n_points=int(n_pts))
         return history
 
     def to_dict(self) -> dict:
@@ -446,11 +435,6 @@ class OperatorNet:
     def from_dict(cls, d: dict) -> "OperatorNet":
         return cls(DenseNet.from_dict(d["branch"]), DenseNet.from_dict(d["trunk"]),
                    d["temperature_scale"], d["L"], d["H"], d.get("fingerprint"))
-
-
-def deeponet_forward(model: OperatorNet, profile_x, profile_y, points) -> np.ndarray:
-    """Module-level alias for the one-profile operator evaluation."""
-    return model.predict(profile_x, profile_y, points)
 
 
 def save_model(model, path):

@@ -16,15 +16,15 @@ import hashlib
 import json
 import logging
 import pathlib
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, neural, problems
+from . import neural, problems, version_fingerprint
 from .errors import MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve
-from .profiles import generate_genes, genes_to_profiles, tensor_product
+from .profiles import generate_genes, genes_to_profiles, grid_points, tensor_product
 from .rng import derived_rng
 
 log = logging.getLogger(__name__)
@@ -62,8 +62,7 @@ def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> 
         "max_metal_temperature": result.max_metal_temperature,
     }
     if cfg.uniform_delta_theta is None:
-        grid = solver.temperature_on_profile_grid(result.nodal_temperature, profile)
-        record["temperature_grid"] = grid.ravel(order="C").tolist()
+        record["temperature_grid"] = result.temperature_grid.ravel(order="C").tolist()
     return record
 
 
@@ -81,10 +80,6 @@ def split_indices(count: int, seed: int):
     perm = derived_rng(seed, SPLIT_STREAM).permutation(count)
     n_train = round(TRAIN_FRACTION * count)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def _sha256(path: pathlib.Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: int = 1) -> dict:
@@ -116,21 +111,29 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
         "n_test": int(test_idx.size),
         "profile_nodes": {"x": cfg.nx + 1, "y": cfg.ny + 1},
         "files": {"train": "train.ndjson", "test": "test.ndjson"},
-        "checksums": {name: _sha256(out / name) for name in ("train.ndjson", "test.ndjson")},
-        "fingerprint": {"package": "fgmopt", "version": __version__},
+        "checksums": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                      for name in ("train.ndjson", "test.ndjson")},
+        "fingerprint": version_fingerprint(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
 
 def load_dataset(dataset_dir):
-    """Manifest plus stacked arrays; order is [train rows..., test rows...]."""
+    """Manifest plus stacked arrays; order is [train rows..., test rows...].
+
+    Raises ValueError when a file does not match the SHA-256 in the manifest.
+    """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
     rows = []
     counts = []
     for part in ("train", "test"):
-        lines = (d / manifest["files"][part]).read_text().splitlines()
+        name = manifest["files"][part]
+        raw = (d / name).read_bytes()
+        if hashlib.sha256(raw).hexdigest() != manifest["checksums"][name]:
+            raise ValueError(f"{d / name}: SHA-256 does not match the manifest")
+        lines = raw.decode().splitlines()
         counts.append(len(lines))
         rows.extend(json.loads(line) for line in lines)
     data = {
@@ -149,11 +152,13 @@ def load_dataset(dataset_dir):
     return data
 
 
-def profile_grid_points(config) -> np.ndarray:
-    """(x, y) of the profile grid nodes, row-major in x."""
-    X, Y = np.meshgrid(np.linspace(0.0, config.L, config.nx + 1),
-                       np.linspace(0.0, config.H, config.ny + 1), indexing="ij")
-    return np.column_stack([X.ravel(), Y.ravel()])
+def _capped_split(dataset: dict, max_samples: int | None):
+    """Stored train/test rows, or the first 80/20 of ``max_samples`` of them."""
+    tr, te = dataset["train_rows"], dataset["test_rows"]
+    if max_samples is not None:
+        n_tr = round(TRAIN_FRACTION * max_samples)
+        tr, te = tr[:n_tr], te[: max_samples - n_tr]
+    return tr, te
 
 
 def train_stress_model(dataset: dict, seed: int, stages=None, hidden=(256, 128, 64),
@@ -163,14 +168,10 @@ def train_stress_model(dataset: dict, seed: int, stages=None, hidden=(256, 128, 
     cfg = problems.get_problem(problem_id)
     stages = stages or (neural.STRESS_STAGES_PROBLEM1 if problem_id == "problem1"
                         else neural.STRESS_STAGES_PROBLEM2)
-    tr, te = dataset["train_rows"], dataset["test_rows"]
-    if max_samples is not None:
-        n_tr = round(TRAIN_FRACTION * max_samples)
-        tr, te = tr[:n_tr], te[: max_samples - n_tr]
     model = neural.StressSurrogate.build(
         derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1, problems.stress_scale(cfg), hidden=hidden)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"], dataset["sigma_e_max"],
-                        (tr, te), stages, derived_rng(seed, 2))
+                        _capped_split(dataset, max_samples), stages, derived_rng(seed, 2))
     return model, history
 
 
@@ -182,16 +183,12 @@ def train_temperature_model(dataset: dict, seed: int, stages=None, latent: int =
         raise ValueError("dataset has no temperature grids (uniform-change problem)")
     cfg = problems.get_problem(problem_id)
     stages = stages or neural.OPERATOR_STAGES
-    tr, te = dataset["train_rows"], dataset["test_rows"]
-    if max_samples is not None:
-        n_tr = round(TRAIN_FRACTION * max_samples)
-        tr, te = tr[:n_tr], te[: max_samples - n_tr]
     model = neural.OperatorNet.build(
         derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H,
         temperature_scale=problems.temperature_scale(cfg), latent=latent)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"],
-                        dataset["temperature_grid"], profile_grid_points(cfg),
-                        (tr, te), stages, derived_rng(seed, 4))
+                        dataset["temperature_grid"], grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny),
+                        _capped_split(dataset, max_samples), stages, derived_rng(seed, 4))
     return model, history
 
 
@@ -276,10 +273,10 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = {
-        "fingerprint": {"package": "fgmopt", "version": __version__},
+        "fingerprint": version_fingerprint(),
         "experiment": {k: v for k, v in exp.items() if k != "models"},
         "seed": run_seed,
-        "generations": [g.to_dict() for g in record.generations],
+        "generations": [asdict(g) for g in record.generations],
         "eval_source_totals": record.eval_source_totals,
         "best": {"genes": best.genes.to_dict(), **best.summary()},
         "fem_verified": verified.summary(),
@@ -298,7 +295,3 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
                         g.eval_sources.get("surrogate", 0), g.eval_sources.get("fem", 0)])
     write_result_files(verified, out)
     return bundle
-
-
-def load_experiment_config(path) -> dict:
-    return json.loads(pathlib.Path(path).read_text())

@@ -132,11 +132,6 @@ def mutation_probability(config: ProblemConfig) -> float:
     return 0.3 if config.name == "problem1" else 0.4
 
 
-def default_sigma_star(config: ProblemConfig):
-    """Stress threshold below which surrogate predictions are distrusted."""
-    return 0.0 if config.name == "problem1" else 50.0e6
-
-
 def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Profile2D:
     """Reference gradation (x/L)^m along one axis, or their tensor product.
 
@@ -163,11 +158,11 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
 #
 # The reference comparisons quoted for both plates descend from an older
 # benchmark study; reproducing the published numbers needs its conventions
-# rather than the optimization configs above (see README, "Reference
-# stresses"): problem 1's comparisons are for the three-layer plate
-# (homogeneous metal face below FACE_FRACTION*H, homogeneous ceramic face
-# above, power-law core) in a plane-stress cross-section, simply supported;
-# problem 2's were computed with the legacy Al/ZrO2 data.
+# rather than the optimization configs above: problem 1's comparisons are
+# for the three-layer plate (homogeneous metal face below FACE_FRACTION*H,
+# homogeneous ceramic face above, power-law core) in a plane-stress
+# cross-section, simply supported; problem 2's were computed with the legacy
+# Al/ZrO2 data.
 
 P1_FACE_FRACTION = 0.175  # 7 of 40 elements per homogeneous face layer
 

@@ -300,6 +300,15 @@ def tensor_product(px: Profile1D, py: Profile1D, L: float = 1.0, H: float = 1.0)
     return Profile2D(np.outer(px.values, py.values), L=L, H=H)
 
 
+def grid_points(L: float, H: float, nx: int, ny: int) -> np.ndarray:
+    """(x, y) of the (nx+1) x (ny+1) profile node grid, x-major.
+
+    Row ``i * (ny + 1) + j`` is node (x_i, y_j), the order of ``grid.ravel()``.
+    """
+    X, Y = np.meshgrid(np.linspace(0.0, L, nx + 1), np.linspace(0.0, H, ny + 1), indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def bilinear_shape(xi, eta):
     """The four cell shape functions at parametric (xi, eta) in [-1,1]^2.
 

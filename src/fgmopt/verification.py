@@ -7,13 +7,14 @@ reports the measured error against its tolerance.  ``run_all`` powers the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import (
+    EDGES,
     MATERIALS,
+    Convection,
     Dirichlet,
     EdgeConstraint,
     EdgeTraction,
@@ -178,8 +179,12 @@ def check_energy_balance() -> Check:
     K, f = s.thermal_system(prof)
     theta = s.solve_thermal(prof)
     reactions = (K @ theta - f)[s.dirichlet_nodes]
+    # independent edge quadrature of the convective outflow
     outflow = 0.0
-    for edge, bc in s._conv_edges:
+    for edge in EDGES:
+        bc = cfg.thermal.on(edge)
+        if not isinstance(bc, Convection):
+            continue
         elems, locs, h_e = s.mesh.edge_elements(edge)
         enodes = s.mesh.conn[np.ix_(elems, locs)]
         tvals = theta[enodes] @ s.edge_N.T

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fgmopt import problems
+from fgmopt import neural, problems
 from fgmopt.cli import main
 from fgmopt.profiles import generate_genes
 from fgmopt.rng import make_rng
@@ -85,6 +85,29 @@ class TestDataAndFields:
         for f in ("summary.json", "temperature.csv", "effective_stress.csv",
                   "volume_fraction.csv"):
             assert (out / f).exists()
+
+
+class TestTrain:
+    def test_train_stress_and_temp(self, capsys, tmp_path):
+        ds = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem2",
+                             "--count", "6", "--seed", "2", "--out", str(ds))
+        assert code == 0
+        for command, kind in (("train-stress", neural.StressSurrogate),
+                              ("train-temp", neural.OperatorNet)):
+            model = tmp_path / f"{command}.json"
+            history = tmp_path / f"{command}.csv"
+            code, out, err = run_cli(capsys, command, "--dataset", str(ds), "--out", str(model),
+                                     "--seed", "1", "--max-samples", "5",
+                                     "--history", str(history))
+            assert code == 0
+            stages = [json.loads(line)["stage"] for line in err.splitlines()]
+            assert stages == ["load-dataset", command]
+            result = json.loads(out)
+            assert np.isfinite(result["train_r2"])
+            assert result["model"] == str(model)
+            assert isinstance(neural.load_model(model), kind)
+            assert history.read_text().startswith("stage,epoch,learning_rate")
 
 
 class TestOptimize:

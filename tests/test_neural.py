@@ -9,7 +9,6 @@ from fgmopt.neural import (
     OperatorNet,
     StressSurrogate,
     TrainStage,
-    deeponet_forward,
     history_to_csv,
     load_model,
     make_dense,
@@ -249,7 +248,7 @@ class TestOperatorNet:
         pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
         table = model.predict_batch(px, py, pts)
         for i in range(6):
-            row = deeponet_forward(model, px[i], py[i], pts)
+            row = model.predict(px[i], py[i], pts)
             np.testing.assert_allclose(table[i], row, rtol=1e-13)
 
     def test_linear_in_branch_output(self):
@@ -279,6 +278,21 @@ class TestOperatorNet:
         hist = model.fit(px, py, temps, pts, (tr, te),
                          [TrainStage(3e-3, 40, 256), TrainStage(1e-3, 60, 256)], rng)
         assert hist[-1]["test_r2"] > 0.97
+
+    def test_single_value_test_split_skips_test_r2(self):
+        # like train_regressor: test_mse is recorded, the undefined test_r2 is not
+        rng = make_rng(9)
+        px = rng.uniform(0, 1, (10, 3))
+        py = rng.uniform(0, 1, (10, 3))
+        temps = 50.0 * px[:, :1]
+        model = OperatorNet.build(10, 3, 3, L=1.0, H=1.0, temperature_scale=50.0,
+                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
+        hist = model.fit(px, py, temps, [(0.5, 0.5)], (np.arange(9), np.array([9])),
+                         [TrainStage(1e-3, 2, 4)], rng)
+        assert len(hist) == 2
+        for row in hist:
+            assert np.isfinite(row["test_mse"]) and np.isfinite(row["train_r2"])
+            assert "test_r2" not in row
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = OperatorNet.build(8, 4, 4, L=0.15, H=0.06, latent=8,

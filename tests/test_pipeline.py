@@ -8,7 +8,7 @@ from fgmopt import neural, pipeline, problems
 from fgmopt.errors import MissingModel
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.neural import TrainStage
-from fgmopt.profiles import genes_from_dict, genes_to_profiles, tensor_product
+from fgmopt.profiles import genes_from_dict, genes_to_profiles, grid_points, tensor_product
 
 
 def gen(tmp_path, name, count=10, seed=7, threads=1):
@@ -70,6 +70,17 @@ class TestDatasetGeneration:
         assert data["temperature_grid"].min() > -1e-9
         assert data["temperature_grid"].max() < 500.0 + 1e-9
 
+    def test_load_dataset_checks_checksums(self, tmp_path):
+        d, _ = gen(tmp_path, "sha", count=4, seed=17)
+        assert pipeline.load_dataset(d)["train_rows"].size == 3
+        path = d / "train.ndjson"
+        raw = bytearray(path.read_bytes())
+        i = raw.index(b'"sigma_e_max": ') + len(b'"sigma_e_max": ')  # still valid JSON
+        raw[i] = ord("1") if raw[i] != ord("1") else ord("2")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="train.ndjson"):
+            pipeline.load_dataset(d)
+
     def test_load_dataset_row_order(self, tmp_path):
         d, m = gen(tmp_path, "order", count=10, seed=13)
         data = pipeline.load_dataset(d)
@@ -95,7 +106,8 @@ class TestTrainingWiring:
         model, hist = pipeline.train_temperature_model(
             data, seed=0, stages=[TrainStage(1e-3, 2, 512)], latent=16)
         assert len(hist) == 2
-        pts = pipeline.profile_grid_points(problems.problem2())
+        cfg = problems.problem2()
+        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
         temps = model.predict(data["profiles_x"][0], data["profiles_y"][0], pts)
         assert temps.shape == (pts.shape[0],)
 
