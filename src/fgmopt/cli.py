@@ -16,7 +16,7 @@ import time
 
 from . import neural, pipeline, problems, version_fingerprint
 from .errors import FgmoptError
-from .fem import run_thermoelastic, write_result_files
+from .fem import ThermoelasticSolver, write_result_files
 from .profiles import genes_from_dict, genes_to_profiles, tensor_product
 
 
@@ -93,7 +93,7 @@ def cmd_optimize(args) -> int:
 def cmd_eval_profile(args) -> int:
     t0 = time.perf_counter()
     config, profile = _profile_for(args)
-    result = run_thermoelastic(profile, config)
+    result = ThermoelasticSolver(config).run(profile)
     _stage("eval-profile", t0)
     out = {"problem": args.problem, "config": config.name, **result.summary()}
     text = json.dumps(out, sort_keys=True)
@@ -106,7 +106,7 @@ def cmd_eval_profile(args) -> int:
 def cmd_export_field(args) -> int:
     t0 = time.perf_counter()
     config, profile = _profile_for(args)
-    result = run_thermoelastic(profile, config)
+    result = ThermoelasticSolver(config).run(profile)
     write_result_files(result, args.out)
     _stage("export-field", t0)
     print(json.dumps({"out": str(args.out), **result.summary()}, sort_keys=True))

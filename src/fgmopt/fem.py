@@ -194,16 +194,15 @@ class EdgeTraction:
 
 @dataclass(frozen=True)
 class MechBCSet:
-    """Displacement constraints, edge tractions and body force.
+    """Displacement constraints and edge tractions.
 
-    Defaults are traction-free, zero body force; the constraint list must
-    remove all rigid-body modes (a singular solve raises otherwise).
+    Defaults are traction-free; the constraint list must remove all
+    rigid-body modes (a singular solve raises otherwise).
     """
 
     edges: tuple[EdgeConstraint, ...] = ()
     points: tuple[PointConstraint, ...] = ()
     tractions: tuple[EdgeTraction, ...] = ()
-    body_force: tuple[float, float] = (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,38 +299,27 @@ class Mesh:
         return self.conn.shape[0]
 
     def edge_nodes(self, edge: str) -> np.ndarray:
-        NX, NY = 2 * self.nx + 1, 2 * self.ny + 1
-        if edge == "left":
-            return np.arange(NY) * NX
-        if edge == "right":
-            return np.arange(NY) * NX + (NX - 1)
-        if edge == "bottom":
-            return np.arange(NX)
-        if edge == "top":
-            return (NY - 1) * NX + np.arange(NX)
-        raise ValueError(f"unknown edge {edge!r}")
+        """Sorted ids of every node on an edge."""
+        return np.unique(self.edge_conn(edge)[0])
 
     def edge_elements(self, edge: str):
         """(element ids, local node triple along the edge, edge length per element)."""
-        if edge == "left":
-            elems = np.arange(self.ny) * self.nx
-            locals_ = np.array([0, 3, 6])
-            h = self.H / self.ny
-        elif edge == "right":
-            elems = np.arange(self.ny) * self.nx + (self.nx - 1)
-            locals_ = np.array([2, 5, 8])
-            h = self.H / self.ny
-        elif edge == "bottom":
-            elems = np.arange(self.nx)
-            locals_ = np.array([0, 1, 2])
-            h = self.L / self.nx
-        elif edge == "top":
-            elems = (self.ny - 1) * self.nx + np.arange(self.nx)
-            locals_ = np.array([6, 7, 8])
-            h = self.L / self.nx
-        else:
+        left, bottom = np.arange(self.ny) * self.nx, np.arange(self.nx)  # element column, row
+        table = {
+            "left": (left, [0, 3, 6], self.H / self.ny),
+            "right": (left + (self.nx - 1), [2, 5, 8], self.H / self.ny),
+            "bottom": (bottom, [0, 1, 2], self.L / self.nx),
+            "top": ((self.ny - 1) * self.nx + bottom, [6, 7, 8], self.L / self.nx),
+        }
+        if edge not in table:
             raise ValueError(f"unknown edge {edge!r}")
-        return elems, locals_, h
+        elems, locs, h = table[edge]
+        return elems, np.array(locs), h
+
+    def edge_conn(self, edge: str):
+        """(n_edge_elems, 3) node ids along an edge, and half the element edge length."""
+        elems, locs, h = self.edge_elements(edge)
+        return self.conn[np.ix_(elems, locs)], h / 2.0
 
     def corner_node(self, corner: str) -> int:
         fx, fy = CORNERS[corner]
@@ -419,8 +407,8 @@ class ThermoelasticSolver:
         self.mesh = Mesh.rectangle(config.nx, config.ny, config.L, config.H)
         self._build_basis()
         self._build_indices()
-        self._build_thermal_bcs()
-        self._build_mech_bcs()
+        self._resolve_thermal_bcs()
+        self._resolve_mech_bcs()
 
     # -- precomputation ----------------------------------------------------
 
@@ -458,7 +446,6 @@ class ThermoelasticSolver:
         self.elast_P_lam = np.einsum("g,gia,gij,gjb->gab", self.gauss_w, Bel, np.broadcast_to(A, (9, 3, 3)), Bel)
         self.elast_P_mu = np.einsum("g,gia,gij,gjb->gab", self.gauss_w, Bel, np.broadcast_to(M, (9, 3, 3)), Bel)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
-        self.body_V = np.einsum("g,ga->ga", self.gauss_w, self.gauss_N)  # for body force per dof dir
 
         # physical gauss coordinates (n_elems, 9, 2)
         xi = np.array([p[0] for p in pts])
@@ -470,68 +457,75 @@ class ThermoelasticSolver:
         self.gauss_xy = np.stack([gx, gy], axis=-1)
 
         # 1D quadratic edge basis at 3-point Gauss, for edge integrals
-        e_n, e_w = [], []
-        for t, w in GAUSS_1D:
-            v, _ = _lagrange_quadratic(t)
-            e_n.append(v)
-            e_w.append(w)
-        self.edge_N = np.array(e_n)  # (3 gauss, 3 nodes)
-        self.edge_w = np.array(e_w)
+        self.edge_w = np.array([w for _, w in GAUSS_1D])
+        self.edge_N = np.array([_lagrange_quadratic(t)[0] for t, _ in GAUSS_1D])  # (3 gauss, 3 nodes)
+        self.edge_load = self.edge_w @ self.edge_N  # unit edge load per node, per unit half-length
+        self.edge_mass = np.einsum("g,ga,gb->ab", self.edge_w, self.edge_N, self.edge_N)
 
     def _build_indices(self):
         conn = self.mesh.conn
-        self.t_rows = np.repeat(conn, 9, axis=1).ravel()
-        self.t_cols = np.tile(conn, (1, 9)).ravel()
+        self.t_rows, self.t_cols = _pair_indices(conn)
         dofs = np.empty((self.mesh.n_elems, 18), dtype=np.int64)
         dofs[:, 0::2] = 2 * conn
         dofs[:, 1::2] = 2 * conn + 1
         self.elem_dofs = dofs
-        self.e_rows = np.repeat(dofs, 18, axis=1).ravel()
-        self.e_cols = np.tile(dofs, (1, 18)).ravel()
+        self.e_rows, self.e_cols = _pair_indices(dofs)
 
-    def _build_thermal_bcs(self):
-        cfg = self.config
-        self.dirichlet_nodes = np.array([], dtype=np.int64)
-        self.dirichlet_vals = np.array([])
-        self._conv_edges = []
-        self._flux_edges = []
-        if cfg.thermal is None:
-            return
-        if not cfg.thermal.is_well_posed():
-            raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
-        fixed = {}
-        for edge in EDGES:
-            bc = cfg.thermal.on(edge)
-            if isinstance(bc, Dirichlet):
-                nodes = self.mesh.edge_nodes(edge)
-                for nid in nodes:
-                    x, y = self.mesh.coords[nid]
-                    v = bc.value(x, y) if callable(bc.value) else float(bc.value)
-                    fixed[nid] = v  # later edges override shared corners
-            elif isinstance(bc, Convection):
-                self._conv_edges.append((edge, bc))
-            elif isinstance(bc, Flux):
-                self._flux_edges.append((edge, bc))
-        if fixed:
-            nodes = np.array(sorted(fixed), dtype=np.int64)
-            self.dirichlet_nodes = nodes
-            self.dirichlet_vals = np.array([fixed[n] for n in nodes])
+    def _prescribed(self, entries, per_node: int):
+        """(sorted fixed dofs, their values, free dofs) of a field with per_node dofs a node.
 
-    def _build_mech_bcs(self):
-        cfg = self.config
-        comp = {"u1": 0, "u2": 1}
+        ``entries`` are (node ids, component, value) with value a number or
+        f(x, y); a later entry overrides an earlier one on a shared node.
+        """
         fixed = {}
-        for ec in cfg.mech.edges:
-            for nid in self.mesh.edge_nodes(ec.edge):
+        for nodes, comp, value in entries:
+            for nid in nodes:
                 x, y = self.mesh.coords[nid]
-                v = ec.value(x, y) if callable(ec.value) else float(ec.value)
-                fixed[2 * nid + comp[ec.component]] = v
-        for pc in cfg.mech.points:
-            nid = self.mesh.corner_node(pc.corner)
-            fixed[2 * nid + comp[pc.component]] = float(pc.value)
+                fixed[per_node * nid + comp] = value(x, y) if callable(value) else float(value)
         dofs = np.array(sorted(fixed), dtype=np.int64)
-        self.fixed_dofs = dofs
-        self.fixed_vals = np.array([fixed[d] for d in dofs])
+        free = np.delete(np.arange(per_node * self.mesh.n_nodes), dofs)
+        return dofs, np.array([fixed[d] for d in dofs]), free
+
+    def _resolve_thermal_bcs(self):
+        """Dirichlet table, convection matrix entries and the load vector, once per solver."""
+        cfg, mesh = self.config, self.mesh
+        if cfg.thermal is not None and not cfg.thermal.is_well_posed():
+            raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
+        bcs = [(e, cfg.thermal.on(e)) for e in EDGES] if cfg.thermal is not None else []
+        # later edges in EDGES order override shared corners
+        self.dirichlet_nodes, self.dirichlet_vals, self._thermal_free = self._prescribed(
+            [(mesh.edge_nodes(e), 0, bc.value) for e, bc in bcs if isinstance(bc, Dirichlet)], 1)
+        f = np.zeros(mesh.n_nodes)
+        if cfg.heat_source != 0.0:
+            _scatter_add(f, mesh.conn, cfg.heat_source * (self.gauss_w @ self.gauss_N))
+        rows, cols, vals = [], [], []
+        for edge, bc in bcs:
+            if isinstance(bc, Convection):
+                enodes, half = mesh.edge_conn(edge)
+                r, c = _pair_indices(enodes)
+                rows.append(r)
+                cols.append(c)
+                vals.append(np.tile((bc.h * half * self.edge_mass).ravel(), len(enodes)))
+                _scatter_add(f, enodes, bc.h * bc.t_inf * half * self.edge_load)
+        for edge, bc in bcs:  # after all convection edges, so the corner sums keep their order
+            if isinstance(bc, Flux):
+                enodes, half = mesh.edge_conn(edge)
+                _scatter_add(f, enodes, bc.q * half * self.edge_load)
+        self._conv_entries = (rows, cols, vals)
+        self._thermal_f = f
+
+    def _resolve_mech_bcs(self):
+        """Fixed-displacement table and the per-edge traction loads, once per solver."""
+        mech, mesh = self.config.mech, self.mesh
+        comp = {"u1": 0, "u2": 1}
+        entries = [(mesh.edge_nodes(ec.edge), comp[ec.component], ec.value) for ec in mech.edges]
+        entries += [([mesh.corner_node(pc.corner)], comp[pc.component], pc.value) for pc in mech.points]
+        self.fixed_dofs, self.fixed_vals, self._mech_free = self._prescribed(entries, 2)
+        self._traction_loads = []
+        for tr in mech.tractions:
+            enodes, half = mesh.edge_conn(tr.edge)
+            ft = half * self.edge_load
+            self._traction_loads += [(2 * enodes, tr.tx * ft), (2 * enodes + 1, tr.ty * ft)]
 
     # -- profile sampling ----------------------------------------------------
 
@@ -558,38 +552,20 @@ class ThermoelasticSolver:
         kvals = material_at(self.config.materials, 1.0 - phi)["k"]
         ke = np.einsum("eg,gab->eab", kvals, self.therm_M)
         n = self.mesh.n_nodes
-        rows, cols, vals = [self.t_rows], [self.t_cols], [ke.ravel()]
-        f = np.zeros(n)
-        if self.config.heat_source != 0.0:
-            fe = self.config.heat_source * (self.gauss_w @ self.gauss_N)
-            np.add.at(f, self.mesh.conn.ravel(), np.tile(fe, self.mesh.n_elems))
-        for edge, bc in self._conv_edges:
-            elems, locs, h_e = self.mesh.edge_elements(edge)
-            scale = h_e / 2.0
-            kc = bc.h * scale * np.einsum("g,ga,gb->ab", self.edge_w, self.edge_N, self.edge_N)
-            fc = bc.h * bc.t_inf * scale * (self.edge_w @ self.edge_N)
-            enodes = self.mesh.conn[np.ix_(elems, locs)]  # (n_edge_elems, 3)
-            rows.append(np.repeat(enodes, 3, axis=1).ravel())
-            cols.append(np.tile(enodes, (1, 3)).ravel())
-            vals.append(np.tile(kc.ravel(), elems.size))
-            np.add.at(f, enodes.ravel(), np.tile(fc, elems.size))
-        for edge, bc in self._flux_edges:
-            elems, locs, h_e = self.mesh.edge_elements(edge)
-            fq = bc.q * (h_e / 2.0) * (self.edge_w @ self.edge_N)
-            enodes = self.mesh.conn[np.ix_(elems, locs)]
-            np.add.at(f, enodes.ravel(), np.tile(fq, elems.size))
+        rows, cols, vals = self._conv_entries
         K = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+            (np.concatenate([ke.ravel(), *vals]),
+             (np.concatenate([self.t_rows, *rows]), np.concatenate([self.t_cols, *cols]))),
+            shape=(n, n),
         ).tocsr()
-        return K, f
+        return K, self._thermal_f.copy()
 
     def solve_thermal(self, profile: Profile2D) -> np.ndarray:
         """Nodal temperature change field theta-bar."""
         if self.config.thermal is None:
             raise SingularSystem("no thermal boundary conditions configured")
         K, f = self.thermal_system(profile)
-        theta = _constrained_solve(K, f, self.dirichlet_nodes, self.dirichlet_vals)
-        return theta
+        return _constrained_solve(K, f, self.dirichlet_nodes, self.dirichlet_vals, self._thermal_free)
 
     # -- elastic solve ---------------------------------------------------------
 
@@ -604,7 +580,7 @@ class ThermoelasticSolver:
         else:
             lam_eff = lam
             beta = E * alpha / (1.0 - 2.0 * nu)
-        return lam, mu, lam_eff, beta, nu
+        return lam, mu, lam_eff, beta
 
     def solve_elastic(self, profile: Profile2D, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
@@ -612,7 +588,7 @@ class ThermoelasticSolver:
         if self.fixed_dofs.size == 0:
             raise SingularSystem("no displacement constraints; rigid modes present")
         phi = self.phi_at_gauss(profile)
-        _, mu, lam_eff, beta, _ = self._blend_elastic(phi)
+        _, mu, lam_eff, beta = self._blend_elastic(phi)
         ke = np.einsum("eg,gab->eab", lam_eff, self.elast_P_lam) + np.einsum(
             "eg,gab->eab", mu, self.elast_P_mu
         )
@@ -621,23 +597,10 @@ class ThermoelasticSolver:
 
         f = np.zeros(ndof)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
-        fe = np.einsum("eg,ga->ea", beta * theta_g, self.elast_V)
-        np.add.at(f, self.elem_dofs.ravel(), fe.ravel())
-        bx, by = self.config.mech.body_force
-        if bx != 0.0 or by != 0.0:
-            fb = self.gauss_w @ self.gauss_N  # (9 nodes,)
-            fe = np.zeros(18)
-            fe[0::2] = bx * fb
-            fe[1::2] = by * fb
-            np.add.at(f, self.elem_dofs.ravel(), np.tile(fe, self.mesh.n_elems))
-        for tr in self.config.mech.tractions:
-            elems, locs, h_e = self.mesh.edge_elements(tr.edge)
-            ft = (h_e / 2.0) * (self.edge_w @ self.edge_N)  # (3,)
-            enodes = self.mesh.conn[np.ix_(elems, locs)]
-            np.add.at(f, (2 * enodes).ravel(), np.tile(tr.tx * ft, elems.size))
-            np.add.at(f, (2 * enodes + 1).ravel(), np.tile(tr.ty * ft, elems.size))
-
-        u = _constrained_solve(K, f, self.fixed_dofs, self.fixed_vals)
+        _scatter_add(f, self.elem_dofs, np.einsum("eg,ga->ea", beta * theta_g, self.elast_V))
+        for dofs, fe in self._traction_loads:
+            _scatter_add(f, dofs, fe)
+        u = _constrained_solve(K, f, self.fixed_dofs, self.fixed_vals, self._mech_free)
         return u.reshape(-1, 2)
 
     # -- post-processing ---------------------------------------------------
@@ -645,7 +608,7 @@ class ThermoelasticSolver:
     def gauss_stress(self, profile: Profile2D, u: np.ndarray, theta_nodal: np.ndarray):
         """Physical stress components and effective stress at Gauss points."""
         phi = self.phi_at_gauss(profile)
-        lam, mu, lam_eff, beta, nu = self._blend_elastic(phi)
+        lam, mu, lam_eff, beta = self._blend_elastic(phi)
         ue = u.reshape(-1)[self.elem_dofs]  # (n_elems, 18)
         strain = np.einsum("gsd,ed->egs", self.elast_B, ue)  # (e, g, 3)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T
@@ -701,12 +664,14 @@ class ThermoelasticSolver:
         """Thermal (or uniform-change) analysis, elastic analysis, summaries."""
         cfg = self.config
         if cfg.uniform_delta_theta is not None:
+            # a uniform change is reported exactly, without interpolation roundoff
             theta = np.full(self.mesh.n_nodes, float(cfg.uniform_delta_theta))
+            theta_grid = np.full(profile.grid.shape, float(cfg.uniform_delta_theta))
         else:
             theta = self.solve_thermal(profile)
+            theta_grid = self.temperature_on_profile_grid(theta, profile)
         u = self.solve_elastic(profile, theta)
         se = self.gauss_stress(profile, u, theta)["effective"]
-        theta_grid = self.temperature_on_profile_grid(theta, profile)
         metal = profile.grid < 1.0
         max_metal_t = float(theta_grid[metal].max()) if metal.any() else float("-inf")
         return FemResult(
@@ -723,14 +688,29 @@ class ThermoelasticSolver:
         )
 
 
-def _constrained_solve(K: sp.csr_matrix, f: np.ndarray, fixed: np.ndarray, fixed_vals: np.ndarray) -> np.ndarray:
+def _pair_indices(idx: np.ndarray):
+    """Global (row, col) ids of every entry of the per-row element matrices of idx."""
+    k = idx.shape[1]
+    return np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel()
+
+
+def _scatter_add(f: np.ndarray, idx: np.ndarray, fe: np.ndarray) -> None:
+    """f[idx] += fe, with fe one row shared by all rows of idx or one row each."""
+    # np.add.at gets explicit full-size values: given values that broadcast
+    # against the index, numpy 2.4 wrote wrong sums into the last slots
+    np.add.at(f, idx.ravel(), np.broadcast_to(fe, idx.shape).ravel())
+
+
+def _constrained_solve(K: sp.csr_matrix, f: np.ndarray, fixed: np.ndarray, fixed_vals: np.ndarray,
+                       free: np.ndarray) -> np.ndarray:
     """Direct sparse solve with Dirichlet rows eliminated symmetrically."""
-    n = f.size
-    free = np.setdiff1d(np.arange(n), fixed, assume_unique=False)
+    K_free = K[free]
     rhs = f[free]
     if fixed.size:
-        rhs = rhs - K[free][:, fixed] @ fixed_vals
-    Kff = K[free][:, free].tocsc()
+        rhs = rhs - K_free[:, fixed] @ fixed_vals
+    Kff = K_free[:, free]
+    del K_free  # freed before the CSC copy and the factorization, which set the memory peak
+    Kff = Kff.tocsc()
     try:
         lu = spla.splu(Kff)
         x_free = lu.solve(rhs)
@@ -742,13 +722,8 @@ def _constrained_solve(K: sp.csr_matrix, f: np.ndarray, fixed: np.ndarray, fixed
     res = np.linalg.norm(Kff @ x_free - rhs)
     if res > RESIDUAL_TOL * max(denom, 1e-30):
         raise SingularSystem(f"linear solve residual {res / max(denom, 1e-30):.2e} above tolerance")
-    x = np.zeros(n)
+    x = np.zeros(f.size)
     x[free] = x_free
     if fixed.size:
         x[fixed] = fixed_vals
     return x
-
-
-def run_thermoelastic(profile: Profile2D, config: ProblemConfig) -> FemResult:
-    """One-shot convenience wrapper around ThermoelasticSolver."""
-    return ThermoelasticSolver(config).run(profile)

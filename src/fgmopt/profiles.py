@@ -64,7 +64,6 @@ class GenerationConfig:
     first_node_buckets: BucketSpec
     alpha_lower: float = 1.0
     alpha_upper_max: float = 3.0
-    normalize_to_one: bool = True
 
     def __post_init__(self):
         if self.n_elems < 1:
@@ -271,7 +270,7 @@ def _replay(phi1: float, alphas: np.ndarray, normalize_to_one: bool) -> Profile1
 def generate_profile_1d(rng, config: GenerationConfig) -> Profile1D:
     """Draw one random 1D profile (see module docstring for the scheme)."""
     phi1, alphas = _draw_axis(make_rng(rng), config)
-    return _replay(phi1, alphas, config.normalize_to_one)
+    return _replay(phi1, alphas, normalize_to_one=True)
 
 
 def generate_genes(rng, config_x: GenerationConfig, config_y: GenerationConfig) -> GradationGenes:

@@ -23,7 +23,6 @@ from .fem import (
     ProblemConfig,
     ThermalBCSet,
     ThermoelasticSolver,
-    run_thermoelastic,
     shape9,
 )
 from .profiles import Profile2D
@@ -140,7 +139,7 @@ def check_free_expansion() -> Check:
             PointConstraint("bottom_left", "u2"),
             PointConstraint("bottom_right", "u2"))),
         thermal=None, uniform_delta_theta=dT, mode="plane_stress")
-    r = run_thermoelastic(_uniform(0.0, 6, 6, 1.0, 1.0), cfg)
+    r = ThermoelasticSolver(cfg).run(_uniform(0.0, 6, 6, 1.0, 1.0))
     scale = pair.metal.E * pair.metal.alpha * dT
     return Check("stress-free thermal expansion", r.sigma_e_max / scale, 1e-6)
 
@@ -154,7 +153,7 @@ def check_roller_constrained_expansion() -> Check:
             edges=(EdgeConstraint("left", "u1"), EdgeConstraint("right", "u1")),
             points=(PointConstraint("bottom_left", "u2"),)),
         thermal=None, uniform_delta_theta=dT, mode="plane_strain")
-    r = run_thermoelastic(_uniform(1.0, 6, 3, 0.5, 0.25), cfg)
+    r = ThermoelasticSolver(cfg).run(_uniform(1.0, 6, 3, 0.5, 0.25))
     E, nu, alpha = pair.ceramic.E, pair.ceramic.nu, pair.ceramic.alpha
     lam = E * nu / ((1 + nu) * (1 - 2 * nu))
     mu = E / (2 * (1 + nu))
@@ -166,7 +165,7 @@ def check_roller_constrained_expansion() -> Check:
 def check_compatible_gradation_stress_free() -> Check:
     cfg = problems.problem1(support="simply_supported")
     prof = problems.power_law_reference(cfg, 1.0, "y")
-    r = run_thermoelastic(prof, cfg)
+    r = ThermoelasticSolver(cfg).run(prof)
     pair = MATERIALS["Ni/Al2O3"]
     scale = pair.metal.E * pair.metal.alpha * 700.0
     return Check("compatible linear gradation is stress-free", r.sigma_e_max / scale, 1e-6)

@@ -65,6 +65,12 @@ class TestEvalProfile:
         result = json.loads(out)
         assert result["sigma_e_max"] == pytest.approx(309e6, rel=0.10)
 
+    def test_problem1_uniform_temperature_reported_exactly(self, capsys):
+        code, out, _ = run_cli(capsys, "eval-profile", "--problem", "problem1",
+                               "--power-law", "1")
+        assert code == 0
+        assert json.loads(out)["max_metal_temperature"] == -700.0
+
 
 class TestDataAndFields:
     def test_gen_data_smoke(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from fgmopt.fem import (
     Convection,
     Dirichlet,
     EdgeConstraint,
+    EdgeTraction,
     Flux,
     MechBCSet,
     PointConstraint,
@@ -19,7 +20,6 @@ from fgmopt.fem import (
     ThermoelasticSolver,
     effective_stress,
     material_at,
-    run_thermoelastic,
     shape9,
     write_result_files,
 )
@@ -161,6 +161,42 @@ class TestThermal:
         exact = f(s.mesh.coords[:, 0], s.mesh.coords[:, 1])
         assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
 
+    def test_prescribed_flux_exact(self):
+        # inward flux q on the right edge, theta = 0 on the left: theta = q x / k
+        q, pair = 2.0e4, MATERIALS["Ni/Al2O3"]
+        cfg = ProblemConfig(
+            L=0.8, H=0.4, nx=6, ny=3, materials=pair, mech=simple_mech(),
+            thermal=ThermalBCSet(left=Dirichlet(0.0), right=Flux(q)), mode="plane_stress")
+        s = ThermoelasticSolver(cfg)
+        theta = s.solve_thermal(uniform_profile(0.0, 6, 3, 0.8, 0.4))
+        exact = q * s.mesh.coords[:, 0] / pair.metal.k
+        assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
+
+    def test_convection_exact(self):
+        # -k theta'(L) = h (theta(L) - t_inf), theta(0) = 0: theta = h t_inf x / (k + h L)
+        h, t_inf, L, pair = 150.0, 80.0, 0.8, MATERIALS["Ni/Al2O3"]
+        cfg = ProblemConfig(
+            L=L, H=0.4, nx=6, ny=3, materials=pair, mech=simple_mech(),
+            thermal=ThermalBCSet(left=Dirichlet(0.0), right=Convection(h, t_inf)),
+            mode="plane_stress")
+        s = ThermoelasticSolver(cfg)
+        theta = s.solve_thermal(uniform_profile(1.0, 6, 3, L, 0.4))
+        k = pair.ceramic.k
+        exact = h * t_inf * s.mesh.coords[:, 0] / (k + h * L)
+        assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
+
+    def test_dirichlet_corner_takes_the_later_edge(self):
+        # a corner shared by two Dirichlet edges keeps the value of the later edge
+        cfg = ProblemConfig(
+            L=1.0, H=1.0, nx=3, ny=3, materials=MATERIALS["Al/ZrO2"], mech=simple_mech(),
+            thermal=ThermalBCSet(left=Dirichlet(0.0), top=Dirichlet(100.0)), mode="plane_stress")
+        s = ThermoelasticSolver(cfg)
+        theta = s.solve_thermal(uniform_profile(0.5, 3, 3, 1.0, 1.0))
+        assert theta[s.mesh.corner_node("top_left")] == 100.0
+        assert theta[s.mesh.corner_node("bottom_left")] == 0.0
+        table = dict(zip(s.dirichlet_nodes.tolist(), s.dirichlet_vals.tolist()))
+        assert table[s.mesh.corner_node("top_left")] == 100.0
+
     def test_energy_balance(self):
         assert check_energy_balance().passed
 
@@ -225,7 +261,6 @@ class TestElastic:
     def test_traction_patch_uniaxial(self):
         pair = MATERIALS["Ni/Al2O3"]
         T = 2.5e6
-        from fgmopt.fem import EdgeTraction
         cfg = ProblemConfig(
             L=1.0, H=0.25, nx=6, ny=2, materials=pair,
             mech=MechBCSet(
@@ -243,6 +278,24 @@ class TestElastic:
         assert np.abs(stress["syy"]).max() < 1e-8 * T
         assert stress["effective"].max() == pytest.approx(T, rel=1e-8)
 
+    def test_top_traction_patch(self):
+        # u2 = 0 on the bottom edge, normal traction T on the top: syy = T everywhere
+        T = 3.0e6
+        cfg = ProblemConfig(
+            L=0.5, H=1.0, nx=2, ny=4, materials=MATERIALS["Al/ZrO2"],
+            mech=MechBCSet(
+                edges=(EdgeConstraint("bottom", "u2"),),
+                points=(PointConstraint("bottom_left", "u1"),),
+                tractions=(EdgeTraction("top", ty=T),)),
+            thermal=None, uniform_delta_theta=0.0, mode="plane_stress")
+        s = ThermoelasticSolver(cfg)
+        prof = uniform_profile(0.3, 2, 4, 0.5, 1.0)
+        theta = np.zeros(s.mesh.n_nodes)
+        stress = s.gauss_stress(prof, s.solve_elastic(prof, theta), theta)
+        assert np.abs(stress["syy"] - T).max() < 1e-8 * T
+        assert np.abs(stress["sxx"]).max() < 1e-8 * T
+        assert np.abs(stress["sxy"]).max() < 1e-8 * T
+
     def test_free_expansion_plane_stress(self):
         pair = MATERIALS["Ni/Al2O3"]
         dT = 50.0
@@ -253,7 +306,7 @@ class TestElastic:
                 PointConstraint("bottom_left", "u2"),
                 PointConstraint("bottom_right", "u2"))),
             thermal=None, uniform_delta_theta=dT, mode="plane_stress")
-        r = run_thermoelastic(uniform_profile(0.0, 6, 6, 1.0, 1.0), cfg)
+        r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 6, 6, 1.0, 1.0))
         scale = pair.metal.E * pair.metal.alpha * dT
         assert r.sigma_e_max < 1e-6 * scale
         expect = pair.metal.alpha * dT * ThermoelasticSolver(cfg).mesh.coords
@@ -270,7 +323,7 @@ class TestElastic:
                 edges=(EdgeConstraint("left", "u1"), EdgeConstraint("right", "u1")),
                 points=(PointConstraint("bottom_left", "u2"),)),
             thermal=None, uniform_delta_theta=dT, mode="plane_strain")
-        r = run_thermoelastic(uniform_profile(1.0, 6, 3, 0.5, 0.25), cfg)
+        r = ThermoelasticSolver(cfg).run(uniform_profile(1.0, 6, 3, 0.5, 0.25))
         E, nu, alpha = pair.ceramic.E, pair.ceramic.nu, pair.ceramic.alpha
         lam = E * nu / ((1 + nu) * (1 - 2 * nu))
         mu = E / (2 * (1 + nu))
@@ -294,7 +347,7 @@ class TestElastic:
                 mech=MechBCSet(edges=edges), thermal=None,
                 uniform_delta_theta=60.0, mode="plane_strain",
                 effective_stress_source=source)
-            r = run_thermoelastic(uniform_profile(0.0, 3, 3, 1.0, 1.0), cfg)
+            r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 3, 3, 1.0, 1.0))
             if source == "physical3d":
                 assert r.sigma_e_max < 1e-9 * pair.metal.E * pair.metal.alpha * 60
             if source == "isothermal_2d":
@@ -305,7 +358,7 @@ class TestElastic:
         # is compatible, so the in-plane stress vanishes identically
         cfg = problems.problem1(support="simply_supported")
         prof = problems.power_law_reference(cfg, 1.0, "y")
-        r = run_thermoelastic(prof, cfg)
+        r = ThermoelasticSolver(cfg).run(prof)
         scale = MATERIALS["Ni/Al2O3"].metal.E * MATERIALS["Ni/Al2O3"].metal.alpha * 700
         assert r.sigma_e_max < 1e-6 * scale
 
@@ -314,8 +367,8 @@ class TestElastic:
         cfg = problems.problem1(support="bottom_edge")
         prof = problems.power_law_reference(cfg, 2.0, "y")
         from dataclasses import replace
-        a = run_thermoelastic(prof, replace(cfg, effective_stress_source="physical3d"))
-        b = run_thermoelastic(prof, replace(cfg, effective_stress_source="isothermal_2d"))
+        a = ThermoelasticSolver(replace(cfg, effective_stress_source="physical3d")).run(prof)
+        b = ThermoelasticSolver(replace(cfg, effective_stress_source="isothermal_2d")).run(prof)
         np.testing.assert_allclose(
             a.gauss_effective_stress, b.gauss_effective_stress, rtol=1e-9)
 
@@ -324,7 +377,7 @@ class TestElastic:
             L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"],
             mech=MechBCSet(), thermal=None, uniform_delta_theta=10.0)
         with pytest.raises(SingularSystem):
-            run_thermoelastic(uniform_profile(0.0, 2, 2, 1.0, 1.0), cfg)
+            ThermoelasticSolver(cfg).run(uniform_profile(0.0, 2, 2, 1.0, 1.0))
 
 
 class TestEffectiveStress:
@@ -390,7 +443,7 @@ class TestPostprocessing:
         prof = problems.reference_profile("problem1", 2.0)
         vals = []
         for n in (10, 20, 40):
-            r = run_thermoelastic(prof, replace(cfg, nx=n, ny=n))
+            r = ThermoelasticSolver(replace(cfg, nx=n, ny=n)).run(prof)
             vals.append(r.sigma_e_max)
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         print(f"refinement sigma_e_max: {[f'{v/1e6:.2f}' for v in vals]} MPa, deltas {d1/1e6:.3f}, {d2/1e6:.3f}")
@@ -398,7 +451,7 @@ class TestPostprocessing:
 
     def test_result_files(self, tmp_path):
         cfg = problems.problem2()
-        r = run_thermoelastic(problems.power_law_reference(cfg, 1.0, "y"), cfg)
+        r = ThermoelasticSolver(cfg).run(problems.power_law_reference(cfg, 1.0, "y"))
         write_result_files(r, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["sigma_e_max"] == pytest.approx(r.sigma_e_max)
@@ -410,8 +463,8 @@ class TestPostprocessing:
     def test_solver_determinism(self):
         cfg = problems.problem2()
         prof = problems.power_law_reference(cfg, 2.0, "xy")
-        a = run_thermoelastic(prof, cfg)
-        b = run_thermoelastic(prof, cfg)
+        a = ThermoelasticSolver(cfg).run(prof)
+        b = ThermoelasticSolver(cfg).run(prof)
         assert np.array_equal(a.nodal_temperature, b.nodal_temperature)
         assert np.array_equal(a.nodal_displacement, b.nodal_displacement)
         assert a.sigma_e_max == b.sigma_e_max
