@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train-stress, train-temp, optimize, eval-profile,
 export-field, verify.  Results go to stdout (JSON) or to files; one JSON log
-line per major stage (with wall time) and all error messages go to stderr.
+line per major stage (with wall time), one JSON warning line when gen-data
+leaves a split empty, and all error messages go to stderr.
 Exit codes: 0 success, 1 invalid input, 2 runtime failure.
 """
 
@@ -59,6 +60,10 @@ def cmd_gen_data(args) -> int:
     manifest = pipeline.generate_dataset(args.problem, args.count, args.seed,
                                          args.out, threads=args.threads)
     _stage("gen-data", t0)
+    empty = [split for split in ("train", "test") if manifest[f"n_{split}"] == 0]
+    if empty:  # the split rounds 80/20, so a small count leaves one side without samples
+        print(json.dumps({"warning": "empty split", "splits": empty, "count": args.count}),
+              file=sys.stderr)
     print(json.dumps(manifest, sort_keys=True))
     return 0
 

@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .errors import (
     PhiOutOfRange,
     SingularSystem,
 )
-from .profiles import Profile2D, grid_points
+from .profiles import Profile2D, cell_coords, grid_points
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -302,8 +303,8 @@ class Mesh:
         """Sorted ids of every node on an edge."""
         return np.unique(self.edge_conn(edge)[0])
 
-    def edge_elements(self, edge: str):
-        """(element ids, local node triple along the edge, edge length per element)."""
+    def edge_conn(self, edge: str):
+        """(n_edge_elems, 3) node ids along an edge, and half the element edge length."""
         left, bottom = np.arange(self.ny) * self.nx, np.arange(self.nx)  # element column, row
         table = {
             "left": (left, [0, 3, 6], self.H / self.ny),
@@ -314,11 +315,6 @@ class Mesh:
         if edge not in table:
             raise ValueError(f"unknown edge {edge!r}")
         elems, locs, h = table[edge]
-        return elems, np.array(locs), h
-
-    def edge_conn(self, edge: str):
-        """(n_edge_elems, 3) node ids along an edge, and half the element edge length."""
-        elems, locs, h = self.edge_elements(edge)
         return self.conn[np.ix_(elems, locs)], h / 2.0
 
     def corner_node(self, corner: str) -> int:
@@ -398,15 +394,20 @@ def effective_stress(sxx, syy, szz, sxy):
 class ThermoelasticSolver:
     """Assembles and solves the one-way coupled problem for one configuration.
 
-    Immutable after construction; independent solves on different profiles
-    share no mutable state and may run concurrently.
+    Boundary conditions are resolved at construction.  Each field (thermal
+    only when ``config.thermal`` is set, elastic always) scatters its element
+    matrices with one bincount into the CSC pattern of the reduced SPD system
+    K[free][:, free], which SuperLU factors in symmetric mode under a
+    minimum-degree ordering on A^T + A.  The patterns are built on first use
+    and cached; otherwise the solver is immutable, and solves on different
+    profiles share no mutable state and may run concurrently.
     """
 
     def __init__(self, config: ProblemConfig):
         self.config = config
         self.mesh = Mesh.rectangle(config.nx, config.ny, config.L, config.H)
         self._build_basis()
-        self._build_indices()
+        self.elem_dofs = np.stack([2 * self.mesh.conn, 2 * self.mesh.conn + 1], axis=-1).reshape(-1, 18)
         self._resolve_thermal_bcs()
         self._resolve_mech_bcs()
 
@@ -430,9 +431,9 @@ class ThermoelasticSolver:
         self.gauss_bx = np.array(bx)
         self.gauss_by = np.array(by)
 
-        # thermal: M_g = w |J| B^T B, so Ke = sum_g k_eg M_g
+        # thermal: M_g = w |J| B^T B, so Ke = sum_g k_eg M_g, one (9 gauss, 81) matmul
         B = np.stack([self.gauss_bx, self.gauss_by], axis=1)  # (9, 2, 9)
-        self.therm_M = np.einsum("g,gia,gib->gab", self.gauss_w, B, B)
+        self.therm_M = np.einsum("g,gia,gib->gab", self.gauss_w, B, B).reshape(9, 81)
 
         # elastic B (9 gauss, 3, 18); dof order (ux0, uy0, ux1, uy1, ...)
         Bel = np.zeros((9, 3, 18))
@@ -441,10 +442,10 @@ class ThermoelasticSolver:
         Bel[:, 2, 0::2] = self.gauss_by
         Bel[:, 2, 1::2] = self.gauss_bx
         self.elast_B = Bel
+        # Ke = [lambda_eg | mu_eg] @ elast_P, with rows w B^T A B for lambda, then w B^T M B for mu
         A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         M = np.diag([2.0, 2.0, 1.0])
-        self.elast_P_lam = np.einsum("g,gia,gij,gjb->gab", self.gauss_w, Bel, np.broadcast_to(A, (9, 3, 3)), Bel)
-        self.elast_P_mu = np.einsum("g,gia,gij,gjb->gab", self.gauss_w, Bel, np.broadcast_to(M, (9, 3, 3)), Bel)
+        self.elast_P = np.einsum("g,gia,cij,gjb->cgab", self.gauss_w, Bel, np.stack([A, M]), Bel).reshape(18, 324)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
 
         # physical gauss coordinates (n_elems, 9, 2)
@@ -461,15 +462,6 @@ class ThermoelasticSolver:
         self.edge_N = np.array([_lagrange_quadratic(t)[0] for t, _ in GAUSS_1D])  # (3 gauss, 3 nodes)
         self.edge_load = self.edge_w @ self.edge_N  # unit edge load per node, per unit half-length
         self.edge_mass = np.einsum("g,ga,gb->ab", self.edge_w, self.edge_N, self.edge_N)
-
-    def _build_indices(self):
-        conn = self.mesh.conn
-        self.t_rows, self.t_cols = _pair_indices(conn)
-        dofs = np.empty((self.mesh.n_elems, 18), dtype=np.int64)
-        dofs[:, 0::2] = 2 * conn
-        dofs[:, 1::2] = 2 * conn + 1
-        self.elem_dofs = dofs
-        self.e_rows, self.e_cols = _pair_indices(dofs)
 
     def _prescribed(self, entries, per_node: int):
         """(sorted fixed dofs, their values, free dofs) of a field with per_node dofs a node.
@@ -489,29 +481,29 @@ class ThermoelasticSolver:
     def _resolve_thermal_bcs(self):
         """Dirichlet table, convection matrix entries and the load vector, once per solver."""
         cfg, mesh = self.config, self.mesh
-        if cfg.thermal is not None and not cfg.thermal.is_well_posed():
+        if cfg.thermal is None:
+            return
+        if not cfg.thermal.is_well_posed():
             raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
-        bcs = [(e, cfg.thermal.on(e)) for e in EDGES] if cfg.thermal is not None else []
+        bcs = [(e, cfg.thermal.on(e)) for e in EDGES]
         # later edges in EDGES order override shared corners
         self.dirichlet_nodes, self.dirichlet_vals, self._thermal_free = self._prescribed(
             [(mesh.edge_nodes(e), 0, bc.value) for e, bc in bcs if isinstance(bc, Dirichlet)], 1)
         f = np.zeros(mesh.n_nodes)
         if cfg.heat_source != 0.0:
             _scatter_add(f, mesh.conn, cfg.heat_source * (self.gauss_w @ self.gauss_N))
-        rows, cols, vals = [], [], []
+        conv_idx, conv_vals = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 9))]
         for edge, bc in bcs:
             if isinstance(bc, Convection):
                 enodes, half = mesh.edge_conn(edge)
-                r, c = _pair_indices(enodes)
-                rows.append(r)
-                cols.append(c)
-                vals.append(np.tile((bc.h * half * self.edge_mass).ravel(), len(enodes)))
+                conv_idx.append(enodes)
+                conv_vals.append(np.tile((bc.h * half * self.edge_mass).ravel(), (len(enodes), 1)))
                 _scatter_add(f, enodes, bc.h * bc.t_inf * half * self.edge_load)
         for edge, bc in bcs:  # after all convection edges, so the corner sums keep their order
             if isinstance(bc, Flux):
                 enodes, half = mesh.edge_conn(edge)
                 _scatter_add(f, enodes, bc.q * half * self.edge_load)
-        self._conv_entries = (rows, cols, vals)
+        self._conv = (np.concatenate(conv_idx), np.concatenate(conv_vals))  # edge nodes, 3x3 matrices
         self._thermal_f = f
 
     def _resolve_mech_bcs(self):
@@ -526,6 +518,15 @@ class ThermoelasticSolver:
             enodes, half = mesh.edge_conn(tr.edge)
             ft = half * self.edge_load
             self._traction_loads += [(2 * enodes, tr.tx * ft), (2 * enodes + 1, tr.ty * ft)]
+
+    @functools.cached_property
+    def _thermal_pattern(self) -> "_ReducedPattern":
+        return _ReducedPattern(self.mesh.conn, self.dirichlet_nodes, self._thermal_free,
+                               const=self._conv)
+
+    @functools.cached_property
+    def _mech_pattern(self) -> "_ReducedPattern":
+        return _ReducedPattern(self.elem_dofs, self.fixed_dofs, self._mech_free)
 
     # -- profile sampling ----------------------------------------------------
 
@@ -545,27 +546,25 @@ class ThermoelasticSolver:
 
     # -- thermal solve -------------------------------------------------------
 
-    def thermal_system(self, profile: Profile2D):
-        """Assembled (K, f) with convection/flux terms, before Dirichlet rows."""
+    def _conductance(self, profile: Profile2D) -> np.ndarray:
+        """Element conduction matrices, one flattened 9x9 per row, without convection."""
+        if self.config.thermal is None:
+            raise SingularSystem("no thermal boundary conditions configured")
         self._check_profile(profile)
-        phi = self.phi_at_gauss(profile)
-        kvals = material_at(self.config.materials, 1.0 - phi)["k"]
-        ke = np.einsum("eg,gab->eab", kvals, self.therm_M)
-        n = self.mesh.n_nodes
-        rows, cols, vals = self._conv_entries
-        K = sp.coo_matrix(
-            (np.concatenate([ke.ravel(), *vals]),
-             (np.concatenate([self.t_rows, *rows]), np.concatenate([self.t_cols, *cols]))),
-            shape=(n, n),
-        ).tocsr()
-        return K, self._thermal_f.copy()
+        kvals = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
+        return kvals @ self.therm_M
+
+    def thermal_system(self, profile: Profile2D):
+        """Full assembled (K, f) with convection/flux terms, before Dirichlet elimination."""
+        ke = self._conductance(profile)
+        everything = _ReducedPattern(self.mesh.conn, np.empty(0, dtype=np.int64),
+                                     np.arange(self.mesh.n_nodes), const=self._conv)
+        return everything.assemble(ke)[0], self._thermal_f.copy()
 
     def solve_thermal(self, profile: Profile2D) -> np.ndarray:
         """Nodal temperature change field theta-bar."""
-        if self.config.thermal is None:
-            raise SingularSystem("no thermal boundary conditions configured")
-        K, f = self.thermal_system(profile)
-        return _constrained_solve(K, f, self.dirichlet_nodes, self.dirichlet_vals, self._thermal_free)
+        ke = self._conductance(profile)
+        return _constrained_solve(self._thermal_pattern, ke, self._thermal_f, self.dirichlet_vals)
 
     # -- elastic solve ---------------------------------------------------------
 
@@ -589,18 +588,13 @@ class ThermoelasticSolver:
             raise SingularSystem("no displacement constraints; rigid modes present")
         phi = self.phi_at_gauss(profile)
         _, mu, lam_eff, beta = self._blend_elastic(phi)
-        ke = np.einsum("eg,gab->eab", lam_eff, self.elast_P_lam) + np.einsum(
-            "eg,gab->eab", mu, self.elast_P_mu
-        )
-        ndof = 2 * self.mesh.n_nodes
-        K = sp.coo_matrix((ke.ravel(), (self.e_rows, self.e_cols)), shape=(ndof, ndof)).tocsr()
-
-        f = np.zeros(ndof)
+        ke = np.hstack([lam_eff, mu]) @ self.elast_P
+        f = np.zeros(2 * self.mesh.n_nodes)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
-        _scatter_add(f, self.elem_dofs, np.einsum("eg,ga->ea", beta * theta_g, self.elast_V))
+        _scatter_add(f, self.elem_dofs, (beta * theta_g) @ self.elast_V)
         for dofs, fe in self._traction_loads:
             _scatter_add(f, dofs, fe)
-        u = _constrained_solve(K, f, self.fixed_dofs, self.fixed_vals, self._mech_free)
+        u = _constrained_solve(self._mech_pattern, ke, f, self.fixed_vals)
         return u.reshape(-1, 2)
 
     # -- post-processing ---------------------------------------------------
@@ -610,7 +604,7 @@ class ThermoelasticSolver:
         phi = self.phi_at_gauss(profile)
         lam, mu, lam_eff, beta = self._blend_elastic(phi)
         ue = u.reshape(-1)[self.elem_dofs]  # (n_elems, 18)
-        strain = np.einsum("gsd,ed->egs", self.elast_B, ue)  # (e, g, 3)
+        strain = (ue @ self.elast_B.reshape(27, 18).T).reshape(-1, 9, 3)  # (e, g, 3)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T
         tr2 = strain[:, :, 0] + strain[:, :, 1]
         sm_xx = lam_eff * tr2 + 2.0 * mu * strain[:, :, 0]
@@ -618,13 +612,11 @@ class ThermoelasticSolver:
         sm_xy = mu * strain[:, :, 2]
         bt = beta * theta_g
         sxx, syy, sxy = sm_xx - bt, sm_yy - bt, sm_xy
-        if self.config.mode == "plane_strain":
-            szz = lam * tr2 - bt
-        else:
-            szz = np.zeros_like(sxx)
+        plane_strain = self.config.mode == "plane_strain"
+        szz_m = lam * tr2 if plane_strain else np.zeros_like(sxx)
+        szz = szz_m - bt if plane_strain else szz_m
         source = self.config.effective_stress_source
         if source == "isothermal_2d":
-            szz_m = lam * tr2 if self.config.mode == "plane_strain" else np.zeros_like(sxx)
             se = effective_stress(sm_xx, sm_yy, szz_m, sm_xy)
         elif source == "physical3d":
             se = effective_stress(sxx, syy, szz, sxy)
@@ -635,19 +627,10 @@ class ThermoelasticSolver:
     def interpolate_field(self, nodal: np.ndarray, x, y):
         """Biquadratic interpolation of a nodal field at points inside the plate."""
         mesh = self.mesh
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        tol = 1e-12 * max(mesh.L, mesh.H)
-        if np.any(x < -tol) or np.any(x > mesh.L + tol) or np.any(y < -tol) or np.any(y > mesh.H + tol):
-            raise OutOfDomain("query point outside the plate domain")
-        hx, hy = mesh.L / mesh.nx, mesh.H / mesh.ny
-        ex = np.clip((x / hx).astype(int), 0, mesh.nx - 1)
-        ey = np.clip((y / hy).astype(int), 0, mesh.ny - 1)
-        xi = 2.0 * (x - ex * hx) / hx - 1.0
-        eta = 2.0 * (y - ey * hy) / hy - 1.0
+        ex, ey, xi, eta = cell_coords(np.atleast_1d(x), np.atleast_1d(y), mesh.L, mesh.H, mesh.nx, mesh.ny)
         lx = np.stack([xi * (xi - 1) / 2, 1 - xi * xi, xi * (xi + 1) / 2], axis=-1)
         ly = np.stack([eta * (eta - 1) / 2, 1 - eta * eta, eta * (eta + 1) / 2], axis=-1)
-        N = (ly[:, :, None] * lx[:, None, :]).reshape(x.size, 9)
+        N = (ly[:, :, None] * lx[:, None, :]).reshape(xi.size, 9)
         vals = nodal[mesh.conn[ey * mesh.nx + ex]]
         return np.einsum("pa,pa->p", N, vals)
 
@@ -688,12 +671,6 @@ class ThermoelasticSolver:
         )
 
 
-def _pair_indices(idx: np.ndarray):
-    """Global (row, col) ids of every entry of the per-row element matrices of idx."""
-    k = idx.shape[1]
-    return np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel()
-
-
 def _scatter_add(f: np.ndarray, idx: np.ndarray, fe: np.ndarray) -> None:
     """f[idx] += fe, with fe one row shared by all rows of idx or one row each."""
     # np.add.at gets explicit full-size values: given values that broadcast
@@ -701,18 +678,64 @@ def _scatter_add(f: np.ndarray, idx: np.ndarray, fe: np.ndarray) -> None:
     np.add.at(f, idx.ravel(), np.broadcast_to(fe, idx.shape).ravel())
 
 
-def _constrained_solve(K: sp.csr_matrix, f: np.ndarray, fixed: np.ndarray, fixed_vals: np.ndarray,
-                       free: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with Dirichlet rows eliminated symmetrically."""
-    K_free = K[free]
-    rhs = f[free]
-    if fixed.size:
-        rhs = rhs - K_free[:, fixed] @ fixed_vals
-    Kff = K_free[:, free]
-    del K_free  # freed before the CSC copy and the factorization, which set the memory peak
-    Kff = Kff.tocsc()
+class _ReducedPattern:
+    """CSC patterns of K[free][:, free] and K[free][:, fixed] of one field, fixed per solver.
+
+    ``slot`` sends each entry of the per-row element matrices of ``idx`` to
+    [Kff.data | Kfc.data | one discard slot for the fixed rows], so assembly
+    is one bincount.  Constant element matrices ``const = (idx, matrices)``,
+    the convection terms, are summed into ``base`` once.
+    """
+
+    def __init__(self, idx: np.ndarray, fixed: np.ndarray, free: np.ndarray, const=None):
+        nf, n = free.size, free.size + fixed.size
+        pos = np.empty(n, dtype=np.int64)  # free dofs first, then fixed ones
+        pos[free] = np.arange(nf)
+        pos[fixed] = nf + np.arange(fixed.size)
+        blocks = [idx] if const is None else [idx, const[0]]
+        keys, slot = np.unique(np.concatenate([_entry_keys(pos[b], nf, n) for b in blocks]),
+                               return_inverse=True)
+        n_elem = idx.size * idx.shape[1]
+        self.free, self.fixed = free, fixed
+        self.slot = slot[:n_elem].astype(np.int32)
+        self.rows = (keys % nf).astype(np.int32)
+        self.ptr = np.searchsorted(keys, np.arange(n + 1) * nf).astype(np.int32)  # column starts
+        self.base = 0.0 if const is None else np.bincount(
+            slot[n_elem:], weights=const[1].ravel(), minlength=keys.size)
+
+    def assemble(self, ke: np.ndarray):
+        """(Kff, Kfc) from element matrices ordered as ``idx``."""
+        data = np.bincount(self.slot, weights=ke.ravel(), minlength=self.rows.size) + self.base
+        nf, p, rows = self.free.size, self.ptr, self.rows
+        Kff = sp.csc_matrix((data[:p[nf]], rows[:p[nf]], p[:nf + 1]), shape=(nf, nf))
+        Kfc = sp.csc_matrix((data[p[nf]:p[-1]], rows[p[nf]:p[-1]], p[nf:] - p[nf]),
+                            shape=(nf, self.fixed.size))
+        return Kff, Kfc
+
+
+def _entry_keys(p: np.ndarray, nf: int, n: int) -> np.ndarray:
+    """Column-major key c*nf + r of each entry (r, c) of the per-row element matrices on
+    dof positions p (free dofs first): Kff columns, then Kfc columns, then n*nf for fixed rows."""
+    rows, cols = p[:, :, None], p[:, None, :]
+    return np.where(rows < nf, cols * nf + rows, n * nf).ravel()
+
+
+def _constrained_solve(pattern: _ReducedPattern, ke: np.ndarray, f: np.ndarray,
+                       fixed_vals: np.ndarray) -> np.ndarray:
+    """Direct sparse solve with the Dirichlet dofs eliminated symmetrically.
+
+    Kff = K[free][:, free] and the coupling Kfc = K[free][:, fixed] are
+    assembled on the solver's precomputed pattern.  Kff is SPD, so SuperLU
+    factors it in symmetric mode with no pivoting, under a minimum-degree
+    ordering on A^T + A.
+    """
+    Kff, Kfc = pattern.assemble(ke)
+    rhs = f[pattern.free]
+    if fixed_vals.size:
+        rhs = rhs - Kfc @ fixed_vals
     try:
-        lu = spla.splu(Kff)
+        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
         x_free = lu.solve(rhs)
     except RuntimeError as exc:  # exactly singular factor
         raise SingularSystem(str(exc)) from exc
@@ -723,7 +746,6 @@ def _constrained_solve(K: sp.csr_matrix, f: np.ndarray, fixed: np.ndarray, fixed
     if res > RESIDUAL_TOL * max(denom, 1e-30):
         raise SingularSystem(f"linear solve residual {res / max(denom, 1e-30):.2e} above tolerance")
     x = np.zeros(f.size)
-    x[free] = x_free
-    if fixed.size:
-        x[fixed] = fixed_vals
+    x[pattern.free] = x_free
+    x[pattern.fixed] = fixed_vals
     return x

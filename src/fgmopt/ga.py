@@ -210,40 +210,23 @@ class FitnessEvaluator:
             self.sigma_star == 0.0 or dnn_sigma >= self.sigma_star
         )
         if use_surrogate:
-            sigma = dnn_sigma
-            v_ca = average_ceramic_fraction(profile)
-            max_theta = None
+            summaries = {"sigma_e_max": dnn_sigma, "v_ca": average_ceramic_fraction(profile),
+                         "max_metal_temperature": None}
             if cfg.uniform_delta_theta is not None:
-                max_theta = float(cfg.uniform_delta_theta)
+                summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
                 temps = self.temp_model.predict(px.values, py.values, self._grid_pts)
                 metal = profile.grid.ravel() < 1.0
-                max_theta = float(temps[metal].max()) if metal.any() else None
+                summaries["max_metal_temperature"] = float(temps[metal].max()) if metal.any() else None
             source = "surrogate"
         else:
-            result = self.solver.run(profile)
-            sigma = result.sigma_e_max
-            v_ca = result.v_ca
-            max_theta = result.max_metal_temperature
+            summaries = self.solver.run(profile).summary()
             source = "fem"
-        summaries = {
-            "sigma_e_max": sigma,
-            "v_ca": v_ca,
-            "max_metal_temperature": max_theta,
-        }
         objective = summaries[self.objective]
         penalty = static_penalty(summaries, self.constraints)
-        return Individual(
-            genes=genes,
-            objective=float(objective),
-            penalty=float(penalty),
-            fitness=float(objective + penalty),
-            eval_source=source,
-            sigma_e_max=float(sigma),
-            v_ca=float(v_ca),
-            max_metal_temperature=max_theta,
-            dnn_sigma=dnn_sigma,
-        )
+        return Individual(genes=genes, objective=float(objective), penalty=float(penalty),
+                          fitness=float(objective + penalty), eval_source=source,
+                          dnn_sigma=dnn_sigma, **summaries)
 
 
 @dataclass
@@ -265,11 +248,7 @@ class RunRecord:
 
     @property
     def eval_source_totals(self) -> dict:
-        totals = {"surrogate": 0, "fem": 0}
-        for g in self.generations:
-            for k, v in g.eval_sources.items():
-                totals[k] += v
-        return totals
+        return {k: sum(g.eval_sources[k] for g in self.generations) for k in ("surrogate", "fem")}
 
 
 def evolve(config: GAConfig, evaluator: FitnessEvaluator,
@@ -293,9 +272,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
         order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
         best = population[order[0]]
         feasible = sum(1 for ind in population if ind.penalty == 0.0) / len(population)
-        sources = {"surrogate": 0, "fem": 0}
-        for ind in population:
-            sources[ind.eval_source] += 1
+        sources = {k: sum(ind.eval_source == k for ind in population) for k in ("surrogate", "fem")}
         stats.append(GenerationStats(
             generation=g,
             best_fitness=best.fitness,

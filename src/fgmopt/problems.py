@@ -139,19 +139,13 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
     transpose, ``"xy"`` the 2D product of the two power laws (m = 1 gives the
     bilinear reference field).
     """
+    px, py = power_law_profile(config.nx, m), power_law_profile(config.ny, m)
     if axis == "xy":
-        px = power_law_profile(config.nx, m)
-        py = power_law_profile(config.ny, m)
         return tensor_product(px, py, L=config.L, H=config.H)
-    if axis == "x":
-        return axis_profile_2d(
-            power_law_profile(config.nx, m), "x", L=config.L, H=config.H, n_other=config.ny
-        )
-    if axis == "y":
-        return axis_profile_2d(
-            power_law_profile(config.ny, m), "y", L=config.L, H=config.H, n_other=config.nx
-        )
-    raise ValueError(f"unknown axis {axis!r}")
+    if axis not in ("x", "y"):
+        raise ValueError(f"unknown axis {axis!r}")
+    p, n_other = (px, config.ny) if axis == "x" else (py, config.nx)
+    return axis_profile_2d(p, axis, L=config.L, H=config.H, n_other=n_other)
 
 
 # --- published reference-stress configurations -----------------------------

@@ -326,24 +326,30 @@ def bilinear_shape(xi, eta):
     )
 
 
+def cell_coords(x, y, L: float, H: float, nx: int, ny: int):
+    """(ix, iy, xi, eta): cell ids and parametric coordinates in [-1, 1] on an nx-by-ny grid.
+
+    ``x`` and ``y`` are equally-shaped arrays; raises OutOfDomain for points
+    outside [0,L] x [0,H].
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    tol_x, tol_y = 1e-12 * L, 1e-12 * H
+    if np.any(x < -tol_x) or np.any(x > L + tol_x) or np.any(y < -tol_y) or np.any(y > H + tol_y):
+        raise OutOfDomain("query point outside the plate domain")
+    hx, hy = L / nx, H / ny
+    ix = np.clip((x / hx).astype(int), 0, nx - 1)
+    iy = np.clip((y / hy).astype(int), 0, ny - 1)
+    return ix, iy, 2.0 * (x - ix * hx) / hx - 1.0, 2.0 * (y - iy * hy) / hy - 1.0
+
+
 def interpolate(p: Profile2D, x, y):
     """Bilinear interpolation of the node grid at (x, y) inside the plate.
 
     Accepts scalars or equally-shaped arrays; raises OutOfDomain for points
     outside [0,L] x [0,H].
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
-    tol_x, tol_y = 1e-12 * p.L, 1e-12 * p.H
-    if np.any(x < -tol_x) or np.any(x > p.L + tol_x) or np.any(y < -tol_y) or np.any(y > p.H + tol_y):
-        raise OutOfDomain("query point outside the plate domain")
-    hx, hy = p.L / p.nx, p.H / p.ny
-    ix = np.clip((x / hx).astype(int), 0, p.nx - 1)
-    iy = np.clip((y / hy).astype(int), 0, p.ny - 1)
-    xi = 2.0 * (x - ix * hx) / hx - 1.0
-    eta = 2.0 * (y - iy * hy) / hy - 1.0
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    ix, iy, xi, eta = cell_coords(np.atleast_1d(x), np.atleast_1d(y), p.L, p.H, p.nx, p.ny)
     corners = np.stack(
         [p.grid[ix, iy], p.grid[ix + 1, iy], p.grid[ix + 1, iy + 1], p.grid[ix, iy + 1]],
         axis=-1,

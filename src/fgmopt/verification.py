@@ -103,11 +103,8 @@ def check_displacement_patch() -> Check:
     sxx = lam * (a11 + a22) + 2 * mu * a11
     syy = lam * (a11 + a22) + 2 * mu * a22
     sxy = mu * (a12 + a21)
-    err = max(
-        float(np.abs(stress["sxx"] - sxx).max() / abs(sxx)),
-        float(np.abs(stress["syy"] - syy).max() / abs(syy)),
-        float(np.abs(stress["sxy"] - sxy).max() / abs(sxy)),
-    )
+    err = max(float(np.abs(stress[key] - exact).max() / abs(exact))
+              for key, exact in (("sxx", sxx), ("syy", syy), ("sxy", sxy)))
     return Check("elastic patch (constant stress)", err, 1e-8)
 
 
@@ -184,10 +181,9 @@ def check_energy_balance() -> Check:
         bc = cfg.thermal.on(edge)
         if not isinstance(bc, Convection):
             continue
-        elems, locs, h_e = s.mesh.edge_elements(edge)
-        enodes = s.mesh.conn[np.ix_(elems, locs)]
+        enodes, half = s.mesh.edge_conn(edge)
         tvals = theta[enodes] @ s.edge_N.T
-        outflow += bc.h * (h_e / 2.0) * float(((tvals - bc.t_inf) * s.edge_w).sum())
+        outflow += bc.h * half * float(((tvals - bc.t_inf) * s.edge_w).sum())
     err = abs(float(reactions.sum()) - outflow) / abs(outflow)
     return Check("boundary energy balance", err, 1e-8)
 

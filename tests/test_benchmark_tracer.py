@@ -8,7 +8,10 @@ Installing the tracer once catches it here in milliseconds.
 import importlib
 import pathlib
 
-from fgmopt.fem import ThermoelasticSolver
+import numpy as np
+
+from fgmopt.fem import MATERIALS, EdgeConstraint, MechBCSet, ProblemConfig, ThermoelasticSolver
+from fgmopt.profiles import Profile2D
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,3 +23,20 @@ def test_tracer_installs_and_restores(monkeypatch):
     with tracer.Tracer().installed():
         assert ThermoelasticSolver.run is not run
     assert ThermoelasticSolver.run is run
+
+
+def test_factor_is_traced(monkeypatch):
+    # the tracer patches scipy's splu where fem looks it up; a factorization
+    # that bypasses it would leave fem.factor and fem.lu_nnz empty
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    cfg = ProblemConfig(
+        L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"],
+        mech=MechBCSet(edges=(EdgeConstraint("left", "u1"), EdgeConstraint("bottom", "u2"))),
+        thermal=None, uniform_delta_theta=10.0)
+    t = tracer.Tracer()
+    with t.installed():
+        ThermoelasticSolver(cfg).run(Profile2D(np.full((3, 3), 0.5)))
+    counts = t.round_counts(t.round, bytes_written=0, redraws=0)
+    assert counts["fem.factor.calls"] >= 1
+    assert counts["fem.lu_nnz"] > 0

@@ -83,6 +83,20 @@ class TestDataAndFields:
         assert (out / "manifest.json").exists()
         assert (out / "train.ndjson").exists()
 
+    def test_gen_data_warns_on_empty_split(self, capsys, tmp_path):
+        # round(0.8 * 2) = 2 train samples leaves the test split empty
+        code, stdout, err = run_cli(capsys, "gen-data", "--problem", "problem2",
+                                    "--count", "2", "--seed", "7", "--out", str(tmp_path / "ds"))
+        assert code == 0
+        assert json.loads(stdout)["n_test"] == 0
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["stage"] for line in lines if "stage" in line] == ["gen-data"]
+        assert [line for line in lines if "warning" in line] == [
+            {"warning": "empty split", "splits": ["test"], "count": 2}]
+        code, _, err = run_cli(capsys, "gen-data", "--problem", "problem2",
+                               "--count", "4", "--seed", "7", "--out", str(tmp_path / "ds4"))
+        assert code == 0 and "warning" not in err
+
     def test_export_field(self, capsys, tmp_path):
         out = tmp_path / "fields"
         code, _, _ = run_cli(capsys, "export-field", "--problem", "problem2",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fgmopt.errors import OutOfDomain, PhiOutOfRange, SingularSystem
 from fgmopt.fem import (
@@ -209,6 +210,18 @@ class TestThermal:
                 mode="plane_stress")
             ThermoelasticSolver(cfg)
 
+    def test_no_thermal_bcs_raises_and_uniform_change_still_runs(self):
+        cfg = ProblemConfig(
+            L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"], mech=simple_mech(),
+            thermal=None, uniform_delta_theta=10.0)
+        s = ThermoelasticSolver(cfg)
+        prof = uniform_profile(0.5, 2, 2, 1.0, 1.0)
+        with pytest.raises(SingularSystem):
+            s.solve_thermal(prof)
+        with pytest.raises(SingularSystem):
+            s.thermal_system(prof)
+        assert np.all(s.run(prof).nodal_temperature == 10.0)
+
     def test_stiffness_symmetry(self):
         cfg = problems.problem2()
         s = ThermoelasticSolver(cfg)
@@ -406,6 +419,90 @@ class TestEffectiveStress:
         t = np.array([[sxx, sxy, 0.0], [sxy, syy, 0.0], [0.0, 0.0, szz]])
         assert effective_stress_tensor(t) == pytest.approx(
             float(effective_stress(sxx, syy, szz, sxy)), rel=1e-12)
+
+
+def assemble_coo(blocks, n):
+    """CSR sum of (per-row node or dof ids, per-row element matrices) blocks, via COO."""
+    rows, cols, vals = [], [], []
+    for idx, mats in blocks:
+        k = idx.shape[1]
+        rows.append(np.repeat(idx, k, axis=1).ravel())
+        cols.append(np.tile(idx, (1, k)).ravel())
+        vals.append(np.broadcast_to(mats, (len(idx), k, k)).ravel())
+    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    return coo.tocsr()
+
+
+def dense_reduced_solve(K, f, fixed, fixed_vals):
+    """K[free][:, free] x = f[free] - K[free][:, fixed] g, solved densely."""
+    free = np.setdiff1d(np.arange(f.size), fixed)
+    K_free = K[free]
+    x = np.empty(f.size)
+    x[fixed] = fixed_vals
+    x[free] = np.linalg.solve(K_free[:, free].toarray(), f[free] - K_free[:, fixed] @ fixed_vals)
+    return x
+
+
+def scatter(n, idx, vals):
+    return np.bincount(idx.ravel(), np.broadcast_to(vals, idx.shape).ravel(), minlength=n)
+
+
+class TestReducedAssembly:
+    """The solver's precomputed reduced system against an assembly of the full
+    matrix, slicing and a dense solve, with non-zero prescribed values."""
+
+    L, H, NX, NY, H_CONV, TX, TY = 0.6, 0.4, 4, 3, 300.0, 1.0e6, -4.0e6
+    PAIR = MATERIALS["Ni/Al2O3"]
+
+    def system(self):
+        """(solver, random profile, blended properties at its Gauss points)."""
+        cfg = ProblemConfig(
+            L=self.L, H=self.H, nx=self.NX, ny=self.NY, materials=self.PAIR,
+            thermal=ThermalBCSet(left=Dirichlet(lambda x, y: 50.0 + 200.0 * y),
+                                 right=Convection(self.H_CONV, t_inf=20.0), bottom=Flux(4.0e3)),
+            heat_source=2.0e5,
+            mech=MechBCSet(edges=(EdgeConstraint("left", "u1", 3.0e-5),),
+                           points=(PointConstraint("bottom_left", "u2"),),
+                           tractions=(EdgeTraction("top", tx=self.TX, ty=self.TY),)),
+            mode="plane_strain")
+        s = ThermoelasticSolver(cfg)
+        prof = Profile2D(make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)), L=self.L, H=self.H)
+        return s, prof, material_at(self.PAIR, 1.0 - s.phi_at_gauss(prof))
+
+    def test_thermal_matches_dense_oracle(self):
+        s, prof, props = self.system()
+        B = np.stack([s.gauss_bx, s.gauss_by], axis=1)  # (9 gauss, 2, 9 nodes)
+        ke = np.einsum("eg,g,gia,gib->eab", props["k"], s.gauss_w, B, B)
+        enodes, half = s.mesh.edge_conn("right")
+        conv = self.H_CONV * half * np.einsum("g,ga,gb->ab", s.edge_w, s.edge_N, s.edge_N)
+        K = assemble_coo([(s.mesh.conn, ke), (enodes, conv)], s.mesh.n_nodes)
+        _, f = s.thermal_system(prof)  # the load vector: heat source, convection and flux
+        expect = dense_reduced_solve(K, f, s.dirichlet_nodes, s.dirichlet_vals)
+        theta = s.solve_thermal(prof)
+        assert np.abs(theta - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    def test_elastic_matches_dense_oracle(self):
+        s, prof, props = self.system()
+        theta = s.solve_thermal(prof)
+        E, nu, alpha = props["E"], props["nu"], props["alpha"]
+        lam, mu = E * nu / ((1 + nu) * (1 - 2 * nu)), E / (2 * (1 + nu))
+        D = np.zeros(E.shape + (3, 3))
+        D[..., :2, :2] = lam[..., None, None]
+        D[..., 0, 0] += 2 * mu
+        D[..., 1, 1] += 2 * mu
+        D[..., 2, 2] = mu
+        ke = np.einsum("g,gia,egij,gjb->eab", s.gauss_w, s.elast_B, D, s.elast_B)
+        n = 2 * s.mesh.n_nodes
+        bt = E * alpha / (1 - 2 * nu) * (theta[s.mesh.conn] @ s.gauss_N.T)
+        f = scatter(n, s.elem_dofs, np.einsum("g,eg,gia,i->ea", s.gauss_w, bt, s.elast_B, [1, 1, 0]))
+        enodes, half = s.mesh.edge_conn("top")
+        load = half * (s.edge_w @ s.edge_N)
+        f += scatter(n, 2 * enodes, self.TX * load) + scatter(n, 2 * enodes + 1, self.TY * load)
+        expect = dense_reduced_solve(assemble_coo([(s.elem_dofs, ke)], n), f,
+                                     s.fixed_dofs, s.fixed_vals)
+        u = s.solve_elastic(prof, theta)
+        assert np.abs(u.ravel() - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
 class TestPostprocessing:
