@@ -2,15 +2,18 @@
 
 Subcommands: gen-data, train-stress, train-temp, optimize, eval-profile,
 export-field, verify.  Results go to stdout (JSON) or to files; one JSON log
-line per major stage (with wall time), one JSON warning line when gen-data
-leaves a split empty, and all error messages go to stderr.
+line per major stage (with wall time), one JSON progress line per GA
+generation of optimize, one JSON warning line when gen-data leaves a split
+empty, and all error messages go to stderr.
 Exit codes: 0 success, 1 invalid input, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import pathlib
 import sys
 import time
@@ -84,10 +87,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _ga_progress_to_stderr():
+    """Show the GA's per-generation JSON lines (``fgmopt.ga`` at INFO) on stderr."""
+    ga_log = logging.getLogger("fgmopt.ga")
+    handler, level = logging.StreamHandler(sys.stderr), ga_log.level
+    ga_log.addHandler(handler)
+    ga_log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        ga_log.removeHandler(handler)
+        ga_log.setLevel(level)
+
+
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
     exp = json.loads(pathlib.Path(args.experiment).read_text())
-    bundle = pipeline.run_experiment(exp, args.out, seed=args.seed)
+    with _ga_progress_to_stderr():
+        bundle = pipeline.run_experiment(exp, args.out, seed=args.seed)
     _stage("optimize", t0)
     print(json.dumps({"out": str(args.out),
                       "best_objective": bundle["best"]["objective"],

@@ -26,7 +26,6 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -355,12 +354,10 @@ def write_result_files(result: FemResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(result.summary(), indent=2, sort_keys=True))
 
-    def dump(name, xs, ys, vals):
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "value"])
-            for x, y, v in zip(xs, ys, vals):
-                w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+    def dump(name, xs, ys, vals):  # the bytes csv.writer gives, built as one string
+        rows = zip(xs.tolist(), ys.tolist(), vals.tolist())
+        text = "x,y,value\r\n" + "".join(f"{x!r},{y!r},{v!r}\r\n" for x, y, v in rows)
+        (out / name).write_text(text, newline="")
 
     c = result.mesh.coords
     dump("temperature.csv", c[:, 0], c[:, 1], result.nodal_temperature)

@@ -8,6 +8,13 @@ spread exponent eta_c), variation is Deb's bounded polynomial mutation
 generation schedule base * [1 + (1 - exp(g/100))/2] (floored; the sign of
 the exponent is switchable since the printed schedule decreases).
 
+Both operators work on a gene vector or on a (rows, genes) array, so
+``evolve`` varies a whole generation in one call each.  Each call draws all
+its uniforms at once, and that draw order is part of the contract (a seed's
+trajectory depends on it): SBX takes ``rng.random((3, *shape))`` as cross
+decision, spread and swap; mutation takes ``rng.random((2, *shape))`` as
+mutation decision and perturbation.
+
 Fitness dispatch is hybrid: a stress surrogate predicts the peak effective
 stress; above the trust threshold sigma_star the surrogate path supplies the
 objective (temperature field from the operator net where a thermal
@@ -18,7 +25,10 @@ everywhere, sigma_star = 0 forces the surrogate everywhere.
 
 from __future__ import annotations
 
+import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +45,8 @@ from .profiles import (
     tensor_product,
 )
 from .rng import derived_rng, make_rng
+
+log = logging.getLogger(__name__)
 
 _SBX_EPS = 1e-14
 
@@ -104,66 +116,60 @@ def tournament_select(population, k: int, rng) -> Individual:
     return population[best]
 
 
-def _sbx_child(u: float, y1: float, y2: float, eta: float, bound_gap: float) -> float:
-    """betaq for one child given its slack to the nearer bound."""
-    beta = 1.0 + 2.0 * bound_gap / (y2 - y1)
-    alpha = 2.0 - beta ** -(eta + 1.0)
-    if u <= 1.0 / alpha:
-        return (u * alpha) ** (1.0 / (eta + 1.0))
-    return (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+def _per_row(eta, ndim: int) -> np.ndarray:
+    """A scalar eta, or one eta per row, shaped to broadcast against the genes."""
+    return np.reshape(np.asarray(eta, dtype=float), (-1,) + (1,) * (ndim - 1))
 
 
-def sbx_crossover(p1, p2, eta_c: float, lower, upper, rng):
-    """Bounded SBX on gene vectors; returns two children within bounds.
+def sbx_crossover(p1, p2, eta_c, lower, upper, rng):
+    """Bounded SBX on a gene vector or on (rows, genes) arrays of parent pairs.
 
     Each gene crosses with probability 1/2 (one spread draw shared by both
     children, random child swap), otherwise both children copy the parents.
     The bounded spread factors keep children inside [lower, upper] without
-    post-hoc clamping; the final clip only guards float roundoff.
+    post-hoc clamping; the final clip only guards float roundoff.  ``eta_c``
+    is a scalar or one value per row.  The uniforms are one draw,
+    ``rng.random((3, *shape))``: cross decision, spread, swap.
     """
     rng = make_rng(rng)
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    c1, c2 = p1.copy(), p2.copy()
-    for i in range(p1.size):
-        if rng.random() > 0.5 or abs(p1[i] - p2[i]) <= _SBX_EPS:
-            continue
-        y1, y2 = (p1[i], p2[i]) if p1[i] < p2[i] else (p2[i], p1[i])
-        u = rng.random()
-        bq1 = _sbx_child(u, y1, y2, eta_c, y1 - lower[i])
-        bq2 = _sbx_child(u, y1, y2, eta_c, upper[i] - y2)
-        a = 0.5 * ((y1 + y2) - bq1 * (y2 - y1))
-        b = 0.5 * ((y1 + y2) + bq2 * (y2 - y1))
-        if rng.random() <= 0.5:
-            a, b = b, a
-        c1[i] = min(max(a, lower[i]), upper[i])
-        c2[i] = min(max(b, lower[i]), upper[i])
-    return c1, c2
+    cross_u, u, swap_u = rng.random((3, *p1.shape))
+    cross = (cross_u <= 0.5) & (np.abs(p1 - p2) > _SBX_EPS)
+    y1, y2 = np.minimum(p1, p2), np.maximum(p1, p2)
+    dy = np.where(cross, y2 - y1, 1.0)  # genes that do not cross are discarded below
+    exp = _per_row(eta_c, p1.ndim) + 1.0
+
+    def betaq(bound_gap):
+        alpha = 2.0 - (1.0 + 2.0 * bound_gap / dy) ** -exp
+        return np.where(u <= 1.0 / alpha, u * alpha, 1.0 / (2.0 - u * alpha)) ** (1.0 / exp)
+
+    a = np.clip(0.5 * ((y1 + y2) - betaq(y1 - lower) * dy), lower, upper)
+    b = np.clip(0.5 * ((y1 + y2) + betaq(upper - y2) * dy), lower, upper)
+    swap = swap_u <= 0.5
+    return np.where(cross, np.where(swap, b, a), p1), np.where(cross, np.where(swap, a, b), p2)
 
 
-def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability: float, rng):
-    """Deb's bounded polynomial mutation, applied gene-wise."""
+def polynomial_mutation(genes, eta_m, lower, upper, mutation_probability: float, rng):
+    """Deb's bounded polynomial mutation of a gene vector or a (rows, genes) array.
+
+    Each gene mutates with ``mutation_probability`` when its span is positive.
+    ``eta_m`` is a scalar or one value per row.  The uniforms are one draw,
+    ``rng.random((2, *shape))``: mutation decision, perturbation.
+    """
     rng = make_rng(rng)
-    out = np.asarray(genes, dtype=float).copy()
-    for i in range(out.size):
-        if rng.random() >= mutation_probability:
-            continue
-        y, yl, yu = out[i], lower[i], upper[i]
-        span = yu - yl
-        if span <= 0.0:
-            continue
-        u = rng.random()
-        mut_pow = 1.0 / (eta_m + 1.0)
-        if u <= 0.5:
-            xy = 1.0 - (y - yl) / span
-            val = 2.0 * u + (1.0 - 2.0 * u) * xy ** (eta_m + 1.0)
-            deltaq = val**mut_pow - 1.0
-        else:
-            xy = 1.0 - (yu - y) / span
-            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta_m + 1.0)
-            deltaq = 1.0 - val**mut_pow
-        out[i] = min(max(y + deltaq * span, yl), yu)
-    return out
+    y = np.asarray(genes, dtype=float)
+    mutate_u, u = rng.random((2, *y.shape))
+    span = upper - lower
+    mutate = (mutate_u < mutation_probability) & (span > 0.0)
+    safe_span = np.where(span > 0.0, span, 1.0)  # genes that do not mutate are discarded below
+    exp = _per_row(eta_m, y.ndim) + 1.0
+    low = u <= 0.5
+    xy_exp = (1.0 - np.where(low, y - lower, upper - y) / safe_span) ** exp
+    val = np.where(low, 2.0 * u + (1.0 - 2.0 * u) * xy_exp,
+                   2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy_exp) ** (1.0 / exp)
+    deltaq = np.where(low, val - 1.0, 1.0 - val)
+    return np.where(mutate, np.clip(y + deltaq * span, lower, upper), y)
 
 
 def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
@@ -237,6 +243,15 @@ class GenerationStats:
     best_penalty: float
     feasible_fraction: float
     eval_sources: dict
+    surrogate_rel_error: float | None  # max over FEM-routed individuals with a prediction
+
+
+def surrogate_rel_error(population) -> float | None:
+    """Largest |dnn_sigma - sigma_e_max| / sigma_e_max over FEM-routed individuals
+    that carry a surrogate prediction; None when there are none."""
+    errors = [abs(ind.dnn_sigma - ind.sigma_e_max) / max(ind.sigma_e_max, 1e-30)
+              for ind in population if ind.eval_source == "fem" and ind.dnn_sigma is not None]
+    return max(errors) if errors else None
 
 
 @dataclass
@@ -259,28 +274,45 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     uniform gene sampling.  Elites are copied untouched (no crossover or
     mutation); termination needs min_generations completed and the best
     fitness improving by at most stall_tolerance over stall_generations.
+
+    Each generation is drawn as arrays before any child is evaluated:
+    ceil(n_children / 2) tournament pairs, one SBX call on the stacked
+    parents, children interleaved c1, c2 per pair (the surplus child of an
+    odd count dropped), one mutation call, then one ``evaluate`` per child in
+    order.  One JSON progress line per generation goes to the ``fgmopt.ga``
+    logger at INFO; its ``wall_s`` is seconds since the run started.
     """
+    t0 = time.perf_counter()
     rng = derived_rng(config.seed, 0x6A)
     population = [
         evaluator.evaluate(generate_genes(rng, gen_config_x, gen_config_y))
         for _ in range(config.population_size)
     ]
+    template = population[0].genes
+    lower, upper = template.lower, template.upper
+    n_children = config.population_size - config.elite_count
     stats: list[GenerationStats] = []
     best_trace: list[float] = []
     g = 0
     while True:
         order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
         best = population[order[0]]
-        feasible = sum(1 for ind in population if ind.penalty == 0.0) / len(population)
-        sources = {k: sum(ind.eval_source == k for ind in population) for k in ("surrogate", "fem")}
-        stats.append(GenerationStats(
+        latest = GenerationStats(
             generation=g,
             best_fitness=best.fitness,
             best_objective=best.objective,
             best_penalty=best.penalty,
-            feasible_fraction=feasible,
-            eval_sources=sources,
-        ))
+            feasible_fraction=sum(ind.penalty == 0.0 for ind in population) / len(population),
+            eval_sources={k: sum(ind.eval_source == k for ind in population)
+                          for k in ("surrogate", "fem")},
+            surrogate_rel_error=surrogate_rel_error(population),
+        )
+        stats.append(latest)
+        log.info("%s", json.dumps({
+            "generation": g, "best_fitness": latest.best_fitness,
+            "feasible_fraction": latest.feasible_fraction, **latest.eval_sources,
+            "surrogate_rel_error": latest.surrogate_rel_error,
+            "wall_s": round(time.perf_counter() - t0, 3)}))
         best_trace.append(best.fitness)
 
         done = False
@@ -294,18 +326,12 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
 
         eta_c = eta_schedule(config.eta_c_base, g, config.eta_floor, config.eta_exponent_sign)
         eta_m = eta_schedule(config.eta_m_base, g, config.eta_floor, config.eta_exponent_sign)
-        next_pop = [population[i] for i in order[: config.elite_count]]
-        template = population[0].genes
-        lower, upper = template.lower, template.upper
-        while len(next_pop) < config.population_size:
-            pa = tournament_select(population, config.tournament_size, rng)
-            pb = tournament_select(population, config.tournament_size, rng)
-            c1, c2 = sbx_crossover(pa.genes.flatten(), pb.genes.flatten(), eta_c, lower, upper, rng)
-            for child in (c1, c2):
-                if len(next_pop) >= config.population_size:
-                    break
-                mutated = polynomial_mutation(child, eta_m, lower, upper,
-                                              config.mutation_probability, rng)
-                next_pop.append(evaluator.evaluate(template.replace_vector(mutated)))
-        population = next_pop
+        parents = [tournament_select(population, config.tournament_size, rng).genes.flatten()
+                   for _ in range(2 * math.ceil(n_children / 2))]
+        c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)
+        children = np.stack([c1, c2], axis=1).reshape(-1, lower.size)[:n_children]
+        children = polynomial_mutation(children, eta_m, lower, upper,
+                                       config.mutation_probability, rng)
+        population = [population[i] for i in order[: config.elite_count]]
+        population += [evaluator.evaluate(template.replace_vector(c)) for c in children]
         g += 1

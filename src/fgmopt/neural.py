@@ -399,15 +399,7 @@ class OperatorNet:
         n_pts = pts.shape[0]
 
         def batch_grads(idx):
-            s_idx = tr[idx // n_pts]
-            p_idx = idx % n_pts
-            fb, bcache = self.branch.forward_cached(feats[s_idx])
-            gt, tcache = self.trunk.forward_cached(pts[p_idx])
-            pred = np.einsum("nc,nc->n", fb, gt)
-            resid = (pred - targets[s_idx, p_idx]) * (2.0 / idx.size)
-            gb, _ = self.branch.backward(bcache, resid[:, None] * gt)
-            gtr, _ = self.trunk.backward(tcache, resid[:, None] * fb)
-            return _flat_grads(gb) + _flat_grads(gtr)
+            return self._pair_grads(feats, pts, targets, tr[idx // n_pts], idx % n_pts)
 
         def epoch_metrics():
             g = self.trunk.forward(pts).T
@@ -419,6 +411,27 @@ class OperatorNet:
         history = _train_staged(params, len(tr) * n_pts, batch_grads, epoch_metrics, stages, rng)
         self.fingerprint = _fit_fingerprint("operator_net", stages, split, n_points=int(n_pts))
         return history
+
+    def _pair_grads(self, feats, pts, targets, s_idx, p_idx):
+        """Flat MSE gradients over the (sample, point) pairs ``(s_idx, p_idx)``.
+
+        The branch runs once per distinct sample and the trunk once per
+        distinct point; the per-pair output gradients are scatter-added back
+        onto those rows before each backward pass.
+        """
+        s_rows, s_inv = np.unique(s_idx, return_inverse=True)
+        p_rows, p_inv = np.unique(p_idx, return_inverse=True)
+        fb, bcache = self.branch.forward_cached(feats[s_rows])
+        gt, tcache = self.trunk.forward_cached(pts[p_rows])
+        fb_pairs, gt_pairs = fb[s_inv], gt[p_inv]
+        pred = np.einsum("nc,nc->n", fb_pairs, gt_pairs)
+        resid = ((pred - targets[s_idx, p_idx]) * (2.0 / s_idx.size))[:, None]
+        d_fb, d_gt = np.zeros_like(fb), np.zeros_like(gt)
+        np.add.at(d_fb, s_inv, resid * gt_pairs)
+        np.add.at(d_gt, p_inv, resid * fb_pairs)
+        gb, _ = self.branch.backward(bcache, d_fb)
+        gtr, _ = self.trunk.backward(tcache, d_gt)
+        return _flat_grads(gb) + _flat_grads(gtr)
 
     def to_dict(self) -> dict:
         return {

@@ -256,12 +256,29 @@ def _draw_axis(rng: np.random.Generator, config: GenerationConfig):
 
 
 def _replay(phi1: float, alphas: np.ndarray, normalize_to_one: bool) -> Profile1D:
-    """Run the bounded-ratio recursion from fixed ratios; deterministic."""
+    """Run the bounded-ratio recursion from fixed ratios; deterministic.
+
+    phi[i+1] = min(1, a[i] * phi[i]) is a running product capped at 1, so each
+    stretch between caps is one sequential cumulative product, bit-identical
+    to the recursion.  A node whose product is not below 1 (NaN included, as
+    ``min`` gives) becomes 1; when no later ratio is below 1 the tail is 1,
+    otherwise the product restarts from that node.
+    """
     n = alphas.size + 1
     values = np.zeros(n + 1)
-    values[1] = phi1
-    for i in range(1, n):
-        values[i + 1] = min(1.0, alphas[i - 1] * values[i])
+    start, head = 1, phi1
+    while True:
+        run = values[start:]
+        np.multiply.accumulate(np.concatenate(([head], alphas[start - 1 :])), out=run)
+        below = run < 1.0
+        below[0] = True  # the head node keeps its value
+        j = below.argmin()  # offset of the first capped node; 0 when none is capped
+        if j == 0:
+            break
+        start, head = start + j, 1.0
+        if alphas[start - 1 :].min(initial=1.0) >= 1.0:
+            values[start:] = 1.0
+            break
     if normalize_to_one and values[n] < 1.0:
         values[1:] /= values[n]
     return Profile1D(values)

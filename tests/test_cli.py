@@ -1,4 +1,5 @@
 import json
+import logging
 import pathlib
 
 import numpy as np
@@ -153,6 +154,20 @@ class TestOptimize:
         b1 = (tmp_path / "r1" / "run_record.json").read_bytes()
         b2 = (tmp_path / "r2" / "run_record.json").read_bytes()
         assert b1 == b2
+
+    def test_optimize_prints_one_progress_line_per_generation(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "optimize", "--experiment", str(self.write_exp(tmp_path)),
+                               "--out", str(tmp_path / "r"))
+        assert code == 0
+        lines = [json.loads(l) for l in err.splitlines() if '"generation"' in l]
+        assert [l["generation"] for l in lines] == [0, 1]
+        record = json.loads((tmp_path / "r" / "run_record.json").read_text())
+        for line, gen in zip(lines, record["generations"]):
+            assert line["best_fitness"] == gen["best_fitness"]
+            assert (line["fem"], line["surrogate"]) == (6, 0)
+            assert line["surrogate_rel_error"] is gen["surrogate_rel_error"] is None
+            assert "wall_s" in line and "wall_s" not in gen
+        assert not logging.getLogger("fgmopt.ga").handlers
 
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -24,7 +26,7 @@ from fgmopt.fem import (
     shape9,
     write_result_files,
 )
-from fgmopt.profiles import Profile2D, average_ceramic_fraction
+from fgmopt.profiles import Profile2D, average_ceramic_fraction, grid_points
 from fgmopt.rng import make_rng
 from fgmopt.verification import check_energy_balance
 from fgmopt import problems
@@ -556,6 +558,21 @@ class TestPostprocessing:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == "x,y,value"
             assert len(lines) > 100
+        # the bytes are those of csv.writer with repr() floats
+        g = r.gauss_xy.reshape(-1, 2)
+        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
+        columns = {
+            "temperature.csv": (r.mesh.coords[:, 0], r.mesh.coords[:, 1], r.nodal_temperature),
+            "effective_stress.csv": (g[:, 0], g[:, 1], r.gauss_effective_stress.ravel()),
+            "volume_fraction.csv": (pts[:, 0], pts[:, 1], r.profile.grid.ravel()),
+        }
+        for name, (xs, ys, vals) in columns.items():
+            buf = io.StringIO(newline="")
+            w = csv.writer(buf)
+            w.writerow(["x", "y", "value"])
+            for x, y, v in zip(xs, ys, vals):
+                w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
 
     def test_solver_determinism(self):
         cfg = problems.problem2()

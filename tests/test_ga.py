@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 
 import numpy as np
@@ -14,10 +16,11 @@ from fgmopt.ga import (
     polynomial_mutation,
     sbx_crossover,
     static_penalty,
+    surrogate_rel_error,
     tournament_select,
 )
 from fgmopt.fem import ThermoelasticSolver
-from fgmopt.profiles import BucketSpec, GenerationConfig, generate_genes
+from fgmopt.profiles import BucketSpec, GenerationConfig, gene_bounds, generate_genes
 from fgmopt.rng import derived_rng, make_rng
 from fgmopt import problems
 
@@ -104,22 +107,21 @@ class TestSBX:
     def test_mean_preservation_wide_bounds(self):
         rng = make_rng(1)
         lo, hi = np.full(5, -1e12), np.full(5, 1e12)
-        for _ in range(10_000):
-            p1 = rng.uniform(-1, 1, 5)
-            p2 = rng.uniform(-1, 1, 5)
-            c1, c2 = sbx_crossover(p1, p2, 2.0, lo, hi, rng)
-            np.testing.assert_allclose((c1 + c2) / 2, (p1 + p2) / 2, atol=1e-12)
+        p1 = rng.uniform(-1, 1, (10_000, 5))
+        p2 = rng.uniform(-1, 1, (10_000, 5))
+        c1, c2 = sbx_crossover(p1, p2, 2.0, lo, hi, rng)
+        np.testing.assert_allclose((c1 + c2) / 2, (p1 + p2) / 2, atol=1e-12)
 
     def test_children_within_bounds_sweep(self):
         rng = make_rng(2)
         lo = np.array([0.001, 1.0])
         hi = np.array([0.1, 3.0])
-        for _ in range(100_000):
-            p1 = rng.uniform(lo, hi)
-            p2 = rng.uniform(lo, hi)
-            c1, c2 = sbx_crossover(p1, p2, rng.uniform(0.01, 5.0), lo, hi, rng)
-            for c in (c1, c2):
-                assert np.all(c >= lo) and np.all(c <= hi)
+        n = 100_000
+        p1 = rng.uniform(lo, hi, (n, 2))
+        p2 = rng.uniform(lo, hi, (n, 2))
+        c1, c2 = sbx_crossover(p1, p2, rng.uniform(0.01, 5.0, n), lo, hi, rng)
+        for c in (c1, c2):
+            assert np.all(c >= lo) and np.all(c <= hi)
 
 
 class TestPolynomialMutation:
@@ -132,23 +134,108 @@ class TestPolynomialMutation:
         rng = make_rng(4)
         lo = np.array([0.001, 1.0, -2.0])
         hi = np.array([1.0, 3.0, -1.0])
-        for _ in range(100_000):
-            g = rng.uniform(lo, hi)
-            out = polynomial_mutation(g, rng.uniform(0.1, 50.0), lo, hi, 1.0, rng)
-            assert np.all(out >= lo) and np.all(out <= hi)
+        n = 100_000
+        g = rng.uniform(lo, hi, (n, 3))
+        out = polynomial_mutation(g, rng.uniform(0.1, 50.0, n), lo, hi, 1.0, rng)
+        assert np.all(out >= lo) and np.all(out <= hi)
 
     def test_perturbation_concentrates_with_eta(self):
         rng = make_rng(5)
         lo, hi = np.zeros(1), np.ones(1)
         medians = []
         for eta in (5.0, 20.0, 100.0):
-            deltas = []
-            for _ in range(4000):
-                g = np.array([0.5])
-                out = polynomial_mutation(g, eta, lo, hi, 1.0, rng)
-                deltas.append(abs(out[0] - 0.5))
-            medians.append(np.median(deltas))
+            out = polynomial_mutation(np.full((4000, 1), 0.5), eta, lo, hi, 1.0, rng)
+            medians.append(np.median(np.abs(out - 0.5)))
         assert medians[0] > medians[1] > medians[2]
+
+
+# Scalar formulas of bounded SBX and polynomial mutation, one gene at a time:
+# the oracle for the array operators, fed the uniforms in the documented order.
+
+def _sbx_betaq(u, y1, y2, eta, bound_gap):
+    beta = 1.0 + 2.0 * bound_gap / (y2 - y1)
+    alpha = 2.0 - beta ** -(eta + 1.0)
+    if u <= 1.0 / alpha:
+        return (u * alpha) ** (1.0 / (eta + 1.0))
+    return (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+
+
+def sbx_oracle(p1, p2, etas, lower, upper, draws):
+    c1, c2 = p1.copy(), p2.copy()
+    for r, i in np.ndindex(p1.shape):
+        cross_u, u, swap_u = draws[:, r, i]
+        if cross_u > 0.5 or abs(p1[r, i] - p2[r, i]) <= 1e-14:
+            continue
+        y1, y2 = sorted((p1[r, i], p2[r, i]))
+        a = 0.5 * ((y1 + y2) - _sbx_betaq(u, y1, y2, etas[r], y1 - lower[i]) * (y2 - y1))
+        b = 0.5 * ((y1 + y2) + _sbx_betaq(u, y1, y2, etas[r], upper[i] - y2) * (y2 - y1))
+        if swap_u <= 0.5:
+            a, b = b, a
+        c1[r, i] = min(max(a, lower[i]), upper[i])
+        c2[r, i] = min(max(b, lower[i]), upper[i])
+    return c1, c2
+
+
+def mutation_oracle(genes, etas, lower, upper, probability, draws):
+    out = genes.copy()
+    for r, i in np.ndindex(genes.shape):
+        mutate_u, u = draws[:, r, i]
+        y, yl, yu = out[r, i], lower[i], upper[i]
+        span = yu - yl
+        if mutate_u >= probability or span <= 0.0:
+            continue
+        mut_pow = 1.0 / (etas[r] + 1.0)
+        if u <= 0.5:
+            xy = 1.0 - (y - yl) / span
+            deltaq = (2.0 * u + (1.0 - 2.0 * u) * xy ** (etas[r] + 1.0)) ** mut_pow - 1.0
+        else:
+            xy = 1.0 - (yu - y) / span
+            deltaq = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (etas[r] + 1.0)) ** mut_pow
+        out[r, i] = min(max(y + deltaq * span, yl), yu)
+    return out
+
+
+class TestArrayOperatorsMatchScalarFormulas:
+    # numpy's vectorized power may differ from libm's pow in the last bit, so
+    # a few float64 ulps of the widest gene span are allowed
+    lo = np.array([0.001, 1.0, -2.0, 0.5])
+    hi = np.array([0.1, 3.0, -1.0, 0.5])  # the last gene has zero span
+    atol = 8 * np.finfo(float).eps * 2.0
+
+    def parents(self, seed, rows=400):
+        rng = make_rng(seed)
+        return (rng.uniform(self.lo, self.hi, (rows, 4)), rng.uniform(self.lo, self.hi, (rows, 4)),
+                rng.uniform(0.01, 5.0, rows))
+
+    def test_sbx_rows_with_per_row_eta(self):
+        p1, p2, etas = self.parents(20)
+        p2[:5] = p1[:5]  # identical parents never cross
+        c1, c2 = sbx_crossover(p1, p2, etas, self.lo, self.hi, make_rng(21))
+        o1, o2 = sbx_oracle(p1, p2, etas, self.lo, self.hi, make_rng(21).random((3, *p1.shape)))
+        np.testing.assert_allclose(c1, o1, rtol=0, atol=self.atol)
+        np.testing.assert_allclose(c2, o2, rtol=0, atol=self.atol)
+        assert not np.array_equal(c1, p1)
+
+    def test_sbx_vector_with_scalar_eta(self):
+        p1, p2, _ = self.parents(22, rows=1)
+        c1, c2 = sbx_crossover(p1[0], p2[0], 2.0, self.lo, self.hi, make_rng(23))
+        o1, o2 = sbx_oracle(p1, p2, [2.0], self.lo, self.hi, make_rng(23).random((3, 1, 4)))
+        np.testing.assert_allclose(c1, o1[0], rtol=0, atol=self.atol)
+        np.testing.assert_allclose(c2, o2[0], rtol=0, atol=self.atol)
+
+    def test_mutation_rows_with_per_row_eta(self):
+        genes, _, etas = self.parents(24)
+        out = polynomial_mutation(genes, 10 * etas, self.lo, self.hi, 0.6, make_rng(25))
+        want = mutation_oracle(genes, 10 * etas, self.lo, self.hi, 0.6,
+                               make_rng(25).random((2, *genes.shape)))
+        np.testing.assert_allclose(out, want, rtol=0, atol=self.atol)
+        assert not np.array_equal(out, genes)
+
+    def test_mutation_vector_with_scalar_eta(self):
+        genes, _, _ = self.parents(26, rows=1)
+        out = polynomial_mutation(genes[0], 10.0, self.lo, self.hi, 1.0, make_rng(27))
+        want = mutation_oracle(genes, [10.0], self.lo, self.hi, 1.0, make_rng(27).random((2, 1, 4)))
+        np.testing.assert_allclose(out, want[0], rtol=0, atol=self.atol)
 
 
 class TestStaticPenalty:
@@ -297,3 +384,89 @@ class TestEvolve:
                                       stall_generations=2, max_generations=8),
                      fem_evaluator(), *tiny_gen_configs())
         assert rec.best.fitness <= rec.generations[0].best_fitness
+
+    def test_odd_child_count_follows_documented_generation_order(self):
+        # population 11 with 2 elites: 9 children from 5 pairs, the 10th child dropped
+        config = self.make_config(population_size=11, elite_count=2, max_generations=2)
+        evaluator = RecordingEvaluator()
+        rec = evolve(config, evaluator, *tiny_gen_configs())
+        assert [len(batch) for batch in evaluator.batches(11, 9)] == [11, 9]
+        assert len(rec.population) == 11
+
+        rng = derived_rng(config.seed, 0x6A)
+        population = [evaluator.score(generate_genes(rng, *tiny_gen_configs()))
+                      for _ in range(11)]
+        lower, upper = gene_bounds(*tiny_gen_configs())
+        parents = [tournament_select(population, config.tournament_size, rng).genes.flatten()
+                   for _ in range(10)]
+        c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_schedule(2.0, 0),
+                               lower, upper, rng)
+        children = [c for pair in zip(c1, c2) for c in pair][:9]
+        want = polynomial_mutation(np.array(children), eta_schedule(10.0, 0), lower, upper,
+                                   config.mutation_probability, rng)
+        got = np.array([genes.flatten() for genes in evaluator.batches(11, 9)[1]])
+        np.testing.assert_array_equal(got, want)
+        order = sorted(range(11), key=lambda i: (population[i].fitness, i))
+        elites = [population[i].genes.flatten() for i in order[:2]]
+        np.testing.assert_array_equal([ind.genes.flatten() for ind in rec.population[:2]], elites)
+
+    def test_progress_line_per_generation(self, caplog):
+        caplog.set_level(logging.INFO, logger="fgmopt.ga")
+        rec = evolve(self.make_config(max_generations=3), RecordingEvaluator(),
+                     *tiny_gen_configs())
+        lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "fgmopt.ga"]
+        assert [line["generation"] for line in lines] == [0, 1, 2]
+        for line, stats in zip(lines, rec.generations):
+            assert line["best_fitness"] == stats.best_fitness
+            assert line["feasible_fraction"] == stats.feasible_fraction
+            assert (line["surrogate"], line["fem"]) == (10, 0)
+            assert line["surrogate_rel_error"] is None
+            assert line["wall_s"] >= 0.0
+        assert all(a["wall_s"] <= b["wall_s"] for a, b in zip(lines, lines[1:]))
+        assert "wall_s" not in vars(rec.generations[0])
+
+
+class RecordingEvaluator:
+    """Surrogate-routed stub: fitness is the gene sum; remembers every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def score(self, genes):
+        fitness = float(genes.flatten().sum())
+        return Individual(genes=genes, objective=fitness, penalty=0.0, fitness=fitness,
+                          eval_source="surrogate", sigma_e_max=fitness, v_ca=0.5,
+                          max_metal_temperature=None, dnn_sigma=fitness)
+
+    def evaluate(self, genes):
+        self.calls.append(genes)
+        return self.score(genes)
+
+    def batches(self, population_size, n_children):
+        """Initial population first, then one list per generation of children."""
+        first, rest = self.calls[:population_size], self.calls[population_size:]
+        return [first] + [rest[i:i + n_children] for i in range(0, len(rest), n_children)]
+
+
+class TestSurrogateRelError:
+    def run(self, sigma_star, value):
+        solver = ThermoelasticSolver(tiny_problem())
+        ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(), sigma_star=sigma_star,
+                              stress_model=TestHybridDispatch.StubStress(value))
+        config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
+                          min_generations=2, max_generations=2, seed=5, sigma_star=sigma_star)
+        return evolve(config, ev, *tiny_gen_configs())
+
+    def test_fem_routed_predictions_give_the_max_error(self):
+        # a stub below the threshold sends every individual to FEM with its prediction
+        rec = self.run(sigma_star=1e12, value=40e6)
+        for stats in rec.generations:
+            assert stats.eval_sources == {"surrogate": 0, "fem": 6}
+        errors = [abs(40e6 - ind.sigma_e_max) / ind.sigma_e_max for ind in rec.population]
+        assert rec.generations[-1].surrogate_rel_error == max(errors)
+        assert surrogate_rel_error(rec.population) == max(errors)
+
+    def test_none_without_fem_routed_predictions(self):
+        assert all(s.surrogate_rel_error is None for s in self.run(0.0, 40e6).generations)
+        fem_only = [fake_individual(1.0, i) for i in range(3)]
+        assert surrogate_rel_error(fem_only) is None

@@ -239,6 +239,28 @@ class TestOperatorNet:
         out = model.predict(rng.uniform(0, 1, 4), rng.uniform(0, 1, 4), pts)
         np.testing.assert_array_equal(out, np.zeros(50))
 
+    def test_pair_gradients_match_per_pair_oracle(self):
+        # one batch with repeated samples and points: the branch and trunk run
+        # once per distinct row, the per-pair formula runs once per pair
+        model = OperatorNet.build(5, 5, 5, L=2.0, H=1.0, latent=16,
+                                  branch_hidden=(16,), trunk_hidden=(16, 16))
+        rng = make_rng(6)
+        feats = rng.uniform(0, 1, (7, 10))
+        pts = rng.uniform(0, 1, (30, 2))
+        targets = rng.uniform(-1, 1, (7, 30))
+        s_idx, p_idx = rng.integers(0, 7, 500), rng.integers(0, 30, 500)
+        got = model._pair_grads(feats, pts, targets, s_idx, p_idx)
+
+        fb, bcache = model.branch.forward_cached(feats[s_idx])
+        gt, tcache = model.trunk.forward_cached(pts[p_idx])
+        resid = (np.einsum("nc,nc->n", fb, gt) - targets[s_idx, p_idx]) * (2.0 / s_idx.size)
+        gb, _ = model.branch.backward(bcache, resid[:, None] * gt)
+        gtr, _ = model.trunk.backward(tcache, resid[:, None] * fb)
+        want = [g for pair in gb + gtr for g in pair]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
     def test_batch_equals_pointwise_loop(self):
         model = OperatorNet.build(3, 5, 5, L=1.0, H=1.0, latent=16,
                                   branch_hidden=(16,), trunk_hidden=(16, 16))

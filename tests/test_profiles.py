@@ -10,6 +10,7 @@ from fgmopt.profiles import (
     GradationGenes,
     Profile1D,
     Profile2D,
+    _replay,
     average_ceramic_fraction,
     axis_profile_2d,
     bilinear_shape,
@@ -157,6 +158,49 @@ class TestGeneration:
         d = json.loads(genes.to_json())
         back = genes_from_dict(d, cfg, cfg)
         assert np.array_equal(back.flatten(), genes.flatten())
+
+
+def replay_loop(phi1, alphas, normalize_to_one):
+    """The bounded-ratio recursion one node at a time: the oracle for _replay."""
+    n = alphas.size + 1
+    values = np.zeros(n + 1)
+    values[1] = phi1
+    for i in range(1, n):
+        values[i + 1] = min(1.0, alphas[i - 1] * values[i])
+    if normalize_to_one and values[n] < 1.0:
+        values[1:] /= values[n]
+    return Profile1D(values)
+
+
+class TestReplayMatchesRecursion:
+    def outcome(self, replay, *args):
+        try:
+            return replay(*args).values.tobytes()
+        except PhiOutOfRange:
+            return "raises"
+
+    @pytest.mark.parametrize("ratio_low", [1.0, 0.8, 0.3, 0.0])
+    def test_bit_identical_random_cases(self, ratio_low):
+        # ratios below 1 make the product fall back under the cap; phi1 above 1 raises
+        rng = make_rng(31)
+        outcomes = set()
+        for k in range(3000):
+            alphas = rng.uniform(ratio_low, 3.0, int(rng.integers(0, 12)))
+            args = (rng.uniform(0.0, 1.2), alphas, bool(k % 2))
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero ratio ends at 0
+                got = self.outcome(_replay, *args)
+                assert got == self.outcome(replay_loop, *args)
+            outcomes.add(got == "raises")
+        assert outcomes == {True, False}
+
+    def test_non_finite_ratios_cap_like_min(self):
+        for bad in (np.nan, np.inf, 0.0, 1.0):
+            alphas = np.array([2.0, bad, 0.5, 3.0, 0.9])
+            for phi1 in (0.1, 0.6):
+                for norm in (False, True):
+                    with np.errstate(all="ignore"):
+                        want = self.outcome(replay_loop, phi1, alphas, norm)
+                        assert self.outcome(_replay, phi1, alphas, norm) == want
 
 
 class TestTensorProductAndInterpolation:
