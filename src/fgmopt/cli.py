@@ -33,7 +33,7 @@ def _profile_for(args):
     """Resolve the (config, profile) pair for eval/export.
 
     --power-law evaluates on the problem's published reference configuration
-    (reference materials/support; the three-layer field for problem1 along
+    (reference materials or mode; the three-layer field for problem1 along
     y); --genes decodes on the shipped optimization configuration.
     """
     if args.genes is not None:

@@ -16,12 +16,9 @@ Conventions
 * plane strain uses the 3D Lame constants and beta = E*alpha/(1-2nu);
   plane stress uses lambda* = 2*lambda*mu/(lambda+2mu) and
   beta = E*alpha/(1-nu);
-* effective stress is the von Mises invariant of the deviatoric stress;
-  the default source is the in-plane physical stress with sigma_zz taken
-  as zero ("inplane", which reproduces the published reference values in
-  both modes); "physical3d" adds the mode-consistent out-of-plane
-  component, and "isothermal_2d" evaluates the isothermal tensor sigma_m
-  instead of the physical one.
+* effective stress is the von Mises invariant of the in-plane physical
+  stress with sigma_zz taken as zero, in both modes; this reproduces the
+  published reference values.
 """
 
 from __future__ import annotations
@@ -221,14 +218,11 @@ class ProblemConfig:
     mode: str = "plane_strain"
     uniform_delta_theta: float | None = None
     heat_source: float = 0.0
-    effective_stress_source: str = "inplane"  # "physical3d" | "isothermal_2d"
     name: str = ""
 
     def __post_init__(self):
         if self.mode not in ("plane_strain", "plane_stress"):
             raise ValueError("mode must be plane_strain or plane_stress")
-        if self.effective_stress_source not in ("inplane", "physical3d", "isothermal_2d"):
-            raise ValueError("unknown effective stress source")
         if self.thermal is None and self.uniform_delta_theta is None:
             raise ValueError("need thermal BCs or a uniform temperature change")
         if self.L <= 0 or self.H <= 0 or self.nx < 1 or self.ny < 1:
@@ -576,7 +570,7 @@ class ThermoelasticSolver:
         else:
             lam_eff = lam
             beta = E * alpha / (1.0 - 2.0 * nu)
-        return lam, mu, lam_eff, beta
+        return mu, lam_eff, beta
 
     def solve_elastic(self, profile: Profile2D, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
@@ -584,7 +578,7 @@ class ThermoelasticSolver:
         if self.fixed_dofs.size == 0:
             raise SingularSystem("no displacement constraints; rigid modes present")
         phi = self.phi_at_gauss(profile)
-        _, mu, lam_eff, beta = self._blend_elastic(phi)
+        mu, lam_eff, beta = self._blend_elastic(phi)
         ke = np.hstack([lam_eff, mu]) @ self.elast_P
         f = np.zeros(2 * self.mesh.n_nodes)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
@@ -597,29 +591,19 @@ class ThermoelasticSolver:
     # -- post-processing ---------------------------------------------------
 
     def gauss_stress(self, profile: Profile2D, u: np.ndarray, theta_nodal: np.ndarray):
-        """Physical stress components and effective stress at Gauss points."""
+        """In-plane physical stress components and effective stress at Gauss points."""
         phi = self.phi_at_gauss(profile)
-        lam, mu, lam_eff, beta = self._blend_elastic(phi)
+        mu, lam_eff, beta = self._blend_elastic(phi)
         ue = u.reshape(-1)[self.elem_dofs]  # (n_elems, 18)
         strain = (ue @ self.elast_B.reshape(27, 18).T).reshape(-1, 9, 3)  # (e, g, 3)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T
         tr2 = strain[:, :, 0] + strain[:, :, 1]
-        sm_xx = lam_eff * tr2 + 2.0 * mu * strain[:, :, 0]
-        sm_yy = lam_eff * tr2 + 2.0 * mu * strain[:, :, 1]
-        sm_xy = mu * strain[:, :, 2]
         bt = beta * theta_g
-        sxx, syy, sxy = sm_xx - bt, sm_yy - bt, sm_xy
-        plane_strain = self.config.mode == "plane_strain"
-        szz_m = lam * tr2 if plane_strain else np.zeros_like(sxx)
-        szz = szz_m - bt if plane_strain else szz_m
-        source = self.config.effective_stress_source
-        if source == "isothermal_2d":
-            se = effective_stress(sm_xx, sm_yy, szz_m, sm_xy)
-        elif source == "physical3d":
-            se = effective_stress(sxx, syy, szz, sxy)
-        else:  # in-plane: out-of-plane component excluded from the deviator
-            se = effective_stress(sxx, syy, np.zeros_like(sxx), sxy)
-        return {"sxx": sxx, "syy": syy, "szz": szz, "sxy": sxy, "effective": se}
+        sxx = lam_eff * tr2 + 2.0 * mu * strain[:, :, 0] - bt
+        syy = lam_eff * tr2 + 2.0 * mu * strain[:, :, 1] - bt
+        sxy = mu * strain[:, :, 2]
+        se = effective_stress(sxx, syy, np.zeros_like(sxx), sxy)
+        return {"sxx": sxx, "syy": syy, "sxy": sxy, "effective": se}
 
     def interpolate_field(self, nodal: np.ndarray, x, y):
         """Biquadratic interpolation of a nodal field at points inside the plate."""

@@ -161,15 +161,14 @@ def _capped_split(dataset: dict, max_samples: int | None):
     return tr, te
 
 
-def train_stress_model(dataset: dict, seed: int, stages=None, hidden=(256, 128, 64),
-                       max_samples: int | None = None):
+def train_stress_model(dataset: dict, seed: int, stages=None, max_samples: int | None = None):
     """Fit the stress surrogate on a loaded dataset; returns (model, history)."""
     problem_id = dataset["manifest"]["problem"]
     cfg = problems.get_problem(problem_id)
     stages = stages or (neural.STRESS_STAGES_PROBLEM1 if problem_id == "problem1"
                         else neural.STRESS_STAGES_PROBLEM2)
     model = neural.StressSurrogate.build(
-        derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1, problems.stress_scale(cfg), hidden=hidden)
+        derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1, problems.stress_scale(cfg))
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"], dataset["sigma_e_max"],
                         _capped_split(dataset, max_samples), stages, derived_rng(seed, 2))
     return model, history
@@ -184,8 +183,7 @@ def train_temperature_model(dataset: dict, seed: int, stages=None, latent: int =
     cfg = problems.get_problem(problem_id)
     stages = stages or neural.OPERATOR_STAGES
     model = neural.OperatorNet.build(
-        derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H,
-        temperature_scale=problems.temperature_scale(cfg), latent=latent)
+        derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H, latent=latent)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"],
                         dataset["temperature_grid"], grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny),
                         _capped_split(dataset, max_samples), stages, derived_rng(seed, 4))
@@ -224,8 +222,8 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         raise ValueError(f"unknown case {case!r}")
     if problem_id == "problem1" and case != "unconstrained" and case != "case1":
         raise ValueError("problem1 ships as unconstrained optimization only")
-    config = problems.get_problem(problem_id)
-    solver = ThermoelasticSolver(config)
+    solver = _solver_for(problem_id)
+    config = solver.config
     case_spec = problems.CASE_DEFAULTS[case]
     constraints = _constraints_from(case_spec, exp)
     objective = case_spec["objective"]

@@ -2,7 +2,8 @@
 
 Problem 1: square Ni/Al2O3 half-plate (0.1 m x 0.1 m, plane strain, 40x40
 elements) uniformly cooled by 700 K from its stress-free state; symmetry
-u1 = 0 on the left edge plus a vertical support.  No conduction solve.
+u1 = 0 on the left edge, u2 pinned at the outer bottom corner.  No conduction
+solve.
 
 Problem 2: Al/ZrO2 half-plate (0.15 m x 0.06 m, plane stress, 20x20
 elements); top edge held at 500*sin(pi*x/(2L)) C, left and bottom edges
@@ -32,7 +33,6 @@ from .profiles import (
     BucketSpec,
     GenerationConfig,
     Profile2D,
-    axis_profile_2d,
     power_law_profile,
     tensor_product,
 )
@@ -44,33 +44,23 @@ _BUCKETS_X = BucketSpec(((0.001, 1.0),))
 _BUCKETS_Y = BucketSpec(((0.001, 0.01), (0.01, 0.1)))
 
 
-def problem1(support: str = "simply_supported") -> ProblemConfig:
+def problem1() -> ProblemConfig:
     """Uniformly cooled Ni/Al2O3 plate (plane strain, no conduction solve).
 
-    Only the symmetry condition (u1 = 0 on the left edge) is published;
-    ``support`` selects how the vertical rigid mode is removed:
-    ``simply_supported`` pins u2 at the outer bottom corner (statically
-    determinate, free thermal bending) and ``bottom_edge`` sets u2 = 0 along
-    the whole bottom edge (suppressed bending, noticeably higher stresses).
+    Only the symmetry condition (u1 = 0 on the left edge) is published; the
+    vertical rigid mode is removed by pinning u2 at the outer bottom corner,
+    a simple support that leaves thermal bending free.
     """
-    if support == "simply_supported":
-        mech = MechBCSet(
-            edges=(EdgeConstraint("left", "u1"),),
-            points=(PointConstraint("bottom_right", "u2"),),
-        )
-    elif support == "bottom_edge":
-        mech = MechBCSet(
-            edges=(EdgeConstraint("left", "u1"), EdgeConstraint("bottom", "u2")),
-        )
-    else:
-        raise ValueError(f"unknown support {support!r}")
     return ProblemConfig(
         L=0.1,
         H=0.1,
         nx=40,
         ny=40,
         materials=MATERIALS["Ni/Al2O3"],
-        mech=mech,
+        mech=MechBCSet(
+            edges=(EdgeConstraint("left", "u1"),),
+            points=(PointConstraint("bottom_right", "u2"),),
+        ),
         thermal=None,
         mode="plane_strain",
         uniform_delta_theta=-700.0,
@@ -123,11 +113,6 @@ def stress_scale(config: ProblemConfig) -> float:
     return 1.0e7 if config.name == "problem1" else 1.0e6
 
 
-def temperature_scale(config: ProblemConfig) -> float:
-    """Normalization for temperature targets (peak boundary temperature)."""
-    return 500.0
-
-
 def mutation_probability(config: ProblemConfig) -> float:
     return 0.3 if config.name == "problem1" else 0.4
 
@@ -144,8 +129,11 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
         return tensor_product(px, py, L=config.L, H=config.H)
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    p, n_other = (px, config.ny) if axis == "x" else (py, config.nx)
-    return axis_profile_2d(p, axis, L=config.L, H=config.H, n_other=n_other)
+    if axis == "x":
+        grid = np.outer(px.values, np.ones(config.ny + 1))
+    else:
+        grid = np.outer(np.ones(config.nx + 1), py.values)
+    return Profile2D(grid, L=config.L, H=config.H)
 
 
 # --- published reference-stress configurations -----------------------------
@@ -164,7 +152,7 @@ P1_FACE_FRACTION = 0.175  # 7 of 40 elements per homogeneous face layer
 def reference_config(problem_id: str) -> ProblemConfig:
     """Configuration on which the published reference stresses are evaluated."""
     if problem_id == "problem1":
-        base = problem1(support="simply_supported")
+        base = problem1()
         return replace(base, mode="plane_stress", name="problem1-reference")
     if problem_id == "problem2":
         base = problem2()

@@ -15,14 +15,14 @@ With alpha_lower = 1 every generated profile is monotone non-decreasing.
 2D fields are tensor products of two independent 1D profiles and are
 evaluated anywhere in the plate by bilinear interpolation on the node grid.
 
-Power-law profiles (x/L)**m are a strict subset of this design space: the
-exact successive ratios are ((i+1)/i)**m, and their first-order (binomial)
-approximation is 1 + m/i.
+Power-law profiles (x/L)**m are a subset of this design space: they are the
+recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
+admit them while the first ratio 2**m stays within alpha_upper_max and
+(1/n)**m within the first-node bucket hull.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,16 +101,6 @@ class Profile1D:
     def n_elems(self) -> int:
         return self.values.size - 1
 
-    def to_dict(self) -> dict:
-        return {"n": self.n_elems, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Profile1D":
-        values = np.asarray(d["values"], dtype=float)
-        if values.size != d["n"] + 1:
-            raise ValueError("inconsistent node count in serialized profile")
-        return cls(values)
-
 
 @dataclass(frozen=True)
 class Profile2D:
@@ -142,20 +132,6 @@ class Profile2D:
     @property
     def ny(self) -> int:
         return self.grid.shape[1] - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "L": self.L,
-            "H": self.H,
-            "grid": self.grid.ravel(order="C").tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Profile2D":
-        grid = np.asarray(d["grid"], dtype=float).reshape(d["nx"] + 1, d["ny"] + 1)
-        return cls(grid, L=d["L"], H=d["H"])
 
 
 @dataclass(frozen=True)
@@ -211,9 +187,6 @@ class GradationGenes:
             "alphas_y": self.alphas_y.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def gene_bounds(config_x: GenerationConfig, config_y: GenerationConfig):
     """Per-gene [lo, hi] in flatten order.
@@ -255,14 +228,15 @@ def _draw_axis(rng: np.random.Generator, config: GenerationConfig):
     return phi1, alphas
 
 
-def _replay(phi1: float, alphas: np.ndarray, normalize_to_one: bool) -> Profile1D:
+def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
     """Run the bounded-ratio recursion from fixed ratios; deterministic.
 
     phi[i+1] = min(1, a[i] * phi[i]) is a running product capped at 1, so each
     stretch between caps is one sequential cumulative product, bit-identical
     to the recursion.  A node whose product is not below 1 (NaN included, as
     ``min`` gives) becomes 1; when no later ratio is below 1 the tail is 1,
-    otherwise the product restarts from that node.
+    otherwise the product restarts from that node.  A last node below 1 then
+    rescales nodes 1..n by 1/phi[n].
     """
     n = alphas.size + 1
     values = np.zeros(n + 1)
@@ -279,15 +253,9 @@ def _replay(phi1: float, alphas: np.ndarray, normalize_to_one: bool) -> Profile1
         if alphas[start - 1 :].min(initial=1.0) >= 1.0:
             values[start:] = 1.0
             break
-    if normalize_to_one and values[n] < 1.0:
+    if values[n] < 1.0:
         values[1:] /= values[n]
     return Profile1D(values)
-
-
-def generate_profile_1d(rng, config: GenerationConfig) -> Profile1D:
-    """Draw one random 1D profile (see module docstring for the scheme)."""
-    phi1, alphas = _draw_axis(make_rng(rng), config)
-    return _replay(phi1, alphas, normalize_to_one=True)
 
 
 def generate_genes(rng, config_x: GenerationConfig, config_y: GenerationConfig) -> GradationGenes:
@@ -299,15 +267,15 @@ def generate_genes(rng, config_x: GenerationConfig, config_y: GenerationConfig) 
     return GradationGenes(phi_x1, phi_y1, alphas_x, alphas_y, lower, upper)
 
 
-def genes_to_profiles(genes: GradationGenes, normalize_to_one: bool = True):
+def genes_to_profiles(genes: GradationGenes):
     """Deterministically decode genes into the pair of 1D axis profiles.
 
     Identical genes always give bit-identical profiles; raises
     GeneOutOfBounds if any gene is outside its declared interval.
     """
     genes.validate()
-    px = _replay(genes.phi_x1, genes.alphas_x, normalize_to_one)
-    py = _replay(genes.phi_y1, genes.alphas_y, normalize_to_one)
+    px = _replay(genes.phi_x1, genes.alphas_x)
+    py = _replay(genes.phi_y1, genes.alphas_y)
     return px, py
 
 
@@ -385,31 +353,6 @@ def power_law_profile(n_elems: int, m: float) -> Profile1D:
     return Profile1D(values)
 
 
-def power_law_alphas(n_elems: int, m: float, kind: str = "first_order") -> np.ndarray:
-    """Successive-ratio vector that replays the power-law profile.
-
-    ``exact`` ratios ((i+1)/i)**m reproduce the power law to roundoff;
-    ``first_order`` ratios 1 + m/i are the binomial approximation and rely on
-    the final normalization to land back near the power law.
-    """
-    if n_elems < 2:
-        raise ValueError("need at least 2 segments for a ratio vector")
-    if m < 0.0:
-        raise ValueError("power-law index must be >= 0")
-    i = np.arange(1, n_elems, dtype=float)
-    if kind == "exact":
-        return ((i + 1.0) / i) ** m
-    if kind == "first_order":
-        return 1.0 + m / i
-    raise ValueError(f"unknown ratio kind {kind!r}")
-
-
-def power_law_replay(n_elems: int, m: float, kind: str = "exact") -> Profile1D:
-    """Replay the recursion from phi1 = (1/n)**m with power-law ratios."""
-    phi1 = (1.0 / n_elems) ** m
-    return _replay(phi1, power_law_alphas(n_elems, m, kind=kind), normalize_to_one=True)
-
-
 def average_ceramic_fraction(p: Profile2D) -> float:
     """Domain average of the bilinear field (exact for piecewise bilinear).
 
@@ -421,18 +364,3 @@ def average_ceramic_fraction(p: Profile2D) -> float:
     wy = np.ones(p.ny + 1)
     wy[0] = wy[-1] = 0.5
     return float(wx @ p.grid @ wy / (p.nx * p.ny))
-
-
-def axis_profile_2d(p: Profile1D, axis: str, L: float = 1.0, H: float = 1.0, n_other: int | None = None) -> Profile2D:
-    """2D field that varies along one axis only (uniform along the other).
-
-    Used for reference gradations such as a pure through-height power law;
-    note the uniform direction is constant 1, not a generated profile.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    n_other = p.n_elems if n_other is None else n_other
-    ones = np.ones(n_other + 1)
-    if axis == "x":
-        return Profile2D(np.outer(p.values, ones), L=L, H=H)
-    return Profile2D(np.outer(ones, p.values), L=L, H=H)

@@ -160,7 +160,7 @@ def check_roller_constrained_expansion() -> Check:
 
 
 def check_compatible_gradation_stress_free() -> Check:
-    cfg = problems.problem1(support="simply_supported")
+    cfg = problems.problem1()
     prof = problems.power_law_reference(cfg, 1.0, "y")
     r = ThermoelasticSolver(cfg).run(prof)
     pair = MATERIALS["Ni/Al2O3"]

@@ -1,8 +1,10 @@
-"""The benchmark tracer still finds every name it patches.
+"""The benchmark still finds every fgmopt name it uses.
 
-``perfbench/tracer.py`` replaces public fgmopt names by timing wrappers; a
-renamed or deleted name would only surface in a full benchmark run.
-Installing the tracer once catches it here in milliseconds.
+``perfbench/tracer.py`` replaces public fgmopt names by timing wrappers, and
+``perfbench/workloads.py`` calls the public API; a renamed or deleted name,
+or a changed signature, would only surface in a full benchmark run.
+Installing the tracer once and running the reference-stress gate catch it
+here in well under a second.
 """
 
 import importlib
@@ -40,3 +42,13 @@ def test_factor_is_traced(monkeypatch):
     counts = t.round_counts(t.round, bytes_written=0, redraws=0)
     assert counts["fem.factor.calls"] >= 1
     assert counts["fem.lu_nnz"] > 0
+
+
+def test_reference_stress_gate_passes(monkeypatch):
+    # the gate every benchmark round runs: published reference gradations
+    # solved on problems.reference_config, within 10% of the quoted stresses
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    values, errors = workloads.check_reference_stresses()
+    assert errors == []
+    assert set(values) == {"problem1", "problem2"}

@@ -49,7 +49,7 @@ class TestEvalProfile:
     def test_genes_input(self, capsys, tmp_path):
         genes = generate_genes(make_rng(3), *problems.generation_configs(problems.problem2()))
         path = tmp_path / "genes.json"
-        path.write_text(genes.to_json())
+        path.write_text(json.dumps(genes.to_dict()))
         out_file = tmp_path / "summary.json"
         code, out, _ = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                "--genes", str(path), "--out", str(out_file))

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fgmopt import problems
 from fgmopt.errors import GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from fgmopt.profiles import (
     BucketSpec,
@@ -12,17 +14,13 @@ from fgmopt.profiles import (
     Profile2D,
     _replay,
     average_ceramic_fraction,
-    axis_profile_2d,
     bilinear_shape,
     gene_bounds,
     generate_genes,
-    generate_profile_1d,
     genes_from_dict,
     genes_to_profiles,
     interpolate,
-    power_law_alphas,
     power_law_profile,
-    power_law_replay,
     tensor_product,
 )
 from fgmopt.rng import derived_rng, make_rng
@@ -80,25 +78,26 @@ class TestGeneration:
         np.testing.assert_allclose(py.values, [0, 1, 1, 1, 1])
 
     def test_geometric_growth_until_clip(self):
-        # constant ratio b: phi_i = phi1 * b**(i-1) until min() clips at 1
+        # constant ratio b: phi_i = phi1 * b**(i-1) until min() clips at 1;
+        # the last node is then 1, so the end normalization leaves it alone
         b = 3.0
         lower, upper = gene_bounds(default_config(6), default_config(6))
         genes = GradationGenes(0.02, 0.02, np.full(5, b), np.full(5, b), lower, upper)
-        px, _ = genes_to_profiles(genes, normalize_to_one=False)
+        px, _ = genes_to_profiles(genes)
         expected = np.minimum(1.0, 0.02 * b ** np.arange(-0.0, 6.0))
         np.testing.assert_allclose(px.values[1:], expected, rtol=1e-14)
 
     def test_generated_profiles_satisfy_invariants(self):
-        # 1e4 random draws: node0 = 0, last node = 1, monotone, inside [0, 1]
+        # 1e4 random profiles: node0 = 0, last node = 1, monotone, inside [0, 1]
         cfg = default_config(20)
         rng = make_rng(1234)
-        for _ in range(10_000):
-            p = generate_profile_1d(rng, cfg)
-            v = p.values
-            assert v[0] == 0.0
-            assert v[-1] == pytest.approx(1.0, abs=1e-12)
-            assert np.all(np.diff(v) >= -1e-15)
-            assert v.min() >= 0.0 and v.max() <= 1.0
+        for _ in range(5_000):
+            for p in genes_to_profiles(generate_genes(rng, cfg, cfg)):
+                v = p.values
+                assert v[0] == 0.0
+                assert v[-1] == pytest.approx(1.0, abs=1e-12)
+                assert np.all(np.diff(v) >= -1e-15)
+                assert v.min() >= 0.0 and v.max() <= 1.0
 
     def test_bucket_membership_of_first_node(self):
         cfg = default_config(5)
@@ -126,18 +125,21 @@ class TestGeneration:
         cfg = default_config(15)
         genes = generate_genes(derived_rng(5, 0), cfg, cfg)
         px, _ = genes_to_profiles(genes)
-        # same recursion code path as generate_profile_1d
+        # the decoding that dataset generation and the GA use
         assert px.values[0] == 0.0 and px.values[-1] == pytest.approx(1.0)
 
     def test_alpha_perturbation_is_local_before_normalization(self):
-        lower, upper = gene_bounds(default_config(6), default_config(6))
+        # both profiles reach the cap at 1, so the end normalization rescales neither
+        wide = default_config(6, WIDE_BUCKET)
+        lower, upper = gene_bounds(wide, wide)
         alphas = np.array([1.1, 1.2, 1.3, 1.1, 1.2])
-        g1 = GradationGenes(0.01, 0.01, alphas, alphas, lower, upper)
+        g1 = GradationGenes(0.5, 0.5, alphas, alphas, lower, upper)
         alphas2 = alphas.copy()
         alphas2[2] += 0.1
-        g2 = GradationGenes(0.01, 0.01, alphas2, alphas, lower, upper)
-        p1, _ = genes_to_profiles(g1, normalize_to_one=False)
-        p2, _ = genes_to_profiles(g2, normalize_to_one=False)
+        g2 = GradationGenes(0.5, 0.5, alphas2, alphas, lower, upper)
+        p1, _ = genes_to_profiles(g1)
+        p2, _ = genes_to_profiles(g2)
+        assert p1.values[-1] == p2.values[-1] == 1.0
         # alphas[2] feeds node 4; earlier nodes unchanged
         np.testing.assert_array_equal(p1.values[:4], p2.values[:4])
         assert np.all(p2.values[4:] >= p1.values[4:])
@@ -155,19 +157,19 @@ class TestGeneration:
     def test_genes_json_round_trip(self):
         cfg = default_config(8)
         genes = generate_genes(make_rng(3), cfg, cfg)
-        d = json.loads(genes.to_json())
+        d = json.loads(json.dumps(genes.to_dict()))
         back = genes_from_dict(d, cfg, cfg)
         assert np.array_equal(back.flatten(), genes.flatten())
 
 
-def replay_loop(phi1, alphas, normalize_to_one):
+def replay_loop(phi1, alphas):
     """The bounded-ratio recursion one node at a time: the oracle for _replay."""
     n = alphas.size + 1
     values = np.zeros(n + 1)
     values[1] = phi1
     for i in range(1, n):
         values[i + 1] = min(1.0, alphas[i - 1] * values[i])
-    if normalize_to_one and values[n] < 1.0:
+    if values[n] < 1.0:
         values[1:] /= values[n]
     return Profile1D(values)
 
@@ -184,9 +186,9 @@ class TestReplayMatchesRecursion:
         # ratios below 1 make the product fall back under the cap; phi1 above 1 raises
         rng = make_rng(31)
         outcomes = set()
-        for k in range(3000):
+        for _ in range(3000):
             alphas = rng.uniform(ratio_low, 3.0, int(rng.integers(0, 12)))
-            args = (rng.uniform(0.0, 1.2), alphas, bool(k % 2))
+            args = (rng.uniform(0.0, 1.2), alphas)
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero ratio ends at 0
                 got = self.outcome(_replay, *args)
                 assert got == self.outcome(replay_loop, *args)
@@ -197,10 +199,9 @@ class TestReplayMatchesRecursion:
         for bad in (np.nan, np.inf, 0.0, 1.0):
             alphas = np.array([2.0, bad, 0.5, 3.0, 0.9])
             for phi1 in (0.1, 0.6):
-                for norm in (False, True):
-                    with np.errstate(all="ignore"):
-                        want = self.outcome(replay_loop, phi1, alphas, norm)
-                        assert self.outcome(_replay, phi1, alphas, norm) == want
+                with np.errstate(all="ignore"):
+                    want = self.outcome(replay_loop, phi1, alphas)
+                    assert self.outcome(_replay, phi1, alphas) == want
 
 
 class TestTensorProductAndInterpolation:
@@ -221,8 +222,7 @@ class TestTensorProductAndInterpolation:
         cfg = default_config(10)
         rng = make_rng(42)
         for _ in range(1000):
-            px = generate_profile_1d(rng, cfg)
-            py = generate_profile_1d(rng, cfg)
+            px, py = genes_to_profiles(generate_genes(rng, cfg, cfg))
             g = tensor_product(px, py).grid
             assert np.all(np.diff(g, axis=0) >= -1e-15)
             assert np.all(np.diff(g, axis=1) >= -1e-15)
@@ -272,38 +272,24 @@ class TestPowerLaw:
         np.testing.assert_allclose(power_law_profile(3, 0.0).values, [0, 1, 1, 1])
 
     def test_exact_ratios_reproduce_power_law(self):
-        for m in (0.5, 1.0, 2.0, 3.0):
-            for n in (10, 100):
-                direct = power_law_profile(n, m).values
-                replay = power_law_replay(n, m, kind="exact").values
-                assert np.max(np.abs(direct - replay)) <= 1e-12
+        # the paper's subset claim on the shipped gene bounds: phi1 = (1/n)**m
+        # and ratios ((i+1)/i)**m decode to the power law (x/L)**m
+        def power_law_genes(gx, gy, m):
+            ratios = [((i + 1.0) / i) ** m for i in (np.arange(1, g.n_elems) for g in (gx, gy))]
+            return GradationGenes((1.0 / gx.n_elems) ** m, (1.0 / gy.n_elems) ** m,
+                                  *ratios, *gene_bounds(gx, gy))
 
-    def test_linear_ratios_are_exact_for_m1(self):
-        alphas = power_law_alphas(50, 1.0, kind="first_order")
-        i = np.arange(1, 50)
-        np.testing.assert_allclose(alphas, (i + 1) / i, rtol=1e-15)
-
-    def test_first_order_ratios_binomial_error(self):
-        # the binomial approximation lands within 0.01 of the power law at n=100
-        # for m >= 1; for m < 1 the approximate ratio overestimates the exact
-        # one (concavity), the recursion saturates at 1 early, and the error is
-        # order 0.1, so that regime is only reported, not asserted
-        for m in (1.0, 2.0, 3.0):
-            direct = power_law_profile(100, m).values
-            replay = power_law_replay(100, m, kind="first_order").values
-            err = np.max(np.abs(direct - replay))
-            assert err <= 0.01
-        # m = 2 has a known closed-form error i(n-i)/(n^2 (n+1)), max ~ 1/(4(n+1))
-        direct = power_law_profile(100, 2.0).values
-        replay = power_law_replay(100, 2.0, kind="first_order").values
-        assert np.max(np.abs(direct - replay)) == pytest.approx(1 / (4 * 101), rel=0.05)
-
-    def test_first_order_ratio_saturation_below_m1(self):
-        direct = power_law_profile(100, 0.5).values
-        replay = power_law_replay(100, 0.5, kind="first_order").values
-        err = np.max(np.abs(direct - replay))
-        assert 0.05 < err < 0.2  # saturated tail, binomial assumption broken at i=1
-        assert np.any(replay[:-1] == 1.0)
+        for pid in problems.PROBLEM_IDS:
+            gx, gy = problems.generation_configs(problems.get_problem(pid))
+            for m in (1.0, 1.5):
+                px, py = genes_to_profiles(power_law_genes(gx, gy, m))
+                assert np.max(np.abs(px.values - power_law_profile(gx.n_elems, m).values)) <= 1e-12
+                assert np.max(np.abs(py.values - power_law_profile(gy.n_elems, m).values)) <= 1e-12
+            # the first exact ratio 2**m exceeds alpha_upper_max = 3 beyond m = log2(3)
+            genes = power_law_genes(gx, gy, 2.0)
+            assert genes.alphas_x[0] == 4.0 > gx.alpha_upper_max == 3.0
+            with pytest.raises(GeneOutOfBounds):
+                genes_to_profiles(genes)
 
 
 class TestAverages:
@@ -328,15 +314,8 @@ class TestAverages:
 
 class TestAxisProfiles:
     def test_axis_y_uniform_in_x(self):
-        p = axis_profile_2d(power_law_profile(4, 1.0), "y", L=2.0, H=1.0, n_other=3)
+        cfg = replace(problems.problem2(), L=2.0, H=1.0, nx=3, ny=4)
+        p = problems.power_law_reference(cfg, 1.0, "y")
         assert p.grid.shape == (4, 5)
         for i in range(4):
             np.testing.assert_allclose(p.grid[i], [0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_serialization_round_trip(self):
-        p1 = power_law_profile(6, 2.0)
-        assert np.array_equal(Profile1D.from_dict(p1.to_dict()).values, p1.values)
-        p2 = tensor_product(p1, p1, L=0.1, H=0.2)
-        back = Profile2D.from_dict(json.loads(json.dumps(p2.to_dict())))
-        assert np.array_equal(back.grid, p2.grid)
-        assert back.L == 0.1 and back.H == 0.2
