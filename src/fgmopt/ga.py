@@ -5,8 +5,9 @@ selection picks the smallest fitness.  Recombination is Deb's bounded
 simulated binary crossover (per-gene application with probability 1/2,
 spread exponent eta_c), variation is Deb's bounded polynomial mutation
 (per-gene probability, exponent eta_m).  Both exponents follow the
-generation schedule base * [1 + (1 - exp(g/100))/2] (floored; the sign of
-the exponent is switchable since the printed schedule decreases).
+printed generation schedule base * [1 + (1 - exp(g/100))/2], which
+decreases with the generation g and is floored at 0.01; the bases are
+ETA_C_BASE = 2 and ETA_M_BASE = 10.
 
 Both operators work on a gene vector or on a (rows, genes) array, so
 ``evolve`` varies a whole generation in one call each.  Each call draws all
@@ -49,16 +50,13 @@ from .rng import derived_rng, make_rng
 log = logging.getLogger(__name__)
 
 _SBX_EPS = 1e-14
+ETA_C_BASE, ETA_M_BASE = 2.0, 10.0
 
 
 @dataclass(frozen=True)
 class GAConfig:
     population_size: int = 200
     tournament_size: int = 4
-    eta_c_base: float = 2.0
-    eta_m_base: float = 10.0
-    eta_floor: float = 0.01
-    eta_exponent_sign: float = 1.0  # printed schedule: exp(+g/100)
     mutation_probability: float = 0.3
     elite_count: int = 2
     min_generations: int = 50
@@ -102,10 +100,9 @@ class Individual:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "genes"}
 
 
-def eta_schedule(base: float, g: int, floor: float = 0.01, sign: float = 1.0) -> float:
-    """Generation-dependent distribution index, floored to stay positive."""
-    value = base * (1.0 + 0.5 * (1.0 - math.exp(sign * g / 100.0)))
-    return max(value, floor)
+def eta_schedule(base: float, g: int) -> float:
+    """Generation-dependent distribution index, floored at 0.01 to stay positive."""
+    return max(base * (1.0 + 0.5 * (1.0 - math.exp(g / 100.0))), 0.01)
 
 
 def tournament_select(population, k: int, rng) -> Individual:
@@ -256,7 +253,6 @@ def surrogate_rel_error(population) -> float | None:
 
 @dataclass
 class RunRecord:
-    config: GAConfig
     generations: list
     best: Individual
     population: list = field(repr=False)
@@ -322,10 +318,9 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
         if config.max_generations is not None and g + 1 >= config.max_generations:
             done = True
         if done:
-            return RunRecord(config=config, generations=stats, best=best, population=population)
+            return RunRecord(generations=stats, best=best, population=population)
 
-        eta_c = eta_schedule(config.eta_c_base, g, config.eta_floor, config.eta_exponent_sign)
-        eta_m = eta_schedule(config.eta_m_base, g, config.eta_floor, config.eta_exponent_sign)
+        eta_c, eta_m = eta_schedule(ETA_C_BASE, g), eta_schedule(ETA_M_BASE, g)
         parents = [tournament_select(population, config.tournament_size, rng).genes.flatten()
                    for _ in range(2 * math.ceil(n_children / 2))]
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)

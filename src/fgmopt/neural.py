@@ -123,13 +123,13 @@ class DenseNet:
         return cls(layers)
 
 
-def make_dense(rng, dims: list[int], hidden_activation: str, output_activation: str = "identity") -> DenseNet:
-    """He-style uniform fan-in initialization, seeded."""
+def make_dense(rng, dims: list[int], hidden_activation: str) -> DenseNet:
+    """He-style uniform fan-in initialization, seeded; the output layer is linear."""
     rng = make_rng(rng)
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         limit = np.sqrt(6.0 / d_in)
-        act = output_activation if i == len(dims) - 2 else hidden_activation
+        act = "identity" if i == len(dims) - 2 else hidden_activation
         layers.append(DenseLayer(rng.uniform(-limit, limit, (d_in, d_out)), np.zeros(d_out), act))
     return DenseNet(layers)
 
@@ -172,11 +172,12 @@ class TrainStage:
 
 
 class Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) over a parameter list."""
+    """Standard Adam over a parameter list."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -300,9 +301,8 @@ class StressSurrogate:
         self.fingerprint = fingerprint or version_fingerprint()
 
     @classmethod
-    def build(cls, rng, nx_nodes: int, ny_nodes: int, output_scale: float,
-              hidden=(256, 128, 64)) -> "StressSurrogate":
-        net = make_dense(rng, [nx_nodes + ny_nodes, *hidden, 1], "relu")
+    def build(cls, rng, nx_nodes: int, ny_nodes: int, output_scale: float) -> "StressSurrogate":
+        net = make_dense(rng, [nx_nodes + ny_nodes, 256, 128, 64, 1], "relu")
         return cls(net, output_scale, nx_nodes, ny_nodes)
 
     @staticmethod

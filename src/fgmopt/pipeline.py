@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import pathlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -141,8 +141,6 @@ def load_dataset(dataset_dir):
         "profiles_x": np.array([r["profile_x"] for r in rows]),
         "profiles_y": np.array([r["profile_y"] for r in rows]),
         "sigma_e_max": np.array([r["sigma_e_max"] for r in rows]),
-        "v_ca": np.array([r["v_ca"] for r in rows]),
-        "genes": [r["genes"] for r in rows],
         "indices": np.array([r["index"] for r in rows]),
         "train_rows": np.arange(counts[0]),
         "test_rows": np.arange(counts[0], counts[0] + counts[1]),
@@ -241,13 +239,12 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
             temp_model = neural.load_model(paths["temperature"])
 
     ga_overrides = dict(exp.get("ga", {}))
+    unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
+    if unknown:
+        raise ValueError(f"unknown ga keys {unknown}")
     run_seed = seed if seed is not None else exp.get("seed", 0)
     defaults = dict(
-        population_size=200,
-        tournament_size=4,
         mutation_probability=problems.mutation_probability(config),
-        min_generations=50,
-        stall_generations=10,
         stall_tolerance=1.0e3 if objective == "sigma_e_max" else 0.01,
         sigma_star=sigma_star,
         seed=run_seed,

@@ -4,20 +4,21 @@ A 1D profile is a piecewise-linear ceramic volume fraction over ``n`` equal
 segments: node 0 is pinned at 0 (pure metal), and successive nodal values
 follow the bounded-ratio recursion
 
-    phi[i+1] = min(1, a[i] * phi[i]),    a[i] ~ U[alpha_lower, alpha_up],
+    phi[i+1] = min(1, a[i] * phi[i]),    a[i] ~ U[1, alpha_up],
 
-where ``alpha_up`` is itself drawn once per profile from [1, alpha_upper_max].
+where ``alpha_up`` is itself drawn once per profile from [1, ALPHA_UPPER_MAX].
 The first nodal value is drawn from one of several buckets (chosen with equal
 probability) so that very small starting fractions are as likely as moderate
 ones.  If the last node ends below 1, nodes 1..n are rescaled by 1/phi[n].
-With alpha_lower = 1 every generated profile is monotone non-decreasing.
+Every ratio is at least 1, so every profile is monotone non-decreasing by
+construction, graded from metal to ceramic.
 
 2D fields are tensor products of two independent 1D profiles and are
 evaluated anywhere in the plate by bilinear interpolation on the node grid.
 
 Power-law profiles (x/L)**m are a subset of this design space: they are the
 recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
-admit them while the first ratio 2**m stays within alpha_upper_max and
+admit them while the first ratio 2**m stays within ALPHA_UPPER_MAX and
 (1/n)**m within the first-node bucket hull.
 """
 
@@ -31,6 +32,7 @@ from .errors import GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from .rng import make_rng
 
 _BOUND_TOL = 1e-9
+ALPHA_UPPER_MAX = 3.0  # largest ratio a profile can draw, and the ratio genes' upper bound
 
 
 @dataclass(frozen=True)
@@ -57,23 +59,20 @@ class GenerationConfig:
     """Parameters of the 1D profile generator for one axis.
 
     ``n_elems`` segments (profile has n_elems+1 nodes), per-step ratio drawn
-    from [alpha_lower, alpha_up] with alpha_up ~ U[1, alpha_upper_max].
+    from [1, alpha_up] with alpha_up ~ U[1, ALPHA_UPPER_MAX].
     """
 
     n_elems: int
     first_node_buckets: BucketSpec
-    alpha_lower: float = 1.0
-    alpha_upper_max: float = 3.0
 
     def __post_init__(self):
         if self.n_elems < 1:
             raise ValueError("n_elems must be >= 1")
-        if self.alpha_lower <= 0.0:
-            raise ValueError("alpha_lower must be > 0")
-        if self.alpha_upper_max <= 1.0:
-            raise ValueError("alpha_upper_max must be > 1")
-        if self.alpha_lower > self.alpha_upper_max:
-            raise ValueError("alpha_lower must not exceed alpha_upper_max")
+
+
+def _within(values, lower, upper) -> np.ndarray:
+    """Elementwise lower <= values <= upper up to _BOUND_TOL; False for NaN."""
+    return (values >= lower - _BOUND_TOL) & (values <= upper + _BOUND_TOL)
 
 
 def _validated_values(values: np.ndarray) -> np.ndarray:
@@ -82,7 +81,7 @@ def _validated_values(values: np.ndarray) -> np.ndarray:
         raise ValueError("profile needs a 1D vector of at least 2 nodal values")
     if values[0] != 0.0:
         raise PhiOutOfRange("node 0 must be exactly 0")
-    if values.min() < -_BOUND_TOL or values.max() > 1.0 + _BOUND_TOL:
+    if not _within(values, 0.0, 1.0).all():
         raise PhiOutOfRange("nodal volume fractions must lie in [0, 1]")
     return np.clip(values, 0.0, 1.0)
 
@@ -118,7 +117,7 @@ class Profile2D:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
             raise ValueError("grid must be at least 2x2")
-        if grid.min() < -_BOUND_TOL or grid.max() > 1.0 + _BOUND_TOL:
+        if not _within(grid, 0.0, 1.0).all():
             raise PhiOutOfRange("grid volume fractions must lie in [0, 1]")
         if self.L <= 0.0 or self.H <= 0.0:
             raise ValueError("domain lengths must be positive")
@@ -163,8 +162,8 @@ class GradationGenes:
 
     def validate(self):
         vec = self.flatten()
-        if np.any(vec < self.lower - _BOUND_TOL) or np.any(vec > self.upper + _BOUND_TOL):
-            bad = np.where((vec < self.lower - _BOUND_TOL) | (vec > self.upper + _BOUND_TOL))[0]
+        bad = np.flatnonzero(~_within(vec, self.lower, self.upper))  # NaN is never within
+        if bad.size:
             raise GeneOutOfBounds(f"genes {bad.tolist()} outside declared bounds")
 
     def replace_vector(self, vec: np.ndarray) -> "GradationGenes":
@@ -192,17 +191,13 @@ def gene_bounds(config_x: GenerationConfig, config_y: GenerationConfig):
     """Per-gene [lo, hi] in flatten order.
 
     First-node genes are bounded by the convex hull of their buckets; ratio
-    genes by [alpha_lower, alpha_upper_max] (the full per-profile ratio range).
+    genes by [1, ALPHA_UPPER_MAX] (the full per-profile ratio range).
     """
     hx = config_x.first_node_buckets.hull
     hy = config_y.first_node_buckets.hull
-    nax, nay = config_x.n_elems - 1, config_y.n_elems - 1
-    lower = np.concatenate(
-        ([hx[0], hy[0]], np.full(nax, config_x.alpha_lower), np.full(nay, config_y.alpha_lower))
-    )
-    upper = np.concatenate(
-        ([hx[1], hy[1]], np.full(nax, config_x.alpha_upper_max), np.full(nay, config_y.alpha_upper_max))
-    )
+    n_ratios = config_x.n_elems + config_y.n_elems - 2
+    lower = np.concatenate(([hx[0], hy[0]], np.full(n_ratios, 1.0)))
+    upper = np.concatenate(([hx[1], hy[1]], np.full(n_ratios, ALPHA_UPPER_MAX)))
     return lower, upper
 
 
@@ -220,41 +215,29 @@ def genes_from_dict(d: dict, config_x: GenerationConfig, config_y: GenerationCon
 
 def _draw_axis(rng: np.random.Generator, config: GenerationConfig):
     """One axis worth of genes: (phi1, alphas). Draw order is part of the contract."""
-    alpha_up = rng.uniform(1.0, config.alpha_upper_max)
+    alpha_up = rng.uniform(1.0, ALPHA_UPPER_MAX)
     buckets = config.first_node_buckets.buckets
     lo, hi = buckets[rng.integers(len(buckets))]
     phi1 = rng.uniform(lo, hi)
-    alphas = rng.uniform(config.alpha_lower, alpha_up, size=config.n_elems - 1)
+    alphas = rng.uniform(1.0, alpha_up, size=config.n_elems - 1)
     return phi1, alphas
 
 
 def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
     """Run the bounded-ratio recursion from fixed ratios; deterministic.
 
-    phi[i+1] = min(1, a[i] * phi[i]) is a running product capped at 1, so each
-    stretch between caps is one sequential cumulative product, bit-identical
-    to the recursion.  A node whose product is not below 1 (NaN included, as
-    ``min`` gives) becomes 1; when no later ratio is below 1 the tail is 1,
-    otherwise the product restarts from that node.  A last node below 1 then
-    rescales nodes 1..n by 1/phi[n].
+    With every ratio at least 1, phi[i+1] = min(1, a[i] * phi[i]) is the
+    running product capped at 1: a product that reaches 1 never falls back
+    below it, so this is bit-identical to the recursion.  (A ratio within
+    _BOUND_TOL below 1, which ``validate`` admits, is taken as the capped
+    product too.)  Node 1 is not capped.  A last node below 1 then rescales
+    nodes 1..n by 1/phi[n].
     """
-    n = alphas.size + 1
-    values = np.zeros(n + 1)
-    start, head = 1, phi1
-    while True:
-        run = values[start:]
-        np.multiply.accumulate(np.concatenate(([head], alphas[start - 1 :])), out=run)
-        below = run < 1.0
-        below[0] = True  # the head node keeps its value
-        j = below.argmin()  # offset of the first capped node; 0 when none is capped
-        if j == 0:
-            break
-        start, head = start + j, 1.0
-        if alphas[start - 1 :].min(initial=1.0) >= 1.0:
-            values[start:] = 1.0
-            break
-    if values[n] < 1.0:
-        values[1:] /= values[n]
+    values = np.zeros(alphas.size + 2)
+    values[1] = phi1
+    values[2:] = np.minimum(np.multiply.accumulate(np.concatenate(([phi1], alphas)))[1:], 1.0)
+    if values[-1] < 1.0:
+        values[1:] /= values[-1]
     return Profile1D(values)
 
 

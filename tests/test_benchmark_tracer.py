@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` replaces public fgmopt names by timing wrappers, and
 ``perfbench/workloads.py`` calls the public API; a renamed or deleted name,
 or a changed signature, would only surface in a full benchmark run.
-Installing the tracer once and running the reference-stress gate catch it
-here in well under a second.
+Installing the tracer once, running each workload's set-up and the
+reference-stress gate catch it here in about a second.
 """
 
 import importlib
@@ -12,6 +12,7 @@ import pathlib
 
 import numpy as np
 
+from fgmopt import neural
 from fgmopt.fem import MATERIALS, EdgeConstraint, MechBCSet, ProblemConfig, ThermoelasticSolver
 from fgmopt.profiles import Profile2D
 
@@ -42,6 +43,19 @@ def test_factor_is_traced(monkeypatch):
     counts = t.round_counts(t.round, bytes_written=0, redraws=0)
     assert counts["fem.factor.calls"] >= 1
     assert counts["fem.lu_nnz"] > 0
+
+
+def test_workload_setup_builds_loadable_models(monkeypatch, tmp_path):
+    # each workload's untimed set-up, and the models it loads, through the public API
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl = cls(work, 3, workloads.Sizes())
+        wl.prepare()
+        for path in wl.models():
+            neural.load_model(path)
 
 
 def test_reference_stress_gate_passes(monkeypatch):

@@ -59,6 +59,22 @@ class TestEvalProfile:
         assert result["sigma_e_max"] > 0
         assert 0 <= result["v_ca"] <= 1
 
+    def test_nan_gene_is_invalid_input(self, capsys, tmp_path):
+        genes = generate_genes(make_rng(3), *problems.generation_configs(problems.problem2()))
+        path = tmp_path / "genes.json"
+        path.write_text(json.dumps({**genes.to_dict(), "phi_x1": float("nan")}))
+        code, _, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
+                               "--genes", str(path))
+        assert code == 1
+        assert "outside declared bounds" in err
+
+    @pytest.mark.parametrize("problem", ["problem1", "problem2"])
+    def test_nan_power_law_is_invalid_input(self, capsys, problem):
+        code, _, err = run_cli(capsys, "eval-profile", "--problem", problem,
+                               "--power-law", "nan")
+        assert code == 1
+        assert "must lie in [0, 1]" in err
+
     def test_problem1_reference_power_law(self, capsys):
         code, out, _ = run_cli(capsys, "eval-profile", "--problem", "problem1",
                                "--power-law", "1", "--axis", "y")

@@ -65,9 +65,6 @@ class TestEtaSchedule:
     def test_floor(self):
         assert eta_schedule(2.0, 1000) == 0.01
 
-    def test_sign_switch_increases(self):
-        assert eta_schedule(2.0, 100, sign=-1.0) > 2.0
-
 
 class TestTournament:
     def test_global_best_always_wins_when_included(self):

@@ -173,6 +173,14 @@ class TestExperiments:
             pipeline.run_experiment(self.tiny_exp(problem="problem1", case="case2"),
                                     tmp_path / "x")
 
+    def test_unknown_ga_keys_rejected_by_name(self, tmp_path):
+        exp = self.tiny_exp()
+        # a schedule constant that is no longer a setting, and a misspelt field
+        exp["ga"] = {**exp["ga"], "eta_c_base": 3.0, "populaton_size": 9}
+        with pytest.raises(ValueError, match=r"unknown ga keys \['eta_c_base', 'populaton_size'\]"):
+            pipeline.run_experiment(exp, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_surrogate_run_with_saved_models(self, tmp_path):
         # quick-trained models only need to exist, not be accurate
         d, _ = gen(tmp_path, "models", count=10, seed=31)

@@ -7,6 +7,7 @@ import pytest
 from fgmopt import problems
 from fgmopt.errors import GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from fgmopt.profiles import (
+    ALPHA_UPPER_MAX,
     BucketSpec,
     GenerationConfig,
     GradationGenes,
@@ -46,9 +47,10 @@ class TestTypes:
     def test_generation_config_validation(self):
         with pytest.raises(ValueError):
             GenerationConfig(n_elems=0, first_node_buckets=TWO_BUCKETS)
-        with pytest.raises(ValueError):
+        # the ratio range [1, ALPHA_UPPER_MAX] is fixed, not a setting
+        with pytest.raises(TypeError):
             GenerationConfig(n_elems=5, first_node_buckets=TWO_BUCKETS, alpha_upper_max=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GenerationConfig(n_elems=5, first_node_buckets=TWO_BUCKETS, alpha_lower=0.0)
 
     def test_profile1d_invariants(self):
@@ -56,6 +58,8 @@ class TestTypes:
             Profile1D(np.array([0.1, 0.5, 1.0]))
         with pytest.raises(PhiOutOfRange):
             Profile1D(np.array([0.0, 1.5]))
+        with pytest.raises(PhiOutOfRange):
+            Profile1D(np.array([0.0, np.nan, 1.0]))
         p = Profile1D(np.array([0.0, 0.5, 1.0]))
         assert p.n_elems == 2
         assert not p.values.flags.writeable
@@ -63,6 +67,8 @@ class TestTypes:
     def test_profile2d_invariants(self):
         with pytest.raises(PhiOutOfRange):
             Profile2D(np.array([[0.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(PhiOutOfRange):
+            Profile2D(np.array([[0.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             Profile2D(np.ones((1, 3)))
 
@@ -181,27 +187,30 @@ class TestReplayMatchesRecursion:
         except PhiOutOfRange:
             return "raises"
 
-    @pytest.mark.parametrize("ratio_low", [1.0, 0.8, 0.3, 0.0])
-    def test_bit_identical_random_cases(self, ratio_low):
-        # ratios below 1 make the product fall back under the cap; phi1 above 1 raises
+    def test_bit_identical_random_cases(self):
+        # ratios span the gene bounds [1, 3], hitting the cap or ending below it;
+        # phi1 above 1 raises
         rng = make_rng(31)
         outcomes = set()
-        for _ in range(3000):
-            alphas = rng.uniform(ratio_low, 3.0, int(rng.integers(0, 12)))
+        for _ in range(12_000):
+            alphas = rng.uniform(1.0, 3.0, int(rng.integers(0, 12)))
             args = (rng.uniform(0.0, 1.2), alphas)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero ratio ends at 0
-                got = self.outcome(_replay, *args)
-                assert got == self.outcome(replay_loop, *args)
+            got = self.outcome(_replay, *args)
+            assert got == self.outcome(replay_loop, *args)
             outcomes.add(got == "raises")
         assert outcomes == {True, False}
 
-    def test_non_finite_ratios_cap_like_min(self):
-        for bad in (np.nan, np.inf, 0.0, 1.0):
-            alphas = np.array([2.0, bad, 0.5, 3.0, 0.9])
-            for phi1 in (0.1, 0.6):
-                with np.errstate(all="ignore"):
-                    want = self.outcome(replay_loop, phi1, alphas)
-                    assert self.outcome(_replay, phi1, alphas) == want
+    def test_non_finite_and_low_genes_rejected(self):
+        # decoding never sees a NaN, an infinite or a sub-1 ratio, nor a NaN phi1
+        lower, upper = gene_bounds(default_config(6), default_config(6))
+        alphas = np.full(5, 2.0)
+        for bad in (np.nan, np.inf, 0.5):
+            bad_alphas = alphas.copy()
+            bad_alphas[1] = bad
+            with pytest.raises(GeneOutOfBounds):
+                genes_to_profiles(GradationGenes(0.05, 0.05, bad_alphas, alphas, lower, upper))
+        with pytest.raises(GeneOutOfBounds):
+            genes_to_profiles(GradationGenes(np.nan, 0.05, alphas, alphas, lower, upper))
 
 
 class TestTensorProductAndInterpolation:
@@ -285,9 +294,9 @@ class TestPowerLaw:
                 px, py = genes_to_profiles(power_law_genes(gx, gy, m))
                 assert np.max(np.abs(px.values - power_law_profile(gx.n_elems, m).values)) <= 1e-12
                 assert np.max(np.abs(py.values - power_law_profile(gy.n_elems, m).values)) <= 1e-12
-            # the first exact ratio 2**m exceeds alpha_upper_max = 3 beyond m = log2(3)
+            # the first exact ratio 2**m exceeds ALPHA_UPPER_MAX = 3 beyond m = log2(3)
             genes = power_law_genes(gx, gy, 2.0)
-            assert genes.alphas_x[0] == 4.0 > gx.alpha_upper_max == 3.0
+            assert genes.alphas_x[0] == 4.0 > ALPHA_UPPER_MAX == 3.0
             with pytest.raises(GeneOutOfBounds):
                 genes_to_profiles(genes)
 
