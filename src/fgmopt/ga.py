@@ -9,19 +9,21 @@ printed generation schedule base * [1 + (1 - exp(g/100))/2], which
 decreases with the generation g and is floored at 0.01; the bases are
 ETA_C_BASE = 2 and ETA_M_BASE = 10.
 
-Both operators work on a gene vector or on a (rows, genes) array, so
-``evolve`` varies a whole generation in one call each.  Each call draws all
-its uniforms at once, and that draw order is part of the contract (a seed's
-trajectory depends on it): SBX takes ``rng.random((3, *shape))`` as cross
-decision, spread and swap; mutation takes ``rng.random((2, *shape))`` as
-mutation decision and perturbation.
+Selection and both operators work on a whole generation, so ``evolve``
+selects and varies it in one call each.  Each call draws all its uniforms at
+once, and that draw order is part of the contract (a seed's trajectory
+depends on it): tournament selection takes ``rng.random((n, pop))``, one row
+of keys per tournament whose k smallest pick the entrants; SBX takes
+``rng.random((3, *shape))`` as cross decision, spread and swap; mutation
+takes ``rng.random((2, *shape))`` as mutation decision and perturbation.
 
 Fitness dispatch is hybrid: a stress surrogate predicts the peak effective
 stress; above the trust threshold sigma_star the surrogate path supplies the
 objective (temperature field from the operator net where a thermal
-constraint needs it, average ceramic fraction always by exact quadrature),
-otherwise the full FEM evaluation runs.  sigma_star = None forces FEM
-everywhere, sigma_star = 0 forces the surrogate everywhere.
+constraint needs it, average ceramic fraction always by exact quadrature of
+the axis profiles, with no 2D field formed), otherwise the full FEM
+evaluation runs.  sigma_star = None forces FEM everywhere, sigma_star = 0
+forces the surrogate everywhere.
 """
 
 from __future__ import annotations
@@ -105,12 +107,18 @@ def eta_schedule(base: float, g: int) -> float:
     return max(base * (1.0 + 0.5 * (1.0 - math.exp(g / 100.0))), 0.01)
 
 
-def tournament_select(population, k: int, rng) -> Individual:
-    """Best (minimum fitness) of k distinct individuals; ties by lowest index."""
+def tournament_select(rank, k: int, n: int, rng) -> np.ndarray:
+    """Indices of the winners of ``n`` tournaments of ``k`` distinct individuals.
+
+    ``rank[i]`` is individual i's place in the population's (fitness, index)
+    order, so the lowest rank is the best and equal fitness goes to the lowest
+    index.  One draw, ``rng.random((n, pop))``: the k smallest keys of each
+    row are that tournament's entrants, and the entrant of lowest rank wins.
+    """
     rng = make_rng(rng)
-    idx = rng.choice(len(population), size=k, replace=False)
-    best = min(idx, key=lambda i: (population[i].fitness, i))
-    return population[best]
+    rank = np.asarray(rank)
+    entrants = np.argpartition(rng.random((n, rank.size)), k - 1, axis=1)[:, :k]
+    return entrants[np.arange(n), rank[entrants].argmin(axis=1)]
 
 
 def _per_row(eta, ndim: int) -> np.ndarray:
@@ -205,7 +213,6 @@ class FitnessEvaluator:
     def evaluate(self, genes: GradationGenes) -> Individual:
         px, py = genes_to_profiles(genes)
         cfg = self.solver.config
-        profile = tensor_product(px, py, L=cfg.L, H=cfg.H)
         dnn_sigma = None
         if self.sigma_star is not None:
             dnn_sigma = float(self.stress_model.predict(px.values, py.values)[0])
@@ -213,17 +220,17 @@ class FitnessEvaluator:
             self.sigma_star == 0.0 or dnn_sigma >= self.sigma_star
         )
         if use_surrogate:
-            summaries = {"sigma_e_max": dnn_sigma, "v_ca": average_ceramic_fraction(profile),
+            summaries = {"sigma_e_max": dnn_sigma, "v_ca": average_ceramic_fraction(px, py),
                          "max_metal_temperature": None}
             if cfg.uniform_delta_theta is not None:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
                 temps = self.temp_model.predict(px.values, py.values, self._grid_pts)
-                metal = profile.grid.ravel() < 1.0
+                metal = np.outer(px.values, py.values).ravel() < 1.0  # grid of tensor_product
                 summaries["max_metal_temperature"] = float(temps[metal].max()) if metal.any() else None
             source = "surrogate"
         else:
-            summaries = self.solver.run(profile).summary()
+            summaries = self.solver.run(tensor_product(px, py, L=cfg.L, H=cfg.H)).summary()
             source = "fem"
         objective = summaries[self.objective]
         penalty = static_penalty(summaries, self.constraints)
@@ -241,6 +248,19 @@ class GenerationStats:
     feasible_fraction: float
     eval_sources: dict
     surrogate_rel_error: float | None  # max over FEM-routed individuals with a prediction
+    nan_predictions: int  # NaN predictions made for this generation's evaluations
+    negative_predictions: int  # negative predictions made for this generation's evaluations
+
+
+def bad_predictions(evaluated) -> tuple[int, int]:
+    """(NaN, negative) surrogate predictions among the individuals evaluated.
+
+    A NaN prediction routes to FEM when sigma_star > 0; with sigma_star = 0
+    it, or a negative one, becomes the objective.  Routing is unchanged,
+    these are only counted.
+    """
+    preds = [ind.dnn_sigma for ind in evaluated if ind.dnn_sigma is not None]
+    return sum(math.isnan(p) for p in preds), sum(p < 0.0 for p in preds)
 
 
 def surrogate_rel_error(population) -> float | None:
@@ -261,6 +281,12 @@ class RunRecord:
     def eval_source_totals(self) -> dict:
         return {k: sum(g.eval_sources[k] for g in self.generations) for k in ("surrogate", "fem")}
 
+    @property
+    def bad_prediction_totals(self) -> dict:
+        """NaN and negative surrogate predictions over the whole run."""
+        return {k: sum(getattr(g, k) for g in self.generations)
+                for k in ("nan_predictions", "negative_predictions")}
+
 
 def evolve(config: GAConfig, evaluator: FitnessEvaluator,
            gen_config_x: GenerationConfig, gen_config_y: GenerationConfig) -> RunRecord:
@@ -271,12 +297,16 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     mutation); termination needs min_generations completed and the best
     fitness improving by at most stall_tolerance over stall_generations.
 
-    Each generation is drawn as arrays before any child is evaluated:
-    ceil(n_children / 2) tournament pairs, one SBX call on the stacked
-    parents, children interleaved c1, c2 per pair (the surplus child of an
-    odd count dropped), one mutation call, then one ``evaluate`` per child in
+    Each generation is drawn as arrays before any child is evaluated: one
+    ``tournament_select`` call for the 2 * ceil(n_children / 2) parents
+    (tournament 2i and 2i + 1 give pair i), one SBX call on the stacked
+    pairs, children interleaved c1, c2 per pair (the surplus child of an odd
+    count dropped), one mutation call, then one ``evaluate`` per child in
     order.  One JSON progress line per generation goes to the ``fgmopt.ga``
-    logger at INFO; its ``wall_s`` is seconds since the run started.
+    logger at INFO; its ``wall_s`` is seconds since the run started.  The NaN
+    and negative prediction counts cover the individuals evaluated in that
+    generation (the initial population, then the children), so elites are
+    not counted twice.
     """
     t0 = time.perf_counter()
     rng = derived_rng(config.seed, 0x6A)
@@ -284,6 +314,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
         evaluator.evaluate(generate_genes(rng, gen_config_x, gen_config_y))
         for _ in range(config.population_size)
     ]
+    evaluated = population
     template = population[0].genes
     lower, upper = template.lower, template.upper
     n_children = config.population_size - config.elite_count
@@ -293,6 +324,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     while True:
         order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
         best = population[order[0]]
+        n_nan, n_negative = bad_predictions(evaluated)
         latest = GenerationStats(
             generation=g,
             best_fitness=best.fitness,
@@ -302,12 +334,16 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
             eval_sources={k: sum(ind.eval_source == k for ind in population)
                           for k in ("surrogate", "fem")},
             surrogate_rel_error=surrogate_rel_error(population),
+            nan_predictions=n_nan,
+            negative_predictions=n_negative,
         )
         stats.append(latest)
         log.info("%s", json.dumps({
             "generation": g, "best_fitness": latest.best_fitness,
             "feasible_fraction": latest.feasible_fraction, **latest.eval_sources,
             "surrogate_rel_error": latest.surrogate_rel_error,
+            "nan_predictions": latest.nan_predictions,
+            "negative_predictions": latest.negative_predictions,
             "wall_s": round(time.perf_counter() - t0, 3)}))
         best_trace.append(best.fitness)
 
@@ -321,12 +357,15 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
             return RunRecord(generations=stats, best=best, population=population)
 
         eta_c, eta_m = eta_schedule(ETA_C_BASE, g), eta_schedule(ETA_M_BASE, g)
-        parents = [tournament_select(population, config.tournament_size, rng).genes.flatten()
-                   for _ in range(2 * math.ceil(n_children / 2))]
+        rank = np.empty(len(population), dtype=int)
+        rank[order] = np.arange(len(population))
+        winners = tournament_select(rank, config.tournament_size,
+                                    2 * math.ceil(n_children / 2), rng)
+        parents = np.array([population[i].genes.flatten() for i in winners])
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)
         children = np.stack([c1, c2], axis=1).reshape(-1, lower.size)[:n_children]
         children = polynomial_mutation(children, eta_m, lower, upper,
                                        config.mutation_probability, rng)
-        population = [population[i] for i in order[: config.elite_count]]
-        population += [evaluator.evaluate(template.replace_vector(c)) for c in children]
+        evaluated = [evaluator.evaluate(template.replace_vector(c)) for c in children]
+        population = [population[i] for i in order[: config.elite_count]] + evaluated
         g += 1

@@ -348,7 +348,9 @@ class OperatorNet:
     """Temperature-field operator: dot(branch(profiles), trunk(x/L, y/H)).
 
     Branch and trunk share the latent output dimension; there is no output
-    bias, matching the plain dot-product head.
+    bias, matching the plain dot-product head.  The trunk depends only on the
+    points, so its output for the last point set is kept (keyed on the
+    points' shape and bytes) until the next ``fit``.
     """
 
     def __init__(self, branch: DenseNet, trunk: DenseNet, temperature_scale: float,
@@ -360,6 +362,7 @@ class OperatorNet:
         self.temperature_scale = float(temperature_scale)
         self.L, self.H = float(L), float(H)
         self.fingerprint = fingerprint or version_fingerprint()
+        self._trunk_cache = None  # (points key, trunk output) of the last point set
 
     @classmethod
     def build(cls, rng, nx_nodes: int, ny_nodes: int, L: float, H: float,
@@ -374,17 +377,23 @@ class OperatorNet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.column_stack([pts[:, 0] / self.L, pts[:, 1] / self.H])
 
+    def _trunk_at(self, points) -> np.ndarray:
+        """Trunk output (p, c) at ``points``, from the cache when they repeat."""
+        pts = np.asarray(points, dtype=float)
+        key = (pts.shape, pts.tobytes())
+        if self._trunk_cache is None or self._trunk_cache[0] != key:
+            self._trunk_cache = (key, self.trunk.forward(self._norm_points(pts)))
+        return self._trunk_cache[1]
+
     def predict(self, profile_x, profile_y, points) -> np.ndarray:
         """Temperatures of ONE profile at many points (branch reused)."""
         f = self.branch.forward(StressSurrogate.features(profile_x, profile_y))  # (1, c)
-        g = self.trunk.forward(self._norm_points(points))  # (p, c)
-        return (g @ f[0]) * self.temperature_scale
+        return (self._trunk_at(points) @ f[0]) * self.temperature_scale
 
     def predict_batch(self, profiles_x, profiles_y, points) -> np.ndarray:
         """(n_profiles, n_points) temperature table via one matmul."""
         f = self.branch.forward(StressSurrogate.features(profiles_x, profiles_y))
-        g = self.trunk.forward(self._norm_points(points))
-        return (f @ g.T) * self.temperature_scale
+        return (f @ self._trunk_at(points).T) * self.temperature_scale
 
     def fit(self, profiles_x, profiles_y, temp_grids, points, split, stages, rng):
         """Train on all (sample, point) pairs; batches are pair batches.
@@ -392,6 +401,7 @@ class OperatorNet:
         ``temp_grids`` is (n_samples, n_points) aligned with ``points``;
         ``split`` is (train sample indices, test sample indices).
         """
+        self._trunk_cache = None
         feats = StressSurrogate.features(profiles_x, profiles_y)
         targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
         pts = self._norm_points(points)

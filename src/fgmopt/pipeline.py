@@ -273,6 +273,7 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         "seed": run_seed,
         "generations": [asdict(g) for g in record.generations],
         "eval_source_totals": record.eval_source_totals,
+        **record.bad_prediction_totals,
         "best": {"genes": best.genes.to_dict(), **best.summary()},
         "fem_verified": verified.summary(),
         "surrogate_sigma_rel_error": rel_err,

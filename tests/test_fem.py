@@ -26,7 +26,7 @@ from fgmopt.fem import (
     shape9,
     write_result_files,
 )
-from fgmopt.profiles import Profile2D, average_ceramic_fraction, grid_points
+from fgmopt.profiles import Profile2D, grid_points
 from fgmopt.rng import make_rng
 from fgmopt.verification import check_energy_balance
 from fgmopt import problems
@@ -496,7 +496,9 @@ class TestPostprocessing:
         rng = make_rng(8)
         grid = rng.uniform(0, 1, (cfg.nx + 1, cfg.ny + 1))
         prof = Profile2D(grid, L=cfg.L, H=cfg.H)
-        assert s.v_ca(prof) == pytest.approx(average_ceramic_fraction(prof), abs=1e-12)
+        wx, wy = np.ones(cfg.nx + 1), np.ones(cfg.ny + 1)  # trapezoid weights
+        wx[[0, -1]] = wy[[0, -1]] = 0.5
+        assert s.v_ca(prof) == pytest.approx(wx @ grid @ wy / (cfg.nx * cfg.ny), abs=1e-12)
 
     def test_max_metal_temperature_masks_pure_ceramic(self):
         cfg = problems.problem2()

@@ -20,7 +20,14 @@ from fgmopt.ga import (
     tournament_select,
 )
 from fgmopt.fem import ThermoelasticSolver
-from fgmopt.profiles import BucketSpec, GenerationConfig, gene_bounds, generate_genes
+from fgmopt.profiles import (
+    BucketSpec,
+    GenerationConfig,
+    gene_bounds,
+    generate_genes,
+    genes_to_profiles,
+    tensor_product,
+)
 from fgmopt.rng import derived_rng, make_rng
 from fgmopt import problems
 
@@ -66,31 +73,34 @@ class TestEtaSchedule:
         assert eta_schedule(2.0, 1000) == 0.01
 
 
+def ranks(fitness):
+    """Each individual's place in the (fitness, index) order that ``evolve`` sorts."""
+    order = sorted(range(len(fitness)), key=lambda i: (fitness[i], i))
+    rank = np.empty(len(fitness), dtype=int)
+    rank[order] = np.arange(len(fitness))
+    return rank
+
+
 class TestTournament:
     def test_global_best_always_wins_when_included(self):
-        pop = [fake_individual(f, i) for i, f in enumerate([5.0, 1.0, 3.0, 4.0])]
-        got = tournament_select(pop, k=len(pop), rng=make_rng(0))
-        assert got.fitness == 1.0
+        got = tournament_select(ranks([5.0, 1.0, 3.0, 4.0]), k=4, n=50, rng=make_rng(0))
+        np.testing.assert_array_equal(got, np.full(50, 1))
 
     def test_selection_pressure(self):
         # worst of n=20 must win a k=4 tournament only if all 4 draws hit it,
         # which is impossible without replacement -> probability 0; check the
-        # analytic win probability of the 2nd-worst instead via frequencies
-        pop = [fake_individual(float(f), f) for f in range(20)]
-        rng = make_rng(3)
-        wins = np.zeros(20)
+        # analytic win probability of the best via frequencies
         n_draw = 10_000
-        for _ in range(n_draw):
-            wins[int(tournament_select(pop, 4, rng).fitness)] += 1
+        got = tournament_select(ranks([float(f) for f in range(20)]), 4, n_draw, make_rng(3))
+        wins = np.bincount(got, minlength=20)
         assert wins[19] == 0  # the worst can never win a without-replacement tournament
-        # P(win of rank r) = C(19-r, 3)/C(20, 4); spot-check the best and median
+        # P(win of rank r) = C(19-r, 3)/C(20, 4); spot-check the best
         p_best = math.comb(19, 3) / math.comb(20, 4)
         assert wins[0] / n_draw == pytest.approx(p_best, rel=0.05)
 
     def test_tie_broken_by_index(self):
-        pop = [fake_individual(2.0, 0), fake_individual(2.0, 1)]
-        got = tournament_select(pop, 2, make_rng(1))
-        assert got is pop[0]
+        got = tournament_select(ranks([2.0, 2.0]), 2, 20, make_rng(1))
+        np.testing.assert_array_equal(got, np.zeros(20, dtype=int))
 
 
 class TestSBX:
@@ -317,6 +327,24 @@ class TestHybridDispatch:
         assert ind.max_metal_temperature == pytest.approx(300.0)
         assert ind.penalty > 0  # 300 C exceeds the 275 C limit
 
+    def test_surrogate_metal_temperature_skips_ceramic_nodes(self):
+        # the stub's temperature rises with the node index, so the maximum
+        # lands on the last node of the profile grid that is below phi = 1
+        class IndexTemp:
+            def predict(self, px, py, pts):
+                return np.arange(len(pts), dtype=float)
+
+        solver = ThermoelasticSolver(tiny_problem())
+        ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(theta_max=275.0),
+                              sigma_star=0.0, stress_model=self.StubStress(60e6),
+                              temp_model=IndexTemp())
+        rng = make_rng(6)
+        for _ in range(20):
+            genes = generate_genes(rng, *tiny_gen_configs())
+            px, py = genes_to_profiles(genes)
+            metal = np.flatnonzero(tensor_product(px, py).grid.ravel() < 1.0)
+            assert ev.evaluate(genes).max_metal_temperature == float(metal[-1])
+
     def test_fem_only_mode_records_no_prediction(self):
         ev = fem_evaluator()
         ind = ev.evaluate(generate_genes(make_rng(3), *tiny_gen_configs()))
@@ -394,8 +422,12 @@ class TestEvolve:
         population = [evaluator.score(generate_genes(rng, *tiny_gen_configs()))
                       for _ in range(11)]
         lower, upper = gene_bounds(*tiny_gen_configs())
-        parents = [tournament_select(population, config.tournament_size, rng).genes.flatten()
-                   for _ in range(10)]
+        # one row of keys per tournament; its k smallest are the entrants
+        parents = []
+        for keys in rng.random((10, 11)):
+            entrants = np.argsort(keys)[: config.tournament_size]
+            winner = min(entrants, key=lambda i: (population[i].fitness, i))
+            parents.append(population[winner].genes.flatten())
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_schedule(2.0, 0),
                                lower, upper, rng)
         children = [c for pair in zip(c1, c2) for c in pair][:9]
@@ -418,6 +450,7 @@ class TestEvolve:
             assert line["feasible_fraction"] == stats.feasible_fraction
             assert (line["surrogate"], line["fem"]) == (10, 0)
             assert line["surrogate_rel_error"] is None
+            assert (line["nan_predictions"], line["negative_predictions"]) == (0, 0)
             assert line["wall_s"] >= 0.0
         assert all(a["wall_s"] <= b["wall_s"] for a, b in zip(lines, lines[1:]))
         assert "wall_s" not in vars(rec.generations[0])
@@ -445,18 +478,20 @@ class RecordingEvaluator:
         return [first] + [rest[i:i + n_children] for i in range(0, len(rest), n_children)]
 
 
-class TestSurrogateRelError:
-    def run(self, sigma_star, value):
-        solver = ThermoelasticSolver(tiny_problem())
-        ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(), sigma_star=sigma_star,
-                              stress_model=TestHybridDispatch.StubStress(value))
-        config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
-                          min_generations=2, max_generations=2, seed=5, sigma_star=sigma_star)
-        return evolve(config, ev, *tiny_gen_configs())
+def stub_run(sigma_star, value):
+    """Two generations of 6 with a stress surrogate that always predicts ``value``."""
+    solver = ThermoelasticSolver(tiny_problem())
+    ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(), sigma_star=sigma_star,
+                          stress_model=TestHybridDispatch.StubStress(value))
+    config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
+                      min_generations=2, max_generations=2, seed=5, sigma_star=sigma_star)
+    return evolve(config, ev, *tiny_gen_configs())
 
+
+class TestSurrogateRelError:
     def test_fem_routed_predictions_give_the_max_error(self):
         # a stub below the threshold sends every individual to FEM with its prediction
-        rec = self.run(sigma_star=1e12, value=40e6)
+        rec = stub_run(sigma_star=1e12, value=40e6)
         for stats in rec.generations:
             assert stats.eval_sources == {"surrogate": 0, "fem": 6}
         errors = [abs(40e6 - ind.sigma_e_max) / ind.sigma_e_max for ind in rec.population]
@@ -464,6 +499,62 @@ class TestSurrogateRelError:
         assert surrogate_rel_error(rec.population) == max(errors)
 
     def test_none_without_fem_routed_predictions(self):
-        assert all(s.surrogate_rel_error is None for s in self.run(0.0, 40e6).generations)
+        assert all(s.surrogate_rel_error is None for s in stub_run(0.0, 40e6).generations)
         fem_only = [fake_individual(1.0, i) for i in range(3)]
         assert surrogate_rel_error(fem_only) is None
+
+
+class TestBadPredictions:
+    def test_nan_prediction_routes_to_fem_and_is_counted(self):
+        rec = stub_run(sigma_star=50e6, value=np.nan)
+        # 6 initial individuals, then 5 children (one elite is not re-predicted)
+        assert [s.nan_predictions for s in rec.generations] == [6, 5]
+        assert [s.negative_predictions for s in rec.generations] == [0, 0]
+        assert all(s.eval_sources == {"surrogate": 0, "fem": 6} for s in rec.generations)
+        assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
+
+    def test_negative_prediction_is_the_objective_and_is_counted(self):
+        rec = stub_run(sigma_star=0.0, value=-5e6)
+        assert [s.negative_predictions for s in rec.generations] == [6, 5]
+        assert [s.nan_predictions for s in rec.generations] == [0, 0]
+        assert rec.best.objective == -5e6 and rec.best.eval_source == "surrogate"
+        assert rec.bad_prediction_totals == {"nan_predictions": 0, "negative_predictions": 11}
+
+    def test_nan_prediction_is_the_objective_with_sigma_star_zero(self):
+        rec = stub_run(sigma_star=0.0, value=np.nan)
+        assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
+        assert all(s.eval_sources == {"surrogate": 6, "fem": 0} for s in rec.generations)
+        assert math.isnan(rec.best.objective)
+
+    def test_fem_only_counts_nothing(self):
+        rec = evolve(TestEvolve().make_config(max_generations=2), fem_evaluator(),
+                     *tiny_gen_configs())
+        assert rec.bad_prediction_totals == {"nan_predictions": 0, "negative_predictions": 0}
+
+
+def test_surrogate_only_evolve_makes_one_single_row_predict_per_child(monkeypatch):
+    # the per-child call pattern: one single-row stress prediction for each
+    # evaluated individual, and no 2D profile on the surrogate route
+    from fgmopt import ga
+    from fgmopt.neural import StressSurrogate
+
+    rows = []
+    real_predict = StressSurrogate.predict
+
+    def predict(model, profiles_x, profiles_y):
+        rows.append(np.atleast_2d(profiles_x).shape[0])
+        return real_predict(model, profiles_x, profiles_y)
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("tensor_product on the surrogate route")
+
+    monkeypatch.setattr(StressSurrogate, "predict", predict)
+    monkeypatch.setattr(ga, "tensor_product", no_profile)
+    model = StressSurrogate.build(make_rng(0), 7, 7, output_scale=1e8)
+    ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max", ConstraintSpec(),
+                          sigma_star=0.0, stress_model=model)
+    config = GAConfig(population_size=8, tournament_size=3, elite_count=2, min_generations=3,
+                      max_generations=3, seed=4, sigma_star=0.0)
+    rec = evolve(config, ev, *tiny_gen_configs())
+    assert rows == [1] * (8 + 2 * 6)
+    assert rec.eval_source_totals == {"surrogate": 24, "fem": 0}

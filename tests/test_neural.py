@@ -273,6 +273,35 @@ class TestOperatorNet:
             row = model.predict(px[i], py[i], pts)
             np.testing.assert_allclose(table[i], row, rtol=1e-13)
 
+    def test_cached_trunk_equals_uncached(self):
+        model = OperatorNet.build(11, 4, 4, L=2.0, H=1.0, latent=8,
+                                  branch_hidden=(8,), trunk_hidden=(8, 8))
+        rng = make_rng(12)
+        pts = np.column_stack([rng.uniform(0, 2.0, 21), rng.uniform(0, 1.0, 21)])
+        uncached = model.trunk.forward(np.column_stack([pts[:, 0] / 2.0, pts[:, 1]]))
+        for _ in range(3):  # the first call fills the cache, the others read it
+            px, py = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
+            f = model.branch.forward(np.concatenate([px, py]))
+            np.testing.assert_array_equal(model.predict(px, py, pts),
+                                          (uncached @ f) * model.temperature_scale)
+        other = pts * 0.5  # a new point set of the same shape replaces the entry
+        np.testing.assert_array_equal(model.predict(px, py, other),
+                                      OperatorNet.from_dict(model.to_dict()).predict(px, py, other))
+
+    def test_fit_between_calls_changes_the_result(self):
+        rng = make_rng(13)
+        px, py = rng.uniform(0, 1, (8, 3)), rng.uniform(0, 1, (8, 3))
+        pts = np.array([(0.2, 0.3), (0.7, 0.9), (0.5, 0.1)])
+        model = OperatorNet.build(14, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
+                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
+        before = model.predict(px[0], py[0], pts)
+        model.fit(px, py, rng.uniform(0, 10, (8, 3)), pts, (np.arange(6), np.arange(6, 8)),
+                  [TrainStage(1e-2, 2, 4)], rng)
+        after = model.predict(px[0], py[0], pts)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(
+            after, OperatorNet.from_dict(model.to_dict()).predict(px[0], py[0], pts))
+
     def test_linear_in_branch_output(self):
         model = OperatorNet.build(5, 3, 3, L=1.0, H=1.0, latent=4,
                                   branch_hidden=(4,), trunk_hidden=(4,))

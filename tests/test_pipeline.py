@@ -197,3 +197,5 @@ class TestExperiments:
         assert bundle["eval_source_totals"]["fem"] == 0
         assert bundle["fem_verified"]["sigma_e_max"] > 0
         assert np.isfinite(bundle["surrogate_sigma_rel_error"])
+        for key in ("nan_predictions", "negative_predictions"):
+            assert bundle[key] == sum(g[key] for g in bundle["generations"])

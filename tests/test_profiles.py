@@ -72,6 +72,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             Profile2D(np.ones((1, 3)))
 
+    def test_values_within_tolerance_are_clipped_into_a_copy(self):
+        tol = 0.5e-9  # inside _BOUND_TOL
+        values = np.array([0.0, 0.5, 1.0 + tol])
+        p = Profile1D(values)
+        np.testing.assert_array_equal(p.values, [0.0, 0.5, 1.0])
+        grid = np.array([[-tol, 0.5], [0.25, 1.0]])
+        np.testing.assert_array_equal(Profile2D(grid).grid, [[0.0, 0.5], [0.25, 1.0]])
+        # in-range input is copied too: the caller's array stays writable and apart
+        inside = np.array([0.0, 0.5, 1.0])
+        q = Profile1D(inside)
+        inside[1] = 0.25
+        assert q.values[1] == 0.5 and values[2] == 1.0 + tol
+
 
 class TestGeneration:
     def test_constant_ratio_then_normalization(self):
@@ -301,24 +314,44 @@ class TestPowerLaw:
                 genes_to_profiles(genes)
 
 
+def tensor_trapezoid_mean(grid):
+    """Tensor trapezoid rule on the node grid divided by the cell count."""
+    wx, wy = np.ones(grid.shape[0]), np.ones(grid.shape[1])
+    wx[[0, -1]] = wy[[0, -1]] = 0.5
+    return wx @ grid @ wy / ((grid.shape[0] - 1) * (grid.shape[1] - 1))
+
+
 class TestAverages:
     def test_uniform_grid(self):
-        p = Profile2D(np.full((7, 5), 0.5))
-        assert average_ceramic_fraction(p) == pytest.approx(0.5, abs=1e-14)
+        # ceramic everywhere but on the two metal edges x = 0 and y = 0
+        px, py = Profile1D(np.r_[0.0, np.ones(6)]), Profile1D(np.r_[0.0, np.ones(4)])
+        assert average_ceramic_fraction(px, py) == pytest.approx(
+            (1 - 0.5 / 6) * (1 - 0.5 / 4), abs=1e-14)
 
     def test_linear_by_linear_quarter(self):
         lin = Profile1D(np.linspace(0, 1, 11))
-        p2 = tensor_product(lin, lin)
-        assert average_ceramic_fraction(p2) == pytest.approx(0.25, abs=1e-14)
+        assert average_ceramic_fraction(lin, lin) == pytest.approx(0.25, abs=1e-14)
 
     def test_matches_fine_riemann_sum(self):
         rng = make_rng(21)
-        p = Profile2D(rng.uniform(0, 1, (4, 5)), L=0.3, H=0.2)
+        px = Profile1D(np.r_[0.0, rng.uniform(0, 1, 3)])
+        py = Profile1D(np.r_[0.0, rng.uniform(0, 1, 4)])
+        p = tensor_product(px, py, L=0.3, H=0.2)
         xs = np.linspace(0, 0.3, 901)
         ys = np.linspace(0, 0.2, 601)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         riemann = np.trapezoid(np.trapezoid(interpolate(p, X.ravel(), Y.ravel()).reshape(X.shape), ys, axis=1), xs) / (0.3 * 0.2)
-        assert average_ceramic_fraction(p) == pytest.approx(riemann, abs=1e-6)
+        assert average_ceramic_fraction(px, py) == pytest.approx(riemann, abs=1e-6)
+
+    def test_matches_tensor_trapezoid_rule_on_generated_designs(self):
+        # the product of 1D means sums in another order than the 2D rule
+        for pid in problems.PROBLEM_IDS:
+            gx, gy = problems.generation_configs(problems.get_problem(pid))
+            rng = make_rng(22)
+            for _ in range(1000):
+                px, py = genes_to_profiles(generate_genes(rng, gx, gy))
+                want = tensor_trapezoid_mean(tensor_product(px, py).grid)
+                assert average_ceramic_fraction(px, py) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestAxisProfiles:
