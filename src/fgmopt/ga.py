@@ -357,8 +357,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
             return RunRecord(generations=stats, best=best, population=population)
 
         eta_c, eta_m = eta_schedule(ETA_C_BASE, g), eta_schedule(ETA_M_BASE, g)
-        rank = np.empty(len(population), dtype=int)
-        rank[order] = np.arange(len(population))
+        rank = np.argsort(order)  # each individual's place in order
         winners = tournament_select(rank, config.tournament_size,
                                     2 * math.ceil(n_children / 2), rng)
         parents = np.array([population[i].genes.flatten() for i in winners])
