@@ -21,10 +21,6 @@ class SingularSystem(FgmoptError, RuntimeError):
     """The assembled linear system is singular (missing boundary conditions)."""
 
 
-class NonPositiveConductivity(FgmoptError, ValueError):
-    """Blended thermal conductivity is not strictly positive."""
-
-
 class DimensionMismatch(FgmoptError, ValueError):
     """Array shape does not match the expected network/layer dimension."""
 

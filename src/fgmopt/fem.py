@@ -1,7 +1,7 @@
 """2D thermoelastic finite elements on structured 9-node quadrilateral meshes.
 
 One-way coupled analysis of a rectangular two-phase graded plate: a linear
-steady heat-conduction solve (Dirichlet / flux / convection / adiabatic edge
+steady heat-conduction solve (Dirichlet / convection / adiabatic edge
 conditions) followed by a linear elastic solve with the temperature field
 entering as an initial-stress load.  Point properties come from the rule of
 mixtures evaluated at the 3x3 Gauss points of every element, sampling the
@@ -32,13 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    NonPositiveConductivity,
-    OutOfDomain,
-    PhiOutOfRange,
-    SingularSystem,
-)
-from .profiles import Profile2D, cell_coords, grid_points
+from .errors import OutOfDomain, PhiOutOfRange, SingularSystem
+from .profiles import Profile2D, cell_coords, grid_points, metal_maximum
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -103,15 +98,12 @@ def material_at(pair: MaterialPair, phi_metal):
         raise PhiOutOfRange("metal volume fraction must lie in [0, 1]")
     phi_metal = np.clip(phi_metal, 0.0, 1.0)
     m, c = pair.metal, pair.ceramic
-    out = {
+    return {
         "E": m.E * phi_metal + c.E * (1.0 - phi_metal),
         "nu": m.nu * phi_metal + c.nu * (1.0 - phi_metal),
         "alpha": m.alpha * phi_metal + c.alpha * (1.0 - phi_metal),
         "k": m.k * phi_metal + c.k * (1.0 - phi_metal),
     }
-    if np.any(out["k"] <= 0.0):
-        raise NonPositiveConductivity("blended conductivity must be positive")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +115,6 @@ class Dirichlet:
     """Prescribed temperature on an edge; value is a number or f(x, y)."""
 
     value: object = 0.0
-
-
-@dataclass(frozen=True)
-class Flux:
-    """Prescribed inward heat flux q [W/m^2] on an edge."""
-
-    q: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -482,10 +467,6 @@ class ThermoelasticSolver:
                 conv_idx.append(enodes)
                 conv_vals.append(np.tile((bc.h * half * self.edge_mass).ravel(), (len(enodes), 1)))
                 _scatter_add(f, enodes, bc.h * bc.t_inf * half * self.edge_load)
-        for edge, bc in bcs:  # after all convection edges, so the corner sums keep their order
-            if isinstance(bc, Flux):
-                enodes, half = mesh.edge_conn(edge)
-                _scatter_add(f, enodes, bc.q * half * self.edge_load)
         self._conv = (np.concatenate(conv_idx), np.concatenate(conv_vals))  # edge nodes, 3x3 matrices
         self._thermal_f = f
 
@@ -538,7 +519,7 @@ class ThermoelasticSolver:
         return kvals @ self.therm_M
 
     def thermal_system(self, profile: Profile2D):
-        """Full assembled (K, f) with convection/flux terms, before Dirichlet elimination."""
+        """Full assembled (K, f) with convection terms, before Dirichlet elimination."""
         ke = self._conductance(profile)
         everything = _ReducedPattern(self.mesh.conn, np.empty(0, dtype=np.int64),
                                      np.arange(self.mesh.n_nodes), const=self._conv)
@@ -628,8 +609,6 @@ class ThermoelasticSolver:
             theta_grid = self.temperature_on_profile_grid(theta, profile)
         u = self.solve_elastic(profile, theta)
         se = self.gauss_stress(profile, u, theta)["effective"]
-        metal = profile.grid < 1.0
-        max_metal_t = float(theta_grid[metal].max()) if metal.any() else float("-inf")
         return FemResult(
             mesh=self.mesh,
             profile=profile,
@@ -640,7 +619,7 @@ class ThermoelasticSolver:
             temperature_grid=theta_grid,
             sigma_e_max=float(se.max()),
             v_ca=self.v_ca(profile),
-            max_metal_temperature=max_metal_t,
+            max_metal_temperature=metal_maximum(theta_grid, profile.grid),
         )
 
 

@@ -24,6 +24,11 @@ constraint needs it, average ceramic fraction always by exact quadrature of
 the axis profiles, with no 2D field formed), otherwise the full FEM
 evaluation runs.  sigma_star = None forces FEM everywhere, sigma_star = 0
 forces the surrogate everywhere.
+
+A generation's counts (``evaluation_counts``) cover the individuals evaluated
+in it, so run totals are the exact number of evaluations; its best and
+feasible fraction describe the population.  ``prediction_error`` measures a
+prediction against FEM, per generation and at the verified optimum.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .profiles import (
     generate_genes,
     genes_to_profiles,
     grid_points,
+    metal_maximum,
     tensor_product,
 )
 from .rng import derived_rng, make_rng
@@ -226,8 +232,8 @@ class FitnessEvaluator:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
                 temps = self.temp_model.predict(px.values, py.values, self._grid_pts)
-                metal = np.outer(px.values, py.values).ravel() < 1.0  # grid of tensor_product
-                summaries["max_metal_temperature"] = float(temps[metal].max()) if metal.any() else None
+                summaries["max_metal_temperature"] = metal_maximum(  # grid of tensor_product
+                    temps, np.outer(px.values, py.values).ravel())
             source = "surrogate"
         else:
             summaries = self.solver.run(tensor_product(px, py, L=cfg.L, H=cfg.H)).summary()
@@ -241,34 +247,43 @@ class FitnessEvaluator:
 
 @dataclass
 class GenerationStats:
+    """One generation: the population's best and feasible fraction, then the
+    ``evaluation_counts`` of the individuals evaluated in that generation."""
+
     generation: int
     best_fitness: float
     best_objective: float
     best_penalty: float
     feasible_fraction: float
-    eval_sources: dict
-    surrogate_rel_error: float | None  # max over FEM-routed individuals with a prediction
-    nan_predictions: int  # NaN predictions made for this generation's evaluations
-    negative_predictions: int  # negative predictions made for this generation's evaluations
+    eval_sources: dict  # evaluations per route, "surrogate" and "fem"
+    surrogate_rel_error: float | None  # largest prediction_error of a FEM-routed evaluation
+    nan_predictions: int
+    negative_predictions: int
 
 
-def bad_predictions(evaluated) -> tuple[int, int]:
-    """(NaN, negative) surrogate predictions among the individuals evaluated.
+def prediction_error(predicted: float, fem: float) -> float:
+    """Relative error |predicted - fem| / fem of a stress prediction against FEM."""
+    return abs(predicted - fem) / max(fem, 1e-30)
+
+
+def evaluation_counts(evaluated) -> dict:
+    """Routes, NaN and negative predictions, and the largest ``prediction_error`` of a
+    FEM-routed individual with a non-NaN prediction (None without one), over ``evaluated``.
 
     A NaN prediction routes to FEM when sigma_star > 0; with sigma_star = 0
-    it, or a negative one, becomes the objective.  Routing is unchanged,
-    these are only counted.
+    it, or a negative one, becomes the objective.  These are only counted.
     """
     preds = [ind.dnn_sigma for ind in evaluated if ind.dnn_sigma is not None]
-    return sum(math.isnan(p) for p in preds), sum(p < 0.0 for p in preds)
-
-
-def surrogate_rel_error(population) -> float | None:
-    """Largest |dnn_sigma - sigma_e_max| / sigma_e_max over FEM-routed individuals
-    that carry a surrogate prediction; None when there are none."""
-    errors = [abs(ind.dnn_sigma - ind.sigma_e_max) / max(ind.sigma_e_max, 1e-30)
-              for ind in population if ind.eval_source == "fem" and ind.dnn_sigma is not None]
-    return max(errors) if errors else None
+    errors = [prediction_error(ind.dnn_sigma, ind.sigma_e_max) for ind in evaluated
+              if ind.eval_source == "fem" and ind.dnn_sigma is not None
+              and not math.isnan(ind.dnn_sigma)]
+    return {
+        "eval_sources": {k: sum(ind.eval_source == k for ind in evaluated)
+                         for k in ("surrogate", "fem")},
+        "surrogate_rel_error": max(errors) if errors else None,
+        "nan_predictions": sum(math.isnan(p) for p in preds),
+        "negative_predictions": sum(p < 0.0 for p in preds),
+    }
 
 
 @dataclass
@@ -302,19 +317,16 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     (tournament 2i and 2i + 1 give pair i), one SBX call on the stacked
     pairs, children interleaved c1, c2 per pair (the surplus child of an odd
     count dropped), one mutation call, then one ``evaluate`` per child in
-    order.  One JSON progress line per generation goes to the ``fgmopt.ga``
-    logger at INFO; its ``wall_s`` is seconds since the run started.  The NaN
-    and negative prediction counts cover the individuals evaluated in that
-    generation (the initial population, then the children), so elites are
-    not counted twice.
+    order.  Each generation's ``GenerationStats`` counts the individuals
+    evaluated in it (the initial population, then the children), so elites
+    are not counted twice.  One JSON progress line per generation goes to the
+    ``fgmopt.ga`` logger at INFO: the ``GenerationStats`` fields plus
+    ``wall_s``, seconds since the run started.
     """
     t0 = time.perf_counter()
     rng = derived_rng(config.seed, 0x6A)
-    population = [
-        evaluator.evaluate(generate_genes(rng, gen_config_x, gen_config_y))
-        for _ in range(config.population_size)
-    ]
-    evaluated = population
+    population = evaluated = [evaluator.evaluate(generate_genes(rng, gen_config_x, gen_config_y))
+                              for _ in range(config.population_size)]
     template = population[0].genes
     lower, upper = template.lower, template.upper
     n_children = config.population_size - config.elite_count
@@ -324,27 +336,16 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     while True:
         order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
         best = population[order[0]]
-        n_nan, n_negative = bad_predictions(evaluated)
         latest = GenerationStats(
             generation=g,
             best_fitness=best.fitness,
             best_objective=best.objective,
             best_penalty=best.penalty,
             feasible_fraction=sum(ind.penalty == 0.0 for ind in population) / len(population),
-            eval_sources={k: sum(ind.eval_source == k for ind in population)
-                          for k in ("surrogate", "fem")},
-            surrogate_rel_error=surrogate_rel_error(population),
-            nan_predictions=n_nan,
-            negative_predictions=n_negative,
+            **evaluation_counts(evaluated),
         )
         stats.append(latest)
-        log.info("%s", json.dumps({
-            "generation": g, "best_fitness": latest.best_fitness,
-            "feasible_fraction": latest.feasible_fraction, **latest.eval_sources,
-            "surrogate_rel_error": latest.surrogate_rel_error,
-            "nan_predictions": latest.nan_predictions,
-            "negative_predictions": latest.negative_predictions,
-            "wall_s": round(time.perf_counter() - t0, 3)}))
+        log.info("%s", json.dumps({**asdict(latest), "wall_s": round(time.perf_counter() - t0, 3)}))
         best_trace.append(best.fitness)
 
         done = False

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -23,7 +24,7 @@ import numpy as np
 from . import neural, problems, version_fingerprint
 from .errors import MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
-from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve
+from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
 from .profiles import generate_genes, genes_to_profiles, grid_points, tensor_product
 from .rng import derived_rng
 
@@ -33,13 +34,10 @@ SPLIT_STREAM = 0x5B17
 REPLACEMENT_STREAM = 0x9E9
 TRAIN_FRACTION = 0.8
 
-_solver_cache: dict[str, ThermoelasticSolver] = {}
 
-
+@functools.cache
 def _solver_for(problem_id: str) -> ThermoelasticSolver:
-    if problem_id not in _solver_cache:
-        _solver_cache[problem_id] = ThermoelasticSolver(problems.get_problem(problem_id))
-    return _solver_cache[problem_id]
+    return ThermoelasticSolver(problems.get_problem(problem_id))
 
 
 def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> dict:
@@ -70,7 +68,7 @@ def _sample_with_replacement(problem_id: str, seed: int, index: int) -> dict:
     for attempt in range(100):
         try:
             return _sample_record(problem_id, seed, index, attempt)
-        except (SingularSystem, SolveFailure) as exc:
+        except SingularSystem as exc:
             log.warning("sample %d attempt %d failed (%s); redrawing", index, attempt, exc)
     raise SolveFailure(f"sample {index}: 100 consecutive solve failures")
 
@@ -263,7 +261,6 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     px, py = genes_to_profiles(best.genes)
     profile = tensor_product(px, py, L=config.L, H=config.H)
     verified = solver.run(profile)
-    rel_err = abs(best.sigma_e_max - verified.sigma_e_max) / max(verified.sigma_e_max, 1e-30)
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,7 +273,9 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         **record.bad_prediction_totals,
         "best": {"genes": best.genes.to_dict(), **best.summary()},
         "fem_verified": verified.summary(),
-        "surrogate_sigma_rel_error": rel_err,
+        # the optimum's prediction against its FEM verification; None without a prediction
+        "surrogate_sigma_rel_error": (None if best.dnn_sigma is None
+                                      else prediction_error(best.dnn_sigma, verified.sigma_e_max)),
         "profile_x": px.values.tolist(),
         "profile_y": py.values.tolist(),
     }

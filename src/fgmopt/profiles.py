@@ -358,3 +358,12 @@ def average_ceramic_fraction(px: Profile1D, py: Profile1D) -> float:
     to summation order, a relative difference of a few ulps.
     """
     return float(_trapezoid_mean(px.values) * _trapezoid_mean(py.values))
+
+
+def metal_maximum(values, phi) -> float:
+    """Largest of ``values`` where the ceramic fraction ``phi`` is below 1, -inf without metal.
+
+    ``values`` and ``phi`` are equally-shaped, e.g. a temperature field and
+    the profile grid it lives on.
+    """
+    return float(np.max(values, where=np.asarray(phi) < 1.0, initial=-np.inf))

@@ -66,3 +66,19 @@ def test_reference_stress_gate_passes(monkeypatch):
     values, errors = workloads.check_reference_stresses()
     assert errors == []
     assert set(values) == {"problem1", "problem2"}
+
+
+def test_surrogate_ga_items_are_the_evaluations_made(monkeypatch, tmp_path):
+    # a round's item count comes from run_record.json's eval_source_totals; it
+    # must equal the evaluate calls the tracer sees: 8 initial individuals,
+    # then 6 children (the 2 elites are not evaluated again)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.P1SurrogateGA(tmp_path, 3, workloads.Sizes(ga_population=8, ga_generations=2))
+    wl.prepare()
+    t = tracer.Tracer()
+    t.round = 0
+    with t.installed():
+        items = wl.run_round(0, tmp_path / "round").items
+    assert items == t.calls("ga.evaluate_surrogate", 0) + t.calls("ga.evaluate_fem", 0) == 14

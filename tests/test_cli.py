@@ -178,9 +178,11 @@ class TestOptimize:
         lines = [json.loads(l) for l in err.splitlines() if '"generation"' in l]
         assert [l["generation"] for l in lines] == [0, 1]
         record = json.loads((tmp_path / "r" / "run_record.json").read_text())
-        for line, gen in zip(lines, record["generations"]):
+        # 6 initial individuals, then 5 children (the one elite is not re-evaluated)
+        for line, gen, n in zip(lines, record["generations"], (6, 5)):
+            assert {k: v for k, v in line.items() if k != "wall_s"} == gen
             assert line["best_fitness"] == gen["best_fitness"]
-            assert (line["fem"], line["surrogate"]) == (6, 0)
+            assert line["eval_sources"] == {"fem": n, "surrogate": 0}
             assert line["surrogate_rel_error"] is gen["surrogate_rel_error"] is None
             assert "wall_s" in line and "wall_s" not in gen
         assert not logging.getLogger("fgmopt.ga").handlers

@@ -15,7 +15,6 @@ from fgmopt.fem import (
     Dirichlet,
     EdgeConstraint,
     EdgeTraction,
-    Flux,
     MechBCSet,
     PointConstraint,
     ProblemConfig,
@@ -164,17 +163,6 @@ class TestThermal:
         exact = f(s.mesh.coords[:, 0], s.mesh.coords[:, 1])
         assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
 
-    def test_prescribed_flux_exact(self):
-        # inward flux q on the right edge, theta = 0 on the left: theta = q x / k
-        q, pair = 2.0e4, MATERIALS["Ni/Al2O3"]
-        cfg = ProblemConfig(
-            L=0.8, H=0.4, nx=6, ny=3, materials=pair, mech=simple_mech(),
-            thermal=ThermalBCSet(left=Dirichlet(0.0), right=Flux(q)), mode="plane_stress")
-        s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(0.0, 6, 3, 0.8, 0.4))
-        exact = q * s.mesh.coords[:, 0] / pair.metal.k
-        assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
-
     def test_convection_exact(self):
         # -k theta'(L) = h (theta(L) - t_inf), theta(0) = 0: theta = h t_inf x / (k + h L)
         h, t_inf, L, pair = 150.0, 80.0, 0.8, MATERIALS["Ni/Al2O3"]
@@ -208,7 +196,7 @@ class TestThermal:
             cfg = ProblemConfig(
                 L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"],
                 mech=simple_mech(),
-                thermal=ThermalBCSet(left=Flux(10.0)),
+                thermal=ThermalBCSet(),
                 mode="plane_stress")
             ThermoelasticSolver(cfg)
 
@@ -444,7 +432,7 @@ class TestReducedAssembly:
         cfg = ProblemConfig(
             L=self.L, H=self.H, nx=self.NX, ny=self.NY, materials=self.PAIR,
             thermal=ThermalBCSet(left=Dirichlet(lambda x, y: 50.0 + 200.0 * y),
-                                 right=Convection(self.H_CONV, t_inf=20.0), bottom=Flux(4.0e3)),
+                                 right=Convection(self.H_CONV, t_inf=20.0)),
             heat_source=2.0e5,
             mech=MechBCSet(edges=(EdgeConstraint("left", "u1", 3.0e-5),),
                            points=(PointConstraint("bottom_left", "u2"),),
@@ -461,7 +449,7 @@ class TestReducedAssembly:
         enodes, half = s.mesh.edge_conn("right")
         conv = self.H_CONV * half * np.einsum("g,ga,gb->ab", s.edge_w, s.edge_N, s.edge_N)
         K = assemble_coo([(s.mesh.conn, ke), (enodes, conv)], s.mesh.n_nodes)
-        _, f = s.thermal_system(prof)  # the load vector: heat source, convection and flux
+        _, f = s.thermal_system(prof)  # the load vector: heat source and convection
         expect = dense_reduced_solve(K, f, s.dirichlet_nodes, s.dirichlet_vals)
         theta = s.solve_thermal(prof)
         assert np.abs(theta - expect).max() <= 1e-10 * np.abs(expect).max()

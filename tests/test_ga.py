@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from fgmopt.ga import (
     GAConfig,
     Individual,
     eta_schedule,
+    evaluation_counts,
     evolve,
     polynomial_mutation,
+    prediction_error,
     sbx_crossover,
     static_penalty,
-    surrogate_rel_error,
     tournament_select,
 )
 from fgmopt.fem import ThermoelasticSolver
@@ -401,6 +403,7 @@ class TestEvolve:
         assert rec.generations[-1].generation == 2
         totals = rec.eval_source_totals
         assert totals["fem"] > 0 and totals["surrogate"] == 0
+        assert totals["fem"] == 10 + 2 * 8  # the evaluations made: elites are not re-counted
 
     def test_improvement_drives_past_min_generations(self):
         # tight tolerance: the run should not stop exactly at min_generations
@@ -445,10 +448,12 @@ class TestEvolve:
                      *tiny_gen_configs())
         lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "fgmopt.ga"]
         assert [line["generation"] for line in lines] == [0, 1, 2]
-        for line, stats in zip(lines, rec.generations):
+        # 10 initial individuals, then 8 children a generation (2 elites are not re-evaluated)
+        for line, stats, n in zip(lines, rec.generations, (10, 8, 8)):
+            assert {k: v for k, v in line.items() if k != "wall_s"} == asdict(stats)
             assert line["best_fitness"] == stats.best_fitness
             assert line["feasible_fraction"] == stats.feasible_fraction
-            assert (line["surrogate"], line["fem"]) == (10, 0)
+            assert line["eval_sources"] == {"surrogate": n, "fem": 0}
             assert line["surrogate_rel_error"] is None
             assert (line["nan_predictions"], line["negative_predictions"]) == (0, 0)
             assert line["wall_s"] >= 0.0
@@ -492,16 +497,29 @@ class TestSurrogateRelError:
     def test_fem_routed_predictions_give_the_max_error(self):
         # a stub below the threshold sends every individual to FEM with its prediction
         rec = stub_run(sigma_star=1e12, value=40e6)
-        for stats in rec.generations:
-            assert stats.eval_sources == {"surrogate": 0, "fem": 6}
-        errors = [abs(40e6 - ind.sigma_e_max) / ind.sigma_e_max for ind in rec.population]
+        assert [s.eval_sources for s in rec.generations] == [{"surrogate": 0, "fem": 6},
+                                                             {"surrogate": 0, "fem": 5}]
+        children = rec.population[1:]  # the last generation's evaluations, after the elite
+        errors = [abs(40e6 - ind.sigma_e_max) / ind.sigma_e_max for ind in children]
         assert rec.generations[-1].surrogate_rel_error == max(errors)
-        assert surrogate_rel_error(rec.population) == max(errors)
+        assert evaluation_counts(children)["surrogate_rel_error"] == max(errors)
+        assert [prediction_error(40e6, ind.sigma_e_max) for ind in children] == errors
 
     def test_none_without_fem_routed_predictions(self):
         assert all(s.surrogate_rel_error is None for s in stub_run(0.0, 40e6).generations)
         fem_only = [fake_individual(1.0, i) for i in range(3)]
-        assert surrogate_rel_error(fem_only) is None
+        assert evaluation_counts(fem_only)["surrogate_rel_error"] is None
+
+    def test_nan_prediction_is_counted_not_maximised(self):
+        # a NaN error would win max() only when it comes first
+        nan, half = fake_individual(1e8, 0), fake_individual(1e8, 1)
+        nan.dnn_sigma, half.dnn_sigma = math.nan, 5e7
+        for evaluated in ([nan, half], [half, nan]):
+            counts = evaluation_counts(evaluated)
+            assert counts["surrogate_rel_error"] == 0.5
+            assert counts["nan_predictions"] == 1
+        assert evaluation_counts([nan])["surrogate_rel_error"] is None
+        assert all(s.surrogate_rel_error is None for s in stub_run(50e6, math.nan).generations)
 
 
 class TestBadPredictions:
@@ -510,7 +528,8 @@ class TestBadPredictions:
         # 6 initial individuals, then 5 children (one elite is not re-predicted)
         assert [s.nan_predictions for s in rec.generations] == [6, 5]
         assert [s.negative_predictions for s in rec.generations] == [0, 0]
-        assert all(s.eval_sources == {"surrogate": 0, "fem": 6} for s in rec.generations)
+        assert [s.eval_sources["fem"] for s in rec.generations] == [6, 5]
+        assert all(s.eval_sources["surrogate"] == 0 for s in rec.generations)
         assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
 
     def test_negative_prediction_is_the_objective_and_is_counted(self):
@@ -523,7 +542,8 @@ class TestBadPredictions:
     def test_nan_prediction_is_the_objective_with_sigma_star_zero(self):
         rec = stub_run(sigma_star=0.0, value=np.nan)
         assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
-        assert all(s.eval_sources == {"surrogate": 6, "fem": 0} for s in rec.generations)
+        assert [s.eval_sources["surrogate"] for s in rec.generations] == [6, 5]
+        assert all(s.eval_sources["fem"] == 0 for s in rec.generations)
         assert math.isnan(rec.best.objective)
 
     def test_fem_only_counts_nothing(self):
@@ -557,4 +577,5 @@ def test_surrogate_only_evolve_makes_one_single_row_predict_per_child(monkeypatc
                       max_generations=3, seed=4, sigma_star=0.0)
     rec = evolve(config, ev, *tiny_gen_configs())
     assert rows == [1] * (8 + 2 * 6)
-    assert rec.eval_source_totals == {"surrogate": 24, "fem": 0}
+    assert rec.eval_source_totals == {"surrogate": len(rows), "fem": 0}
+    assert len(rows) == 20

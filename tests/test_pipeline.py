@@ -7,8 +7,10 @@ import pytest
 from fgmopt import neural, pipeline, problems
 from fgmopt.errors import MissingModel
 from fgmopt.fem import ThermoelasticSolver
+from fgmopt.ga import prediction_error
 from fgmopt.neural import TrainStage
 from fgmopt.profiles import genes_from_dict, genes_to_profiles, grid_points, tensor_product
+from fgmopt.rng import make_rng
 
 
 def gen(tmp_path, name, count=10, seed=7, threads=1):
@@ -143,7 +145,12 @@ class TestExperiments:
         assert bundle["eval_source_totals"]["surrogate"] == 0
         assert bundle["fem_verified"]["sigma_e_max"] > 0
         # FEM-path best: verification must agree with the recorded objective
-        assert bundle["surrogate_sigma_rel_error"] < 1e-12
+        assert bundle["fem_verified"]["sigma_e_max"] == bundle["best"]["sigma_e_max"]
+        # no prediction was made, so there is no prediction error to report
+        assert bundle["surrogate_sigma_rel_error"] is None
+        # population 6 with 1 elite: 6 evaluations, then 5 a generation
+        fem = 6 + 5 * (len(bundle["generations"]) - 1)
+        assert bundle["eval_source_totals"] == {"surrogate": 0, "fem": fem}
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0].startswith("generation,")
         assert len(lines) == 1 + len(bundle["generations"])
@@ -180,6 +187,20 @@ class TestExperiments:
         with pytest.raises(ValueError, match=r"unknown ga keys \['eta_c_base', 'populaton_size'\]"):
             pipeline.run_experiment(exp, tmp_path / "x")
         assert not (tmp_path / "x").exists()
+
+    def test_fem_routed_optimum_reports_its_prediction_error(self, tmp_path):
+        # a threshold no prediction reaches sends every individual to FEM with its
+        # prediction; the optimum's error compares that prediction with the verification
+        cfg = problems.problem2()
+        model = neural.StressSurrogate.build(make_rng(0), cfg.nx + 1, cfg.ny + 1,
+                                             output_scale=problems.stress_scale(cfg))
+        neural.save_model(model, tmp_path / "stress.json")
+        exp = self.tiny_exp(sigma_star=1e12, models={"stress": str(tmp_path / "stress.json")})
+        bundle = pipeline.run_experiment(exp, tmp_path / "fem_routed")
+        best, fem = bundle["best"], bundle["fem_verified"]["sigma_e_max"]
+        assert best["eval_source"] == "fem" and best["dnn_sigma"] is not None
+        assert bundle["surrogate_sigma_rel_error"] == prediction_error(best["dnn_sigma"], fem)
+        assert bundle["surrogate_sigma_rel_error"] > 0.0
 
     def test_surrogate_run_with_saved_models(self, tmp_path):
         # quick-trained models only need to exist, not be accurate

@@ -21,6 +21,7 @@ from fgmopt.profiles import (
     genes_from_dict,
     genes_to_profiles,
     interpolate,
+    metal_maximum,
     power_law_profile,
     tensor_product,
 )
@@ -352,6 +353,28 @@ class TestAverages:
                 px, py = genes_to_profiles(generate_genes(rng, gx, gy))
                 want = tensor_trapezoid_mean(tensor_product(px, py).grid)
                 assert average_ceramic_fraction(px, py) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+class TestMetalMaximum:
+    def test_largest_value_where_phi_below_one(self):
+        phi = np.array([[0.0, 0.5, 1.0], [0.999, 1.0, 1.0]])
+        values = np.array([[3.0, -2.0, 50.0], [7.5, 60.0, 70.0]])
+        assert metal_maximum(values, phi) == 7.5
+        assert metal_maximum(values.ravel(), phi.ravel()) == 7.5  # flat grid, as on the surrogate route
+
+    def test_no_metal_gives_minus_inf(self):
+        assert metal_maximum(np.array([1.0, 2.0]), np.ones(2)) == -np.inf
+        assert metal_maximum(np.zeros((2, 3)), np.ones((2, 3))) == float("-inf")
+
+    def test_generated_designs_always_have_metal(self):
+        # node 0 of each axis is pure metal, so the maximum is always a value
+        gx, gy = problems.generation_configs(problems.problem2())
+        rng = make_rng(23)
+        for _ in range(200):
+            px, py = genes_to_profiles(generate_genes(rng, gx, gy))
+            grid = tensor_product(px, py).grid
+            assert grid[0, 0] == 0.0
+            assert metal_maximum(np.arange(grid.size, dtype=float), grid.ravel()) >= 0.0
 
 
 class TestAxisProfiles:
