@@ -13,10 +13,18 @@ Two model classes sit on top of the raw ``DenseNet``:
 * ``OperatorNet`` is a branch/trunk pair sharing a latent dimension; the
   temperature at a point is the dot product of branch(profiles) and
   trunk(x/L, y/H), times ``temperature_scale``.
+
+Model files are JSON.  Each weight and bias array is stored as
+``{"shape": [...], "f8": "<base64>"}``: its shape and its little-endian
+float64 bytes in base64, so a save/load round trip is bit-exact (-0.0,
+subnormals and infinities included) and costs a copy, not float formatting.
+Files whose arrays are JSON number lists, the format before this one, are
+rejected with a ValueError; such models must be retrained.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import pathlib
 from dataclasses import dataclass
@@ -110,17 +118,32 @@ class DenseNet:
         return {
             "kind": "dense",
             "activations": [l.activation for l in self.layers],
-            "weights": [l.weights.tolist() for l in self.layers],
-            "biases": [l.bias.tolist() for l in self.layers],
+            "weights": [_encode_array(l.weights) for l in self.layers],
+            "biases": [_encode_array(l.bias) for l in self.layers],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
         layers = [
-            DenseLayer(np.asarray(w, dtype=float), np.asarray(b, dtype=float), act)
+            DenseLayer(_decode_array(w), _decode_array(b), act)
             for w, b, act in zip(d["weights"], d["biases"], d["activations"])
         ]
         return cls(layers)
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    """Shape plus little-endian float64 bytes in base64 (exact)."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(d) -> np.ndarray:
+    """Inverse of ``_encode_array``; the result is a writable native float64 copy."""
+    if not isinstance(d, dict):
+        raise ValueError("model weights are stored in the old list format; "
+                         "retrain the model to save it in the current format")
+    flat = np.frombuffer(base64.b64decode(d["f8"], validate=True), dtype="<f8")
+    return flat.reshape(d["shape"]).astype(float)  # astype copies: Adam updates in place
 
 
 def make_dense(rng, dims: list[int], hidden_activation: str) -> DenseNet:
@@ -461,6 +484,9 @@ class OperatorNet:
 
 
 def save_model(model, path):
+    """Write ``model.to_dict()`` as sorted-key JSON; every weight and bias array
+    is its shape plus its little-endian float64 bytes in base64, so
+    ``load_model`` restores it bit for bit."""
     pathlib.Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True))
 
 

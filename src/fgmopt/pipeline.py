@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import neural, problems, version_fingerprint
-from .errors import MissingModel, SingularSystem, SolveFailure
+from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
 from .profiles import generate_genes, genes_to_profiles, grid_points, tensor_product
@@ -205,6 +205,31 @@ def _constraints_from(case_spec: dict, overrides: dict) -> ConstraintSpec:
     )
 
 
+def _load_model_for(path, kind, config):
+    """Load a model of class ``kind`` and check that it was built for ``config``'s plate.
+
+    A stress model must take the plate's (nx + 1, ny + 1) profile nodes; an
+    operator's branch must take their sum and its L and H must be the plate's.
+    Raises DimensionMismatch naming the file, so a model of another problem is
+    rejected before the GA evaluates anything.
+    """
+    model = neural.load_model(path)
+    if not isinstance(model, kind):
+        raise ValueError(f"{path}: expected a {kind.__name__}, found {type(model).__name__}")
+    nodes = (config.nx + 1, config.ny + 1)
+    if kind is neural.StressSurrogate:
+        if (model.nx_nodes, model.ny_nodes) != nodes:
+            raise DimensionMismatch(
+                f"{path}: stress model takes {model.nx_nodes} x {model.ny_nodes} profile nodes, "
+                f"problem {config.name} has {nodes[0]} x {nodes[1]}")
+    elif model.branch.input_dim != sum(nodes) or (model.L, model.H) != (config.L, config.H):
+        raise DimensionMismatch(
+            f"{path}: temperature model takes {model.branch.input_dim} profile nodes on a "
+            f"{model.L} x {model.H} plate, problem {config.name} has {nodes[0]} + {nodes[1]} "
+            f"nodes on a {config.L} x {config.H} plate")
+    return model
+
+
 def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     """Wire evaluator + GA for one experiment config, verify and export.
 
@@ -230,11 +255,11 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         paths = exp.get("models", {})
         if "stress" not in paths or not pathlib.Path(paths["stress"]).exists():
             raise MissingModel("surrogate run needs models.stress")
-        stress_model = neural.load_model(paths["stress"])
+        stress_model = _load_model_for(paths["stress"], neural.StressSurrogate, config)
         if constraints.theta_max is not None and config.uniform_delta_theta is None:
             if "temperature" not in paths or not pathlib.Path(paths["temperature"]).exists():
                 raise MissingModel("thermal constraint needs models.temperature")
-            temp_model = neural.load_model(paths["temperature"])
+            temp_model = _load_model_for(paths["temperature"], neural.OperatorNet, config)
 
     ga_overrides = dict(exp.get("ga", {}))
     unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})

@@ -187,6 +187,20 @@ class TestOptimize:
             assert "wall_s" in line and "wall_s" not in gen
         assert not logging.getLogger("fgmopt.ga").handlers
 
+    def test_problem1_model_in_problem2_exits_1_before_any_generation(self, capsys, tmp_path):
+        cfg = problems.problem1()
+        model = tmp_path / "stress_p1.json"
+        neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1, 1e7), model)
+        path = self.write_exp(tmp_path)
+        exp = {**json.loads(path.read_text()), "sigma_star": 0.0,
+               "models": {"stress": str(model)}}
+        path.write_text(json.dumps(exp))
+        code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(model) in err and "41 x 41" in err
+        assert '"generation"' not in err
+
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",
                                str(tmp_path / "none.json"), "--out", str(tmp_path / "o"))

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fgmopt import problems
 from fgmopt.errors import DimensionMismatch, TrainingDiverged, ZeroVariance
 from fgmopt.neural import (
     Adam,
@@ -355,3 +358,72 @@ class TestOperatorNet:
                         back.branch.parameters() + back.trunk.parameters()):
             assert np.array_equal(a, b)
         assert back.L == 0.15 and back.H == 0.06
+
+
+def _small_models():
+    return [StressSurrogate.build(9, 4, 6, output_scale=1e7),
+            OperatorNet.build(8, 4, 6, L=0.15, H=0.06, latent=8, branch_hidden=(8,),
+                              trunk_hidden=(8,))]
+
+
+def _predict(model, px, py):
+    if isinstance(model, StressSurrogate):
+        return model.predict(px, py)
+    return model.predict_batch(px, py, [(0.01, 0.02), (0.1, 0.05), (0.15, 0.0)])
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
+    def test_predict_bit_identical_after_load(self, model, tmp_path):
+        rng = make_rng(30)
+        px, py = rng.uniform(0, 1, (9, 4)), rng.uniform(0, 1, (9, 6))
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        assert type(back) is type(model)
+        assert np.array_equal(_predict(back, px, py), _predict(model, px, py))
+
+    @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
+    def test_save_load_save_is_byte_identical(self, model, tmp_path):
+        save_model(model, tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_loaded_arrays_are_writable_and_trainable(self, tmp_path):
+        model = StressSurrogate.build(3, 4, 6, output_scale=1.0)
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        for p in back.net.parameters():
+            assert p.flags.writeable and p.flags.c_contiguous and p.dtype == np.float64
+        before = [p.copy() for p in back.net.parameters()]
+        rng = make_rng(31)
+        back.fit(rng.uniform(0, 1, (10, 4)), rng.uniform(0, 1, (10, 6)), rng.uniform(0, 1, 10),
+                 (np.arange(8), np.arange(8, 10)), [TrainStage(1e-2, 2, 4)], rng)
+        assert all(not np.array_equal(a, b) for a, b in zip(before, back.net.parameters()))
+
+    def test_special_values_round_trip_exactly(self, tmp_path):
+        model = StressSurrogate.build(4, 2, 2, output_scale=1.0)
+        w = model.net.layers[0].weights
+        w.flat[:5] = [-0.0, 5e-324, 1e300, -1e300, np.nextafter(1.0, 2.0)]
+        save_model(model, tmp_path / "m.json")
+        got = load_model(tmp_path / "m.json").net.layers[0].weights
+        assert got.tobytes() == w.tobytes()  # bitwise: keeps the sign of -0.0
+        assert np.signbit(got.flat[0]) and got.flat[1] == 5e-324
+
+    @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
+    def test_list_format_file_is_rejected_by_name(self, model, tmp_path):
+        d = model.to_dict()
+        for key in ("net", "branch", "trunk"):
+            if key in d:  # the JSON number lists written before the base64 format
+                d[key]["weights"] = [l.weights.tolist() for l in getattr(model, key).layers]
+                d[key]["biases"] = [l.bias.tolist() for l in getattr(model, key).layers]
+        (tmp_path / "old.json").write_text(json.dumps(d, sort_keys=True))
+        with pytest.raises(ValueError, match="old list format.*retrain"):
+            load_model(tmp_path / "old.json")
+
+    def test_operator_file_stays_near_eleven_bytes_per_parameter(self, tmp_path):
+        # base64 float64 is about 10.7 bytes a parameter; decimal text is about 21
+        cfg = problems.problem2()
+        model = OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H, latent=250)
+        n_params = sum(p.size for p in model.branch.parameters() + model.trunk.parameters())
+        save_model(model, tmp_path / "op.json")
+        assert (tmp_path / "op.json").stat().st_size <= 11 * n_params + 4096

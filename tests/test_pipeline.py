@@ -4,8 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from fgmopt import neural, pipeline, problems
-from fgmopt.errors import MissingModel
+from fgmopt import ga, neural, pipeline, problems
+from fgmopt.errors import DimensionMismatch, MissingModel
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.ga import prediction_error
 from fgmopt.neural import TrainStage
@@ -201,6 +201,41 @@ class TestExperiments:
         assert best["eval_source"] == "fem" and best["dnn_sigma"] is not None
         assert bundle["surrogate_sigma_rel_error"] == prediction_error(best["dnn_sigma"], fem)
         assert bundle["surrogate_sigma_rel_error"] > 0.0
+
+    @pytest.mark.parametrize("role, model, error, match", [
+        ("stress", lambda p1: neural.StressSurrogate.build(0, p1.nx + 1, p1.ny + 1, 1e7),
+         DimensionMismatch,
+         "stress model takes 41 x 41 profile nodes, problem problem2 has 21 x 21"),
+        ("temperature", lambda p1: neural.OperatorNet.build(0, p1.nx + 1, p1.ny + 1, L=p1.L,
+                                                            H=p1.H, latent=4),
+         DimensionMismatch, "temperature model takes 82 profile nodes on a 0.1 x 0.1 plate, "
+         "problem problem2 has 21 \\+ 21 nodes"),
+        # right node counts, wrong plate: would run silently without the check
+        ("temperature", lambda p1: neural.OperatorNet.build(0, 21, 21, L=p1.L, H=p1.H,
+                                                            latent=4),
+         DimensionMismatch, "takes 42 profile nodes on a 0.1 x 0.1 plate"),
+        ("stress", lambda p1: neural.OperatorNet.build(0, 21, 21, L=0.15, H=0.06, latent=4),
+         ValueError, "expected a StressSurrogate, found OperatorNet"),
+    ], ids=["problem1-stress", "problem1-temperature", "other-plate-temperature",
+            "operator-as-stress"])
+    def test_model_of_another_problem_rejected_before_evolve(self, tmp_path, monkeypatch,
+                                                             role, model, error, match):
+        cfg = problems.problem2()
+        models = {"stress": tmp_path / "stress.json", "temperature": tmp_path / "temp.json"}
+        neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1, 1e6),
+                          models["stress"])
+        neural.save_model(neural.OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L,
+                                                   H=cfg.H, latent=4), models["temperature"])
+        neural.save_model(model(problems.problem1()), models[role])
+        calls = []
+        monkeypatch.setattr(ga.FitnessEvaluator, "evaluate",
+                            lambda self, genes: calls.append(genes))
+        exp = self.tiny_exp(case="case3", sigma_star=0.0,
+                            models={k: str(v) for k, v in models.items()})
+        with pytest.raises(error, match=match) as info:
+            pipeline.run_experiment(exp, tmp_path / "x")
+        assert str(info.value).startswith(str(models[role]))
+        assert calls == [] and not (tmp_path / "x").exists()
 
     def test_surrogate_run_with_saved_models(self, tmp_path):
         # quick-trained models only need to exist, not be accurate
