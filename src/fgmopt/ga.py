@@ -262,7 +262,7 @@ class GenerationStats:
 
 
 def prediction_error(predicted: float, fem: float) -> float:
-    """Relative error |predicted - fem| / fem of a stress prediction against FEM."""
+    """Relative error |predicted - fem| / fem of a surrogate prediction against FEM."""
     return abs(predicted - fem) / max(fem, 1e-30)
 
 

@@ -3,8 +3,10 @@
 Everything is plain numpy float64: explicit forward/backward passes, exact
 MSE gradients, Adam updates, and a staged learning-rate schedule (list of
 (learning rate, epochs, batch size) stages executed in order, shuffling each
-epoch with a seeded generator).  Training is deterministic given (seed,
-dataset order, stages).
+epoch with a seeded generator).  For both models the batch size counts
+samples; the operator's loss for a batch covers every point of its samples'
+aligned temperature grids.  Training is deterministic given (seed, dataset
+order, stages).
 
 Two model classes sit on top of the raw ``DenseNet``:
 
@@ -97,10 +99,8 @@ class DenseNet:
         return h, (inputs, preacts)
 
     def backward(self, cache, d_out: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns ([(dW, db) per layer], d(loss)/d(input)).
-        """
+        """Parameter gradients [(dW, db) per layer] of a scalar loss given
+        d(loss)/d(output)."""
         inputs, preacts = cache
         grads = [None] * len(self.layers)
         delta = d_out
@@ -108,8 +108,9 @@ class DenseNet:
             layer = self.layers[i]
             delta = delta * _ACT[layer.activation][1](preacts[i])
             grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
-            delta = delta @ layer.weights.T
-        return grads, delta
+            if i:
+                delta = delta @ layer.weights.T
+        return grads
 
     def parameters(self):
         return [p for layer in self.layers for p in (layer.weights, layer.bias)]
@@ -165,8 +166,7 @@ def mse_backprop(net: DenseNet, x: np.ndarray, y: np.ndarray):
         raise DimensionMismatch(f"targets {y.shape} do not match predictions {pred.shape}")
     resid = pred - y
     loss = float(np.mean(resid**2))
-    grads, _ = net.backward(cache, 2.0 * resid / resid.size)
-    return grads, loss
+    return net.backward(cache, 2.0 * resid / resid.size), loss
 
 
 def r2_score(predictions, targets) -> float:
@@ -244,22 +244,23 @@ def _epoch_metrics(pred_tr, y_tr, pred_te, y_te) -> dict:
     return row
 
 
-def _train_staged(params, n_items: int, batch_grads, epoch_metrics, stages, rng):
+def _train_staged(params, n_samples: int, batch_grads, epoch_metrics, stages, rng):
     """The staged schedule shared by both models; returns one history row per epoch.
 
-    Each epoch shuffles ``range(n_items)``, takes one Adam step per minibatch
-    with the flat gradient list ``batch_grads(indices)`` and then records
-    ``epoch_metrics()``.  ``params`` are updated in place.
+    Each epoch shuffles ``range(n_samples)``, takes one Adam step per minibatch
+    of ``batch_size`` training samples with the flat gradient list
+    ``batch_grads(indices)`` and then records ``epoch_metrics()``.  ``params``
+    are updated in place.
     """
     rng = make_rng(rng)
-    if n_items == 0:
+    if n_samples == 0:
         raise EmptyDataset("empty training set")
     opt = Adam(params)
     history = []
     for si, stage in enumerate(stages):
         for _ in range(stage.epochs):
-            order = rng.permutation(n_items)
-            for start in range(0, n_items, stage.batch_size):
+            order = rng.permutation(n_samples)
+            for start in range(0, n_samples, stage.batch_size):
                 opt.step(batch_grads(order[start : start + stage.batch_size]), stage.learning_rate)
             _check_finite(params)
             history.append({"stage": si, "epoch": len(history) + 1,
@@ -274,9 +275,10 @@ def train_regressor(net: DenseNet, x_train, y_train, x_test, y_test, stages, rng
     train_r2, test_r2).  The net is mutated in place.
     """
     x_train = np.asarray(x_train, dtype=float)
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float).reshape(len(x_train), -1))
+    y_train = np.asarray(y_train, dtype=float).reshape(len(x_train), -1)
     x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float).reshape(len(x_test), -1)
+    # the column count comes from y_train: an empty test split cannot infer it
+    y_test = np.asarray(y_test, dtype=float).reshape(len(x_test), y_train.shape[1])
 
     def batch_grads(idx):
         grads, _ = mse_backprop(net, x_train[idx], y_train[idx])
@@ -419,20 +421,28 @@ class OperatorNet:
         return (f @ self._trunk_at(points).T) * self.temperature_scale
 
     def fit(self, profiles_x, profiles_y, temp_grids, points, split, stages, rng):
-        """Train on all (sample, point) pairs; batches are pair batches.
+        """Train on whole samples over the aligned point set; batches count samples.
 
         ``temp_grids`` is (n_samples, n_points) aligned with ``points``;
-        ``split`` is (train sample indices, test sample indices).
+        ``split`` is (train sample indices, test sample indices).  Each step
+        runs the branch on the batch's B samples and the trunk once on all P
+        points, and takes the mean squared error over the (B, P) table
+        ``branch @ trunk.T``: the per-pair MSE over every point of those samples.
         """
         self._trunk_cache = None
         feats = StressSurrogate.features(profiles_x, profiles_y)
         targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
         pts = self._norm_points(points)
         tr, te = split
-        n_pts = pts.shape[0]
 
         def batch_grads(idx):
-            return self._pair_grads(feats, pts, targets, tr[idx // n_pts], idx % n_pts)
+            rows = tr[idx]
+            fb, bcache = self.branch.forward_cached(feats[rows])
+            gt, tcache = self.trunk.forward_cached(pts)
+            resid = fb @ gt.T - targets[rows]
+            resid *= 2.0 / resid.size
+            return (_flat_grads(self.branch.backward(bcache, resid @ gt))
+                    + _flat_grads(self.trunk.backward(tcache, resid.T @ fb)))
 
         def epoch_metrics():
             g = self.trunk.forward(pts).T
@@ -441,30 +451,9 @@ class OperatorNet:
                                   pred_te, targets[te])
 
         params = self.branch.parameters() + self.trunk.parameters()
-        history = _train_staged(params, len(tr) * n_pts, batch_grads, epoch_metrics, stages, rng)
-        self.fingerprint = _fit_fingerprint("operator_net", stages, split, n_points=int(n_pts))
+        history = _train_staged(params, len(tr), batch_grads, epoch_metrics, stages, rng)
+        self.fingerprint = _fit_fingerprint("operator_net", stages, split, n_points=len(pts))
         return history
-
-    def _pair_grads(self, feats, pts, targets, s_idx, p_idx):
-        """Flat MSE gradients over the (sample, point) pairs ``(s_idx, p_idx)``.
-
-        The branch runs once per distinct sample and the trunk once per
-        distinct point; the per-pair output gradients are scatter-added back
-        onto those rows before each backward pass.
-        """
-        s_rows, s_inv = np.unique(s_idx, return_inverse=True)
-        p_rows, p_inv = np.unique(p_idx, return_inverse=True)
-        fb, bcache = self.branch.forward_cached(feats[s_rows])
-        gt, tcache = self.trunk.forward_cached(pts[p_rows])
-        fb_pairs, gt_pairs = fb[s_inv], gt[p_inv]
-        pred = np.einsum("nc,nc->n", fb_pairs, gt_pairs)
-        resid = ((pred - targets[s_idx, p_idx]) * (2.0 / s_idx.size))[:, None]
-        d_fb, d_gt = np.zeros_like(fb), np.zeros_like(gt)
-        np.add.at(d_fb, s_inv, resid * gt_pairs)
-        np.add.at(d_gt, p_inv, resid * fb_pairs)
-        gb, _ = self.branch.backward(bcache, d_fb)
-        gtr, _ = self.trunk.backward(tcache, d_gt)
-        return _flat_grads(gb) + _flat_grads(gtr)
 
     def to_dict(self) -> dict:
         return {
@@ -510,8 +499,7 @@ STRESS_STAGES_PROBLEM2 = (
     TrainStage(1e-4, 100, 32),
     TrainStage(5e-5, 200, 32),
 )
-OPERATOR_STAGES = (
-    TrainStage(1e-3, 10, 1024),
-    TrainStage(1e-4, 20, 1024),
-    TrainStage(1e-4, 20, 256),
+OPERATOR_STAGES = (  # batches of 4 samples, each over every grid point
+    TrainStage(1e-3, 40, 4),
+    TrainStage(1e-4, 20, 4),
 )

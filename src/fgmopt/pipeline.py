@@ -301,6 +301,10 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         # the optimum's prediction against its FEM verification; None without a prediction
         "surrogate_sigma_rel_error": (None if best.dnn_sigma is None
                                       else prediction_error(best.dnn_sigma, verified.sigma_e_max)),
+        # the optimum's predicted metal maximum against FEM; None unless the operator made it
+        "surrogate_theta_rel_error": (
+            prediction_error(best.max_metal_temperature, verified.max_metal_temperature)
+            if best.eval_source == "surrogate" and temp_model is not None else None),
         "profile_x": px.values.tolist(),
         "profile_y": py.values.tolist(),
     }

@@ -146,6 +146,18 @@ class TestTrain:
             assert isinstance(neural.load_model(model), kind)
             assert history.read_text().startswith("stage,epoch,learning_rate")
 
+    def test_train_stress_on_empty_test_split(self, capsys, tmp_path):
+        # round(0.8 * 2) = 2 train samples leaves the test split empty
+        ds, model = tmp_path / "ds", tmp_path / "stress.json"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem1",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        code, out, err = run_cli(capsys, "train-stress", "--dataset", str(ds), "--out", str(model))
+        assert code == 0, err
+        assert '"test_r2": null' in out
+        assert np.isfinite(json.loads(out)["train_r2"])
+        assert isinstance(neural.load_model(model), neural.StressSurrogate)
+
 
 class TestOptimize:
     def write_exp(self, tmp_path):

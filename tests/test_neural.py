@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fgmopt import problems
+from fgmopt import neural, problems
 from fgmopt.errors import DimensionMismatch, TrainingDiverged, ZeroVariance
 from fgmopt.neural import (
     Adam,
@@ -242,27 +242,59 @@ class TestOperatorNet:
         out = model.predict(rng.uniform(0, 1, 4), rng.uniform(0, 1, 4), pts)
         np.testing.assert_array_equal(out, np.zeros(50))
 
-    def test_pair_gradients_match_per_pair_oracle(self):
-        # one batch with repeated samples and points: the branch and trunk run
-        # once per distinct row, the per-pair formula runs once per pair
+    def test_sample_batch_gradients_match_per_pair_oracle(self, monkeypatch):
+        # fit's step on a batch of training samples against the per-pair formula
+        # run once for every (sample, point) pair of those samples
         model = OperatorNet.build(5, 5, 5, L=2.0, H=1.0, latent=16,
                                   branch_hidden=(16,), trunk_hidden=(16, 16))
         rng = make_rng(6)
-        feats = rng.uniform(0, 1, (7, 10))
-        pts = rng.uniform(0, 1, (30, 2))
-        targets = rng.uniform(-1, 1, (7, 30))
-        s_idx, p_idx = rng.integers(0, 7, 500), rng.integers(0, 30, 500)
-        got = model._pair_grads(feats, pts, targets, s_idx, p_idx)
+        px, py = rng.uniform(0, 1, (9, 5)), rng.uniform(0, 1, (9, 5))
+        pts = np.column_stack([rng.uniform(0, 2.0, 30), rng.uniform(0, 1.0, 30)])
+        temps = rng.uniform(-300.0, 300.0, (9, 30))
+        tr = np.array([8, 1, 4, 6, 0, 3])
+        captured = {}
 
+        def capture(params, n_samples, batch_grads, epoch_metrics, stages, rng):
+            captured.update(n_samples=n_samples, batch_grads=batch_grads)
+            return []
+
+        monkeypatch.setattr(neural, "_train_staged", capture)
+        model.fit(px, py, temps, pts, (tr, np.array([2, 5, 7])), [TrainStage(1e-3, 1, 4)], rng)
+        assert captured["n_samples"] == tr.size
+        idx = np.array([4, 0, 2])  # places in the training split: samples 0, 8 and 4
+        got = captured["batch_grads"](idx)
+
+        s_idx, p_idx = np.repeat(tr[idx], 30), np.tile(np.arange(30), 3)
+        feats = np.concatenate([px, py], axis=1)
+        targets = temps / model.temperature_scale
         fb, bcache = model.branch.forward_cached(feats[s_idx])
-        gt, tcache = model.trunk.forward_cached(pts[p_idx])
+        gt, tcache = model.trunk.forward_cached((pts / [2.0, 1.0])[p_idx])
         resid = (np.einsum("nc,nc->n", fb, gt) - targets[s_idx, p_idx]) * (2.0 / s_idx.size)
-        gb, _ = model.branch.backward(bcache, resid[:, None] * gt)
-        gtr, _ = model.trunk.backward(tcache, resid[:, None] * fb)
-        want = [g for pair in gb + gtr for g in pair]
+        want = [g for pair in (model.branch.backward(bcache, resid[:, None] * gt)
+                               + model.trunk.backward(tcache, resid[:, None] * fb))
+                for g in pair]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    def test_each_step_runs_the_trunk_once_on_every_point(self):
+        # 10 training samples in batches of 4 for 2 epochs: 2 * ceil(10 / 4) = 6 steps,
+        # each one trunk pass over all 11 points (never a batch of point pairs)
+        rng = make_rng(15)
+        px, py = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
+        pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
+        model = OperatorNet.build(16, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
+                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
+        calls, forward_cached = [], model.trunk.forward_cached
+
+        def counting(x):
+            calls.append(x.shape)
+            return forward_cached(x)
+
+        model.trunk.forward_cached = counting
+        model.fit(px, py, rng.uniform(0, 10, (12, 11)), pts, (np.arange(10), np.arange(10, 12)),
+                  [TrainStage(1e-3, 2, 4)], rng)
+        assert calls == [(11, 2)] * 6
 
     def test_batch_equals_pointwise_loop(self):
         model = OperatorNet.build(3, 5, 5, L=1.0, H=1.0, latent=16,
@@ -316,6 +348,7 @@ class TestOperatorNet:
 
     def test_training_learns_smooth_operator(self):
         # targets: T(p)(x,y) = (p-weighted value) * smooth spatial mode
+        # in batches of 8 samples, each over all 25 points
         rng = make_rng(6)
         n, d, npts = 150, 4, 25
         px = rng.uniform(0, 1, (n, d))
@@ -330,7 +363,7 @@ class TestOperatorNet:
         tr = np.arange(120)
         te = np.arange(120, 150)
         hist = model.fit(px, py, temps, pts, (tr, te),
-                         [TrainStage(3e-3, 40, 256), TrainStage(1e-3, 60, 256)], rng)
+                         [TrainStage(3e-3, 40, 8), TrainStage(1e-3, 60, 8)], rng)
         assert hist[-1]["test_r2"] > 0.97
 
     def test_single_value_test_split_skips_test_r2(self):

@@ -148,6 +148,7 @@ class TestExperiments:
         assert bundle["fem_verified"]["sigma_e_max"] == bundle["best"]["sigma_e_max"]
         # no prediction was made, so there is no prediction error to report
         assert bundle["surrogate_sigma_rel_error"] is None
+        assert bundle["surrogate_theta_rel_error"] is None
         # population 6 with 1 elite: 6 evaluations, then 5 a generation
         fem = 6 + 5 * (len(bundle["generations"]) - 1)
         assert bundle["eval_source_totals"] == {"surrogate": 0, "fem": fem}
@@ -201,6 +202,7 @@ class TestExperiments:
         assert best["eval_source"] == "fem" and best["dnn_sigma"] is not None
         assert bundle["surrogate_sigma_rel_error"] == prediction_error(best["dnn_sigma"], fem)
         assert bundle["surrogate_sigma_rel_error"] > 0.0
+        assert bundle["surrogate_theta_rel_error"] is None  # no temperature was predicted
 
     @pytest.mark.parametrize("role, model, error, match", [
         ("stress", lambda p1: neural.StressSurrogate.build(0, p1.nx + 1, p1.ny + 1, 1e7),
@@ -253,5 +255,15 @@ class TestExperiments:
         assert bundle["eval_source_totals"]["fem"] == 0
         assert bundle["fem_verified"]["sigma_e_max"] > 0
         assert np.isfinite(bundle["surrogate_sigma_rel_error"])
+        best, fem = bundle["best"], bundle["fem_verified"]
+        assert best["eval_source"] == "surrogate"
+        assert bundle["surrogate_theta_rel_error"] == prediction_error(
+            best["max_metal_temperature"], fem["max_metal_temperature"])
+        assert bundle["surrogate_theta_rel_error"] > 0.0
         for key in ("nan_predictions", "negative_predictions"):
             assert bundle[key] == sum(g[key] for g in bundle["generations"])
+        # the same models with a threshold no prediction reaches: a FEM-routed optimum
+        # has no predicted temperature, so no temperature error
+        bundle = pipeline.run_experiment({**exp, "sigma_star": 1e12}, tmp_path / "fem_routed")
+        assert bundle["best"]["eval_source"] == "fem"
+        assert bundle["surrogate_theta_rel_error"] is None
