@@ -625,9 +625,8 @@ class ThermoelasticSolver:
 
 def _scatter_add(f: np.ndarray, idx: np.ndarray, fe: np.ndarray) -> None:
     """f[idx] += fe, with fe one row shared by all rows of idx or one row each."""
-    # np.add.at gets explicit full-size values: given values that broadcast
-    # against the index, numpy 2.4 wrote wrong sums into the last slots
-    np.add.at(f, idx.ravel(), np.broadcast_to(fe, idx.shape).ravel())
+    f += np.bincount(idx.ravel(), weights=np.broadcast_to(fe, idx.shape).ravel(),
+                     minlength=f.size)
 
 
 class _ReducedPattern:

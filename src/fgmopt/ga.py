@@ -77,8 +77,10 @@ class GAConfig:
     def __post_init__(self):
         if not (0 < self.elite_count < self.population_size):
             raise ValueError("need 0 < elite_count < population_size")
-        if self.tournament_size > self.population_size:
-            raise ValueError("tournament larger than population")
+        if not (1 <= self.tournament_size <= self.population_size):
+            raise ValueError("need 1 <= tournament_size <= population_size")
+        if self.sigma_star is not None and not self.sigma_star >= 0.0:  # NaN fails >=
+            raise ValueError(f"sigma_star must be None or >= 0, got {self.sigma_star!r}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 Everything is plain numpy float64: explicit forward/backward passes, exact
 MSE gradients, Adam updates, and a staged learning-rate schedule (list of
 (learning rate, epochs, batch size) stages executed in order, shuffling each
-epoch with a seeded generator).  For both models the batch size counts
+epoch with a seeded generator).  Both models' ``fit`` take the same step
+shape over ``_train_staged``: a closure that runs the forward pass on one
+minibatch, forms the mean-squared-error residual and returns
+``DenseNet.backward``'s gradients in ``parameters()`` order, and a closure
+that computes the epoch metrics.  For both models the batch size counts
 samples; the operator's loss for a batch covers every point of its samples'
 aligned temperature grids.  Training is deterministic given (seed, dataset
 order, stages).
@@ -12,9 +16,9 @@ Two model classes sit on top of the raw ``DenseNet``:
 
 * ``StressSurrogate`` maps the concatenated axis profiles to the peak
   effective stress (network output times ``output_scale``);
-* ``OperatorNet`` is a branch/trunk pair sharing a latent dimension; the
-  temperature at a point is the dot product of branch(profiles) and
-  trunk(x/L, y/H), times ``temperature_scale``.
+* ``OperatorNet`` is a branch/trunk pair sharing a latent dimension of 250;
+  the temperature at a point is the dot product of branch(profiles) and
+  trunk(x/L, y/H), times ``temperature_scale`` (500).
 
 Model files are JSON.  Each weight and bias array is stored as
 ``{"shape": [...], "f8": "<base64>"}``: its shape and its little-endian
@@ -98,16 +102,16 @@ class DenseNet:
             h = _ACT[layer.activation][0](z)
         return h, (inputs, preacts)
 
-    def backward(self, cache, d_out: np.ndarray):
-        """Parameter gradients [(dW, db) per layer] of a scalar loss given
-        d(loss)/d(output)."""
+    def backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
+        """Gradients of a scalar loss given d(loss)/d(output), in ``parameters()``
+        order: [dW_0, db_0, dW_1, db_1, ...]."""
         inputs, preacts = cache
-        grads = [None] * len(self.layers)
+        grads = [None] * (2 * len(self.layers))
         delta = d_out
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             delta = delta * _ACT[layer.activation][1](preacts[i])
-            grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
+            grads[2 * i], grads[2 * i + 1] = inputs[i].T @ delta, delta.sum(axis=0)
             if i:
                 delta = delta @ layer.weights.T
         return grads
@@ -156,17 +160,6 @@ def make_dense(rng, dims: list[int], hidden_activation: str) -> DenseNet:
         act = "identity" if i == len(dims) - 2 else hidden_activation
         layers.append(DenseLayer(rng.uniform(-limit, limit, (d_in, d_out)), np.zeros(d_out), act))
     return DenseNet(layers)
-
-
-def mse_backprop(net: DenseNet, x: np.ndarray, y: np.ndarray):
-    """Exact gradients of batch-mean MSE; returns (grads, loss)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    pred, cache = net.forward_cached(np.atleast_2d(x))
-    if pred.shape != y.shape:
-        raise DimensionMismatch(f"targets {y.shape} do not match predictions {pred.shape}")
-    resid = pred - y
-    loss = float(np.mean(resid**2))
-    return net.backward(cache, 2.0 * resid / resid.size), loss
 
 
 def r2_score(predictions, targets) -> float:
@@ -224,10 +217,6 @@ def _check_finite(params):
             raise TrainingDiverged("parameter became NaN/Inf during training")
 
 
-def _flat_grads(net_grads):
-    return [g for pair in net_grads for g in pair]
-
-
 def _epoch_metrics(pred_tr, y_tr, pred_te, y_te) -> dict:
     """MSE and R^2 on both sides of the split; test R^2 is skipped when
     undefined (fewer than 2 test values, or zero variance)."""
@@ -248,9 +237,9 @@ def _train_staged(params, n_samples: int, batch_grads, epoch_metrics, stages, rn
     """The staged schedule shared by both models; returns one history row per epoch.
 
     Each epoch shuffles ``range(n_samples)``, takes one Adam step per minibatch
-    of ``batch_size`` training samples with the flat gradient list
-    ``batch_grads(indices)`` and then records ``epoch_metrics()``.  ``params``
-    are updated in place.
+    of ``batch_size`` training samples with the gradient list
+    ``batch_grads(indices)``, ordered as ``params``, and then records
+    ``epoch_metrics()``.  ``params`` are updated in place.
     """
     rng = make_rng(rng)
     if n_samples == 0:
@@ -266,29 +255,6 @@ def _train_staged(params, n_samples: int, batch_grads, epoch_metrics, stages, rn
             history.append({"stage": si, "epoch": len(history) + 1,
                             "learning_rate": stage.learning_rate, **epoch_metrics()})
     return history
-
-
-def train_regressor(net: DenseNet, x_train, y_train, x_test, y_test, stages, rng):
-    """Run the staged schedule on a scalar/vector regressor; returns history.
-
-    History rows: dict(stage, epoch, learning_rate, train_mse, test_mse,
-    train_r2, test_r2).  The net is mutated in place.
-    """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float).reshape(len(x_train), -1)
-    x_test = np.asarray(x_test, dtype=float)
-    # the column count comes from y_train: an empty test split cannot infer it
-    y_test = np.asarray(y_test, dtype=float).reshape(len(x_test), y_train.shape[1])
-
-    def batch_grads(idx):
-        grads, _ = mse_backprop(net, x_train[idx], y_train[idx])
-        return _flat_grads(grads)
-
-    def epoch_metrics():
-        pred_te = np.atleast_2d(net.forward(x_test)) if len(x_test) else None
-        return _epoch_metrics(np.atleast_2d(net.forward(x_train)), y_train, pred_te, y_test)
-
-    return _train_staged(net.parameters(), len(x_train), batch_grads, epoch_metrics, stages, rng)
 
 
 def _fit_fingerprint(model: str, stages, split, **extra) -> dict:
@@ -341,11 +307,26 @@ class StressSurrogate:
         return self.net.forward(x)[:, 0] * self.output_scale
 
     def fit(self, profiles_x, profiles_y, sigma_max, test_fraction_split, stages, rng):
-        """Train on scaled targets; ``test_fraction_split`` is (train_idx, test_idx)."""
+        """Train on scaled targets; ``test_fraction_split`` is (train_idx, test_idx).
+
+        Each step takes the mean squared error of the network output against
+        ``sigma_max / output_scale`` over its batch of training samples.
+        """
         x = self.features(profiles_x, profiles_y)
-        y = np.asarray(sigma_max, dtype=float) / self.output_scale
+        y = (np.asarray(sigma_max, dtype=float) / self.output_scale).reshape(len(x), 1)
         tr, te = test_fraction_split
-        history = train_regressor(self.net, x[tr], y[tr], x[te], y[te], stages, rng)
+
+        def batch_grads(idx):
+            rows = tr[idx]
+            pred, cache = self.net.forward_cached(x[rows])
+            return self.net.backward(cache, 2.0 * (pred - y[rows]) / rows.size)
+
+        def epoch_metrics():
+            pred_te = self.net.forward(x[te]) if len(te) else None
+            return _epoch_metrics(self.net.forward(x[tr]), y[tr], pred_te, y[te])
+
+        history = _train_staged(self.net.parameters(), len(tr), batch_grads, epoch_metrics,
+                                stages, rng)
         self.fingerprint = _fit_fingerprint("stress_surrogate", stages, test_fraction_split)
         return history
 
@@ -390,13 +371,12 @@ class OperatorNet:
         self._trunk_cache = None  # (points key, trunk output) of the last point set
 
     @classmethod
-    def build(cls, rng, nx_nodes: int, ny_nodes: int, L: float, H: float,
-              temperature_scale: float = 500.0, latent: int = 250,
-              branch_hidden=(200,), trunk_hidden=(200, 200, 200)) -> "OperatorNet":
+    def build(cls, rng, nx_nodes: int, ny_nodes: int, L: float, H: float) -> "OperatorNet":
+        """Branch then trunk, drawn in that order from ``rng``; latent 250, scale 500."""
         rng = make_rng(rng)
-        branch = make_dense(rng, [nx_nodes + ny_nodes, *branch_hidden, latent], "relu")
-        trunk = make_dense(rng, [2, *trunk_hidden, latent], "tanh")
-        return cls(branch, trunk, temperature_scale, L, H)
+        branch = make_dense(rng, [nx_nodes + ny_nodes, 200, 250], "relu")
+        trunk = make_dense(rng, [2, 200, 200, 200, 250], "tanh")
+        return cls(branch, trunk, 500.0, L, H)
 
     def _norm_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -441,8 +421,8 @@ class OperatorNet:
             gt, tcache = self.trunk.forward_cached(pts)
             resid = fb @ gt.T - targets[rows]
             resid *= 2.0 / resid.size
-            return (_flat_grads(self.branch.backward(bcache, resid @ gt))
-                    + _flat_grads(self.trunk.backward(tcache, resid.T @ fb)))
+            return (self.branch.backward(bcache, resid @ gt)
+                    + self.trunk.backward(tcache, resid.T @ fb))
 
         def epoch_metrics():
             g = self.trunk.forward(pts).T
@@ -489,16 +469,10 @@ def load_model(path):
 
 
 # shipped training schedules
-STRESS_STAGES_PROBLEM1 = (
-    TrainStage(1e-3, 20, 32),
-    TrainStage(1e-4, 50, 32),
-    TrainStage(5e-5, 200, 32),
-)
-STRESS_STAGES_PROBLEM2 = (
-    TrainStage(1e-3, 20, 32),
-    TrainStage(1e-4, 100, 32),
-    TrainStage(5e-5, 200, 32),
-)
+STRESS_STAGES = {  # by problem id
+    "problem1": (TrainStage(1e-3, 20, 32), TrainStage(1e-4, 50, 32), TrainStage(5e-5, 200, 32)),
+    "problem2": (TrainStage(1e-3, 20, 32), TrainStage(1e-4, 100, 32), TrainStage(5e-5, 200, 32)),
+}
 OPERATOR_STAGES = (  # batches of 4 samples, each over every grid point
     TrainStage(1e-3, 40, 4),
     TrainStage(1e-4, 20, 4),

@@ -161,8 +161,7 @@ def train_stress_model(dataset: dict, seed: int, stages=None, max_samples: int |
     """Fit the stress surrogate on a loaded dataset; returns (model, history)."""
     problem_id = dataset["manifest"]["problem"]
     cfg = problems.get_problem(problem_id)
-    stages = stages or (neural.STRESS_STAGES_PROBLEM1 if problem_id == "problem1"
-                        else neural.STRESS_STAGES_PROBLEM2)
+    stages = stages or neural.STRESS_STAGES[problem_id]
     model = neural.StressSurrogate.build(
         derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1, problems.stress_scale(cfg))
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"], dataset["sigma_e_max"],
@@ -170,7 +169,7 @@ def train_stress_model(dataset: dict, seed: int, stages=None, max_samples: int |
     return model, history
 
 
-def train_temperature_model(dataset: dict, seed: int, stages=None, latent: int = 250,
+def train_temperature_model(dataset: dict, seed: int, stages=None,
                             max_samples: int | None = None):
     """Fit the branch/trunk operator on the stored temperature grids."""
     problem_id = dataset["manifest"]["problem"]
@@ -179,7 +178,7 @@ def train_temperature_model(dataset: dict, seed: int, stages=None, latent: int =
     cfg = problems.get_problem(problem_id)
     stages = stages or neural.OPERATOR_STAGES
     model = neural.OperatorNet.build(
-        derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H, latent=latent)
+        derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"],
                         dataset["temperature_grid"], grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny),
                         _capped_split(dataset, max_samples), stages, derived_rng(seed, 4))
@@ -208,10 +207,11 @@ def _constraints_from(case_spec: dict, overrides: dict) -> ConstraintSpec:
 def _load_model_for(path, kind, config):
     """Load a model of class ``kind`` and check that it was built for ``config``'s plate.
 
-    A stress model must take the plate's (nx + 1, ny + 1) profile nodes; an
-    operator's branch must take their sum and its L and H must be the plate's.
-    Raises DimensionMismatch naming the file, so a model of another problem is
-    rejected before the GA evaluates anything.
+    A stress model must take the plate's (nx + 1, ny + 1) profile nodes and
+    scale its output by the problem's ``stress_scale``; an operator's branch
+    must take their sum and its L and H must be the plate's.  Raises
+    DimensionMismatch (ValueError for a wrong stress scale) naming the file, so
+    a model of another problem is rejected before the GA evaluates anything.
     """
     model = neural.load_model(path)
     if not isinstance(model, kind):
@@ -222,6 +222,10 @@ def _load_model_for(path, kind, config):
             raise DimensionMismatch(
                 f"{path}: stress model takes {model.nx_nodes} x {model.ny_nodes} profile nodes, "
                 f"problem {config.name} has {nodes[0]} x {nodes[1]}")
+        if model.output_scale != problems.stress_scale(config):
+            raise ValueError(
+                f"{path}: stress model scales its output by {model.output_scale!r}, "
+                f"problem {config.name} by {problems.stress_scale(config)!r}")
     elif model.branch.input_dim != sum(nodes) or (model.L, model.H) != (config.L, config.H):
         raise DimensionMismatch(
             f"{path}: temperature model takes {model.branch.input_dim} profile nodes on a "

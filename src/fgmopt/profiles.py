@@ -233,14 +233,14 @@ def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
 
     With every ratio at least 1, phi[i+1] = min(1, a[i] * phi[i]) is the
     running product capped at 1: a product that reaches 1 never falls back
-    below it, so this is bit-identical to the recursion.  (A ratio within
-    _BOUND_TOL below 1, which ``validate`` admits, is taken as the capped
-    product too.)  Node 1 is not capped.  A last node below 1 then rescales
-    nodes 1..n by 1/phi[n].
+    below it, so this is bit-identical to the recursion.  A ratio within
+    _BOUND_TOL below 1, which ``validate`` admits, is taken as 1, so every
+    admitted gene vector decodes.  Node 1 is not capped.  A last node below 1
+    then rescales nodes 1..n by 1/phi[n].
     """
     values = np.empty(alphas.size + 2)
     values[0], values[1] = 0.0, phi1
-    values[2:] = alphas
+    np.maximum(alphas, 1.0, out=values[2:])
     np.multiply.accumulate(values[1:], out=values[1:])
     np.minimum(values[2:], 1.0, out=values[2:])
     if values[-1] < 1.0:

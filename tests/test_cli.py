@@ -213,6 +213,27 @@ class TestOptimize:
         assert err.startswith("error: ") and str(model) in err and "41 x 41" in err
         assert '"generation"' not in err
 
+    @pytest.mark.parametrize("override", [{"ga": {"tournament_size": 0}},
+                                          {"sigma_star": float("nan")}],
+                             ids=["empty-tournament", "nan-threshold"])
+    def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
+                                                                    override):
+        cfg = problems.problem2()
+        model = tmp_path / "stress.json"
+        neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1,
+                                                       problems.stress_scale(cfg)), model)
+        path = self.write_exp(tmp_path)
+        exp = json.loads(path.read_text())
+        exp["ga"].update(override.get("ga", {}))
+        if "sigma_star" in override:
+            exp.update(sigma_star=override["sigma_star"], models={"stress": str(model)})
+        path.write_text(json.dumps(exp))
+        code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and '"generation"' not in err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",
                                str(tmp_path / "none.json"), "--out", str(tmp_path / "o"))

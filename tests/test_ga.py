@@ -372,6 +372,17 @@ class TestEvolve:
         base.update(kw)
         return GAConfig(**base)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(tournament_size=0), "tournament_size"),
+        (dict(tournament_size=11), "tournament_size"),
+        (dict(sigma_star=float("nan")), "sigma_star .* got nan"),
+        (dict(sigma_star=-1.0), "sigma_star .* got -1.0"),
+    ], ids=["empty-tournament", "tournament-above-population", "nan-threshold",
+            "negative-threshold"])
+    def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.make_config(**bad)
+
     def test_terminates_at_min_generations_when_stalled(self):
         # huge stall tolerance -> stall condition met immediately
         rec = evolve(self.make_config(), fem_evaluator(), *tiny_gen_configs())

@@ -15,12 +15,33 @@ from fgmopt.neural import (
     history_to_csv,
     load_model,
     make_dense,
-    mse_backprop,
     r2_score,
     save_model,
-    train_regressor,
 )
 from fgmopt.rng import make_rng
+
+
+def mse_grads(net, x, y):
+    """DenseNet.backward's gradients of the batch-mean squared error of ``net`` on (x, y)."""
+    pred, cache = net.forward_cached(x)
+    return net.backward(cache, 2.0 * (pred - y) / pred.size)
+
+
+def fit_stress(net, x, y, split, stages, rng):
+    """StressSurrogate.fit of ``net`` (unit output scale) on features ``x``, split
+    between the x and y profiles at the middle column; returns the history."""
+    half = net.input_dim // 2
+    model = StressSurrogate(net, 1.0, half, net.input_dim - half)
+    return model.fit(x[:, :half], x[:, half:], y, split, stages, rng)
+
+
+def small_operator(rng, nx_nodes, ny_nodes, L, H, latent, branch_hidden, trunk_hidden,
+                   temperature_scale=500.0):
+    """An OperatorNet of the given sizes; branch then trunk from one rng, as ``build`` draws."""
+    rng = make_rng(rng)
+    branch = make_dense(rng, [nx_nodes + ny_nodes, *branch_hidden, latent], "relu")
+    trunk = make_dense(rng, [2, *trunk_hidden, latent], "tanh")
+    return OperatorNet(branch, trunk, temperature_scale, L, H)
 
 
 class TestForward:
@@ -59,14 +80,12 @@ class TestBackprop:
         net = make_dense(rng, [5, 10, 6, 1], "tanh")
         x = rng.normal(size=(12, 5))
         y = rng.normal(size=(12, 1))
-        grads, _ = mse_backprop(net, x, y)
-        flat = []
-        for dw, db in grads:
-            flat.extend((dw, db))
+        grads = mse_grads(net, x, y)
         params = net.parameters()
+        assert [g.shape for g in grads] == [p.shape for p in params]
         h = 1e-5
         checked = 0
-        for p, g in zip(params, flat):
+        for p, g in zip(params, grads):
             idx = list(np.ndindex(p.shape))
             for k in rng.choice(len(idx), size=min(40, len(idx)), replace=False):
                 i = idx[int(k)]
@@ -86,21 +105,20 @@ class TestBackprop:
         net = make_dense(rng, [3, 5, 2], "relu")
         x = rng.normal(size=(6, 3))
         y = net.forward(x)
-        grads, loss = mse_backprop(net, x, y)
-        assert loss == 0.0
-        for dw, db in grads:
-            assert np.abs(dw).max() == 0.0 and np.abs(db).max() == 0.0
+        grads = mse_grads(net, x, y)
+        assert len(grads) == 4
+        for g in grads:
+            assert np.abs(g).max() == 0.0
 
     def test_residual_scaling_linearity(self):
-        # doubling the residuals doubles the output-layer bias gradient
+        # doubling the residuals doubles every gradient
         rng = make_rng(4)
         net = make_dense(rng, [3, 4, 1], "relu")
         x = rng.normal(size=(5, 3))
-        y0 = net.forward(x)
+        _, cache = net.forward_cached(x)
         r = rng.normal(size=(5, 1))
-        g1, _ = mse_backprop(net, x, y0 - r)
-        g2, _ = mse_backprop(net, x, y0 - 2 * r)
-        np.testing.assert_allclose(g2[-1][1], 2 * g1[-1][1], rtol=1e-12)
+        for g1, g2 in zip(net.backward(cache, r), net.backward(cache, 2 * r)):
+            np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
 
 
 class TestAdam:
@@ -126,8 +144,8 @@ class TestAdam:
             net = make_dense(rng, [3, 6, 1], "relu")
             x = make_rng(12).normal(size=(64, 3))
             y = (x[:, :1] * 2 - x[:, 1:2]) ** 2
-            train_regressor(net, x, y, x[:5], y[:5],
-                            [TrainStage(1e-3, 5, 8)], make_rng(13))
+            fit_stress(net, x, y, (np.arange(64), np.arange(5)),
+                       [TrainStage(1e-3, 5, 8)], make_rng(13))
             return np.concatenate([p.ravel() for p in net.parameters()])
 
         a, b = run(), run()
@@ -141,8 +159,8 @@ class TestTraining:
         w = rng.normal(size=(6, 1))
         y = x @ w + 0.5
         net = make_dense(rng, [6, 32, 1], "relu")
-        hist = train_regressor(net, x[:320], y[:320], x[320:], y[320:],
-                               [TrainStage(5e-3, 150, 32)], rng)
+        hist = fit_stress(net, x, y, (np.arange(320), np.arange(320, 400)),
+                          [TrainStage(5e-3, 150, 32)], rng)
         assert hist[-1]["train_r2"] > 0.999
 
     def test_history_records_and_csv(self, tmp_path):
@@ -150,8 +168,8 @@ class TestTraining:
         x = rng.normal(size=(50, 3))
         y = x[:, :1]
         net = make_dense(rng, [3, 8, 1], "tanh")
-        hist = train_regressor(net, x[:40], y[:40], x[40:], y[40:],
-                               [TrainStage(1e-3, 2, 16), TrainStage(1e-4, 3, 8)], rng)
+        hist = fit_stress(net, x, y, (np.arange(40), np.arange(40, 50)),
+                          [TrainStage(1e-3, 2, 16), TrainStage(1e-4, 3, 8)], rng)
         assert len(hist) == 5
         assert hist[0]["stage"] == 0 and hist[-1]["stage"] == 1
         assert hist[-1]["epoch"] == 5
@@ -170,8 +188,7 @@ class TestTraining:
         y = rng.normal(size=(32, 1))
         net.layers[0].weights[0, 0] = np.nan
         with pytest.raises(TrainingDiverged):
-            train_regressor(net, x, y, x[:2], y[:2],
-                            [TrainStage(1e-3, 1, 8)], rng)
+            fit_stress(net, x, y, (np.arange(32), np.arange(2)), [TrainStage(1e-3, 1, 8)], rng)
 
 
 class TestR2:
@@ -209,6 +226,31 @@ class TestStressSurrogate:
         raw = model.net.forward(np.zeros(6))[0]
         assert model.predict(px, px)[0] == pytest.approx(raw * 1e6)
 
+    def test_step_gradients_are_the_batch_mse_gradients(self, monkeypatch):
+        # fit's step on a batch of training samples against DenseNet.backward of their MSE
+        rng = make_rng(8)
+        model = StressSurrogate.build(rng, 3, 4, output_scale=1e6)
+        px, py = rng.uniform(0, 1, (9, 3)), rng.uniform(0, 1, (9, 4))
+        sigma = rng.uniform(1e6, 5e6, 9)
+        tr = np.array([8, 1, 4, 6, 0, 3])
+        captured = {}
+
+        def capture(params, n_samples, batch_grads, epoch_metrics, stages, rng):
+            captured.update(n_samples=n_samples, batch_grads=batch_grads)
+            return []
+
+        monkeypatch.setattr(neural, "_train_staged", capture)
+        model.fit(px, py, sigma, (tr, np.array([2, 5, 7])), [TrainStage(1e-3, 1, 4)], rng)
+        assert captured["n_samples"] == tr.size
+        idx = np.array([4, 0, 2])  # places in the training split: samples 0, 8 and 4
+        rows = tr[idx]
+        x = np.concatenate([px, py], axis=1)
+        want = mse_grads(model.net, x[rows], sigma[rows, None] / 1e6)
+        got = captured["batch_grads"](idx)
+        assert len(got) == len(want) == 8
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = StressSurrogate.build(9, 4, 6, output_scale=1e7)
         path = tmp_path / "m.json"
@@ -221,8 +263,18 @@ class TestStressSurrogate:
 
 
 class TestOperatorNet:
+    def test_build_draws_the_shipped_sizes(self):
+        # latent 250, branch (200,), trunk (200, 200, 200), scale 500; branch drawn first
+        model = OperatorNet.build(3, 21, 21, L=0.15, H=0.06)
+        assert [l.weights.shape for l in model.branch.layers] == [(42, 200), (200, 250)]
+        assert [l.weights.shape for l in model.trunk.layers] == [
+            (2, 200), (200, 200), (200, 200), (200, 250)]
+        assert model.temperature_scale == 500.0
+        want = small_operator(3, 21, 21, 0.15, 0.06, 250, (200,), (200, 200, 200))
+        assert model.to_dict() == want.to_dict()
+
     def test_dot_product_head(self):
-        model = OperatorNet.build(0, 3, 3, L=1.0, H=1.0, temperature_scale=2.0,
+        model = small_operator(0, 3, 3, L=1.0, H=1.0, temperature_scale=2.0,
                                   latent=1, branch_hidden=(4,), trunk_hidden=(4,))
         # force branch output to [2] and trunk output to [3]
         model.branch.layers[-1].weights[:] = 0.0
@@ -233,7 +285,7 @@ class TestOperatorNet:
         assert out[0] == pytest.approx(2.0 * 3.0 * 2.0)
 
     def test_zero_branch_gives_zero_everywhere(self):
-        model = OperatorNet.build(1, 4, 4, L=2.0, H=1.0, latent=8,
+        model = small_operator(1, 4, 4, L=2.0, H=1.0, latent=8,
                                   branch_hidden=(8,), trunk_hidden=(8,))
         model.branch.layers[-1].weights[:] = 0.0
         model.branch.layers[-1].bias[:] = 0.0
@@ -245,7 +297,7 @@ class TestOperatorNet:
     def test_sample_batch_gradients_match_per_pair_oracle(self, monkeypatch):
         # fit's step on a batch of training samples against the per-pair formula
         # run once for every (sample, point) pair of those samples
-        model = OperatorNet.build(5, 5, 5, L=2.0, H=1.0, latent=16,
+        model = small_operator(5, 5, 5, L=2.0, H=1.0, latent=16,
                                   branch_hidden=(16,), trunk_hidden=(16, 16))
         rng = make_rng(6)
         px, py = rng.uniform(0, 1, (9, 5)), rng.uniform(0, 1, (9, 5))
@@ -270,9 +322,8 @@ class TestOperatorNet:
         fb, bcache = model.branch.forward_cached(feats[s_idx])
         gt, tcache = model.trunk.forward_cached((pts / [2.0, 1.0])[p_idx])
         resid = (np.einsum("nc,nc->n", fb, gt) - targets[s_idx, p_idx]) * (2.0 / s_idx.size)
-        want = [g for pair in (model.branch.backward(bcache, resid[:, None] * gt)
-                               + model.trunk.backward(tcache, resid[:, None] * fb))
-                for g in pair]
+        want = (model.branch.backward(bcache, resid[:, None] * gt)
+                + model.trunk.backward(tcache, resid[:, None] * fb))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
@@ -283,7 +334,7 @@ class TestOperatorNet:
         rng = make_rng(15)
         px, py = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
         pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
-        model = OperatorNet.build(16, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
+        model = small_operator(16, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
                                   latent=4, branch_hidden=(8,), trunk_hidden=(8,))
         calls, forward_cached = [], model.trunk.forward_cached
 
@@ -297,7 +348,7 @@ class TestOperatorNet:
         assert calls == [(11, 2)] * 6
 
     def test_batch_equals_pointwise_loop(self):
-        model = OperatorNet.build(3, 5, 5, L=1.0, H=1.0, latent=16,
+        model = small_operator(3, 5, 5, L=1.0, H=1.0, latent=16,
                                   branch_hidden=(16,), trunk_hidden=(16, 16))
         rng = make_rng(4)
         px = rng.uniform(0, 1, (6, 5))
@@ -309,7 +360,7 @@ class TestOperatorNet:
             np.testing.assert_allclose(table[i], row, rtol=1e-13)
 
     def test_cached_trunk_equals_uncached(self):
-        model = OperatorNet.build(11, 4, 4, L=2.0, H=1.0, latent=8,
+        model = small_operator(11, 4, 4, L=2.0, H=1.0, latent=8,
                                   branch_hidden=(8,), trunk_hidden=(8, 8))
         rng = make_rng(12)
         pts = np.column_stack([rng.uniform(0, 2.0, 21), rng.uniform(0, 1.0, 21)])
@@ -327,7 +378,7 @@ class TestOperatorNet:
         rng = make_rng(13)
         px, py = rng.uniform(0, 1, (8, 3)), rng.uniform(0, 1, (8, 3))
         pts = np.array([(0.2, 0.3), (0.7, 0.9), (0.5, 0.1)])
-        model = OperatorNet.build(14, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
+        model = small_operator(14, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
                                   latent=4, branch_hidden=(8,), trunk_hidden=(8,))
         before = model.predict(px[0], py[0], pts)
         model.fit(px, py, rng.uniform(0, 10, (8, 3)), pts, (np.arange(6), np.arange(6, 8)),
@@ -338,7 +389,7 @@ class TestOperatorNet:
             after, OperatorNet.from_dict(model.to_dict()).predict(px[0], py[0], pts))
 
     def test_linear_in_branch_output(self):
-        model = OperatorNet.build(5, 3, 3, L=1.0, H=1.0, latent=4,
+        model = small_operator(5, 3, 3, L=1.0, H=1.0, latent=4,
                                   branch_hidden=(4,), trunk_hidden=(4,))
         pts = [(0.3, 0.6)]
         base = model.predict(np.zeros(3), np.zeros(3), pts)[0]
@@ -358,7 +409,7 @@ class TestOperatorNet:
         amp = px.sum(axis=1, keepdims=True) - py.sum(axis=1, keepdims=True)
         mode = np.sin(np.pi * pts[:, 0]) * np.cos(0.5 * np.pi * pts[:, 1])
         temps = 100.0 * amp * mode[None, :]
-        model = OperatorNet.build(7, d, d, L=1.0, H=1.0, temperature_scale=100.0,
+        model = small_operator(7, d, d, L=1.0, H=1.0, temperature_scale=100.0,
                                   latent=16, branch_hidden=(32,), trunk_hidden=(32, 32))
         tr = np.arange(120)
         te = np.arange(120, 150)
@@ -367,12 +418,12 @@ class TestOperatorNet:
         assert hist[-1]["test_r2"] > 0.97
 
     def test_single_value_test_split_skips_test_r2(self):
-        # like train_regressor: test_mse is recorded, the undefined test_r2 is not
+        # like StressSurrogate.fit: test_mse is recorded, the undefined test_r2 is not
         rng = make_rng(9)
         px = rng.uniform(0, 1, (10, 3))
         py = rng.uniform(0, 1, (10, 3))
         temps = 50.0 * px[:, :1]
-        model = OperatorNet.build(10, 3, 3, L=1.0, H=1.0, temperature_scale=50.0,
+        model = small_operator(10, 3, 3, L=1.0, H=1.0, temperature_scale=50.0,
                                   latent=4, branch_hidden=(8,), trunk_hidden=(8,))
         hist = model.fit(px, py, temps, [(0.5, 0.5)], (np.arange(9), np.array([9])),
                          [TrainStage(1e-3, 2, 4)], rng)
@@ -382,7 +433,7 @@ class TestOperatorNet:
             assert "test_r2" not in row
 
     def test_round_trip_bit_exact(self, tmp_path):
-        model = OperatorNet.build(8, 4, 4, L=0.15, H=0.06, latent=8,
+        model = small_operator(8, 4, 4, L=0.15, H=0.06, latent=8,
                                   branch_hidden=(8,), trunk_hidden=(8,))
         save_model(model, tmp_path / "op.json")
         back = load_model(tmp_path / "op.json")
@@ -395,7 +446,7 @@ class TestOperatorNet:
 
 def _small_models():
     return [StressSurrogate.build(9, 4, 6, output_scale=1e7),
-            OperatorNet.build(8, 4, 6, L=0.15, H=0.06, latent=8, branch_hidden=(8,),
+            small_operator(8, 4, 6, L=0.15, H=0.06, latent=8, branch_hidden=(8,),
                               trunk_hidden=(8,))]
 
 
@@ -456,7 +507,7 @@ class TestModelFile:
     def test_operator_file_stays_near_eleven_bytes_per_parameter(self, tmp_path):
         # base64 float64 is about 10.7 bytes a parameter; decimal text is about 21
         cfg = problems.problem2()
-        model = OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H, latent=250)
+        model = OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H)
         n_params = sum(p.size for p in model.branch.parameters() + model.trunk.parameters())
         save_model(model, tmp_path / "op.json")
         assert (tmp_path / "op.json").stat().st_size <= 11 * n_params + 4096

@@ -13,6 +13,12 @@ from fgmopt.profiles import genes_from_dict, genes_to_profiles, grid_points, ten
 from fgmopt.rng import make_rng
 
 
+def tiny_operator(nx_nodes, ny_nodes, L, H):
+    """An operator of latent 4: the plate binding checks read only its shapes and L, H."""
+    return neural.OperatorNet(neural.make_dense(0, [nx_nodes + ny_nodes, 4], "relu"),
+                              neural.make_dense(1, [2, 4], "tanh"), 500.0, L, H)
+
+
 def gen(tmp_path, name, count=10, seed=7, threads=1):
     out = tmp_path / name
     manifest = pipeline.generate_dataset("problem2", count, seed, out, threads=threads)
@@ -106,7 +112,7 @@ class TestTrainingWiring:
         d, _ = gen(tmp_path, "traint", count=10, seed=22)
         data = pipeline.load_dataset(d)
         model, hist = pipeline.train_temperature_model(
-            data, seed=0, stages=[TrainStage(1e-3, 2, 512)], latent=16)
+            data, seed=0, stages=[TrainStage(1e-3, 2, 512)])
         assert len(hist) == 2
         cfg = problems.problem2()
         pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
@@ -208,26 +214,29 @@ class TestExperiments:
         ("stress", lambda p1: neural.StressSurrogate.build(0, p1.nx + 1, p1.ny + 1, 1e7),
          DimensionMismatch,
          "stress model takes 41 x 41 profile nodes, problem problem2 has 21 x 21"),
-        ("temperature", lambda p1: neural.OperatorNet.build(0, p1.nx + 1, p1.ny + 1, L=p1.L,
-                                                            H=p1.H, latent=4),
+        ("temperature", lambda p1: tiny_operator(p1.nx + 1, p1.ny + 1, p1.L, p1.H),
          DimensionMismatch, "temperature model takes 82 profile nodes on a 0.1 x 0.1 plate, "
          "problem problem2 has 21 \\+ 21 nodes"),
         # right node counts, wrong plate: would run silently without the check
-        ("temperature", lambda p1: neural.OperatorNet.build(0, 21, 21, L=p1.L, H=p1.H,
-                                                            latent=4),
+        ("temperature", lambda p1: tiny_operator(21, 21, p1.L, p1.H),
          DimensionMismatch, "takes 42 profile nodes on a 0.1 x 0.1 plate"),
-        ("stress", lambda p1: neural.OperatorNet.build(0, 21, 21, L=0.15, H=0.06, latent=4),
+        ("stress", lambda p1: tiny_operator(21, 21, 0.15, 0.06),
          ValueError, "expected a StressSurrogate, found OperatorNet"),
+        # right node counts, problem 1's output scale: predictions would be 10x off
+        ("stress", lambda p1: neural.StressSurrogate.build(0, 21, 21, problems.stress_scale(p1)),
+         ValueError, "stress model scales its output by 10000000.0, "
+         "problem problem2 by 1000000.0"),
     ], ids=["problem1-stress", "problem1-temperature", "other-plate-temperature",
-            "operator-as-stress"])
+            "operator-as-stress", "problem1-scale-stress"])
     def test_model_of_another_problem_rejected_before_evolve(self, tmp_path, monkeypatch,
                                                              role, model, error, match):
         cfg = problems.problem2()
         models = {"stress": tmp_path / "stress.json", "temperature": tmp_path / "temp.json"}
-        neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1, 1e6),
+        neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1,
+                                                       problems.stress_scale(cfg)),
                           models["stress"])
-        neural.save_model(neural.OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L,
-                                                   H=cfg.H, latent=4), models["temperature"])
+        neural.save_model(tiny_operator(cfg.nx + 1, cfg.ny + 1, cfg.L, cfg.H),
+                          models["temperature"])
         neural.save_model(model(problems.problem1()), models[role])
         calls = []
         monkeypatch.setattr(ga.FitnessEvaluator, "evaluate",
@@ -244,8 +253,7 @@ class TestExperiments:
         d, _ = gen(tmp_path, "models", count=10, seed=31)
         data = pipeline.load_dataset(d)
         stress, _ = pipeline.train_stress_model(data, 0, stages=[TrainStage(1e-3, 1, 4)])
-        temp, _ = pipeline.train_temperature_model(data, 0, stages=[TrainStage(1e-3, 1, 512)],
-                                                   latent=8)
+        temp, _ = pipeline.train_temperature_model(data, 0, stages=[TrainStage(1e-3, 1, 512)])
         neural.save_model(stress, tmp_path / "stress.json")
         neural.save_model(temp, tmp_path / "temp.json")
         exp = self.tiny_exp(case="case3", sigma_star=0.0,

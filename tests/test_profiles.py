@@ -226,6 +226,19 @@ class TestReplayMatchesRecursion:
         with pytest.raises(GeneOutOfBounds):
             genes_to_profiles(GradationGenes(np.nan, 0.05, alphas, alphas, lower, upper))
 
+    def test_ratios_admitted_just_below_one_decode_as_one(self):
+        # validate admits a ratio up to _BOUND_TOL below 1; taken as is, 39 of them would
+        # push phi_x1 0.5 past 1 after the end rescaling and decoding would raise
+        gx, gy = problems.generation_configs(problems.problem1())
+        lower, upper = gene_bounds(gx, gy)
+        alphas_y = np.full(gy.n_elems - 1, 1.5)
+        low = GradationGenes(0.5, 0.05, np.full(gx.n_elems - 1, 1 - 5e-10), alphas_y,
+                             lower, upper)
+        one = GradationGenes(0.5, 0.05, np.ones(gx.n_elems - 1), alphas_y, lower, upper)
+        low.validate()
+        for got, want in zip(genes_to_profiles(low), genes_to_profiles(one)):
+            assert got.values.tobytes() == want.values.tobytes()
+
 
 class TestTensorProductAndInterpolation:
     def test_outer_product_exact(self):
