@@ -38,8 +38,8 @@ def _profile_for(args):
     """
     if args.genes is not None:
         config = problems.get_problem(args.problem)
-        gx, gy = problems.generation_configs(config)
-        genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()), gx, gy)
+        genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()),
+                                config.nx, config.ny)
         px, py = genes_to_profiles(genes)
         return config, tensor_product(px, py, L=config.L, H=config.H)
     config = problems.reference_config(args.problem)

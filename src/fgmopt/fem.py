@@ -214,9 +214,12 @@ class ProblemConfig:
 # ---------------------------------------------------------------------------
 
 def _lagrange_quadratic(t):
-    """1D quadratic Lagrange values and derivatives at nodes t = -1, 0, 1."""
-    vals = np.array([t * (t - 1.0) / 2.0, 1.0 - t * t, t * (t + 1.0) / 2.0])
-    ders = np.array([t - 0.5, -2.0 * t, t + 0.5])
+    """1D quadratic Lagrange values and derivatives at nodes t = -1, 0, 1.
+
+    For an array ``t`` the node index is the last axis: (*t.shape, 3).
+    """
+    vals = np.stack([t * (t - 1.0) / 2.0, 1.0 - t * t, t * (t + 1.0) / 2.0], axis=-1)
+    ders = np.stack([t - 0.5, -2.0 * t, t + 0.5], axis=-1)
     return vals, ders
 
 
@@ -582,8 +585,7 @@ class ThermoelasticSolver:
         """Biquadratic interpolation of a nodal field at points inside the plate."""
         mesh = self.mesh
         ex, ey, xi, eta = cell_coords(np.atleast_1d(x), np.atleast_1d(y), mesh.L, mesh.H, mesh.nx, mesh.ny)
-        lx = np.stack([xi * (xi - 1) / 2, 1 - xi * xi, xi * (xi + 1) / 2], axis=-1)
-        ly = np.stack([eta * (eta - 1) / 2, 1 - eta * eta, eta * (eta + 1) / 2], axis=-1)
+        lx, ly = _lagrange_quadratic(xi)[0], _lagrange_quadratic(eta)[0]  # (points, 3)
         N = (ly[:, :, None] * lx[:, None, :]).reshape(xi.size, 9)
         vals = nodal[mesh.conn[ey * mesh.nx + ex]]
         return np.einsum("pa,pa->p", N, vals)

@@ -44,9 +44,9 @@ import numpy as np
 from .errors import MissingSummary
 from .fem import ThermoelasticSolver
 from .profiles import (
-    GenerationConfig,
     GradationGenes,
     average_ceramic_fraction,
+    gene_bounds,
     generate_genes,
     genes_to_profiles,
     grid_points,
@@ -81,6 +81,12 @@ class GAConfig:
             raise ValueError("need 1 <= tournament_size <= population_size")
         if self.sigma_star is not None and not self.sigma_star >= 0.0:  # NaN fails >=
             raise ValueError(f"sigma_star must be None or >= 0, got {self.sigma_star!r}")
+        # elitism keeps the improvement >= 0, so below 0 (or NaN) the stall test never holds
+        if not self.stall_tolerance >= 0.0:
+            raise ValueError(f"stall_tolerance must be >= 0, got {self.stall_tolerance!r}")
+        if not 0.0 <= self.mutation_probability <= 1.0:  # NaN would never mutate
+            raise ValueError(f"mutation_probability must lie in [0, 1], "
+                             f"got {self.mutation_probability!r}")
 
 
 @dataclass(frozen=True)
@@ -129,20 +135,15 @@ def tournament_select(rank, k: int, n: int, rng) -> np.ndarray:
     return entrants[np.arange(n), rank[entrants].argmin(axis=1)]
 
 
-def _per_row(eta, ndim: int) -> np.ndarray:
-    """A scalar eta, or one eta per row, shaped to broadcast against the genes."""
-    return np.reshape(np.asarray(eta, dtype=float), (-1,) + (1,) * (ndim - 1))
-
-
-def sbx_crossover(p1, p2, eta_c, lower, upper, rng):
+def sbx_crossover(p1, p2, eta_c: float, lower, upper, rng):
     """Bounded SBX on a gene vector or on (rows, genes) arrays of parent pairs.
 
     Each gene crosses with probability 1/2 (one spread draw shared by both
     children, random child swap), otherwise both children copy the parents.
     The bounded spread factors keep children inside [lower, upper] without
-    post-hoc clamping; the final clip only guards float roundoff.  ``eta_c``
-    is a scalar or one value per row.  The uniforms are one draw,
-    ``rng.random((3, *shape))``: cross decision, spread, swap.
+    post-hoc clamping; the final clip only guards float roundoff.  The
+    uniforms are one draw, ``rng.random((3, *shape))``: cross decision,
+    spread, swap.
     """
     rng = make_rng(rng)
     p1 = np.asarray(p1, dtype=float)
@@ -151,7 +152,7 @@ def sbx_crossover(p1, p2, eta_c, lower, upper, rng):
     cross = (cross_u <= 0.5) & (np.abs(p1 - p2) > _SBX_EPS)
     y1, y2 = np.minimum(p1, p2), np.maximum(p1, p2)
     dy = np.where(cross, y2 - y1, 1.0)  # genes that do not cross are discarded below
-    exp = _per_row(eta_c, p1.ndim) + 1.0
+    exp = eta_c + 1.0
 
     def betaq(bound_gap):
         alpha = 2.0 - (1.0 + 2.0 * bound_gap / dy) ** -exp
@@ -163,12 +164,12 @@ def sbx_crossover(p1, p2, eta_c, lower, upper, rng):
     return np.where(cross, np.where(swap, b, a), p1), np.where(cross, np.where(swap, a, b), p2)
 
 
-def polynomial_mutation(genes, eta_m, lower, upper, mutation_probability: float, rng):
+def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability: float, rng):
     """Deb's bounded polynomial mutation of a gene vector or a (rows, genes) array.
 
     Each gene mutates with ``mutation_probability`` when its span is positive.
-    ``eta_m`` is a scalar or one value per row.  The uniforms are one draw,
-    ``rng.random((2, *shape))``: mutation decision, perturbation.
+    The uniforms are one draw, ``rng.random((2, *shape))``: mutation
+    decision, perturbation.
     """
     rng = make_rng(rng)
     y = np.asarray(genes, dtype=float)
@@ -176,7 +177,7 @@ def polynomial_mutation(genes, eta_m, lower, upper, mutation_probability: float,
     span = upper - lower
     mutate = (mutate_u < mutation_probability) & (span > 0.0)
     safe_span = np.where(span > 0.0, span, 1.0)  # genes that do not mutate are discarded below
-    exp = _per_row(eta_m, y.ndim) + 1.0
+    exp = eta_m + 1.0
     low = u <= 0.5
     xy_exp = (1.0 - np.where(low, y - lower, upper - y) / safe_span) ** exp
     val = np.where(low, 2.0 * u + (1.0 - 2.0 * u) * xy_exp,
@@ -305,14 +306,14 @@ class RunRecord:
                 for k in ("nan_predictions", "negative_predictions")}
 
 
-def evolve(config: GAConfig, evaluator: FitnessEvaluator,
-           gen_config_x: GenerationConfig, gen_config_y: GenerationConfig) -> RunRecord:
+def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
     """Run the GA loop; deterministic for a fixed config.seed.
 
     Initial population comes from the random profile generation scheme, not
-    uniform gene sampling.  Elites are copied untouched (no crossover or
-    mutation); termination needs min_generations completed and the best
-    fitness improving by at most stall_tolerance over stall_generations.
+    uniform gene sampling, on the plate that ``evaluator.solver`` solves.
+    Elites are copied untouched (no crossover or mutation); termination needs
+    min_generations completed and the best fitness improving by at most
+    stall_tolerance over stall_generations.
 
     Each generation is drawn as arrays before any child is evaluated: one
     ``tournament_select`` call for the 2 * ceil(n_children / 2) parents
@@ -327,10 +328,11 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator,
     """
     t0 = time.perf_counter()
     rng = derived_rng(config.seed, 0x6A)
-    population = evaluated = [evaluator.evaluate(generate_genes(rng, gen_config_x, gen_config_y))
+    nx, ny = evaluator.solver.config.nx, evaluator.solver.config.ny
+    population = evaluated = [evaluator.evaluate(generate_genes(rng, nx, ny))
                               for _ in range(config.population_size)]
     template = population[0].genes
-    lower, upper = template.lower, template.upper
+    lower, upper = gene_bounds(nx, ny)
     n_children = config.population_size - config.elite_count
     stats: list[GenerationStats] = []
     best_trace: list[float] = []

@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 SPLIT_STREAM = 0x5B17
 REPLACEMENT_STREAM = 0x9E9
 TRAIN_FRACTION = 0.8
+EXPERIMENT_KEYS = frozenset({"problem", "case", "ga", "sigma_star", "models", "v_star",
+                             "theta_max", "sigma_allow", "penalty_weight", "seed"})
 
 
 @functools.cache
@@ -43,9 +45,8 @@ def _solver_for(problem_id: str) -> ThermoelasticSolver:
 def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> dict:
     solver = _solver_for(problem_id)
     cfg = solver.config
-    gx, gy = problems.generation_configs(cfg)
     stream = derived_rng(seed, index) if attempt == 0 else derived_rng(seed, REPLACEMENT_STREAM, index, attempt)
-    genes = generate_genes(stream, gx, gy)
+    genes = generate_genes(stream, cfg.nx, cfg.ny)
     px, py = genes_to_profiles(genes)
     profile = tensor_product(px, py, L=cfg.L, H=cfg.H)
     result = solver.run(profile)
@@ -239,8 +240,12 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
 
     ``exp`` keys: problem (problem1|problem2), case (unconstrained|case1..4),
     optional ga {...GAConfig overrides}, sigma_star (null = FEM only),
-    models {stress, temperature}, constraint overrides, seed.
+    models {stress, temperature}, constraint overrides, seed.  Any other key
+    is rejected by name.
     """
+    unknown = sorted(set(exp) - EXPERIMENT_KEYS)
+    if unknown:
+        raise ValueError(f"unknown experiment keys {unknown}")
     problem_id = exp["problem"]
     case = exp.get("case", "unconstrained")
     if case not in problems.CASE_DEFAULTS:
@@ -282,8 +287,7 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     evaluator = FitnessEvaluator(solver, objective, constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)
-    gx, gy = problems.generation_configs(config)
-    record = evolve(ga_config, evaluator, gx, gy)
+    record = evolve(ga_config, evaluator)
 
     # the reported optimum is always re-verified with one FEM solve
     best = record.best

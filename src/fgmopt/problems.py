@@ -29,19 +29,9 @@ from .fem import (
     ProblemConfig,
     ThermalBCSet,
 )
-from .profiles import (
-    BucketSpec,
-    GenerationConfig,
-    Profile2D,
-    power_law_profile,
-    tensor_product,
-)
+from .profiles import Profile2D, power_law_profile, tensor_product
 
 PROBLEM_IDS = ("problem1", "problem2")
-
-# first-node buckets: single wide bucket along x, two small buckets along y
-_BUCKETS_X = BucketSpec(((0.001, 1.0),))
-_BUCKETS_Y = BucketSpec(((0.001, 0.01), (0.01, 0.1)))
 
 
 def problem1() -> ProblemConfig:
@@ -99,13 +89,6 @@ def get_problem(problem_id: str) -> ProblemConfig:
     if problem_id == "problem2":
         return problem2()
     raise ValueError(f"unknown problem id {problem_id!r}")
-
-
-def generation_configs(config: ProblemConfig):
-    """(x-axis, y-axis) profile generator settings; node grid matches the mesh."""
-    gx = GenerationConfig(n_elems=config.nx, first_node_buckets=_BUCKETS_X)
-    gy = GenerationConfig(n_elems=config.ny, first_node_buckets=_BUCKETS_Y)
-    return gx, gy
 
 
 def stress_scale(config: ProblemConfig) -> float:

@@ -7,11 +7,17 @@ follow the bounded-ratio recursion
     phi[i+1] = min(1, a[i] * phi[i]),    a[i] ~ U[1, alpha_up],
 
 where ``alpha_up`` is itself drawn once per profile from [1, ALPHA_UPPER_MAX].
-The first nodal value is drawn from one of several buckets (chosen with equal
-probability) so that very small starting fractions are as likely as moderate
-ones.  If the last node ends below 1, nodes 1..n are rescaled by 1/phi[n].
-Every ratio is at least 1, so every profile is monotone non-decreasing by
-construction, graded from metal to ceramic.
+The first nodal value is drawn from one of its axis's buckets (chosen with
+equal probability) so that very small starting fractions are as likely as
+moderate ones; the buckets are the constants FIRST_NODE_BUCKETS_X and
+FIRST_NODE_BUCKETS_Y.  If the last node ends below 1, nodes 1..n are rescaled
+by 1/phi[n].  Every ratio is at least 1, so every profile is monotone
+non-decreasing by construction, graded from metal to ceramic.
+
+This module is the only home of that design space.  Its sizes come from the
+plate: on nx-by-ny elements the axis profiles have nx + 1 and ny + 1 nodes,
+so a design has nx - 1 x-ratios and ny - 1 y-ratios (``generate_genes``,
+``gene_bounds`` and ``genes_from_dict`` take nx and ny).
 
 2D fields are tensor products of two independent 1D profiles and are
 evaluated anywhere in the plate by bilinear interpolation on the node grid.
@@ -19,55 +25,24 @@ evaluated anywhere in the plate by bilinear interpolation on the node grid.
 Power-law profiles (x/L)**m are a subset of this design space: they are the
 recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
 admit them while the first ratio 2**m stays within ALPHA_UPPER_MAX and
-(1/n)**m within the first-node bucket hull.
+(1/n)**m within the span of the first-node buckets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneOutOfBounds, OutOfDomain, PhiOutOfRange
+from .errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from .rng import make_rng
 
 _BOUND_TOL = 1e-9
 ALPHA_UPPER_MAX = 3.0  # largest ratio a profile can draw, and the ratio genes' upper bound
-
-
-@dataclass(frozen=True)
-class BucketSpec:
-    """Disjoint-or-not closed intervals inside (0, 1] for the first nodal value."""
-
-    buckets: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.buckets) == 0:
-            raise ValueError("need at least one bucket")
-        for lo, hi in self.buckets:
-            if not (0.0 < lo <= hi <= 1.0):
-                raise ValueError(f"bucket [{lo}, {hi}] not inside (0, 1]")
-
-    @property
-    def hull(self) -> tuple[float, float]:
-        """Smallest interval containing every bucket (used as the gene bound)."""
-        return (min(lo for lo, _ in self.buckets), max(hi for _, hi in self.buckets))
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Parameters of the 1D profile generator for one axis.
-
-    ``n_elems`` segments (profile has n_elems+1 nodes), per-step ratio drawn
-    from [1, alpha_up] with alpha_up ~ U[1, ALPHA_UPPER_MAX].
-    """
-
-    n_elems: int
-    first_node_buckets: BucketSpec
-
-    def __post_init__(self):
-        if self.n_elems < 1:
-            raise ValueError("n_elems must be >= 1")
+# first-node buckets, each drawn with equal probability: one wide bucket along x, two small along y
+FIRST_NODE_BUCKETS_X = ((0.001, 1.0),)
+FIRST_NODE_BUCKETS_Y = ((0.001, 0.01), (0.01, 0.1))
 
 
 def _within(values, lower, upper) -> np.ndarray:
@@ -143,44 +118,38 @@ class Profile2D:
 class GradationGenes:
     """Design variables of one 2D profile: first-node fractions and ratio vectors.
 
-    Bounds are stored per gene in flatten order
-    [phi_x1, phi_y1, alphas_x..., alphas_y...].
+    Flatten order is [phi_x1, phi_y1, alphas_x..., alphas_y...]; the axis
+    sizes give the plate, and with it the bounds ``validate`` checks.
     """
 
     phi_x1: float
     phi_y1: float
     alphas_x: np.ndarray
     alphas_y: np.ndarray
-    lower: np.ndarray = field(repr=False)
-    upper: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("alphas_x", "alphas_y", "lower", "upper"):
+        for name in ("alphas_x", "alphas_y"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-        n = 2 + self.alphas_x.size + self.alphas_y.size
-        if self.lower.size != n or self.upper.size != n:
-            raise ValueError("bounds length must equal the gene count")
 
     def flatten(self) -> np.ndarray:
         return np.concatenate(([self.phi_x1, self.phi_y1], self.alphas_x, self.alphas_y))
 
     def validate(self):
-        within = _within(self.flatten(), self.lower, self.upper)  # NaN is never within
+        lower, upper = gene_bounds(self.alphas_x.size + 1, self.alphas_y.size + 1)
+        within = _within(self.flatten(), lower, upper)  # NaN is never within
         if not within.all():
             raise GeneOutOfBounds(f"genes {np.flatnonzero(~within).tolist()} outside declared bounds")
 
     def replace_vector(self, vec: np.ndarray) -> "GradationGenes":
-        """Same structure and bounds, new gene values."""
+        """Same axis sizes, new gene values."""
         nx = self.alphas_x.size
         return GradationGenes(
             phi_x1=float(vec[0]),
             phi_y1=float(vec[1]),
             alphas_x=vec[2 : 2 + nx].copy(),
             alphas_y=vec[2 + nx :].copy(),
-            lower=self.lower,
-            upper=self.upper,
         )
 
     def to_dict(self) -> dict:
@@ -192,39 +161,42 @@ class GradationGenes:
         }
 
 
-def gene_bounds(config_x: GenerationConfig, config_y: GenerationConfig):
-    """Per-gene [lo, hi] in flatten order.
+@functools.cache
+def gene_bounds(nx: int, ny: int):
+    """Per-gene [lo, hi] in flatten order on a plate of nx-by-ny elements; read-only.
 
-    First-node genes are bounded by the convex hull of their buckets; ratio
+    First-node genes are bounded by the span of their axis's buckets; ratio
     genes by [1, ALPHA_UPPER_MAX] (the full per-profile ratio range).
     """
-    hx = config_x.first_node_buckets.hull
-    hy = config_y.first_node_buckets.hull
-    n_ratios = config_x.n_elems + config_y.n_elems - 2
-    lower = np.concatenate(([hx[0], hy[0]], np.full(n_ratios, 1.0)))
-    upper = np.concatenate(([hx[1], hy[1]], np.full(n_ratios, ALPHA_UPPER_MAX)))
+    (xlo, xhi), (ylo, yhi) = ((min(lo for lo, _ in b), max(hi for _, hi in b))
+                              for b in (FIRST_NODE_BUCKETS_X, FIRST_NODE_BUCKETS_Y))
+    n_ratios = nx + ny - 2
+    lower = np.concatenate(([xlo, ylo], np.full(n_ratios, 1.0)))
+    upper = np.concatenate(([xhi, yhi], np.full(n_ratios, ALPHA_UPPER_MAX)))
+    lower.setflags(write=False)
+    upper.setflags(write=False)
     return lower, upper
 
 
-def genes_from_dict(d: dict, config_x: GenerationConfig, config_y: GenerationConfig) -> GradationGenes:
-    lower, upper = gene_bounds(config_x, config_y)
-    return GradationGenes(
-        phi_x1=float(d["phi_x1"]),
-        phi_y1=float(d["phi_y1"]),
-        alphas_x=np.asarray(d["alphas_x"], dtype=float),
-        alphas_y=np.asarray(d["alphas_y"], dtype=float),
-        lower=lower,
-        upper=upper,
-    )
+def genes_from_dict(d: dict, nx: int, ny: int) -> GradationGenes:
+    """The genes of ``GradationGenes.to_dict`` output for a plate of nx-by-ny elements.
+
+    Raises DimensionMismatch unless there are nx - 1 x-ratios and ny - 1 y-ratios.
+    """
+    genes = GradationGenes(float(d["phi_x1"]), float(d["phi_y1"]), d["alphas_x"], d["alphas_y"])
+    if (genes.alphas_x.shape, genes.alphas_y.shape) != ((nx - 1,), (ny - 1,)):
+        raise DimensionMismatch(
+            f"genes have {genes.alphas_x.size} x-ratios and {genes.alphas_y.size} y-ratios, "
+            f"a {nx} x {ny} element plate takes {nx - 1} and {ny - 1}")
+    return genes
 
 
-def _draw_axis(rng: np.random.Generator, config: GenerationConfig):
+def _draw_axis(rng: np.random.Generator, n_elems: int, buckets):
     """One axis worth of genes: (phi1, alphas). Draw order is part of the contract."""
     alpha_up = rng.uniform(1.0, ALPHA_UPPER_MAX)
-    buckets = config.first_node_buckets.buckets
     lo, hi = buckets[rng.integers(len(buckets))]
     phi1 = rng.uniform(lo, hi)
-    alphas = rng.uniform(1.0, alpha_up, size=config.n_elems - 1)
+    alphas = rng.uniform(1.0, alpha_up, size=n_elems - 1)
     return phi1, alphas
 
 
@@ -248,13 +220,12 @@ def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
     return Profile1D(values)
 
 
-def generate_genes(rng, config_x: GenerationConfig, config_y: GenerationConfig) -> GradationGenes:
-    """Draw the genes of one 2D profile (x axis first, then y axis)."""
+def generate_genes(rng, nx: int, ny: int) -> GradationGenes:
+    """Draw the genes of one 2D profile on a plate of nx-by-ny elements (x axis first)."""
     rng = make_rng(rng)
-    phi_x1, alphas_x = _draw_axis(rng, config_x)
-    phi_y1, alphas_y = _draw_axis(rng, config_y)
-    lower, upper = gene_bounds(config_x, config_y)
-    return GradationGenes(phi_x1, phi_y1, alphas_x, alphas_y, lower, upper)
+    phi_x1, alphas_x = _draw_axis(rng, nx, FIRST_NODE_BUCKETS_X)
+    phi_y1, alphas_y = _draw_axis(rng, ny, FIRST_NODE_BUCKETS_Y)
+    return GradationGenes(phi_x1, phi_y1, alphas_x, alphas_y)
 
 
 def genes_to_profiles(genes: GradationGenes):

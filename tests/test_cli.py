@@ -47,7 +47,7 @@ class TestEvalProfile:
         assert json.loads(err.splitlines()[0])["stage"] == "eval-profile"
 
     def test_genes_input(self, capsys, tmp_path):
-        genes = generate_genes(make_rng(3), *problems.generation_configs(problems.problem2()))
+        genes = generate_genes(make_rng(3), problems.problem2().nx, problems.problem2().ny)
         path = tmp_path / "genes.json"
         path.write_text(json.dumps(genes.to_dict()))
         out_file = tmp_path / "summary.json"
@@ -60,13 +60,25 @@ class TestEvalProfile:
         assert 0 <= result["v_ca"] <= 1
 
     def test_nan_gene_is_invalid_input(self, capsys, tmp_path):
-        genes = generate_genes(make_rng(3), *problems.generation_configs(problems.problem2()))
+        genes = generate_genes(make_rng(3), problems.problem2().nx, problems.problem2().ny)
         path = tmp_path / "genes.json"
         path.write_text(json.dumps({**genes.to_dict(), "phi_x1": float("nan")}))
         code, _, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                "--genes", str(path))
         assert code == 1
         assert "outside declared bounds" in err
+
+    def test_genes_of_another_plate_are_invalid_input(self, capsys, tmp_path):
+        # the 20 x 20 element plate takes 19 ratios per axis; 20 and 18 add up to the
+        # same gene count but would solve a 22 x 20 node profile
+        genes = generate_genes(make_rng(3), 21, 19)
+        path = tmp_path / "genes.json"
+        path.write_text(json.dumps(genes.to_dict()))
+        code, out, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
+                                 "--genes", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert "20 x-ratios and 18 y-ratios" in err and "takes 19 and 19" in err
 
     @pytest.mark.parametrize("problem", ["problem1", "problem2"])
     def test_nan_power_law_is_invalid_input(self, capsys, problem):
@@ -214,8 +226,9 @@ class TestOptimize:
         assert '"generation"' not in err
 
     @pytest.mark.parametrize("override", [{"ga": {"tournament_size": 0}},
-                                          {"sigma_star": float("nan")}],
-                             ids=["empty-tournament", "nan-threshold"])
+                                          {"sigma_star": float("nan")},
+                                          {"ga": {"stall_tolerance": float("nan")}}],
+                             ids=["empty-tournament", "nan-threshold", "nan-stall-tolerance"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
                                                                     override):
         cfg = problems.problem2()
@@ -233,6 +246,17 @@ class TestOptimize:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and '"generation"' not in err
         assert not (tmp_path / "r").exists()
+
+    def test_unknown_experiment_keys_exit_1_naming_them(self, capsys, tmp_path):
+        # misspelt constraint and threshold keys would otherwise run unconstrained and FEM-only
+        path = self.write_exp(tmp_path)
+        exp = {**json.loads(path.read_text()), "v_starr": 0.01, "sigma_starr": 0.0}
+        path.write_text(json.dumps(exp))
+        code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert "unknown experiment keys ['sigma_starr', 'v_starr']" in err
+        assert '"generation"' not in err and not (tmp_path / "r").exists()
 
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",

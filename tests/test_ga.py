@@ -1,7 +1,8 @@
 import json
 import logging
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,28 +23,14 @@ from fgmopt.ga import (
     tournament_select,
 )
 from fgmopt.fem import ThermoelasticSolver
-from fgmopt.profiles import (
-    BucketSpec,
-    GenerationConfig,
-    gene_bounds,
-    generate_genes,
-    genes_to_profiles,
-    tensor_product,
-)
+from fgmopt.profiles import gene_bounds, generate_genes, genes_to_profiles, tensor_product
 from fgmopt.rng import derived_rng, make_rng
 from fgmopt import problems
 
 
 def tiny_problem(nx=6, ny=6):
     """Scaled-down problem-2 plate for fast GA loops."""
-    from dataclasses import replace
     return replace(problems.problem2(), nx=nx, ny=ny)
-
-
-def tiny_gen_configs(n=6):
-    gx = GenerationConfig(n_elems=n, first_node_buckets=BucketSpec(((0.001, 1.0),)))
-    gy = GenerationConfig(n_elems=n, first_node_buckets=BucketSpec(((0.001, 0.01), (0.01, 0.1))))
-    return gx, gy
 
 
 def fem_evaluator(objective="sigma_e_max", constraints=None, nx=6):
@@ -52,7 +39,7 @@ def fem_evaluator(objective="sigma_e_max", constraints=None, nx=6):
 
 
 def fake_individual(fitness, idx=0):
-    genes = generate_genes(derived_rng(1, idx), *tiny_gen_configs())
+    genes = generate_genes(derived_rng(1, idx), 6, 6)
     return Individual(genes=genes, objective=fitness, penalty=0.0, fitness=fitness,
                       eval_source="fem", sigma_e_max=fitness, v_ca=0.5,
                       max_metal_temperature=None, dnn_sigma=None)
@@ -125,12 +112,13 @@ class TestSBX:
         rng = make_rng(2)
         lo = np.array([0.001, 1.0])
         hi = np.array([0.1, 3.0])
-        n = 100_000
-        p1 = rng.uniform(lo, hi, (n, 2))
-        p2 = rng.uniform(lo, hi, (n, 2))
-        c1, c2 = sbx_crossover(p1, p2, rng.uniform(0.01, 5.0, n), lo, hi, rng)
-        for c in (c1, c2):
-            assert np.all(c >= lo) and np.all(c <= hi)
+        n = 25_000
+        for eta in (0.01, 0.5, 2.0, 5.0):
+            p1 = rng.uniform(lo, hi, (n, 2))
+            p2 = rng.uniform(lo, hi, (n, 2))
+            c1, c2 = sbx_crossover(p1, p2, eta, lo, hi, rng)
+            for c in (c1, c2):
+                assert np.all(c >= lo) and np.all(c <= hi)
 
 
 class TestPolynomialMutation:
@@ -143,10 +131,11 @@ class TestPolynomialMutation:
         rng = make_rng(4)
         lo = np.array([0.001, 1.0, -2.0])
         hi = np.array([1.0, 3.0, -1.0])
-        n = 100_000
-        g = rng.uniform(lo, hi, (n, 3))
-        out = polynomial_mutation(g, rng.uniform(0.1, 50.0, n), lo, hi, 1.0, rng)
-        assert np.all(out >= lo) and np.all(out <= hi)
+        n = 25_000
+        for eta in (0.1, 2.0, 10.0, 50.0):
+            g = rng.uniform(lo, hi, (n, 3))
+            out = polynomial_mutation(g, eta, lo, hi, 1.0, rng)
+            assert np.all(out >= lo) and np.all(out <= hi)
 
     def test_perturbation_concentrates_with_eta(self):
         rng = make_rng(5)
@@ -213,35 +202,38 @@ class TestArrayOperatorsMatchScalarFormulas:
 
     def parents(self, seed, rows=400):
         rng = make_rng(seed)
-        return (rng.uniform(self.lo, self.hi, (rows, 4)), rng.uniform(self.lo, self.hi, (rows, 4)),
-                rng.uniform(0.01, 5.0, rows))
+        return rng.uniform(self.lo, self.hi, (rows, 4)), rng.uniform(self.lo, self.hi, (rows, 4))
 
-    def test_sbx_rows_with_per_row_eta(self):
-        p1, p2, etas = self.parents(20)
+    # the generation's arrays with that generation's one eta, as ``evolve`` calls them
+    @pytest.mark.parametrize("eta", [0.01, 2.0, 5.0])
+    def test_sbx_rows_with_scalar_eta(self, eta):
+        p1, p2 = self.parents(20)
         p2[:5] = p1[:5]  # identical parents never cross
-        c1, c2 = sbx_crossover(p1, p2, etas, self.lo, self.hi, make_rng(21))
-        o1, o2 = sbx_oracle(p1, p2, etas, self.lo, self.hi, make_rng(21).random((3, *p1.shape)))
+        c1, c2 = sbx_crossover(p1, p2, eta, self.lo, self.hi, make_rng(21))
+        o1, o2 = sbx_oracle(p1, p2, np.full(len(p1), eta), self.lo, self.hi,
+                            make_rng(21).random((3, *p1.shape)))
         np.testing.assert_allclose(c1, o1, rtol=0, atol=self.atol)
         np.testing.assert_allclose(c2, o2, rtol=0, atol=self.atol)
         assert not np.array_equal(c1, p1)
 
     def test_sbx_vector_with_scalar_eta(self):
-        p1, p2, _ = self.parents(22, rows=1)
+        p1, p2 = self.parents(22, rows=1)
         c1, c2 = sbx_crossover(p1[0], p2[0], 2.0, self.lo, self.hi, make_rng(23))
         o1, o2 = sbx_oracle(p1, p2, [2.0], self.lo, self.hi, make_rng(23).random((3, 1, 4)))
         np.testing.assert_allclose(c1, o1[0], rtol=0, atol=self.atol)
         np.testing.assert_allclose(c2, o2[0], rtol=0, atol=self.atol)
 
-    def test_mutation_rows_with_per_row_eta(self):
-        genes, _, etas = self.parents(24)
-        out = polynomial_mutation(genes, 10 * etas, self.lo, self.hi, 0.6, make_rng(25))
-        want = mutation_oracle(genes, 10 * etas, self.lo, self.hi, 0.6,
+    @pytest.mark.parametrize("eta", [0.1, 10.0, 50.0])
+    def test_mutation_rows_with_scalar_eta(self, eta):
+        genes, _ = self.parents(24)
+        out = polynomial_mutation(genes, eta, self.lo, self.hi, 0.6, make_rng(25))
+        want = mutation_oracle(genes, np.full(len(genes), eta), self.lo, self.hi, 0.6,
                                make_rng(25).random((2, *genes.shape)))
         np.testing.assert_allclose(out, want, rtol=0, atol=self.atol)
         assert not np.array_equal(out, genes)
 
     def test_mutation_vector_with_scalar_eta(self):
-        genes, _, _ = self.parents(26, rows=1)
+        genes, _ = self.parents(26, rows=1)
         out = polynomial_mutation(genes[0], 10.0, self.lo, self.hi, 1.0, make_rng(27))
         want = mutation_oracle(genes, [10.0], self.lo, self.hi, 1.0, make_rng(27).random((2, 1, 4)))
         np.testing.assert_allclose(out, want[0], rtol=0, atol=self.atol)
@@ -304,7 +296,7 @@ class TestHybridDispatch:
         solver = ThermoelasticSolver(tiny_problem())
         ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(),
                               sigma_star=0.0, stress_model=self.StubStress(-5e6))
-        genes = generate_genes(make_rng(0), *tiny_gen_configs())
+        genes = generate_genes(make_rng(0), 6, 6)
         ind = ev.evaluate(genes)
         assert ind.eval_source == "surrogate"
         assert ind.dnn_sigma == pytest.approx(-5e6)
@@ -313,7 +305,7 @@ class TestHybridDispatch:
         solver = ThermoelasticSolver(tiny_problem())
         ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(),
                               sigma_star=50e6, stress_model=self.StubStress(40e6))
-        ind = ev.evaluate(generate_genes(make_rng(1), *tiny_gen_configs()))
+        ind = ev.evaluate(generate_genes(make_rng(1), 6, 6))
         assert ind.eval_source == "fem"
         assert ind.sigma_e_max != pytest.approx(40e6)  # FEM value, not the stub
 
@@ -323,7 +315,7 @@ class TestHybridDispatch:
                               ConstraintSpec(theta_max=275.0),
                               sigma_star=50e6, stress_model=self.StubStress(60e6),
                               temp_model=self.StubTemp(300.0))
-        ind = ev.evaluate(generate_genes(make_rng(2), *tiny_gen_configs()))
+        ind = ev.evaluate(generate_genes(make_rng(2), 6, 6))
         assert ind.eval_source == "surrogate"
         assert ind.sigma_e_max == pytest.approx(60e6)
         assert ind.max_metal_temperature == pytest.approx(300.0)
@@ -342,14 +334,14 @@ class TestHybridDispatch:
                               temp_model=IndexTemp())
         rng = make_rng(6)
         for _ in range(20):
-            genes = generate_genes(rng, *tiny_gen_configs())
+            genes = generate_genes(rng, 6, 6)
             px, py = genes_to_profiles(genes)
             metal = np.flatnonzero(tensor_product(px, py).grid.ravel() < 1.0)
             assert ev.evaluate(genes).max_metal_temperature == float(metal[-1])
 
     def test_fem_only_mode_records_no_prediction(self):
         ev = fem_evaluator()
-        ind = ev.evaluate(generate_genes(make_rng(3), *tiny_gen_configs()))
+        ind = ev.evaluate(generate_genes(make_rng(3), 6, 6))
         assert ind.eval_source == "fem"
         assert ind.dnn_sigma is None
         assert ind.fitness == ind.objective + ind.penalty
@@ -358,7 +350,7 @@ class TestHybridDispatch:
         solver = ThermoelasticSolver(tiny_problem())
         ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(),
                               sigma_star=0.0, stress_model=self.StubStress(90e6))
-        genes = generate_genes(make_rng(4), *tiny_gen_configs())
+        genes = generate_genes(make_rng(4), 6, 6)
         ind_s = ev.evaluate(genes)
         ind_f = fem_evaluator().evaluate(genes)
         assert ind_s.v_ca == pytest.approx(ind_f.v_ca, abs=1e-12)
@@ -377,40 +369,46 @@ class TestEvolve:
         (dict(tournament_size=11), "tournament_size"),
         (dict(sigma_star=float("nan")), "sigma_star .* got nan"),
         (dict(sigma_star=-1.0), "sigma_star .* got -1.0"),
+        (dict(stall_tolerance=float("nan")), "stall_tolerance .* got nan"),
+        (dict(stall_tolerance=-1.0), "stall_tolerance .* got -1.0"),
+        (dict(mutation_probability=float("nan")), r"mutation_probability .* got nan"),
+        (dict(mutation_probability=-0.1), r"mutation_probability .* got -0.1"),
+        (dict(mutation_probability=1.5), r"mutation_probability .* got 1.5"),
     ], ids=["empty-tournament", "tournament-above-population", "nan-threshold",
-            "negative-threshold"])
+            "negative-threshold", "nan-stall-tolerance", "negative-stall-tolerance",
+            "nan-mutation", "negative-mutation", "mutation-above-one"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.make_config(**bad)
 
     def test_terminates_at_min_generations_when_stalled(self):
         # huge stall tolerance -> stall condition met immediately
-        rec = evolve(self.make_config(), fem_evaluator(), *tiny_gen_configs())
+        rec = evolve(self.make_config(), fem_evaluator())
         assert rec.generations[-1].generation == 3  # 4 generations: 0..3
 
     def test_elitism_monotone_best_fitness(self):
         rec = evolve(self.make_config(min_generations=8, stall_generations=3),
-                     fem_evaluator(), *tiny_gen_configs())
+                     fem_evaluator())
         trace = [g.best_fitness for g in rec.generations]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_fixed_seed_bit_identical(self):
-        a = evolve(self.make_config(min_generations=5), fem_evaluator(), *tiny_gen_configs())
-        b = evolve(self.make_config(min_generations=5), fem_evaluator(), *tiny_gen_configs())
+        a = evolve(self.make_config(min_generations=5), fem_evaluator())
+        b = evolve(self.make_config(min_generations=5), fem_evaluator())
         assert np.array_equal(a.best.genes.flatten(), b.best.genes.flatten())
         assert [g.best_fitness for g in a.generations] == [g.best_fitness for g in b.generations]
         assert a.best.fitness == b.best.fitness
 
     def test_offspring_within_bounds_every_generation(self):
-        rec = evolve(self.make_config(min_generations=6), fem_evaluator(), *tiny_gen_configs())
+        rec = evolve(self.make_config(min_generations=6), fem_evaluator())
         for ind in rec.population:
             v = ind.genes.flatten()
-            assert np.all(v >= ind.genes.lower - 1e-12)
-            assert np.all(v <= ind.genes.upper + 1e-12)
+            assert np.all(v >= gene_bounds(6, 6)[0] - 1e-12)
+            assert np.all(v <= gene_bounds(6, 6)[1] + 1e-12)
 
     def test_eval_source_totals_and_max_generations(self):
         rec = evolve(self.make_config(max_generations=3, min_generations=100),
-                     fem_evaluator(), *tiny_gen_configs())
+                     fem_evaluator())
         assert rec.generations[-1].generation == 2
         totals = rec.eval_source_totals
         assert totals["fem"] > 0 and totals["surrogate"] == 0
@@ -421,21 +419,20 @@ class TestEvolve:
         # unless truly stalled; just assert it runs and returns a best
         rec = evolve(self.make_config(stall_tolerance=0.0, min_generations=3,
                                       stall_generations=2, max_generations=8),
-                     fem_evaluator(), *tiny_gen_configs())
+                     fem_evaluator())
         assert rec.best.fitness <= rec.generations[0].best_fitness
 
     def test_odd_child_count_follows_documented_generation_order(self):
         # population 11 with 2 elites: 9 children from 5 pairs, the 10th child dropped
         config = self.make_config(population_size=11, elite_count=2, max_generations=2)
         evaluator = RecordingEvaluator()
-        rec = evolve(config, evaluator, *tiny_gen_configs())
+        rec = evolve(config, evaluator)
         assert [len(batch) for batch in evaluator.batches(11, 9)] == [11, 9]
         assert len(rec.population) == 11
 
         rng = derived_rng(config.seed, 0x6A)
-        population = [evaluator.score(generate_genes(rng, *tiny_gen_configs()))
-                      for _ in range(11)]
-        lower, upper = gene_bounds(*tiny_gen_configs())
+        population = [evaluator.score(generate_genes(rng, 6, 6)) for _ in range(11)]
+        lower, upper = gene_bounds(6, 6)
         # one row of keys per tournament; its k smallest are the entrants
         parents = []
         for keys in rng.random((10, 11)):
@@ -453,10 +450,18 @@ class TestEvolve:
         elites = [population[i].genes.flatten() for i in order[:2]]
         np.testing.assert_array_equal([ind.genes.flatten() for ind in rec.population[:2]], elites)
 
+    def test_genes_are_sized_by_the_evaluators_plate(self):
+        # a 5 x 3 element plate: every design drawn or bred has 4 x-ratios and 2 y-ratios
+        evaluator = RecordingEvaluator(nx=5, ny=3)
+        evolve(self.make_config(max_generations=2), evaluator)
+        assert len(evaluator.calls) == 10 + 8
+        for genes in evaluator.calls:
+            assert (genes.alphas_x.size, genes.alphas_y.size) == (4, 2)
+            genes.validate()
+
     def test_progress_line_per_generation(self, caplog):
         caplog.set_level(logging.INFO, logger="fgmopt.ga")
-        rec = evolve(self.make_config(max_generations=3), RecordingEvaluator(),
-                     *tiny_gen_configs())
+        rec = evolve(self.make_config(max_generations=3), RecordingEvaluator())
         lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "fgmopt.ga"]
         assert [line["generation"] for line in lines] == [0, 1, 2]
         # 10 initial individuals, then 8 children a generation (2 elites are not re-evaluated)
@@ -473,9 +478,11 @@ class TestEvolve:
 
 
 class RecordingEvaluator:
-    """Surrogate-routed stub: fitness is the gene sum; remembers every call."""
+    """Surrogate-routed stub on a plate of nx-by-ny elements: fitness is the gene
+    sum; remembers every call."""
 
-    def __init__(self):
+    def __init__(self, nx=6, ny=6):
+        self.solver = SimpleNamespace(config=tiny_problem(nx, ny))
         self.calls = []
 
     def score(self, genes):
@@ -501,7 +508,7 @@ def stub_run(sigma_star, value):
                           stress_model=TestHybridDispatch.StubStress(value))
     config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
                       min_generations=2, max_generations=2, seed=5, sigma_star=sigma_star)
-    return evolve(config, ev, *tiny_gen_configs())
+    return evolve(config, ev)
 
 
 class TestSurrogateRelError:
@@ -558,8 +565,7 @@ class TestBadPredictions:
         assert math.isnan(rec.best.objective)
 
     def test_fem_only_counts_nothing(self):
-        rec = evolve(TestEvolve().make_config(max_generations=2), fem_evaluator(),
-                     *tiny_gen_configs())
+        rec = evolve(TestEvolve().make_config(max_generations=2), fem_evaluator())
         assert rec.bad_prediction_totals == {"nan_predictions": 0, "negative_predictions": 0}
 
 
@@ -586,7 +592,7 @@ def test_surrogate_only_evolve_makes_one_single_row_predict_per_child(monkeypatc
                           sigma_star=0.0, stress_model=model)
     config = GAConfig(population_size=8, tournament_size=3, elite_count=2, min_generations=3,
                       max_generations=3, seed=4, sigma_star=0.0)
-    rec = evolve(config, ev, *tiny_gen_configs())
+    rec = evolve(config, ev)
     assert rows == [1] * (8 + 2 * 6)
     assert rec.eval_source_totals == {"surrogate": len(rows), "fem": 0}
     assert len(rows) == 20

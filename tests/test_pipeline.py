@@ -53,9 +53,8 @@ class TestDatasetGeneration:
         d, m = gen(tmp_path, "audit", count=6, seed=11)
         rows = [json.loads(l) for l in (d / "train.ndjson").read_text().splitlines()]
         solver = ThermoelasticSolver(problems.problem2())
-        gx, gy = problems.generation_configs(solver.config)
         for r in rows[:3]:
-            genes = genes_from_dict(r["genes"], gx, gy)
+            genes = genes_from_dict(r["genes"], solver.config.nx, solver.config.ny)
             px, py = genes_to_profiles(genes)
             res = solver.run(tensor_product(px, py, L=0.15, H=0.06))
             assert abs(res.sigma_e_max - r["sigma_e_max"]) <= 1e-10 * r["sigma_e_max"]

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from fgmopt import problems
-from fgmopt.errors import GeneOutOfBounds, OutOfDomain, PhiOutOfRange
+from fgmopt.errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from fgmopt.profiles import (
     ALPHA_UPPER_MAX,
-    BucketSpec,
-    GenerationConfig,
     GradationGenes,
     Profile1D,
     Profile2D,
@@ -27,33 +25,7 @@ from fgmopt.profiles import (
 )
 from fgmopt.rng import derived_rng, make_rng
 
-TWO_BUCKETS = BucketSpec(((0.001, 0.01), (0.01, 0.1)))
-WIDE_BUCKET = BucketSpec(((0.001, 1.0),))
-
-
-def default_config(n=20, buckets=TWO_BUCKETS):
-    return GenerationConfig(n_elems=n, first_node_buckets=buckets)
-
-
 class TestTypes:
-    def test_bucket_validation(self):
-        with pytest.raises(ValueError):
-            BucketSpec((()))
-        with pytest.raises(ValueError):
-            BucketSpec(((0.0, 0.5),))
-        with pytest.raises(ValueError):
-            BucketSpec(((0.2, 1.2),))
-        assert BucketSpec(((0.2, 0.4), (0.01, 0.1))).hull == (0.01, 0.4)
-
-    def test_generation_config_validation(self):
-        with pytest.raises(ValueError):
-            GenerationConfig(n_elems=0, first_node_buckets=TWO_BUCKETS)
-        # the ratio range [1, ALPHA_UPPER_MAX] is fixed, not a setting
-        with pytest.raises(TypeError):
-            GenerationConfig(n_elems=5, first_node_buckets=TWO_BUCKETS, alpha_upper_max=1.0)
-        with pytest.raises(TypeError):
-            GenerationConfig(n_elems=5, first_node_buckets=TWO_BUCKETS, alpha_lower=0.0)
-
     def test_profile1d_invariants(self):
         with pytest.raises(PhiOutOfRange):
             Profile1D(np.array([0.1, 0.5, 1.0]))
@@ -90,9 +62,7 @@ class TestTypes:
 class TestGeneration:
     def test_constant_ratio_then_normalization(self):
         # all ratios 1 and phi1 = 0.2 -> [0,.2,.2,.2,.2] -> normalized [0,1,1,1,1]
-        wide = default_config(4, WIDE_BUCKET)
-        lower, upper = gene_bounds(wide, wide)
-        genes = GradationGenes(0.2, 0.2, np.ones(3), np.ones(3), lower, upper)
+        genes = GradationGenes(0.2, 0.05, np.ones(3), np.ones(3))
         px, py = genes_to_profiles(genes)
         np.testing.assert_allclose(px.values, [0, 1, 1, 1, 1])
         np.testing.assert_allclose(py.values, [0, 1, 1, 1, 1])
@@ -101,18 +71,16 @@ class TestGeneration:
         # constant ratio b: phi_i = phi1 * b**(i-1) until min() clips at 1;
         # the last node is then 1, so the end normalization leaves it alone
         b = 3.0
-        lower, upper = gene_bounds(default_config(6), default_config(6))
-        genes = GradationGenes(0.02, 0.02, np.full(5, b), np.full(5, b), lower, upper)
+        genes = GradationGenes(0.02, 0.02, np.full(5, b), np.full(5, b))
         px, _ = genes_to_profiles(genes)
         expected = np.minimum(1.0, 0.02 * b ** np.arange(-0.0, 6.0))
         np.testing.assert_allclose(px.values[1:], expected, rtol=1e-14)
 
     def test_generated_profiles_satisfy_invariants(self):
         # 1e4 random profiles: node0 = 0, last node = 1, monotone, inside [0, 1]
-        cfg = default_config(20)
         rng = make_rng(1234)
         for _ in range(5_000):
-            for p in genes_to_profiles(generate_genes(rng, cfg, cfg)):
+            for p in genes_to_profiles(generate_genes(rng, 20, 20)):
                 v = p.values
                 assert v[0] == 0.0
                 assert v[-1] == pytest.approx(1.0, abs=1e-12)
@@ -120,21 +88,21 @@ class TestGeneration:
                 assert v.min() >= 0.0 and v.max() <= 1.0
 
     def test_bucket_membership_of_first_node(self):
-        cfg = default_config(5)
         rng = make_rng(7)
         hits = [0, 0]
         for _ in range(2000):
-            phi1, _ = generate_genes(rng, cfg, cfg).phi_x1, None
+            genes = generate_genes(rng, 5, 5)
+            assert 0.001 <= genes.phi_x1 <= 1.0  # the one wide x bucket
+            phi1 = genes.phi_y1
             assert 0.001 <= phi1 <= 0.1
             hits[0 if phi1 <= 0.01 else 1] += 1
         # equal bucket probability: both buckets used roughly half the time
         assert 800 < hits[0] < 1200
 
     def test_record_replay_round_trip(self):
-        cfg = default_config(20)
         for seed in range(50):
             rng = derived_rng(99, seed)
-            genes = generate_genes(rng, cfg, cfg)
+            genes = generate_genes(rng, 20, 20)
             px1, py1 = genes_to_profiles(genes)
             px2, py2 = genes_to_profiles(genes)
             # pure function: bit-identical replay
@@ -142,21 +110,18 @@ class TestGeneration:
             assert np.array_equal(py1.values, py2.values)
 
     def test_generate_matches_replay_of_drawn_genes(self):
-        cfg = default_config(15)
-        genes = generate_genes(derived_rng(5, 0), cfg, cfg)
+        genes = generate_genes(derived_rng(5, 0), 15, 15)
         px, _ = genes_to_profiles(genes)
         # the decoding that dataset generation and the GA use
         assert px.values[0] == 0.0 and px.values[-1] == pytest.approx(1.0)
 
     def test_alpha_perturbation_is_local_before_normalization(self):
         # both profiles reach the cap at 1, so the end normalization rescales neither
-        wide = default_config(6, WIDE_BUCKET)
-        lower, upper = gene_bounds(wide, wide)
         alphas = np.array([1.1, 1.2, 1.3, 1.1, 1.2])
-        g1 = GradationGenes(0.5, 0.5, alphas, alphas, lower, upper)
+        g1 = GradationGenes(0.5, 0.05, alphas, alphas)
         alphas2 = alphas.copy()
         alphas2[2] += 0.1
-        g2 = GradationGenes(0.5, 0.5, alphas2, alphas, lower, upper)
+        g2 = GradationGenes(0.5, 0.05, alphas2, alphas)
         p1, _ = genes_to_profiles(g1)
         p2, _ = genes_to_profiles(g2)
         assert p1.values[-1] == p2.values[-1] == 1.0
@@ -165,21 +130,39 @@ class TestGeneration:
         assert np.all(p2.values[4:] >= p1.values[4:])
 
     def test_gene_bounds_and_validation(self):
-        cfg_x = default_config(5, WIDE_BUCKET)
-        cfg_y = default_config(5, TWO_BUCKETS)
-        lower, upper = gene_bounds(cfg_x, cfg_y)
-        np.testing.assert_allclose(lower, [0.001, 0.001] + [1.0] * 8)
-        np.testing.assert_allclose(upper, [1.0, 0.1] + [3.0] * 8)
-        genes = GradationGenes(0.5, 0.05, np.full(4, 2.0), np.full(4, 4.0), lower, upper)
-        with pytest.raises(GeneOutOfBounds):
+        # x first node in the wide bucket, y first node in the span of the two small ones
+        lower, upper = gene_bounds(5, 4)
+        np.testing.assert_allclose(lower, [0.001, 0.001] + [1.0] * 7)
+        np.testing.assert_allclose(upper, [1.0, 0.1] + [3.0] * 7)
+        genes = GradationGenes(0.5, 0.05, np.full(4, 2.0), np.full(3, 4.0))
+        with pytest.raises(GeneOutOfBounds, match=r"genes \[6, 7, 8\]"):
             genes_to_profiles(genes)
+        with pytest.raises(GeneOutOfBounds, match=r"genes \[1\]"):
+            GradationGenes(0.5, 0.2, np.full(4, 2.0), np.full(3, 2.0)).validate()
+
+    def test_gene_bounds_are_built_once_per_plate_and_read_only(self):
+        lower, upper = gene_bounds(6, 6)
+        assert gene_bounds(6, 6)[0] is lower and gene_bounds(6, 6)[1] is upper
+        for bound in (lower, upper):
+            assert not bound.flags.writeable
+        # children share the cached bounds, and no copy of them rides on the genes
+        child = generate_genes(make_rng(1), 6, 6).replace_vector(lower.copy())
+        assert child.alphas_x.size == child.alphas_y.size == 5
+        assert not hasattr(child, "lower") and not hasattr(child, "upper")
+        child.validate()
 
     def test_genes_json_round_trip(self):
-        cfg = default_config(8)
-        genes = generate_genes(make_rng(3), cfg, cfg)
+        genes = generate_genes(make_rng(3), 8, 6)
         d = json.loads(json.dumps(genes.to_dict()))
-        back = genes_from_dict(d, cfg, cfg)
+        back = genes_from_dict(d, 8, 6)
         assert np.array_equal(back.flatten(), genes.flatten())
+
+    @pytest.mark.parametrize("nx, ny", [(9, 6), (8, 7), (6, 8)])
+    def test_genes_of_another_plate_rejected_naming_both_counts(self, nx, ny):
+        d = generate_genes(make_rng(3), 8, 6).to_dict()
+        with pytest.raises(DimensionMismatch,
+                           match=rf"7 x-ratios and 5 y-ratios, .* takes {nx - 1} and {ny - 1}"):
+            genes_from_dict(d, nx, ny)
 
 
 def replay_loop(phi1, alphas):
@@ -216,25 +199,22 @@ class TestReplayMatchesRecursion:
 
     def test_non_finite_and_low_genes_rejected(self):
         # decoding never sees a NaN, an infinite or a sub-1 ratio, nor a NaN phi1
-        lower, upper = gene_bounds(default_config(6), default_config(6))
         alphas = np.full(5, 2.0)
         for bad in (np.nan, np.inf, 0.5):
             bad_alphas = alphas.copy()
             bad_alphas[1] = bad
             with pytest.raises(GeneOutOfBounds):
-                genes_to_profiles(GradationGenes(0.05, 0.05, bad_alphas, alphas, lower, upper))
+                genes_to_profiles(GradationGenes(0.05, 0.05, bad_alphas, alphas))
         with pytest.raises(GeneOutOfBounds):
-            genes_to_profiles(GradationGenes(np.nan, 0.05, alphas, alphas, lower, upper))
+            genes_to_profiles(GradationGenes(np.nan, 0.05, alphas, alphas))
 
     def test_ratios_admitted_just_below_one_decode_as_one(self):
         # validate admits a ratio up to _BOUND_TOL below 1; taken as is, 39 of them would
         # push phi_x1 0.5 past 1 after the end rescaling and decoding would raise
-        gx, gy = problems.generation_configs(problems.problem1())
-        lower, upper = gene_bounds(gx, gy)
-        alphas_y = np.full(gy.n_elems - 1, 1.5)
-        low = GradationGenes(0.5, 0.05, np.full(gx.n_elems - 1, 1 - 5e-10), alphas_y,
-                             lower, upper)
-        one = GradationGenes(0.5, 0.05, np.ones(gx.n_elems - 1), alphas_y, lower, upper)
+        cfg = problems.problem1()
+        alphas_y = np.full(cfg.ny - 1, 1.5)
+        low = GradationGenes(0.5, 0.05, np.full(cfg.nx - 1, 1 - 5e-10), alphas_y)
+        one = GradationGenes(0.5, 0.05, np.ones(cfg.nx - 1), alphas_y)
         low.validate()
         for got, want in zip(genes_to_profiles(low), genes_to_profiles(one)):
             assert got.values.tobytes() == want.values.tobytes()
@@ -255,10 +235,9 @@ class TestTensorProductAndInterpolation:
             np.testing.assert_array_equal(p2.grid[:, j], px.values)
 
     def test_monotone_factors_give_monotone_grid(self):
-        cfg = default_config(10)
         rng = make_rng(42)
         for _ in range(1000):
-            px, py = genes_to_profiles(generate_genes(rng, cfg, cfg))
+            px, py = genes_to_profiles(generate_genes(rng, 10, 10))
             g = tensor_product(px, py).grid
             assert np.all(np.diff(g, axis=0) >= -1e-15)
             assert np.all(np.diff(g, axis=1) >= -1e-15)
@@ -310,19 +289,18 @@ class TestPowerLaw:
     def test_exact_ratios_reproduce_power_law(self):
         # the paper's subset claim on the shipped gene bounds: phi1 = (1/n)**m
         # and ratios ((i+1)/i)**m decode to the power law (x/L)**m
-        def power_law_genes(gx, gy, m):
-            ratios = [((i + 1.0) / i) ** m for i in (np.arange(1, g.n_elems) for g in (gx, gy))]
-            return GradationGenes((1.0 / gx.n_elems) ** m, (1.0 / gy.n_elems) ** m,
-                                  *ratios, *gene_bounds(gx, gy))
+        def power_law_genes(nx, ny, m):
+            ratios = [((i + 1.0) / i) ** m for i in (np.arange(1, n) for n in (nx, ny))]
+            return GradationGenes((1.0 / nx) ** m, (1.0 / ny) ** m, *ratios)
 
         for pid in problems.PROBLEM_IDS:
-            gx, gy = problems.generation_configs(problems.get_problem(pid))
+            cfg = problems.get_problem(pid)
             for m in (1.0, 1.5):
-                px, py = genes_to_profiles(power_law_genes(gx, gy, m))
-                assert np.max(np.abs(px.values - power_law_profile(gx.n_elems, m).values)) <= 1e-12
-                assert np.max(np.abs(py.values - power_law_profile(gy.n_elems, m).values)) <= 1e-12
+                px, py = genes_to_profiles(power_law_genes(cfg.nx, cfg.ny, m))
+                assert np.max(np.abs(px.values - power_law_profile(cfg.nx, m).values)) <= 1e-12
+                assert np.max(np.abs(py.values - power_law_profile(cfg.ny, m).values)) <= 1e-12
             # the first exact ratio 2**m exceeds ALPHA_UPPER_MAX = 3 beyond m = log2(3)
-            genes = power_law_genes(gx, gy, 2.0)
+            genes = power_law_genes(cfg.nx, cfg.ny, 2.0)
             assert genes.alphas_x[0] == 4.0 > ALPHA_UPPER_MAX == 3.0
             with pytest.raises(GeneOutOfBounds):
                 genes_to_profiles(genes)
@@ -360,10 +338,10 @@ class TestAverages:
     def test_matches_tensor_trapezoid_rule_on_generated_designs(self):
         # the product of 1D means sums in another order than the 2D rule
         for pid in problems.PROBLEM_IDS:
-            gx, gy = problems.generation_configs(problems.get_problem(pid))
+            cfg = problems.get_problem(pid)
             rng = make_rng(22)
             for _ in range(1000):
-                px, py = genes_to_profiles(generate_genes(rng, gx, gy))
+                px, py = genes_to_profiles(generate_genes(rng, cfg.nx, cfg.ny))
                 want = tensor_trapezoid_mean(tensor_product(px, py).grid)
                 assert average_ceramic_fraction(px, py) == pytest.approx(want, rel=1e-15, abs=0)
 
@@ -381,10 +359,10 @@ class TestMetalMaximum:
 
     def test_generated_designs_always_have_metal(self):
         # node 0 of each axis is pure metal, so the maximum is always a value
-        gx, gy = problems.generation_configs(problems.problem2())
+        cfg = problems.problem2()
         rng = make_rng(23)
         for _ in range(200):
-            px, py = genes_to_profiles(generate_genes(rng, gx, gy))
+            px, py = genes_to_profiles(generate_genes(rng, cfg.nx, cfg.ny))
             grid = tensor_product(px, py).grid
             assert grid[0, 0] == 0.0
             assert metal_maximum(np.arange(grid.size, dtype=float), grid.ravel()) >= 0.0
