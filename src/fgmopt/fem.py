@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OutOfDomain, PhiOutOfRange, SingularSystem
-from .profiles import Profile2D, cell_coords, grid_points, metal_maximum
+from .profiles import Profile2D, bilinear_shape, cell_coords, grid_points, metal_maximum
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -368,9 +368,13 @@ class ThermoelasticSolver:
     Boundary conditions are resolved at construction.  Each field (thermal
     only when ``config.thermal`` is set, elastic always) scatters its element
     matrices with one bincount into the CSC pattern of the reduced SPD system
-    K[free][:, free], which SuperLU factors in symmetric mode under a
-    minimum-degree ordering on A^T + A.  The patterns are built on first use
-    and cached; otherwise the solver is immutable, and solves on different
+    K[free][:, free], which SuperLU factors in symmetric mode in the order it
+    is numbered.  That numbering is one fill-reducing order of the mesh
+    nodes, a minimum-degree order of the node graph shared by both fields:
+    thermal dofs follow the node rank, elastic dofs (node rank, component).
+    The order and the patterns are built on the first solve and cached, as
+    are the cells and bilinear weights that sample a profile at the Gauss
+    points; otherwise the solver is immutable, and solves on different
     profiles share no mutable state and may run concurrently.
     """
 
@@ -381,6 +385,7 @@ class ThermoelasticSolver:
         self.elem_dofs = np.stack([2 * self.mesh.conn, 2 * self.mesh.conn + 1], axis=-1).reshape(-1, 18)
         self._resolve_thermal_bcs()
         self._resolve_mech_bcs()
+        self._gauss_sampling = {}  # (L, H, nx, ny) of a profile grid -> (corner ids, weights)
 
     # -- precomputation ----------------------------------------------------
 
@@ -487,22 +492,43 @@ class ThermoelasticSolver:
             self._traction_loads += [(2 * enodes, tr.tx * ft), (2 * enodes + 1, tr.ty * ft)]
 
     @functools.cached_property
+    def _node_rank(self) -> np.ndarray:
+        """Position of each node in a fill-reducing elimination order of the mesh."""
+        return _minimum_degree_rank(self.mesh)
+
+    def _in_node_order(self, free: np.ndarray, per_node: int) -> np.ndarray:
+        """The free dofs of a field with per_node dofs a node, by (node rank, component)."""
+        return free[np.argsort(per_node * self._node_rank[free // per_node] + free % per_node)]
+
+    @functools.cached_property
     def _thermal_pattern(self) -> "_ReducedPattern":
-        return _ReducedPattern(self.mesh.conn, self.dirichlet_nodes, self._thermal_free,
-                               const=self._conv)
+        return _ReducedPattern(self.mesh.conn, self.dirichlet_nodes,
+                               self._in_node_order(self._thermal_free, 1), const=self._conv)
 
     @functools.cached_property
     def _mech_pattern(self) -> "_ReducedPattern":
-        return _ReducedPattern(self.elem_dofs, self.fixed_dofs, self._mech_free)
+        return _ReducedPattern(self.elem_dofs, self.fixed_dofs, self._in_node_order(self._mech_free, 2))
 
     # -- profile sampling ----------------------------------------------------
 
     def phi_at_gauss(self, profile: Profile2D) -> np.ndarray:
-        """Ceramic fraction at every Gauss point, (n_elems, 9)."""
-        from .profiles import interpolate
+        """Ceramic fraction at every Gauss point, (n_elems, 9).
 
-        xy = self.gauss_xy.reshape(-1, 2)
-        return interpolate(profile, xy[:, 0], xy[:, 1]).reshape(self.mesh.n_elems, 9)
+        Bit-identical to ``profiles.interpolate`` at ``gauss_xy``: the same
+        corner values and bilinear weights meet in the same ``einsum``, with
+        the cells and weights found once per profile grid.
+        """
+        key = (profile.L, profile.H, profile.nx, profile.ny)
+        if key not in self._gauss_sampling:
+            xy = self.gauss_xy.reshape(-1, 2)
+            ix, iy, xi, eta = cell_coords(xy[:, 0], xy[:, 1], *key)
+            ny1 = profile.ny + 1  # grid[i, j] is grid.ravel()[i * ny1 + j]
+            corners = np.stack([ix * ny1 + iy, (ix + 1) * ny1 + iy, (ix + 1) * ny1 + iy + 1,
+                                ix * ny1 + iy + 1], axis=-1)
+            self._gauss_sampling[key] = corners, bilinear_shape(xi, eta)
+        corners, weights = self._gauss_sampling[key]
+        phi = np.einsum("...c,...c->...", weights, profile.grid.ravel()[corners])
+        return phi.reshape(self.mesh.n_elems, 9)
 
     def _check_profile(self, profile: Profile2D):
         if not (
@@ -555,13 +581,13 @@ class ThermoelasticSolver:
             raise SingularSystem("no displacement constraints; rigid modes present")
         phi = self.phi_at_gauss(profile)
         mu, lam_eff, beta = self._blend_elastic(phi)
-        ke = np.hstack([lam_eff, mu]) @ self.elast_P
         f = np.zeros(2 * self.mesh.n_nodes)
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
         _scatter_add(f, self.elem_dofs, (beta * theta_g) @ self.elast_V)
         for dofs, fe in self._traction_loads:
             _scatter_add(f, dofs, fe)
-        u = _constrained_solve(self._mech_pattern, ke, f, self.fixed_vals)
+        u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]) @ self.elast_P, f,
+                               self.fixed_vals)
         return u.reshape(-1, 2)
 
     # -- post-processing ---------------------------------------------------
@@ -673,21 +699,41 @@ def _entry_keys(p: np.ndarray, nf: int, n: int) -> np.ndarray:
     return np.where(rows < nf, cols * nf + rows, n * nf).ravel()
 
 
+def _minimum_degree_rank(mesh: Mesh) -> np.ndarray:
+    """Rank of each node in SuperLU's minimum-degree order (MMD on A^T + A) of the node graph.
+
+    The graph couples the nodes of each element.  The order depends only on
+    the pattern, so SuperLU computes it for an incomplete factor of a
+    diagonally dominant matrix on the graph, with a drop tolerance of 1 that
+    keeps the numeric work small.  ``perm_c`` is a view that keeps the whole
+    factor alive, so it is copied out.
+    """
+    nodes = _ReducedPattern(mesh.conn, np.empty(0, dtype=np.int64), np.arange(mesh.n_nodes))
+    graph = nodes.assemble(np.broadcast_to((10.0 * np.eye(9) - 1.0).ravel(), (mesh.n_elems, 81)))[0]
+    ilu = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, drop_tol=1.0,
+                     fill_factor=1.0, options=dict(SymmetricMode=True))
+    return ilu.perm_c.copy()
+
+
 def _constrained_solve(pattern: _ReducedPattern, ke: np.ndarray, f: np.ndarray,
                        fixed_vals: np.ndarray) -> np.ndarray:
     """Direct sparse solve with the Dirichlet dofs eliminated symmetrically.
 
     Kff = K[free][:, free] and the coupling Kfc = K[free][:, fixed] are
-    assembled on the solver's precomputed pattern.  Kff is SPD, so SuperLU
-    factors it in symmetric mode with no pivoting, under a minimum-degree
-    ordering on A^T + A.
+    assembled on the solver's precomputed pattern, whose ``free`` already
+    lists the dofs in the solver's fill-reducing node order.  Kff is SPD, so
+    SuperLU factors it in symmetric mode with no pivoting and no ordering of
+    its own; ``x_free`` maps back through ``pattern.free``.  ``solve_elastic``
+    passes ``ke`` as a temporary, so its element matrices (4 MB on problem 1)
+    are freed here, before the factor sets the solve's peak memory.
     """
     Kff, Kfc = pattern.assemble(ke)
+    del ke
     rhs = f[pattern.free]
     if fixed_vals.size:
         rhs = rhs - Kfc @ fixed_vals
     try:
-        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=10,
                        options=dict(SymmetricMode=True))
         x_free = lu.solve(rhs)
     except RuntimeError as exc:  # exactly singular factor

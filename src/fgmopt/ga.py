@@ -81,6 +81,9 @@ class GAConfig:
             raise ValueError("need 1 <= tournament_size <= population_size")
         if self.sigma_star is not None and not self.sigma_star >= 0.0:  # NaN fails >=
             raise ValueError(f"sigma_star must be None or >= 0, got {self.sigma_star!r}")
+        # a negative window would compare against the wrong end of the best-fitness trace
+        if not self.stall_generations >= 0:
+            raise ValueError(f"stall_generations must be >= 0, got {self.stall_generations!r}")
         # elitism keeps the improvement >= 0, so below 0 (or NaN) the stall test never holds
         if not self.stall_tolerance >= 0.0:
             raise ValueError(f"stall_tolerance must be >= 0, got {self.stall_tolerance!r}")

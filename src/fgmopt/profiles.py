@@ -128,8 +128,8 @@ class GradationGenes:
     alphas_y: np.ndarray
 
     def __post_init__(self):
-        for name in ("alphas_x", "alphas_y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("alphas_x", "alphas_y"):  # own copies: the caller's arrays stay writeable
+            arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -148,8 +148,8 @@ class GradationGenes:
         return GradationGenes(
             phi_x1=float(vec[0]),
             phi_y1=float(vec[1]),
-            alphas_x=vec[2 : 2 + nx].copy(),
-            alphas_y=vec[2 + nx :].copy(),
+            alphas_x=vec[2 : 2 + nx],
+            alphas_y=vec[2 + nx :],
         )
 
     def to_dict(self) -> dict:

@@ -227,8 +227,10 @@ class TestOptimize:
 
     @pytest.mark.parametrize("override", [{"ga": {"tournament_size": 0}},
                                           {"sigma_star": float("nan")},
-                                          {"ga": {"stall_tolerance": float("nan")}}],
-                             ids=["empty-tournament", "nan-threshold", "nan-stall-tolerance"])
+                                          {"ga": {"stall_tolerance": float("nan")}},
+                                          {"ga": {"stall_generations": -5}}],
+                             ids=["empty-tournament", "nan-threshold", "nan-stall-tolerance",
+                                  "negative-stall-generations"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
                                                                     override):
         cfg = problems.problem2()

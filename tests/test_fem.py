@@ -25,10 +25,10 @@ from fgmopt.fem import (
     shape9,
     write_result_files,
 )
-from fgmopt.profiles import Profile2D, grid_points
+from fgmopt.profiles import Profile2D, grid_points, interpolate
 from fgmopt.rng import make_rng
 from fgmopt.verification import check_energy_balance
-from fgmopt import problems
+from fgmopt import fem, problems
 
 
 def uniform_profile(phi, nx, ny, L, H):
@@ -475,6 +475,42 @@ class TestReducedAssembly:
                                      s.fixed_dofs, s.fixed_vals)
         u = s.solve_elastic(prof, theta)
         assert np.abs(u.ravel() - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    def test_each_field_numbers_every_free_dof_once_in_node_order(self):
+        s, prof, _ = self.system()
+        s.solve_elastic(prof, s.solve_thermal(prof))
+        rank = s._node_rank
+        assert np.array_equal(np.sort(rank), np.arange(s.mesh.n_nodes))
+        for pattern, per_node in ((s._thermal_pattern, 1), (s._mech_pattern, 2)):
+            free = pattern.free
+            everything = np.concatenate([free, pattern.fixed])
+            assert np.array_equal(np.sort(everything), np.arange(per_node * s.mesh.n_nodes))
+            assert np.all(np.diff(per_node * rank[free // per_node] + free % per_node) > 0)
+
+    def test_node_order_is_built_once_on_the_first_solve_and_shared(self, monkeypatch):
+        calls = []
+        real = fem._minimum_degree_rank
+        monkeypatch.setattr(fem, "_minimum_degree_rank", lambda mesh: calls.append(1) or real(mesh))
+        s, prof, _ = self.system()
+        # set-up builds no order and no pattern: solver construction stays as cheap as before
+        assert not {"_node_rank", "_thermal_pattern", "_mech_pattern"} & set(vars(s))
+        s.run(prof)
+        s.run(prof)
+        assert len(calls) == 1
+        assert {"_node_rank", "_thermal_pattern", "_mech_pattern"} <= set(vars(s))
+        assert s._node_rank.base is None  # not a view that keeps a SuperLU factor alive
+
+    @pytest.mark.parametrize("profile_elems", [(4, 3), (7, 2)], ids=["plate-grid", "other-grid"])
+    def test_phi_at_gauss_is_interpolate_bit_for_bit(self, profile_elems):
+        s, _, _ = self.system()
+        grid = make_rng(9).uniform(0.0, 1.0, (profile_elems[0] + 1, profile_elems[1] + 1))
+        prof = Profile2D(grid, L=self.L, H=self.H)
+        xy = s.gauss_xy.reshape(-1, 2)
+        expect = interpolate(prof, xy[:, 0], xy[:, 1]).reshape(s.mesh.n_elems, 9)
+        assert np.array_equal(s.phi_at_gauss(prof), expect)
+        assert np.array_equal(s.phi_at_gauss(prof), expect)  # from the cached sampling
+        with pytest.raises(OutOfDomain):
+            s.phi_at_gauss(Profile2D(grid, L=0.5 * self.L, H=self.H))
 
 
 class TestPostprocessing:

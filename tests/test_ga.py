@@ -374,9 +374,12 @@ class TestEvolve:
         (dict(mutation_probability=float("nan")), r"mutation_probability .* got nan"),
         (dict(mutation_probability=-0.1), r"mutation_probability .* got -0.1"),
         (dict(mutation_probability=1.5), r"mutation_probability .* got 1.5"),
+        (dict(stall_generations=-1), "stall_generations .* got -1"),
+        (dict(stall_generations=-5), "stall_generations .* got -5"),
     ], ids=["empty-tournament", "tournament-above-population", "nan-threshold",
             "negative-threshold", "nan-stall-tolerance", "negative-stall-tolerance",
-            "nan-mutation", "negative-mutation", "mutation-above-one"])
+            "nan-mutation", "negative-mutation", "mutation-above-one",
+            "negative-stall-window", "stall-window-past-the-trace"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.make_config(**bad)

@@ -58,6 +58,19 @@ class TestTypes:
         inside[1] = 0.25
         assert q.values[1] == 0.5 and values[2] == 1.0 + tol
 
+    def test_genes_copy_the_callers_ratio_arrays(self):
+        ax, ay = np.full(5, 1.5), np.full(4, 1.25)
+        genes = GradationGenes(0.1, 0.05, ax, ay)
+        assert ax.flags.writeable and ay.flags.writeable
+        ax[0], ay[0] = 2.0, 2.0
+        np.testing.assert_array_equal(genes.alphas_x, np.full(5, 1.5))
+        np.testing.assert_array_equal(genes.alphas_y, np.full(4, 1.25))
+        assert not genes.alphas_x.flags.writeable and not genes.alphas_y.flags.writeable
+        vec = genes.flatten()
+        child = genes.replace_vector(vec)
+        vec[2] = 3.0
+        assert child.alphas_x[0] == 1.5
+
 
 class TestGeneration:
     def test_constant_ratio_then_normalization(self):
