@@ -293,6 +293,18 @@ class Mesh:
         elems, locs, h = table[edge]
         return self.conn[np.ix_(elems, locs)], h / 2.0
 
+    def gauss_points(self) -> np.ndarray:
+        """Physical coordinates (n_elems, 9, 2) of each element's 3x3 Gauss points,
+        point g = 3 * j + i at parametric (xi_i, eta_j) of GAUSS_1D."""
+        hx, hy = self.L / self.nx, self.H / self.ny
+        t = np.array([p for p, _ in GAUSS_1D])
+        xi, eta = np.tile(t, 3), np.repeat(t, 3)
+        centers_x = np.tile(np.arange(self.nx) * hx + hx / 2.0, self.ny)
+        centers_y = np.repeat(np.arange(self.ny) * hy + hy / 2.0, self.nx)
+        gx = centers_x[:, None] + xi[None, :] * hx / 2.0
+        gy = centers_y[:, None] + eta[None, :] * hy / 2.0
+        return np.stack([gx, gy], axis=-1)
+
     def corner_node(self, corner: str) -> int:
         fx, fy = CORNERS[corner]
         ix = int(round(fx * 2 * self.nx))
@@ -324,25 +336,43 @@ class FemResult:
 
 
 def write_result_files(result: FemResult, out_dir) -> None:
-    """JSON summary plus (x, y, value) CSV grids for any contour plotter."""
+    """JSON summary plus (x, y, value) CSV grids for any contour plotter.
+
+    Each CSV holds the bytes csv.writer gives with repr() floats.  Its x/y
+    text comes from ``_csv_template`` of the mesh or profile-grid geometry (the
+    solver's nodes and Gauss points are functions of it), so only the values
+    are formatted here.
+    """
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(result.summary(), indent=2, sort_keys=True))
-
-    def dump(name, xs, ys, vals):  # the bytes csv.writer gives, built as one string
-        rows = zip(xs.tolist(), ys.tolist(), vals.tolist())
-        text = "x,y,value\r\n" + "".join(f"{x!r},{y!r},{v!r}\r\n" for x, y, v in rows)
+    m, p = result.mesh, result.profile
+    for name, points, geometry, values in (
+            ("temperature.csv", "nodes", (m.L, m.H, m.nx, m.ny), result.nodal_temperature),
+            ("effective_stress.csv", "gauss", (m.L, m.H, m.nx, m.ny), result.gauss_effective_stress),
+            ("volume_fraction.csv", "grid", (p.L, p.H, p.nx, p.ny), p.grid)):
+        text = _csv_template(points, *geometry) % tuple(values.ravel().tolist())
         (out / name).write_text(text, newline="")
 
-    c = result.mesh.coords
-    dump("temperature.csv", c[:, 0], c[:, 1], result.nodal_temperature)
-    g = result.gauss_xy.reshape(-1, 2)
-    dump("effective_stress.csv", g[:, 0], g[:, 1], result.gauss_effective_stress.ravel())
-    p = result.profile
-    pts = grid_points(p.L, p.H, p.nx, p.ny)
-    dump("volume_fraction.csv", pts[:, 0], pts[:, 1], p.grid.ravel())
+
+@functools.lru_cache(maxsize=8)
+def _csv_template(points: str, L: float, H: float, nx: int, ny: int) -> str:
+    """``x,y,value`` CSV text at the nodes or Gauss points of the nx-by-ny mesh,
+    or at the nodes of the nx-by-ny profile grid, over [0,L] x [0,H], with a
+    ``%r`` slot for each value; rows end in CRLF, as csv.writer's do.
+
+    repr() of a float never holds a "%", so the x/y text needs no escaping.
+    It is formatted in one pass: a string per row left the allocator's heap
+    fragmented and raised the process's peak memory by about 1.7 MB on problem 1.
+    """
+    if points == "grid":
+        xy = grid_points(L, H, nx, ny)
+    else:
+        mesh = Mesh.rectangle(nx, ny, L, H)
+        xy = mesh.coords if points == "nodes" else mesh.gauss_points().reshape(-1, 2)
+    return "x,y,value\r\n" + ("%r,%r,%%r\r\n" * (xy.size // 2)) % tuple(xy.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +423,10 @@ class ThermoelasticSolver:
         mesh = self.mesh
         hx, hy = mesh.L / mesh.nx, mesh.H / mesh.ny
         det = hx * hy / 4.0
-        pts, wts, nmat, bx, by = [], [], [], [], []
+        wts, nmat, bx, by = [], [], [], []
         for eta, weta in GAUSS_1D:
             for xi, wxi in GAUSS_1D:
                 n, dxi, deta = shape9(xi, eta)
-                pts.append((xi, eta))
                 wts.append(wxi * weta * det)
                 nmat.append(n)
                 bx.append(dxi * 2.0 / hx)
@@ -424,14 +453,7 @@ class ThermoelasticSolver:
         self.elast_P = np.einsum("g,gia,cij,gjb->cgab", self.gauss_w, Bel, np.stack([A, M]), Bel).reshape(18, 324)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
 
-        # physical gauss coordinates (n_elems, 9, 2)
-        xi = np.array([p[0] for p in pts])
-        eta = np.array([p[1] for p in pts])
-        centers_x = np.tile(np.arange(mesh.nx) * hx + hx / 2.0, mesh.ny)
-        centers_y = np.repeat(np.arange(mesh.ny) * hy + hy / 2.0, mesh.nx)
-        gx = centers_x[:, None] + xi[None, :] * hx / 2.0
-        gy = centers_y[:, None] + eta[None, :] * hy / 2.0
-        self.gauss_xy = np.stack([gx, gy], axis=-1)
+        self.gauss_xy = mesh.gauss_points()  # (n_elems, 9, 2)
 
         # 1D quadratic edge basis at 3-point Gauss, for edge integrals
         self.edge_w = np.array([w for _, w in GAUSS_1D])

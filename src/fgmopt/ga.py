@@ -190,7 +190,11 @@ def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability:
 
 
 def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
-    """Sum of weight * max(0, normalized violation)^2 over active constraints."""
+    """Sum of weight * max(0, normalized violation)^2 over active constraints.
+
+    A NaN value of a constrained quantity (a NaN surrogate prediction) is
+    infeasible: its penalty is +inf, where ``max(0, nan)`` would read 0.
+    """
     penalty = 0.0
     for limit, key in ((spec.v_star, "v_ca"), (spec.theta_max, "max_metal_temperature"),
                        (spec.sigma_allow, "sigma_e_max")):
@@ -199,7 +203,8 @@ def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
         value = summaries.get(key)
         if value is None:
             raise MissingSummary(f"{key} required by an active constraint")
-        penalty += spec.weight * max(0.0, value / limit - 1.0) ** 2
+        violation = value / limit - 1.0
+        penalty += math.inf if math.isnan(violation) else spec.weight * max(0.0, violation) ** 2
     return penalty
 
 
@@ -277,7 +282,8 @@ def evaluation_counts(evaluated) -> dict:
     FEM-routed individual with a non-NaN prediction (None without one), over ``evaluated``.
 
     A NaN prediction routes to FEM when sigma_star > 0; with sigma_star = 0
-    it, or a negative one, becomes the objective.  These are only counted.
+    it, or a negative one, becomes the stress value (under a stress limit, a
+    NaN is infeasible: ``static_penalty``).  These are only counted.
     """
     preds = [ind.dnn_sigma for ind in evaluated if ind.dnn_sigma is not None]
     errors = [prediction_error(ind.dnn_sigma, ind.sigma_e_max) for ind in evaluated
@@ -352,7 +358,9 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
             **evaluation_counts(evaluated),
         )
         stats.append(latest)
-        log.info("%s", json.dumps({**asdict(latest), "wall_s": round(time.perf_counter() - t0, 3)}))
+        if log.isEnabledFor(logging.INFO):  # the line is built only when it is emitted
+            log.info("%s", json.dumps({**asdict(latest),
+                                       "wall_s": round(time.perf_counter() - t0, 3)}))
         best_trace.append(best.fitness)
 
         done = False
@@ -368,7 +376,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
         rank = np.argsort(order)  # each individual's place in order
         winners = tournament_select(rank, config.tournament_size,
                                     2 * math.ceil(n_children / 2), rng)
-        parents = np.array([population[i].genes.flatten() for i in winners])
+        parents = np.array([population[i].genes.vector for i in winners])
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)
         children = np.stack([c1, c2], axis=1).reshape(-1, lower.size)[:n_children]
         children = polynomial_mutation(children, eta_m, lower, upper,

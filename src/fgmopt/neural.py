@@ -41,10 +41,10 @@ from . import version_fingerprint
 from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance
 from .rng import make_rng
 
-_ACT = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+_ACT = {  # (activation, written into ``out`` when given; its derivative)
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z: (z > 0.0).astype(float)),
+    "tanh": (lambda z, out=None: np.tanh(z, out=out), lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z, out=None: z, lambda z: np.ones_like(z)),
 }
 
 
@@ -85,8 +85,10 @@ class DenseNet:
         if h.shape[1] != self.input_dim:
             raise DimensionMismatch(
                 f"input has {h.shape[1]} features, network expects {self.input_dim}")
-        for layer in self.layers:
-            h = _ACT[layer.activation][0](h @ layer.weights + layer.bias)
+        for layer in self.layers:  # bias and activation in place: no per-layer temporaries
+            h = h @ layer.weights
+            h += layer.bias
+            _ACT[layer.activation][0](h, out=h)
         return h[0] if single else h
 
     def forward_cached(self, x: np.ndarray):
@@ -298,6 +300,9 @@ class StressSurrogate:
 
     @staticmethod
     def features(profiles_x, profiles_y) -> np.ndarray:
+        """Rows [profile_x, profile_y]: one row for a pair of 1D profiles."""
+        if np.ndim(profiles_x) == np.ndim(profiles_y) == 1:
+            return np.concatenate((profiles_x, profiles_y))[None]
         return np.concatenate([np.atleast_2d(profiles_x), np.atleast_2d(profiles_y)], axis=1)
 
     def predict(self, profiles_x, profiles_y) -> np.ndarray:

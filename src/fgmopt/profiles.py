@@ -31,7 +31,7 @@ admit them while the first ratio 2**m stays within ALPHA_UPPER_MAX and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,11 +43,6 @@ ALPHA_UPPER_MAX = 3.0  # largest ratio a profile can draw, and the ratio genes' 
 # first-node buckets, each drawn with equal probability: one wide bucket along x, two small along y
 FIRST_NODE_BUCKETS_X = ((0.001, 1.0),)
 FIRST_NODE_BUCKETS_Y = ((0.001, 0.01), (0.01, 0.1))
-
-
-def _within(values, lower, upper) -> np.ndarray:
-    """Elementwise lower <= values <= upper up to _BOUND_TOL; False for NaN."""
-    return (values >= lower - _BOUND_TOL) & (values <= upper + _BOUND_TOL)
 
 
 def _unit_range_copy(values: np.ndarray, what: str) -> np.ndarray:
@@ -77,6 +72,14 @@ class Profile1D:
     def __post_init__(self):
         object.__setattr__(self, "values", _validated_values(self.values))
         self.values.setflags(write=False)
+
+    @classmethod
+    def _of_checked(cls, values: np.ndarray) -> "Profile1D":
+        """A profile on ``values`` as given, no copy: they already hold its
+        invariants and are read-only."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "values", values)
+        return profile
 
     @property
     def n_elems(self) -> int:
@@ -114,11 +117,12 @@ class Profile2D:
         return self.grid.shape[1] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradationGenes:
     """Design variables of one 2D profile: first-node fractions and ratio vectors.
 
-    Flatten order is [phi_x1, phi_y1, alphas_x..., alphas_y...]; the axis
+    ``vector`` holds them flat and read-only, in the order [phi_x1, phi_y1,
+    alphas_x..., alphas_y...]; the ratio fields are views of it.  The axis
     sizes give the plate, and with it the bounds ``validate`` checks.
     """
 
@@ -126,31 +130,37 @@ class GradationGenes:
     phi_y1: float
     alphas_x: np.ndarray
     alphas_y: np.ndarray
+    vector: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for name in ("alphas_x", "alphas_y"):  # own copies: the caller's arrays stay writeable
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+    def __post_init__(self):  # an own vector: the caller's arrays stay writeable and apart
+        ax, ay = (np.asarray(a, dtype=float) for a in (self.alphas_x, self.alphas_y))
+        if ax.ndim != 1 or ay.ndim != 1:
+            raise DimensionMismatch("ratio genes must be 1D vectors")
+        self._hold(np.concatenate(([self.phi_x1, self.phi_y1], ax, ay)), ax.size)
+
+    def _hold(self, vec: np.ndarray, n_alphas_x: int):
+        """Make the fresh array ``vec`` this design's read-only gene vector."""
+        vec.setflags(write=False)
+        for name, value in (("vector", vec), ("phi_x1", float(vec[0])), ("phi_y1", float(vec[1])),
+                            ("alphas_x", vec[2 : 2 + n_alphas_x]),
+                            ("alphas_y", vec[2 + n_alphas_x :])):
+            object.__setattr__(self, name, value)
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(([self.phi_x1, self.phi_y1], self.alphas_x, self.alphas_y))
+        """A writeable copy of ``vector``."""
+        return self.vector.copy()
 
     def validate(self):
-        lower, upper = gene_bounds(self.alphas_x.size + 1, self.alphas_y.size + 1)
-        within = _within(self.flatten(), lower, upper)  # NaN is never within
+        lower, upper = _tolerant_bounds(self.alphas_x.size + 1, self.alphas_y.size + 1)
+        within = (self.vector >= lower) & (self.vector <= upper)  # NaN is never within
         if not within.all():
             raise GeneOutOfBounds(f"genes {np.flatnonzero(~within).tolist()} outside declared bounds")
 
     def replace_vector(self, vec: np.ndarray) -> "GradationGenes":
-        """Same axis sizes, new gene values."""
-        nx = self.alphas_x.size
-        return GradationGenes(
-            phi_x1=float(vec[0]),
-            phi_y1=float(vec[1]),
-            alphas_x=vec[2 : 2 + nx],
-            alphas_y=vec[2 + nx :],
-        )
+        """Same axis sizes, new gene values (one copy of ``vec``)."""
+        child = object.__new__(GradationGenes)
+        child._hold(np.array(vec, dtype=float), self.alphas_x.size)
+        return child
 
     def to_dict(self) -> dict:
         return {
@@ -178,6 +188,16 @@ def gene_bounds(nx: int, ny: int):
     return lower, upper
 
 
+@functools.cache
+def _tolerant_bounds(nx: int, ny: int):
+    """``gene_bounds`` widened by _BOUND_TOL: the interval ``validate`` admits."""
+    lower, upper = gene_bounds(nx, ny)
+    lower, upper = lower - _BOUND_TOL, upper + _BOUND_TOL
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return lower, upper
+
+
 def genes_from_dict(d: dict, nx: int, ny: int) -> GradationGenes:
     """The genes of ``GradationGenes.to_dict`` output for a plate of nx-by-ny elements.
 
@@ -200,23 +220,31 @@ def _draw_axis(rng: np.random.Generator, n_elems: int, buckets):
     return phi1, alphas
 
 
-def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
-    """Run the bounded-ratio recursion from fixed ratios; deterministic.
+def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.ndarray:
+    """The bounded-ratio recursion from fixed ratios into ``out`` (alphas.size + 2
+    entries), before its cap at 1; deterministic.
 
     With every ratio at least 1, phi[i+1] = min(1, a[i] * phi[i]) is the
     running product capped at 1: a product that reaches 1 never falls back
-    below it, so this is bit-identical to the recursion.  A ratio within
-    _BOUND_TOL below 1, which ``validate`` admits, is taken as 1, so every
-    admitted gene vector decodes.  Node 1 is not capped.  A last node below 1
-    then rescales nodes 1..n by 1/phi[n].
+    below it, so capping nodes 2..n of this result is bit-identical to the
+    recursion.  A ratio within _BOUND_TOL below 1, which ``validate`` admits,
+    is taken as 1, so every admitted gene vector decodes.  A last node below 1
+    rescales nodes 1..n by 1/phi[n]; the products are then all below 1, so
+    the cap leaves them alone and may come after the rescaling.
     """
-    values = np.empty(alphas.size + 2)
-    values[0], values[1] = 0.0, phi1
-    np.maximum(alphas, 1.0, out=values[2:])
-    np.multiply.accumulate(values[1:], out=values[1:])
+    out[0], out[1] = 0.0, phi1
+    np.maximum(alphas, 1.0, out=out[2:])
+    np.multiply.accumulate(out[1:], out=out[1:])
+    if out[-1] < 1.0:
+        out[1:] /= out[-1]
+    return out
+
+
+def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
+    """The 1D profile of one axis's genes, whatever their bounds: node 1 is not
+    capped, so a first node above 1 raises PhiOutOfRange."""
+    values = _running_product(np.empty(alphas.size + 2), phi1, alphas)
     np.minimum(values[2:], 1.0, out=values[2:])
-    if values[-1] < 1.0:
-        values[1:] /= values[-1]
     return Profile1D(values)
 
 
@@ -231,13 +259,24 @@ def generate_genes(rng, nx: int, ny: int) -> GradationGenes:
 def genes_to_profiles(genes: GradationGenes):
     """Deterministically decode genes into the pair of 1D axis profiles.
 
-    Identical genes always give bit-identical profiles; raises
-    GeneOutOfBounds if any gene is outside its declared interval.
+    Both running products go into one buffer of (nx + 1) + (ny + 1) nodes, x
+    first, which is capped at 1 and range-checked once; the two profiles are
+    read-only views of it.  The cap takes a first node admitted within
+    _BOUND_TOL above 1 to 1, as the range check of ``Profile1D`` would, so
+    identical genes always give the bit-identical profiles of ``_replay`` on
+    each axis.  Raises GeneOutOfBounds if any gene is outside its declared
+    interval.
     """
     genes.validate()
-    px = _replay(genes.phi_x1, genes.alphas_x)
-    py = _replay(genes.phi_y1, genes.alphas_y)
-    return px, py
+    n_x = genes.alphas_x.size + 2
+    nodes = np.empty(n_x + genes.alphas_y.size + 2)
+    _running_product(nodes[:n_x], genes.phi_x1, genes.alphas_x)
+    _running_product(nodes[n_x:], genes.phi_y1, genes.alphas_y)
+    np.minimum(nodes, 1.0, out=nodes)
+    if not nodes.min() >= 0.0:  # NaN fails too
+        raise PhiOutOfRange("nodal volume fractions must lie in [0, 1]")
+    nodes.setflags(write=False)
+    return Profile1D._of_checked(nodes[:n_x]), Profile1D._of_checked(nodes[n_x:])
 
 
 def tensor_product(px: Profile1D, py: Profile1D, L: float = 1.0, H: float = 1.0) -> Profile2D:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,31 +557,59 @@ class TestPostprocessing:
         print(f"refinement sigma_e_max: {[f'{v/1e6:.2f}' for v in vals]} MPa, deltas {d1/1e6:.3f}, {d2/1e6:.3f}")
         assert d2 < d1
 
-    def test_result_files(self, tmp_path):
-        cfg = problems.problem2()
-        r = ThermoelasticSolver(cfg).run(problems.power_law_reference(cfg, 1.0, "y"))
-        write_result_files(r, tmp_path)
-        summary = json.loads((tmp_path / "summary.json").read_text())
+    @staticmethod
+    def csv_writer_bytes(xs, ys, vals) -> bytes:
+        """The oracle: csv.writer rows of repr() floats under an x,y,value header."""
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["x", "y", "value"])
+        for x, y, v in zip(xs, ys, vals):
+            w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+        return buf.getvalue().encode()
+
+    def assert_result_files(self, r, out):
+        write_result_files(r, out)
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["sigma_e_max"] == pytest.approx(r.sigma_e_max)
-        for name in ("temperature.csv", "effective_stress.csv", "volume_fraction.csv"):
-            lines = (tmp_path / name).read_text().splitlines()
-            assert lines[0] == "x,y,value"
-            assert len(lines) > 100
-        # the bytes are those of csv.writer with repr() floats
         g = r.gauss_xy.reshape(-1, 2)
-        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
+        p = r.profile
+        pts = grid_points(p.L, p.H, p.nx, p.ny)
         columns = {
             "temperature.csv": (r.mesh.coords[:, 0], r.mesh.coords[:, 1], r.nodal_temperature),
             "effective_stress.csv": (g[:, 0], g[:, 1], r.gauss_effective_stress.ravel()),
-            "volume_fraction.csv": (pts[:, 0], pts[:, 1], r.profile.grid.ravel()),
+            "volume_fraction.csv": (pts[:, 0], pts[:, 1], p.grid.ravel()),
         }
         for name, (xs, ys, vals) in columns.items():
-            buf = io.StringIO(newline="")
-            w = csv.writer(buf)
-            w.writerow(["x", "y", "value"])
-            for x, y, v in zip(xs, ys, vals):
-                w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
-            assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
+            assert (out / name).read_text().splitlines()[0] == "x,y,value"
+            assert (out / name).read_bytes() == self.csv_writer_bytes(xs, ys, vals)
+
+    def test_result_files(self, tmp_path):
+        # the bytes are those of csv.writer with repr() floats: twice through one solver
+        # (the second write reuses the first one's x/y text), on a profile grid coarser
+        # than the mesh, and through a solver of another mesh and plate
+        cfg = problems.problem2()
+        solver = ThermoelasticSolver(cfg)
+        other = replace(cfg, L=0.5, nx=7, ny=5)
+        runs = [
+            solver.run(problems.power_law_reference(cfg, 1.0, "y")),
+            solver.run(uniform_profile(0.25, 3, 4, cfg.L, cfg.H)),
+            ThermoelasticSolver(other).run(problems.power_law_reference(other, 2.0, "xy")),
+        ]
+        for i, r in enumerate(runs):
+            self.assert_result_files(r, tmp_path / str(i))
+        assert len((tmp_path / "0" / "temperature.csv").read_text().splitlines()) == 41 * 41 + 1
+
+    def test_gauss_points_are_the_solvers(self):
+        cfg = problems.problem2()
+        mesh = fem.Mesh.rectangle(7, 5, 0.5, cfg.H)
+        xy = mesh.gauss_points()
+        assert xy.shape == (35, 9, 2)
+        assert np.array_equal(ThermoelasticSolver(replace(cfg, L=0.5, nx=7, ny=5)).gauss_xy, xy)
+        # point g = 3 j + i sits at (xi_i, eta_j) of element 0's parametric square
+        t = np.array([p for p, _ in fem.GAUSS_1D])
+        hx, hy = 0.5 / 7, cfg.H / 5
+        np.testing.assert_allclose(xy[0, :, 0], np.tile((t + 1) * hx / 2, 3), rtol=1e-15)
+        np.testing.assert_allclose(xy[0, :, 1], np.repeat((t + 1) * hy / 2, 3), rtol=1e-15)
 
     def test_solver_determinism(self):
         cfg = problems.problem2()

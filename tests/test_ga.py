@@ -23,9 +23,17 @@ from fgmopt.ga import (
     tournament_select,
 )
 from fgmopt.fem import ThermoelasticSolver
-from fgmopt.profiles import gene_bounds, generate_genes, genes_to_profiles, tensor_product
+from fgmopt.neural import StressSurrogate
+from fgmopt.profiles import (
+    _replay,
+    average_ceramic_fraction,
+    gene_bounds,
+    generate_genes,
+    genes_to_profiles,
+    tensor_product,
+)
 from fgmopt.rng import derived_rng, make_rng
-from fgmopt import problems
+from fgmopt import ga, problems
 
 
 def tiny_problem(nx=6, ny=6):
@@ -261,6 +269,16 @@ class TestStaticPenalty:
         with pytest.raises(MissingSummary):
             static_penalty({"sigma_e_max": 1.0, "v_ca": 0.5, "max_metal_temperature": None}, spec)
 
+    def test_nan_value_of_an_active_constraint_is_infinite(self):
+        # max(0, nan) is 0, which would read as satisfied
+        spec = ConstraintSpec(sigma_allow=150e6, theta_max=275.0)
+        ok = {"sigma_e_max": 100e6, "v_ca": 0.2, "max_metal_temperature": 200.0}
+        assert static_penalty(ok, spec) == 0.0
+        for key in ("sigma_e_max", "max_metal_temperature"):
+            assert static_penalty({**ok, key: math.nan}, spec) == math.inf
+        # an inactive constraint's value is not read
+        assert static_penalty({**ok, "v_ca": math.nan}, spec) == 0.0
+
     def test_weight_scaling_preserves_feasibility_and_ranking(self):
         rng = make_rng(9)
         cands = [{"sigma_e_max": rng.uniform(50e6, 250e6), "v_ca": rng.uniform(0, 1),
@@ -354,6 +372,76 @@ class TestHybridDispatch:
         ind_s = ev.evaluate(genes)
         ind_f = fem_evaluator().evaluate(genes)
         assert ind_s.v_ca == pytest.approx(ind_f.v_ca, abs=1e-12)
+
+
+class TestSurrogateEvaluationIsTheFormulaPath:
+    def test_bit_identical_to_decoding_each_axis_and_the_out_of_place_network(self):
+        # each axis decoded alone into a Profile1D, the features joined, the network as
+        # act(h @ W + b) per layer, v_ca from the two profiles and the penalty on top
+        cfg = problems.problem1()
+        model = StressSurrogate.build(make_rng(7), cfg.nx + 1, cfg.ny + 1,
+                                      problems.stress_scale(cfg))
+        solver = ThermoelasticSolver(cfg)
+        rng = make_rng(8)
+        lower, upper = gene_bounds(cfg.nx, cfg.ny)
+        template = generate_genes(rng, cfg.nx, cfg.ny)
+        designs = [generate_genes(rng, cfg.nx, cfg.ny) for _ in range(40)]
+        designs += [template.replace_vector(rng.uniform(lower, upper)) for _ in range(40)]
+        act = {"relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+        for objective in ("sigma_e_max", "v_ca"):
+            spec = ConstraintSpec(v_star=0.7, sigma_allow=11e6)  # about the medians
+            ev = FitnessEvaluator(solver, objective, spec, sigma_star=0.0, stress_model=model)
+            for genes in designs:
+                px = _replay(genes.phi_x1, genes.alphas_x)
+                py = _replay(genes.phi_y1, genes.alphas_y)
+                h = np.concatenate([px.values, py.values])[None]
+                for layer in model.net.layers:
+                    h = act[layer.activation](h @ layer.weights + layer.bias)
+                summaries = {"sigma_e_max": float((h[:, 0] * model.output_scale)[0]),
+                             "v_ca": average_ceramic_fraction(px, py),
+                             "max_metal_temperature": float(cfg.uniform_delta_theta)}
+                penalty = static_penalty(summaries, spec)
+                ind = ev.evaluate(genes)
+                assert ind.sigma_e_max.hex() == summaries["sigma_e_max"].hex()
+                assert ind.v_ca.hex() == summaries["v_ca"].hex()
+                assert ind.fitness.hex() == float(summaries[objective] + penalty).hex()
+            assert {ind.penalty > 0.0 for ind in map(ev.evaluate, designs)} == {True, False}
+
+
+class TestNanPredictionUnderConstraints:
+    class EveryOtherNan:
+        """Stress stub: NaN on every other call, a feasible 100 MPa otherwise."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def predict(self, px, py):
+            self.calls += 1
+            return np.array([math.nan if self.calls % 2 else 100e6])
+
+    def case4_evaluator(self, stress_model):
+        case4 = problems.CASE_DEFAULTS["case4"]
+        spec = ConstraintSpec(sigma_allow=case4["sigma_allow"], theta_max=case4["theta_max"])
+        return FitnessEvaluator(ThermoelasticSolver(tiny_problem()), case4["objective"], spec,
+                                sigma_star=0.0, stress_model=stress_model,
+                                temp_model=TestHybridDispatch.StubTemp(200.0))
+
+    def test_nan_stress_prediction_is_infeasible(self):
+        ev = self.case4_evaluator(TestHybridDispatch.StubStress(math.nan))
+        ind = ev.evaluate(generate_genes(make_rng(0), 6, 6))
+        assert ind.eval_source == "surrogate" and math.isnan(ind.sigma_e_max)
+        assert ind.penalty == math.inf and ind.fitness == math.inf
+        assert math.isfinite(ind.objective)  # v_ca, which alone would look feasible
+
+    def test_nan_designs_leave_the_feasible_fraction_and_a_finite_design_wins(self):
+        config = GAConfig(population_size=8, tournament_size=2, elite_count=1,
+                          min_generations=3, max_generations=3, seed=2, sigma_star=0.0)
+        rec = evolve(config, self.case4_evaluator(self.EveryOtherNan()))
+        for stats in rec.generations:
+            assert 0.0 < stats.feasible_fraction < 1.0 and math.isfinite(stats.best_fitness)
+        finite = [math.isfinite(ind.dnn_sigma) for ind in rec.population]
+        assert rec.generations[-1].feasible_fraction == sum(finite) / len(finite)
+        assert math.isfinite(rec.best.dnn_sigma) and rec.best.penalty == 0.0
 
 
 class TestEvolve:
@@ -478,6 +566,17 @@ class TestEvolve:
             assert line["wall_s"] >= 0.0
         assert all(a["wall_s"] <= b["wall_s"] for a, b in zip(lines, lines[1:]))
         assert "wall_s" not in vars(rec.generations[0])
+
+    def test_no_progress_line_is_built_below_info(self, caplog, monkeypatch):
+        built = []
+        monkeypatch.setattr(ga, "asdict", lambda stats: built.append(stats) or {})
+        caplog.set_level(logging.WARNING, logger="fgmopt.ga")
+        evolve(self.make_config(max_generations=3), RecordingEvaluator())
+        assert built == []
+        assert not [r for r in caplog.records if r.name == "fgmopt.ga"]
+        caplog.set_level(logging.INFO, logger="fgmopt.ga")
+        evolve(self.make_config(max_generations=3), RecordingEvaluator())
+        assert len(built) == 3
 
 
 class RecordingEvaluator:

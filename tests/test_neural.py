@@ -63,6 +63,30 @@ class TestForward:
         x = rng.normal(size=(1000, 4))
         np.testing.assert_allclose(net.forward(x), x, atol=1e-15)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_in_place_pass_is_the_out_of_place_formula(self, activation):
+        # bias and activation written in place give the bits of act(h @ W + b) layer by
+        # layer, for one row and for a batch, and leave the input alone
+        formula = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
+        net = make_dense(3, [6, 9, 5, 2], activation)
+        rng = make_rng(4)
+        for x in (rng.normal(size=6), rng.normal(size=(11, 6))):
+            before = x.copy()
+            h = np.atleast_2d(x)
+            for layer in net.layers:
+                h = formula[layer.activation](h @ layer.weights + layer.bias)
+            want = h[0] if x.ndim == 1 else h
+            assert net.forward(x).tobytes() == want.tobytes()
+            assert np.array_equal(x, before)
+
+    def test_forward_cached_keeps_the_pre_activations(self):
+        net = make_dense(5, [4, 8, 1], "relu")
+        x = make_rng(6).normal(size=(20, 4))
+        out, (inputs, preacts) = net.forward_cached(x)
+        assert (preacts[0] < 0.0).any()  # not overwritten by the relu
+        assert np.array_equal(inputs[1], np.maximum(preacts[0], 0.0))
+        assert np.array_equal(out, net.forward(x))
+
     def test_dimension_mismatch(self):
         net = make_dense(0, [3, 5, 1], "relu")
         with pytest.raises(DimensionMismatch):
@@ -250,6 +274,14 @@ class TestStressSurrogate:
         assert len(got) == len(want) == 8
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_one_profile_pair_gives_one_feature_row(self):
+        rng = make_rng(2)
+        px, py = rng.uniform(0, 1, 4), rng.uniform(0, 1, 6)
+        row = StressSurrogate.features(px, py)
+        assert row.shape == (1, 10)
+        assert np.array_equal(row, StressSurrogate.features(px[None], py[None]))
+        assert np.array_equal(row[0], np.concatenate([px, py]))
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = StressSurrogate.build(9, 4, 6, output_scale=1e7)

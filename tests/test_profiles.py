@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fgmopt import problems
+from fgmopt import problems, profiles
 from fgmopt.errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from fgmopt.profiles import (
     ALPHA_UPPER_MAX,
@@ -70,6 +70,21 @@ class TestTypes:
         child = genes.replace_vector(vec)
         vec[2] = 3.0
         assert child.alphas_x[0] == 1.5
+
+
+    def test_genes_hold_one_read_only_vector(self):
+        genes = GradationGenes(0.1, 0.05, [1.5, 1.5, 1.5], np.full(2, 1.25))
+        np.testing.assert_array_equal(genes.vector, [0.1, 0.05, 1.5, 1.5, 1.5, 1.25, 1.25])
+        assert not genes.vector.flags.writeable
+        assert genes.alphas_x.base is genes.vector and genes.alphas_y.base is genes.vector
+        vec = genes.flatten()
+        assert vec.flags.writeable and not np.shares_memory(vec, genes.vector)
+        child = genes.replace_vector(vec)
+        assert not np.shares_memory(child.vector, vec) and not child.vector.flags.writeable
+        assert (type(child.phi_x1), child.phi_x1, child.phi_y1) == (float, 0.1, 0.05)
+        np.testing.assert_array_equal(child.alphas_y, [1.25, 1.25])
+        with pytest.raises(DimensionMismatch, match="1D"):
+            GradationGenes(0.1, 0.05, np.ones((2, 2)), np.ones(2))
 
 
 class TestGeneration:
@@ -231,6 +246,89 @@ class TestReplayMatchesRecursion:
         low.validate()
         for got, want in zip(genes_to_profiles(low), genes_to_profiles(one)):
             assert got.values.tobytes() == want.values.tobytes()
+
+
+def edge_designs(nx, ny):
+    """Gene vectors on the edges of the admitted box of an nx-by-ny plate."""
+    tol = 5e-10  # inside _BOUND_TOL
+    lower, upper = gene_bounds(nx, ny)
+    mid = (lower + upper) / 2
+    designs = []
+    for phis in ((lower[0], lower[1]), (upper[0], upper[1]), (lower[0] - tol, upper[1] + tol),
+                 (upper[0] + tol, lower[1] - tol), (mid[0], mid[1])):
+        for ratios in (1.0 - tol, 1.0, 1.0001, 1.5, ALPHA_UPPER_MAX, ALPHA_UPPER_MAX + tol):
+            designs.append(np.concatenate((phis, np.full(lower.size - 2, ratios))))
+        # ratios just below 1 then large: the product stays flat, then reaches the cap
+        steps = np.where(np.arange(lower.size - 2) % 4 < 2, 1.0 - tol, ALPHA_UPPER_MAX)
+        designs.append(np.concatenate((phis, steps)))
+    return designs
+
+
+class TestDecodingMatchesRecursion:
+    """genes_to_profiles, both axes in one buffer, against replay_loop bit for bit."""
+
+    @staticmethod
+    def assert_decodes_as_recursion(genes):
+        # an admitted ratio below 1 is taken as 1 (TestReplayMatchesRecursion)
+        px, py = genes_to_profiles(genes)
+        for got, phi1, alphas in ((px, genes.phi_x1, genes.alphas_x),
+                                  (py, genes.phi_y1, genes.alphas_y)):
+            assert got.values.tobytes() == replay_loop(phi1, np.maximum(alphas, 1.0)).values.tobytes()
+
+    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 20), (7, 3), (1, 5)])
+    def test_seeded_sweeps(self, nx, ny):
+        # drawn designs, and vectors uniform over the gene bounds, which reach the
+        # cap or end below 1 and are rescaled
+        rng = make_rng(100 * nx + ny)
+        lower, upper = gene_bounds(nx, ny)
+        template = generate_genes(rng, nx, ny)
+        for _ in range(300):
+            self.assert_decodes_as_recursion(generate_genes(rng, nx, ny))
+            self.assert_decodes_as_recursion(template.replace_vector(rng.uniform(lower, upper)))
+
+    @pytest.mark.parametrize("nx, ny", [(40, 40), (6, 9)])
+    def test_edge_vectors(self, nx, ny):
+        # ratios of 1 - 5e-10, ratios that reach the cap, first nodes at and just past
+        # both bounds, and last nodes below 1
+        template = generate_genes(make_rng(0), nx, ny)
+        rescaled = capped = 0
+        for vec in edge_designs(nx, ny):
+            genes = template.replace_vector(vec)
+            genes.validate()
+            self.assert_decodes_as_recursion(genes)
+            for phi1, alphas in ((genes.phi_x1, genes.alphas_x), (genes.phi_y1, genes.alphas_y)):
+                product = phi1 * np.prod(np.maximum(alphas, 1.0))
+                rescaled += product < 1.0
+                capped += product > 1.0
+        assert rescaled > 0 and capped > 0
+
+    def test_profiles_are_read_only_views_of_one_buffer(self):
+        px, py = genes_to_profiles(generate_genes(make_rng(2), 5, 4))
+        assert px.values.base is py.values.base
+        assert (px.values.size, py.values.size, px.values.base.size) == (6, 5, 11)
+        assert not px.values.flags.writeable and not py.values.flags.writeable
+
+    @pytest.mark.parametrize("fault", [-0.5, np.nan])
+    def test_the_range_check_catches_a_decoding_fault(self, monkeypatch, fault):
+        def broken(out, phi1, alphas):
+            out[:] = fault
+            return out
+
+        monkeypatch.setattr(profiles, "_running_product", broken)
+        with pytest.raises(PhiOutOfRange):
+            genes_to_profiles(generate_genes(make_rng(1), 4, 4))
+
+    @pytest.mark.parametrize("bad", ["below", "above", "nan", "inf"])
+    def test_out_of_bounds_vectors_raise_naming_the_gene(self, bad):
+        nx, ny = 6, 4
+        lower, upper = gene_bounds(nx, ny)
+        template = generate_genes(make_rng(3), nx, ny)
+        for i in range(lower.size):
+            vec = (lower + upper) / 2
+            vec[i] = {"below": lower[i] - 2e-9, "above": upper[i] + 2e-9,
+                      "nan": np.nan, "inf": np.inf}[bad]
+            with pytest.raises(GeneOutOfBounds, match=rf"genes \[{i}\] "):
+                genes_to_profiles(template.replace_vector(vec))
 
 
 class TestTensorProductAndInterpolation:
