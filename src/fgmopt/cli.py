@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("optimize", help="run a configured GA experiment")
     o.add_argument("--experiment", required=True, help="experiment JSON file")
     o.add_argument("--out", required=True)
-    o.add_argument("--seed", type=int, default=None, help="override the config seed")
+    o.add_argument("--seed", type=int, default=None, help="override the experiment's seed")
     o.set_defaults(fn=cmd_optimize)
 
     e = sub.add_parser("eval-profile", help="solve one gradation and print summaries")

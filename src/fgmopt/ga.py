@@ -71,17 +71,13 @@ class GAConfig:
     stall_generations: int = 10
     stall_tolerance: float = 1.0e3  # objective units; 1e3 Pa = 0.001 MPa
     max_generations: int | None = None
-    sigma_star: float | None = None  # None: FEM only; 0: surrogate only
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.elite_count < self.population_size):
             raise ValueError("need 0 < elite_count < population_size")
         if not (1 <= self.tournament_size <= self.population_size):
             raise ValueError("need 1 <= tournament_size <= population_size")
-        if self.sigma_star is not None and not self.sigma_star >= 0.0:  # NaN fails >=
-            raise ValueError(f"sigma_star must be None or >= 0, got {self.sigma_star!r}")
-        # a negative window would compare against the wrong end of the best-fitness trace
+        # a negative window would read the best fitness from the wrong end of the generations
         if not self.stall_generations >= 0:
             raise ValueError(f"stall_generations must be >= 0, got {self.stall_generations!r}")
         # elitism keeps the improvement >= 0, so below 0 (or NaN) the stall test never holds
@@ -99,7 +95,7 @@ class ConstraintSpec:
     v_star: float | None = None  # average ceramic fraction limit
     theta_max: float | None = None  # max temperature over the metallic region
     sigma_allow: float | None = None  # peak effective stress limit [Pa]
-    weight: float = 1.0e8  # shared penalty weight, objective units
+    penalty_weight: float = 1.0e8  # shared by every constraint, objective units
 
 
 @dataclass
@@ -127,10 +123,11 @@ def eta_schedule(base: float, g: int) -> float:
 def tournament_select(rank, k: int, n: int, rng) -> np.ndarray:
     """Indices of the winners of ``n`` tournaments of ``k`` distinct individuals.
 
-    ``rank[i]`` is individual i's place in the population's (fitness, index)
-    order, so the lowest rank is the best and equal fitness goes to the lowest
-    index.  One draw, ``rng.random((n, pop))``: the k smallest keys of each
-    row are that tournament's entrants, and the entrant of lowest rank wins.
+    ``rank[i]`` is individual i's place in the population's stable fitness
+    order, so the lowest rank is the best, equal fitness goes to the lowest
+    index and a NaN fitness comes last.  One draw, ``rng.random((n, pop))``:
+    the k smallest keys of each row are that tournament's entrants, and the
+    entrant of lowest rank wins.
     """
     rng = make_rng(rng)
     rank = np.asarray(rank)
@@ -190,7 +187,7 @@ def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability:
 
 
 def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
-    """Sum of weight * max(0, normalized violation)^2 over active constraints.
+    """Sum of penalty_weight * max(0, normalized violation)^2 over active constraints.
 
     A NaN value of a constrained quantity (a NaN surrogate prediction) is
     infeasible: its penalty is +inf, where ``max(0, nan)`` would read 0.
@@ -204,7 +201,8 @@ def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
         if value is None:
             raise MissingSummary(f"{key} required by an active constraint")
         violation = value / limit - 1.0
-        penalty += math.inf if math.isnan(violation) else spec.weight * max(0.0, violation) ** 2
+        penalty += (math.inf if math.isnan(violation)
+                    else spec.penalty_weight * max(0.0, violation) ** 2)
     return penalty
 
 
@@ -216,6 +214,8 @@ class FitnessEvaluator:
                  stress_model=None, temp_model=None):
         if objective not in ("sigma_e_max", "v_ca"):
             raise ValueError("objective must be sigma_e_max or v_ca")
+        if sigma_star is not None and not sigma_star >= 0.0:  # NaN fails >=
+            raise ValueError(f"sigma_star must be None or >= 0, got {sigma_star!r}")
         if sigma_star is not None and stress_model is None:
             raise ValueError("surrogate dispatch needs a stress model")
         self.solver = solver
@@ -315,14 +315,16 @@ class RunRecord:
                 for k in ("nan_predictions", "negative_predictions")}
 
 
-def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
-    """Run the GA loop; deterministic for a fixed config.seed.
+def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecord:
+    """Run the GA loop; deterministic for a fixed seed.
 
     Initial population comes from the random profile generation scheme, not
     uniform gene sampling, on the plate that ``evaluator.solver`` solves.
     Elites are copied untouched (no crossover or mutation); termination needs
     min_generations completed and the best fitness improving by at most
-    stall_tolerance over stall_generations.
+    stall_tolerance over stall_generations.  The population is ranked by a
+    stable argsort of fitness: equal fitness goes to the lower index, and a
+    NaN fitness comes last, so it is never the best while a number is there.
 
     Each generation is drawn as arrays before any child is evaluated: one
     ``tournament_select`` call for the 2 * ceil(n_children / 2) parents
@@ -336,7 +338,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
     ``wall_s``, seconds since the run started.
     """
     t0 = time.perf_counter()
-    rng = derived_rng(config.seed, 0x6A)
+    rng = derived_rng(seed, 0x6A)
     nx, ny = evaluator.solver.config.nx, evaluator.solver.config.ny
     population = evaluated = [evaluator.evaluate(generate_genes(rng, nx, ny))
                               for _ in range(config.population_size)]
@@ -344,10 +346,9 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
     lower, upper = gene_bounds(nx, ny)
     n_children = config.population_size - config.elite_count
     stats: list[GenerationStats] = []
-    best_trace: list[float] = []
     g = 0
     while True:
-        order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
+        order = np.argsort([ind.fitness for ind in population], kind="stable")
         best = population[order[0]]
         latest = GenerationStats(
             generation=g,
@@ -361,11 +362,10 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator) -> RunRecord:
         if log.isEnabledFor(logging.INFO):  # the line is built only when it is emitted
             log.info("%s", json.dumps({**asdict(latest),
                                        "wall_s": round(time.perf_counter() - t0, 3)}))
-        best_trace.append(best.fitness)
 
         done = False
-        if g + 1 >= config.min_generations and len(best_trace) > config.stall_generations:
-            improvement = best_trace[-1 - config.stall_generations] - best_trace[-1]
+        if g + 1 >= config.min_generations and len(stats) > config.stall_generations:
+            improvement = stats[-1 - config.stall_generations].best_fitness - best.fitness
             done = improvement <= config.stall_tolerance
         if config.max_generations is not None and g + 1 >= config.max_generations:
             done = True

@@ -191,18 +191,11 @@ def train_temperature_model(dataset: dict, seed: int, stages=None,
 # ---------------------------------------------------------------------------
 
 def _constraints_from(case_spec: dict, overrides: dict) -> ConstraintSpec:
-    merged = dict(case_spec)
-    for key in ("v_star", "theta_max", "sigma_allow", "penalty_weight"):
-        if key in overrides and overrides[key] is not None:
-            merged[key] = overrides[key]
-    objective = merged["objective"]
-    default_weight = 1.0e8 if objective == "sigma_e_max" else 100.0
-    return ConstraintSpec(
-        v_star=merged.get("v_star"),
-        theta_max=merged.get("theta_max"),
-        sigma_allow=merged.get("sigma_allow"),
-        weight=merged.get("penalty_weight", default_weight),
-    )
+    """The objective's penalty weight, then the case's limits, then the non-null overrides."""
+    merged = {"penalty_weight": 1.0e8 if case_spec["objective"] == "sigma_e_max" else 100.0,
+              **case_spec, **{k: v for k, v in overrides.items() if v is not None}}
+    return ConstraintSpec(**{f.name: merged[f.name] for f in fields(ConstraintSpec)
+                             if f.name in merged})
 
 
 def _load_model_for(path, kind, config):
@@ -239,9 +232,13 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     """Wire evaluator + GA for one experiment config, verify and export.
 
     ``exp`` keys: problem (problem1|problem2), case (unconstrained|case1..4),
-    optional ga {...GAConfig overrides}, sigma_star (null = FEM only),
-    models {stress, temperature}, constraint overrides, seed.  Any other key
-    is rejected by name.
+    sigma_star (null = FEM only), models {stress, temperature}, the constraint
+    overrides v_star, theta_max, sigma_allow and penalty_weight, seed, and ga,
+    whose keys are GAConfig's fields: population_size, tournament_size,
+    mutation_probability, elite_count, min_generations, stall_generations,
+    stall_tolerance, max_generations.  Any other key, at either level, is
+    rejected by name.  The run's seed is ``seed`` if given, else the file's
+    seed, else 0; run_record.json records it.
     """
     unknown = sorted(set(exp) - EXPERIMENT_KEYS)
     if unknown:
@@ -270,24 +267,18 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
                 raise MissingModel("thermal constraint needs models.temperature")
             temp_model = _load_model_for(paths["temperature"], neural.OperatorNet, config)
 
-    ga_overrides = dict(exp.get("ga", {}))
+    ga_overrides = exp.get("ga", {})
     unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
     if unknown:
         raise ValueError(f"unknown ga keys {unknown}")
-    run_seed = seed if seed is not None else exp.get("seed", 0)
-    defaults = dict(
-        mutation_probability=problems.mutation_probability(config),
-        stall_tolerance=1.0e3 if objective == "sigma_e_max" else 0.01,
-        sigma_star=sigma_star,
-        seed=run_seed,
-    )
-    defaults.update(ga_overrides)
-    ga_config = GAConfig(**defaults)
-
+    ga_config = GAConfig(**{"mutation_probability": problems.mutation_probability(config),
+                            "stall_tolerance": 1.0e3 if objective == "sigma_e_max" else 0.01,
+                            **ga_overrides})
     evaluator = FitnessEvaluator(solver, objective, constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)
-    record = evolve(ga_config, evaluator)
+    run_seed = seed if seed is not None else exp.get("seed", 0)
+    record = evolve(ga_config, evaluator, run_seed)
 
     # the reported optimum is always re-verified with one FEM solve
     best = record.best

@@ -240,14 +240,6 @@ def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.nda
     return out
 
 
-def _replay(phi1: float, alphas: np.ndarray) -> Profile1D:
-    """The 1D profile of one axis's genes, whatever their bounds: node 1 is not
-    capped, so a first node above 1 raises PhiOutOfRange."""
-    values = _running_product(np.empty(alphas.size + 2), phi1, alphas)
-    np.minimum(values[2:], 1.0, out=values[2:])
-    return Profile1D(values)
-
-
 def generate_genes(rng, nx: int, ny: int) -> GradationGenes:
     """Draw the genes of one 2D profile on a plate of nx-by-ny elements (x axis first)."""
     rng = make_rng(rng)
@@ -263,9 +255,10 @@ def genes_to_profiles(genes: GradationGenes):
     first, which is capped at 1 and range-checked once; the two profiles are
     read-only views of it.  The cap takes a first node admitted within
     _BOUND_TOL above 1 to 1, as the range check of ``Profile1D`` would, so
-    identical genes always give the bit-identical profiles of ``_replay`` on
-    each axis.  Raises GeneOutOfBounds if any gene is outside its declared
-    interval.
+    each axis is bit-identical to running the recursion
+    phi[i+1] = min(1, a[i] * phi[i]) one node at a time and rescaling by a
+    last node below 1.  Raises GeneOutOfBounds if any gene is outside its
+    declared interval.
     """
     genes.validate()
     n_x = genes.alphas_x.size + 2

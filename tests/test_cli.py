@@ -225,14 +225,19 @@ class TestOptimize:
         assert err.startswith("error: ") and str(model) in err and "41 x 41" in err
         assert '"generation"' not in err
 
-    @pytest.mark.parametrize("override", [{"ga": {"tournament_size": 0}},
-                                          {"sigma_star": float("nan")},
-                                          {"ga": {"stall_tolerance": float("nan")}},
-                                          {"ga": {"stall_generations": -5}}],
-                             ids=["empty-tournament", "nan-threshold", "nan-stall-tolerance",
-                                  "negative-stall-generations"])
+    @pytest.mark.parametrize("override, key", [
+        ({"ga": {"tournament_size": 0}}, "tournament_size"),
+        ({"sigma_star": float("nan")}, "sigma_star"),
+        ({"sigma_star": -1.0}, "sigma_star"),
+        ({"ga": {"stall_tolerance": float("nan")}}, "stall_tolerance"),
+        ({"ga": {"stall_generations": -5}}, "stall_generations"),
+        # the seed and the threshold are set at the top level only
+        ({"ga": {"seed": 5}}, "unknown ga keys ['seed']"),
+        ({"ga": {"sigma_star": 0.0}}, "unknown ga keys ['sigma_star']"),
+    ], ids=["empty-tournament", "nan-threshold", "negative-threshold", "nan-stall-tolerance",
+            "negative-stall-generations", "ga-seed", "ga-threshold"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
-                                                                    override):
+                                                                    override, key):
         cfg = problems.problem2()
         model = tmp_path / "stress.json"
         neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1,
@@ -246,7 +251,7 @@ class TestOptimize:
         code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
                                  "--out", str(tmp_path / "r"))
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and '"generation"' not in err
+        assert err.startswith("error: ") and key in err and '"generation"' not in err
         assert not (tmp_path / "r").exists()
 
     def test_unknown_experiment_keys_exit_1_naming_them(self, capsys, tmp_path):

@@ -25,7 +25,6 @@ from fgmopt.ga import (
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.neural import StressSurrogate
 from fgmopt.profiles import (
-    _replay,
     average_ceramic_fraction,
     gene_bounds,
     generate_genes,
@@ -34,6 +33,8 @@ from fgmopt.profiles import (
 )
 from fgmopt.rng import derived_rng, make_rng
 from fgmopt import ga, problems
+
+from profile_oracle import replay_loop
 
 
 def tiny_problem(nx=6, ny=6):
@@ -71,7 +72,7 @@ class TestEtaSchedule:
 
 
 def ranks(fitness):
-    """Each individual's place in the (fitness, index) order that ``evolve`` sorts."""
+    """Each individual's place in the stable fitness order that ``evolve`` sorts."""
     order = sorted(range(len(fitness)), key=lambda i: (fitness[i], i))
     rank = np.empty(len(fitness), dtype=int)
     rank[order] = np.arange(len(fitness))
@@ -249,17 +250,17 @@ class TestArrayOperatorsMatchScalarFormulas:
 
 class TestStaticPenalty:
     def test_feasible_zero(self):
-        spec = ConstraintSpec(v_star=0.15, theta_max=275.0, sigma_allow=150e6, weight=1e8)
+        spec = ConstraintSpec(v_star=0.15, theta_max=275.0, sigma_allow=150e6, penalty_weight=1e8)
         s = {"v_ca": 0.10, "max_metal_temperature": 200.0, "sigma_e_max": 100e6}
         assert static_penalty(s, spec) == 0.0
 
     def test_quadratic_hinge_value(self):
-        spec = ConstraintSpec(v_star=0.15, weight=1e8)
+        spec = ConstraintSpec(v_star=0.15, penalty_weight=1e8)
         s = {"v_ca": 0.30, "max_metal_temperature": None, "sigma_e_max": 1.0}
         assert static_penalty(s, spec) == pytest.approx(1e8 * 1.0**2)
 
     def test_monotone_in_violation(self):
-        spec = ConstraintSpec(sigma_allow=100e6, weight=1e8)
+        spec = ConstraintSpec(sigma_allow=100e6, penalty_weight=1e8)
         vals = [static_penalty({"sigma_e_max": s}, spec) for s in (90e6, 110e6, 130e6, 200e6)]
         assert vals[0] == 0.0
         assert vals[1] < vals[2] < vals[3]
@@ -283,16 +284,18 @@ class TestStaticPenalty:
         rng = make_rng(9)
         cands = [{"sigma_e_max": rng.uniform(50e6, 250e6), "v_ca": rng.uniform(0, 1),
                   "max_metal_temperature": rng.uniform(100, 400)} for _ in range(200)]
+        feasible, orders = [], []
         for w in (1.0, 1e4, 1e8):
-            spec = ConstraintSpec(v_star=0.5, theta_max=275.0, sigma_allow=150e6, weight=w)
-            feas = [static_penalty(c, spec) == 0.0 for c in cands]
-            if w == 1.0:
-                base_feas = feas
-            else:
-                assert feas == base_feas
-        # among feasible candidates fitness = objective, independent of w
-        feas_objs = [c["sigma_e_max"] for c, ok in zip(cands, base_feas) if ok]
-        assert sorted(feas_objs) == sorted(feas_objs)
+            spec = ConstraintSpec(v_star=0.5, theta_max=275.0, sigma_allow=150e6,
+                                  penalty_weight=w)
+            penalties = [static_penalty(c, spec) for c in cands]
+            fitness = [c["sigma_e_max"] + p for c, p in zip(cands, penalties)]
+            feasible.append([i for i, p in enumerate(penalties) if p == 0.0])
+            orders.append(sorted(feasible[-1], key=fitness.__getitem__))
+        assert feasible[0] == feasible[1] == feasible[2] and len(feasible[0]) > 1
+        # among feasible candidates fitness = objective, whatever the weight
+        by_objective = sorted(feasible[0], key=lambda i: cands[i]["sigma_e_max"])
+        assert orders[0] == orders[1] == orders[2] == by_objective
 
 
 class TestHybridDispatch:
@@ -309,6 +312,16 @@ class TestHybridDispatch:
 
         def predict(self, px, py, pts):
             return np.full(len(pts), self.value)
+
+    @pytest.mark.parametrize("sigma_star, match", [
+        (float("nan"), "sigma_star .* got nan"),
+        (-1.0, "sigma_star .* got -1.0"),
+    ], ids=["nan-threshold", "negative-threshold"])
+    def test_rejects_a_threshold_it_cannot_route_by(self, sigma_star, match):
+        with pytest.raises(ValueError, match=match):
+            FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max",
+                             ConstraintSpec(), sigma_star=sigma_star,
+                             stress_model=self.StubStress(40e6))
 
     def test_sigma_star_zero_always_surrogate(self):
         solver = ThermoelasticSolver(tiny_problem())
@@ -392,8 +405,8 @@ class TestSurrogateEvaluationIsTheFormulaPath:
             spec = ConstraintSpec(v_star=0.7, sigma_allow=11e6)  # about the medians
             ev = FitnessEvaluator(solver, objective, spec, sigma_star=0.0, stress_model=model)
             for genes in designs:
-                px = _replay(genes.phi_x1, genes.alphas_x)
-                py = _replay(genes.phi_y1, genes.alphas_y)
+                px = replay_loop(genes.phi_x1, genes.alphas_x)
+                py = replay_loop(genes.phi_y1, genes.alphas_y)
                 h = np.concatenate([px.values, py.values])[None]
                 for layer in model.net.layers:
                     h = act[layer.activation](h @ layer.weights + layer.bias)
@@ -435,8 +448,8 @@ class TestNanPredictionUnderConstraints:
 
     def test_nan_designs_leave_the_feasible_fraction_and_a_finite_design_wins(self):
         config = GAConfig(population_size=8, tournament_size=2, elite_count=1,
-                          min_generations=3, max_generations=3, seed=2, sigma_star=0.0)
-        rec = evolve(config, self.case4_evaluator(self.EveryOtherNan()))
+                          min_generations=3, max_generations=3)
+        rec = evolve(config, self.case4_evaluator(self.EveryOtherNan()), 2)
         for stats in rec.generations:
             assert 0.0 < stats.feasible_fraction < 1.0 and math.isfinite(stats.best_fitness)
         finite = [math.isfinite(ind.dnn_sigma) for ind in rec.population]
@@ -444,19 +457,45 @@ class TestNanPredictionUnderConstraints:
         assert math.isfinite(rec.best.dnn_sigma) and rec.best.penalty == 0.0
 
 
+class TestNanFitnessOrder:
+    class EveryThirdNan:
+        """Stress stub: NaN on the first of every three calls, else the x profile's
+        mean in units of 100 MPa."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def predict(self, px, py):
+            self.calls += 1
+            return np.array([math.nan if self.calls % 3 == 1 else 1e8 * float(np.mean(px))])
+
+    def test_a_nan_design_is_never_best_while_a_finite_one_is_there(self):
+        # unconstrained, so a NaN prediction is a NaN fitness, which compares false both ways
+        ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max",
+                              ConstraintSpec(), sigma_star=0.0,
+                              stress_model=self.EveryThirdNan())
+        config = GAConfig(population_size=8, tournament_size=2, elite_count=1,
+                          min_generations=3, max_generations=3)
+        rec = evolve(config, ev, 2)
+        assert all(math.isfinite(stats.best_fitness) for stats in rec.generations)
+        finite = [ind.fitness for ind in rec.population if not math.isnan(ind.fitness)]
+        assert 0 < len(finite) < len(rec.population)
+        assert rec.best.fitness == min(finite)
+
+
 class TestEvolve:
+    seed = 11
+
     def make_config(self, **kw):
         base = dict(population_size=10, tournament_size=3, elite_count=2,
                     min_generations=4, stall_generations=2, stall_tolerance=1e30,
-                    mutation_probability=0.3, seed=11)
+                    mutation_probability=0.3)
         base.update(kw)
         return GAConfig(**base)
 
     @pytest.mark.parametrize("bad, match", [
         (dict(tournament_size=0), "tournament_size"),
         (dict(tournament_size=11), "tournament_size"),
-        (dict(sigma_star=float("nan")), "sigma_star .* got nan"),
-        (dict(sigma_star=-1.0), "sigma_star .* got -1.0"),
         (dict(stall_tolerance=float("nan")), "stall_tolerance .* got nan"),
         (dict(stall_tolerance=-1.0), "stall_tolerance .* got -1.0"),
         (dict(mutation_probability=float("nan")), r"mutation_probability .* got nan"),
@@ -464,8 +503,8 @@ class TestEvolve:
         (dict(mutation_probability=1.5), r"mutation_probability .* got 1.5"),
         (dict(stall_generations=-1), "stall_generations .* got -1"),
         (dict(stall_generations=-5), "stall_generations .* got -5"),
-    ], ids=["empty-tournament", "tournament-above-population", "nan-threshold",
-            "negative-threshold", "nan-stall-tolerance", "negative-stall-tolerance",
+    ], ids=["empty-tournament", "tournament-above-population",
+            "nan-stall-tolerance", "negative-stall-tolerance",
             "nan-mutation", "negative-mutation", "mutation-above-one",
             "negative-stall-window", "stall-window-past-the-trace"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
@@ -474,24 +513,24 @@ class TestEvolve:
 
     def test_terminates_at_min_generations_when_stalled(self):
         # huge stall tolerance -> stall condition met immediately
-        rec = evolve(self.make_config(), fem_evaluator())
+        rec = evolve(self.make_config(), fem_evaluator(), self.seed)
         assert rec.generations[-1].generation == 3  # 4 generations: 0..3
 
     def test_elitism_monotone_best_fitness(self):
         rec = evolve(self.make_config(min_generations=8, stall_generations=3),
-                     fem_evaluator())
+                     fem_evaluator(), self.seed)
         trace = [g.best_fitness for g in rec.generations]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_fixed_seed_bit_identical(self):
-        a = evolve(self.make_config(min_generations=5), fem_evaluator())
-        b = evolve(self.make_config(min_generations=5), fem_evaluator())
+        a = evolve(self.make_config(min_generations=5), fem_evaluator(), self.seed)
+        b = evolve(self.make_config(min_generations=5), fem_evaluator(), self.seed)
         assert np.array_equal(a.best.genes.flatten(), b.best.genes.flatten())
         assert [g.best_fitness for g in a.generations] == [g.best_fitness for g in b.generations]
         assert a.best.fitness == b.best.fitness
 
     def test_offspring_within_bounds_every_generation(self):
-        rec = evolve(self.make_config(min_generations=6), fem_evaluator())
+        rec = evolve(self.make_config(min_generations=6), fem_evaluator(), self.seed)
         for ind in rec.population:
             v = ind.genes.flatten()
             assert np.all(v >= gene_bounds(6, 6)[0] - 1e-12)
@@ -499,7 +538,7 @@ class TestEvolve:
 
     def test_eval_source_totals_and_max_generations(self):
         rec = evolve(self.make_config(max_generations=3, min_generations=100),
-                     fem_evaluator())
+                     fem_evaluator(), self.seed)
         assert rec.generations[-1].generation == 2
         totals = rec.eval_source_totals
         assert totals["fem"] > 0 and totals["surrogate"] == 0
@@ -510,18 +549,18 @@ class TestEvolve:
         # unless truly stalled; just assert it runs and returns a best
         rec = evolve(self.make_config(stall_tolerance=0.0, min_generations=3,
                                       stall_generations=2, max_generations=8),
-                     fem_evaluator())
+                     fem_evaluator(), self.seed)
         assert rec.best.fitness <= rec.generations[0].best_fitness
 
     def test_odd_child_count_follows_documented_generation_order(self):
         # population 11 with 2 elites: 9 children from 5 pairs, the 10th child dropped
         config = self.make_config(population_size=11, elite_count=2, max_generations=2)
         evaluator = RecordingEvaluator()
-        rec = evolve(config, evaluator)
+        rec = evolve(config, evaluator, self.seed)
         assert [len(batch) for batch in evaluator.batches(11, 9)] == [11, 9]
         assert len(rec.population) == 11
 
-        rng = derived_rng(config.seed, 0x6A)
+        rng = derived_rng(self.seed, 0x6A)
         population = [evaluator.score(generate_genes(rng, 6, 6)) for _ in range(11)]
         lower, upper = gene_bounds(6, 6)
         # one row of keys per tournament; its k smallest are the entrants
@@ -544,7 +583,7 @@ class TestEvolve:
     def test_genes_are_sized_by_the_evaluators_plate(self):
         # a 5 x 3 element plate: every design drawn or bred has 4 x-ratios and 2 y-ratios
         evaluator = RecordingEvaluator(nx=5, ny=3)
-        evolve(self.make_config(max_generations=2), evaluator)
+        evolve(self.make_config(max_generations=2), evaluator, self.seed)
         assert len(evaluator.calls) == 10 + 8
         for genes in evaluator.calls:
             assert (genes.alphas_x.size, genes.alphas_y.size) == (4, 2)
@@ -552,7 +591,7 @@ class TestEvolve:
 
     def test_progress_line_per_generation(self, caplog):
         caplog.set_level(logging.INFO, logger="fgmopt.ga")
-        rec = evolve(self.make_config(max_generations=3), RecordingEvaluator())
+        rec = evolve(self.make_config(max_generations=3), RecordingEvaluator(), self.seed)
         lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "fgmopt.ga"]
         assert [line["generation"] for line in lines] == [0, 1, 2]
         # 10 initial individuals, then 8 children a generation (2 elites are not re-evaluated)
@@ -571,11 +610,11 @@ class TestEvolve:
         built = []
         monkeypatch.setattr(ga, "asdict", lambda stats: built.append(stats) or {})
         caplog.set_level(logging.WARNING, logger="fgmopt.ga")
-        evolve(self.make_config(max_generations=3), RecordingEvaluator())
+        evolve(self.make_config(max_generations=3), RecordingEvaluator(), self.seed)
         assert built == []
         assert not [r for r in caplog.records if r.name == "fgmopt.ga"]
         caplog.set_level(logging.INFO, logger="fgmopt.ga")
-        evolve(self.make_config(max_generations=3), RecordingEvaluator())
+        evolve(self.make_config(max_generations=3), RecordingEvaluator(), self.seed)
         assert len(built) == 3
 
 
@@ -609,8 +648,8 @@ def stub_run(sigma_star, value):
     ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(), sigma_star=sigma_star,
                           stress_model=TestHybridDispatch.StubStress(value))
     config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
-                      min_generations=2, max_generations=2, seed=5, sigma_star=sigma_star)
-    return evolve(config, ev)
+                      min_generations=2, max_generations=2)
+    return evolve(config, ev, 5)
 
 
 class TestSurrogateRelError:
@@ -667,7 +706,7 @@ class TestBadPredictions:
         assert math.isnan(rec.best.objective)
 
     def test_fem_only_counts_nothing(self):
-        rec = evolve(TestEvolve().make_config(max_generations=2), fem_evaluator())
+        rec = evolve(TestEvolve().make_config(max_generations=2), fem_evaluator(), TestEvolve.seed)
         assert rec.bad_prediction_totals == {"nan_predictions": 0, "negative_predictions": 0}
 
 
@@ -693,8 +732,8 @@ def test_surrogate_only_evolve_makes_one_single_row_predict_per_child(monkeypatc
     ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max", ConstraintSpec(),
                           sigma_star=0.0, stress_model=model)
     config = GAConfig(population_size=8, tournament_size=3, elite_count=2, min_generations=3,
-                      max_generations=3, seed=4, sigma_star=0.0)
-    rec = evolve(config, ev)
+                      max_generations=3)
+    rec = evolve(config, ev, 4)
     assert rows == [1] * (8 + 2 * 6)
     assert rec.eval_source_totals == {"surrogate": len(rows), "fem": 0}
     assert len(rows) == 20

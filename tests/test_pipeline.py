@@ -194,6 +194,17 @@ class TestExperiments:
             pipeline.run_experiment(exp, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_seed_argument_beats_the_files_seed_and_the_record_names_the_seed_that_ran(
+            self, tmp_path):
+        overridden = pipeline.run_experiment(self.tiny_exp(seed=5), tmp_path / "a", seed=1)
+        from_file = pipeline.run_experiment(self.tiny_exp(seed=1), tmp_path / "b")
+        file_seed = pipeline.run_experiment(self.tiny_exp(seed=5), tmp_path / "c")
+        assert overridden["best"] == from_file["best"] != file_seed["best"]
+        assert overridden["generations"] == from_file["generations"]
+        recorded = [json.loads((tmp_path / d / "run_record.json").read_text())["seed"]
+                    for d in "abc"]
+        assert recorded == [1, 1, 5]
+
     def test_fem_routed_optimum_reports_its_prediction_error(self, tmp_path):
         # a threshold no prediction reaches sends every individual to FEM with its
         # prediction; the optimum's error compares that prediction with the verification

@@ -11,7 +11,6 @@ from fgmopt.profiles import (
     GradationGenes,
     Profile1D,
     Profile2D,
-    _replay,
     average_ceramic_fraction,
     bilinear_shape,
     gene_bounds,
@@ -24,6 +23,8 @@ from fgmopt.profiles import (
     tensor_product,
 )
 from fgmopt.rng import derived_rng, make_rng
+
+from profile_oracle import replay_loop
 
 class TestTypes:
     def test_profile1d_invariants(self):
@@ -193,38 +194,7 @@ class TestGeneration:
             genes_from_dict(d, nx, ny)
 
 
-def replay_loop(phi1, alphas):
-    """The bounded-ratio recursion one node at a time: the oracle for _replay."""
-    n = alphas.size + 1
-    values = np.zeros(n + 1)
-    values[1] = phi1
-    for i in range(1, n):
-        values[i + 1] = min(1.0, alphas[i - 1] * values[i])
-    if values[n] < 1.0:
-        values[1:] /= values[n]
-    return Profile1D(values)
-
-
 class TestReplayMatchesRecursion:
-    def outcome(self, replay, *args):
-        try:
-            return replay(*args).values.tobytes()
-        except PhiOutOfRange:
-            return "raises"
-
-    def test_bit_identical_random_cases(self):
-        # ratios span the gene bounds [1, 3], hitting the cap or ending below it;
-        # phi1 above 1 raises
-        rng = make_rng(31)
-        outcomes = set()
-        for _ in range(12_000):
-            alphas = rng.uniform(1.0, 3.0, int(rng.integers(0, 12)))
-            args = (rng.uniform(0.0, 1.2), alphas)
-            got = self.outcome(_replay, *args)
-            assert got == self.outcome(replay_loop, *args)
-            outcomes.add(got == "raises")
-        assert outcomes == {True, False}
-
     def test_non_finite_and_low_genes_rejected(self):
         # decoding never sees a NaN, an infinite or a sub-1 ratio, nor a NaN phi1
         alphas = np.full(5, 2.0)
