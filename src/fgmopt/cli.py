@@ -41,7 +41,7 @@ def _profile_for(args):
         genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()),
                                 config.nx, config.ny)
         px, py = genes_to_profiles(genes)
-        return config, tensor_product(px, py, L=config.L, H=config.H)
+        return config, tensor_product(px, py)
     config = problems.reference_config(args.problem)
     profile = problems.reference_profile(args.problem, args.power_law, args.axis)
     return config, profile

@@ -22,7 +22,7 @@ class SingularSystem(FgmoptError, RuntimeError):
 
 
 class DimensionMismatch(FgmoptError, ValueError):
-    """Array shape does not match the expected network/layer dimension."""
+    """Array shape does not match the network layer or the plate it is used with."""
 
 
 class ZeroVariance(FgmoptError, ValueError):

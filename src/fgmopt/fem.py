@@ -3,10 +3,12 @@
 One-way coupled analysis of a rectangular two-phase graded plate: a linear
 steady heat-conduction solve (Dirichlet / convection / adiabatic edge
 conditions) followed by a linear elastic solve with the temperature field
-entering as an initial-stress load.  Point properties come from the rule of
-mixtures evaluated at the 3x3 Gauss points of every element, sampling the
-bilinear volume-fraction field independently of the biquadratic displacement
-and temperature interpolation.
+entering as an initial-stress load.  The volume fraction is given at the
+element vertices (``Profile2D``), so each element is one bilinear cell of it.
+Point properties come from the rule of mixtures at the 3x3 Gauss points of
+every element, where that bilinear field is sampled independently of the
+biquadratic displacement and temperature interpolation.  Temperatures are
+reported on the same vertex grid, as the nodal values there.
 
 Conventions
 -----------
@@ -32,8 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import OutOfDomain, PhiOutOfRange, SingularSystem
-from .profiles import Profile2D, bilinear_shape, cell_coords, grid_points, metal_maximum
+from .errors import DimensionMismatch, PhiOutOfRange, SingularSystem
+from .profiles import Profile2D, bilinear_shape, grid_points, metal_maximum
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -326,7 +328,7 @@ class FemResult:
     nodal_displacement: np.ndarray  # (n_nodes, 2)
     gauss_xy: np.ndarray  # (n_elems, 9, 2)
     gauss_effective_stress: np.ndarray  # (n_elems, 9)
-    temperature_grid: np.ndarray  # (nx+1, ny+1) on the profile node grid
+    temperature_grid: np.ndarray  # (nx+1, ny+1) at the element vertices, as the profile grid
     sigma_e_max: float
     v_ca: float
     max_metal_temperature: float
@@ -339,29 +341,28 @@ def write_result_files(result: FemResult, out_dir) -> None:
     """JSON summary plus (x, y, value) CSV grids for any contour plotter.
 
     Each CSV holds the bytes csv.writer gives with repr() floats.  Its x/y
-    text comes from ``_csv_template`` of the mesh or profile-grid geometry (the
-    solver's nodes and Gauss points are functions of it), so only the values
-    are formatted here.
+    text comes from ``_csv_template`` of the mesh geometry (the solver's
+    nodes, Gauss points and profile grid are functions of it), so only the
+    values are formatted here.
     """
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(result.summary(), indent=2, sort_keys=True))
-    m, p = result.mesh, result.profile
-    for name, points, geometry, values in (
-            ("temperature.csv", "nodes", (m.L, m.H, m.nx, m.ny), result.nodal_temperature),
-            ("effective_stress.csv", "gauss", (m.L, m.H, m.nx, m.ny), result.gauss_effective_stress),
-            ("volume_fraction.csv", "grid", (p.L, p.H, p.nx, p.ny), p.grid)):
-        text = _csv_template(points, *geometry) % tuple(values.ravel().tolist())
+    m = result.mesh
+    for name, points, values in (("temperature.csv", "nodes", result.nodal_temperature),
+                                 ("effective_stress.csv", "gauss", result.gauss_effective_stress),
+                                 ("volume_fraction.csv", "grid", result.profile.grid)):
+        text = _csv_template(points, m.L, m.H, m.nx, m.ny) % tuple(values.ravel().tolist())
         (out / name).write_text(text, newline="")
 
 
 @functools.lru_cache(maxsize=8)
 def _csv_template(points: str, L: float, H: float, nx: int, ny: int) -> str:
-    """``x,y,value`` CSV text at the nodes or Gauss points of the nx-by-ny mesh,
-    or at the nodes of the nx-by-ny profile grid, over [0,L] x [0,H], with a
-    ``%r`` slot for each value; rows end in CRLF, as csv.writer's do.
+    """``x,y,value`` CSV text at the nodes, the Gauss points or the element
+    vertices (the profile grid, x-major) of the nx-by-ny mesh over [0,L] x [0,H],
+    with a ``%r`` slot for each value; rows end in CRLF, as csv.writer's do.
 
     repr() of a float never holds a "%", so the x/y text needs no escaping.
     It is formatted in one pass: a string per row left the allocator's heap
@@ -402,10 +403,12 @@ class ThermoelasticSolver:
     is numbered.  That numbering is one fill-reducing order of the mesh
     nodes, a minimum-degree order of the node graph shared by both fields:
     thermal dofs follow the node rank, elastic dofs (node rank, component).
-    The order and the patterns are built on the first solve and cached, as
-    are the cells and bilinear weights that sample a profile at the Gauss
-    points; otherwise the solver is immutable, and solves on different
-    profiles share no mutable state and may run concurrently.
+    The order and the patterns are built on the first solve and cached;
+    otherwise the solver is immutable, and solves on different profiles share
+    no mutable state and may run concurrently.  A profile holds the volume
+    fraction at the mesh's element vertices, so each element is one bilinear
+    cell of it: one table of the four corner weights at the nine Gauss points,
+    built with the basis, samples every element.
     """
 
     def __init__(self, config: ProblemConfig):
@@ -415,7 +418,6 @@ class ThermoelasticSolver:
         self.elem_dofs = np.stack([2 * self.mesh.conn, 2 * self.mesh.conn + 1], axis=-1).reshape(-1, 18)
         self._resolve_thermal_bcs()
         self._resolve_mech_bcs()
-        self._gauss_sampling = {}  # (L, H, nx, ny) of a profile grid -> (corner ids, weights)
 
     # -- precomputation ----------------------------------------------------
 
@@ -454,6 +456,13 @@ class ThermoelasticSolver:
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
 
         self.gauss_xy = mesh.gauss_points()  # (n_elems, 9, 2)
+
+        # profile node (i, j) is mesh vertex (2i, 2j): element corners in bilinear_shape's
+        # order, as ids into grid.ravel(), and their weights at the Gauss points
+        t = np.array([p for p, _ in GAUSS_1D])
+        self._phi_weights = bilinear_shape(np.tile(t, 3), np.repeat(t, 3))  # (9 gauss, 4)
+        corners, NX = mesh.conn[:, [0, 2, 8, 6]], 2 * mesh.nx + 1
+        self._phi_corners = corners % NX // 2 * (mesh.ny + 1) + corners // NX // 2
 
         # 1D quadratic edge basis at 3-point Gauss, for edge integrals
         self.edge_w = np.array([w for _, w in GAUSS_1D])
@@ -534,30 +543,18 @@ class ThermoelasticSolver:
     # -- profile sampling ----------------------------------------------------
 
     def phi_at_gauss(self, profile: Profile2D) -> np.ndarray:
-        """Ceramic fraction at every Gauss point, (n_elems, 9).
+        """Ceramic fraction at every Gauss point, (n_elems, 9): one gather of each
+        element's corner values times the bilinear weights at the Gauss points.
 
-        Bit-identical to ``profiles.interpolate`` at ``gauss_xy``: the same
-        corner values and bilinear weights meet in the same ``einsum``, with
-        the cells and weights found once per profile grid.
+        Every solve samples its profile here.  Raises DimensionMismatch unless
+        the profile has a value at each of the mesh's element vertices.
         """
-        key = (profile.L, profile.H, profile.nx, profile.ny)
-        if key not in self._gauss_sampling:
-            xy = self.gauss_xy.reshape(-1, 2)
-            ix, iy, xi, eta = cell_coords(xy[:, 0], xy[:, 1], *key)
-            ny1 = profile.ny + 1  # grid[i, j] is grid.ravel()[i * ny1 + j]
-            corners = np.stack([ix * ny1 + iy, (ix + 1) * ny1 + iy, (ix + 1) * ny1 + iy + 1,
-                                ix * ny1 + iy + 1], axis=-1)
-            self._gauss_sampling[key] = corners, bilinear_shape(xi, eta)
-        corners, weights = self._gauss_sampling[key]
-        phi = np.einsum("...c,...c->...", weights, profile.grid.ravel()[corners])
-        return phi.reshape(self.mesh.n_elems, 9)
-
-    def _check_profile(self, profile: Profile2D):
-        if not (
-            math.isclose(profile.L, self.config.L, rel_tol=1e-12)
-            and math.isclose(profile.H, self.config.H, rel_tol=1e-12)
-        ):
-            raise OutOfDomain("profile domain does not match the plate")
+        nodes = (self.mesh.nx + 1, self.mesh.ny + 1)
+        if profile.grid.shape != nodes:
+            raise DimensionMismatch(
+                f"profile has {profile.grid.shape[0]} x {profile.grid.shape[1]} nodes, "
+                f"the {self.mesh.nx} x {self.mesh.ny} element plate has {nodes[0]} x {nodes[1]}")
+        return profile.grid.ravel()[self._phi_corners] @ self._phi_weights.T
 
     # -- thermal solve -------------------------------------------------------
 
@@ -565,7 +562,6 @@ class ThermoelasticSolver:
         """Element conduction matrices, one flattened 9x9 per row, without convection."""
         if self.config.thermal is None:
             raise SingularSystem("no thermal boundary conditions configured")
-        self._check_profile(profile)
         kvals = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
         return kvals @ self.therm_M
 
@@ -598,7 +594,6 @@ class ThermoelasticSolver:
 
     def solve_elastic(self, profile: Profile2D, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
-        self._check_profile(profile)
         if self.fixed_dofs.size == 0:
             raise SingularSystem("no displacement constraints; rigid modes present")
         phi = self.phi_at_gauss(profile)
@@ -629,18 +624,9 @@ class ThermoelasticSolver:
         se = effective_stress(sxx, syy, sxy)
         return {"sxx": sxx, "syy": syy, "sxy": sxy, "effective": se}
 
-    def interpolate_field(self, nodal: np.ndarray, x, y):
-        """Biquadratic interpolation of a nodal field at points inside the plate."""
-        mesh = self.mesh
-        ex, ey, xi, eta = cell_coords(np.atleast_1d(x), np.atleast_1d(y), mesh.L, mesh.H, mesh.nx, mesh.ny)
-        lx, ly = _lagrange_quadratic(xi)[0], _lagrange_quadratic(eta)[0]  # (points, 3)
-        N = (ly[:, :, None] * lx[:, None, :]).reshape(xi.size, 9)
-        vals = nodal[mesh.conn[ey * mesh.nx + ex]]
-        return np.einsum("pa,pa->p", N, vals)
-
-    def temperature_on_profile_grid(self, theta_nodal: np.ndarray, profile: Profile2D) -> np.ndarray:
-        pts = grid_points(profile.L, profile.H, profile.nx, profile.ny)
-        return self.interpolate_field(theta_nodal, pts[:, 0], pts[:, 1]).reshape(profile.grid.shape)
+    def temperature_on_profile_grid(self, theta_nodal: np.ndarray) -> np.ndarray:
+        """The nodal temperatures at the element vertices, (nx+1, ny+1) as a profile grid."""
+        return theta_nodal.reshape(-1, 2 * self.mesh.nx + 1)[::2, ::2].T
 
     def v_ca(self, profile: Profile2D) -> float:
         """Domain-average ceramic fraction by the element Gauss rule."""
@@ -651,12 +637,10 @@ class ThermoelasticSolver:
         """Thermal (or uniform-change) analysis, elastic analysis, summaries."""
         cfg = self.config
         if cfg.uniform_delta_theta is not None:
-            # a uniform change is reported exactly, without interpolation roundoff
             theta = np.full(self.mesh.n_nodes, float(cfg.uniform_delta_theta))
-            theta_grid = np.full(profile.grid.shape, float(cfg.uniform_delta_theta))
         else:
             theta = self.solve_thermal(profile)
-            theta_grid = self.temperature_on_profile_grid(theta, profile)
+        theta_grid = self.temperature_on_profile_grid(theta)
         u = self.solve_elastic(profile, theta)
         se = self.gauss_stress(profile, u, theta)["effective"]
         return FemResult(

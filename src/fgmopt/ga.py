@@ -247,7 +247,7 @@ class FitnessEvaluator:
                     temps, np.outer(px.values, py.values).ravel())
             source = "surrogate"
         else:
-            summaries = self.solver.run(tensor_product(px, py, L=cfg.L, H=cfg.H)).summary()
+            summaries = self.solver.run(tensor_product(px, py)).summary()
             source = "fem"
         objective = summaries[self.objective]
         penalty = static_penalty(summaries, self.constraints)

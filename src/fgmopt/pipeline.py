@@ -48,7 +48,7 @@ def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> 
     stream = derived_rng(seed, index) if attempt == 0 else derived_rng(seed, REPLACEMENT_STREAM, index, attempt)
     genes = generate_genes(stream, cfg.nx, cfg.ny)
     px, py = genes_to_profiles(genes)
-    profile = tensor_product(px, py, L=cfg.L, H=cfg.H)
+    profile = tensor_product(px, py)
     result = solver.run(profile)
     record = {
         "index": index,
@@ -150,9 +150,11 @@ def load_dataset(dataset_dir):
 
 
 def _capped_split(dataset: dict, max_samples: int | None):
-    """Stored train/test rows, or the first 80/20 of ``max_samples`` of them."""
+    """Stored train/test rows, or the first 80/20 of ``max_samples`` (at least 1) of them."""
     tr, te = dataset["train_rows"], dataset["test_rows"]
     if max_samples is not None:
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be at least 1, got {max_samples}")
         n_tr = round(TRAIN_FRACTION * max_samples)
         tr, te = tr[:n_tr], te[: max_samples - n_tr]
     return tr, te
@@ -238,11 +240,14 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     mutation_probability, elite_count, min_generations, stall_generations,
     stall_tolerance, max_generations.  Any other key, at either level, is
     rejected by name.  The run's seed is ``seed`` if given, else the file's
-    seed, else 0; run_record.json records it.
+    seed, else 0; it must be an int (not a bool), and run_record.json records it.
     """
     unknown = sorted(set(exp) - EXPERIMENT_KEYS)
     if unknown:
         raise ValueError(f"unknown experiment keys {unknown}")
+    run_seed = seed if seed is not None else exp.get("seed", 0)
+    if not isinstance(run_seed, int) or isinstance(run_seed, bool):
+        raise ValueError(f"seed must be an integer, got {run_seed!r}")
     problem_id = exp["problem"]
     case = exp.get("case", "unconstrained")
     if case not in problems.CASE_DEFAULTS:
@@ -277,13 +282,12 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     evaluator = FitnessEvaluator(solver, objective, constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)
-    run_seed = seed if seed is not None else exp.get("seed", 0)
     record = evolve(ga_config, evaluator, run_seed)
 
     # the reported optimum is always re-verified with one FEM solve
     best = record.best
     px, py = genes_to_profiles(best.genes)
-    profile = tensor_product(px, py, L=config.L, H=config.H)
+    profile = tensor_product(px, py)
     verified = solver.run(profile)
 
     out = pathlib.Path(out_dir)

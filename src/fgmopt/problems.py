@@ -109,14 +109,14 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
     """
     px, py = power_law_profile(config.nx, m), power_law_profile(config.ny, m)
     if axis == "xy":
-        return tensor_product(px, py, L=config.L, H=config.H)
+        return tensor_product(px, py)
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     if axis == "x":
         grid = np.outer(px.values, np.ones(config.ny + 1))
     else:
         grid = np.outer(np.ones(config.nx + 1), py.values)
-    return Profile2D(grid, L=config.L, H=config.H)
+    return Profile2D(grid)
 
 
 # --- published reference-stress configurations -----------------------------
@@ -149,7 +149,7 @@ def three_layer_power_law(config: ProblemConfig, m: float) -> Profile2D:
     y = np.linspace(0.0, 1.0, config.ny + 1)
     core = np.clip((y - f1) / (f2 - f1), 0.0, 1.0) ** m
     col = np.where(y < f1, 0.0, np.where(y > f2, 1.0, core))
-    return Profile2D(np.tile(col, (config.nx + 1, 1)), L=config.L, H=config.H)
+    return Profile2D(np.tile(col, (config.nx + 1, 1)))
 
 
 def reference_profile(problem_id: str, m: float, axis: str = "y") -> Profile2D:

@@ -19,8 +19,10 @@ plate: on nx-by-ny elements the axis profiles have nx + 1 and ny + 1 nodes,
 so a design has nx - 1 x-ratios and ny - 1 y-ratios (``generate_genes``,
 ``gene_bounds`` and ``genes_from_dict`` take nx and ny).
 
-2D fields are tensor products of two independent 1D profiles and are
-evaluated anywhere in the plate by bilinear interpolation on the node grid.
+A 2D field is nodal data on the plate's element vertices: the tensor product
+of two independent 1D profiles on the (nx+1) x (ny+1) vertex grid, bilinear
+within each element.  It carries no geometry; ``interpolate`` evaluates it
+anywhere in an L x H plate.
 
 Power-law profiles (x/L)**m are a subset of this design space: they are the
 recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
@@ -88,24 +90,20 @@ class Profile1D:
 
 @dataclass(frozen=True)
 class Profile2D:
-    """Ceramic volume fraction on an (nx+1) x (ny+1) node grid over [0,L]x[0,H].
+    """Ceramic volume fraction at the (nx+1) x (ny+1) element vertices of an
+    nx-by-ny plate mesh.
 
-    ``grid[i, j]`` is the value at (x_i, y_j).  Between nodes the field is
-    bilinear.
+    ``grid[i, j]`` is the value at vertex (x_i, y_j).  Within each element the
+    field is bilinear.  The plate it is solved on gives the coordinates.
     """
 
     grid: np.ndarray
-    L: float = 1.0
-    H: float = 1.0
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
             raise ValueError("grid must be at least 2x2")
-        grid = _unit_range_copy(grid, "grid")
-        if self.L <= 0.0 or self.H <= 0.0:
-            raise ValueError("domain lengths must be positive")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _unit_range_copy(grid, "grid"))
         self.grid.setflags(write=False)
 
     @property
@@ -272,9 +270,9 @@ def genes_to_profiles(genes: GradationGenes):
     return Profile1D._of_checked(nodes[:n_x]), Profile1D._of_checked(nodes[n_x:])
 
 
-def tensor_product(px: Profile1D, py: Profile1D, L: float = 1.0, H: float = 1.0) -> Profile2D:
+def tensor_product(px: Profile1D, py: Profile1D) -> Profile2D:
     """2D field as the outer product of the two axis profiles."""
-    return Profile2D(np.outer(px.values, py.values), L=L, H=H)
+    return Profile2D(np.outer(px.values, py.values))
 
 
 def grid_points(L: float, H: float, nx: int, ny: int) -> np.ndarray:
@@ -304,30 +302,21 @@ def bilinear_shape(xi, eta):
     )
 
 
-def cell_coords(x, y, L: float, H: float, nx: int, ny: int):
-    """(ix, iy, xi, eta): cell ids and parametric coordinates in [-1, 1] on an nx-by-ny grid.
-
-    ``x`` and ``y`` are equally-shaped arrays; raises OutOfDomain for points
-    outside [0,L] x [0,H].
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    tol_x, tol_y = 1e-12 * L, 1e-12 * H
-    if np.any(x < -tol_x) or np.any(x > L + tol_x) or np.any(y < -tol_y) or np.any(y > H + tol_y):
-        raise OutOfDomain("query point outside the plate domain")
-    hx, hy = L / nx, H / ny
-    ix = np.clip((x / hx).astype(int), 0, nx - 1)
-    iy = np.clip((y / hy).astype(int), 0, ny - 1)
-    return ix, iy, 2.0 * (x - ix * hx) / hx - 1.0, 2.0 * (y - iy * hy) / hy - 1.0
-
-
-def interpolate(p: Profile2D, x, y):
-    """Bilinear interpolation of the node grid at (x, y) inside the plate.
+def interpolate(p: Profile2D, x, y, L: float, H: float):
+    """Bilinear interpolation of the vertex grid at (x, y) inside an L x H plate.
 
     Accepts scalars or equally-shaped arrays; raises OutOfDomain for points
     outside [0,L] x [0,H].
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    ix, iy, xi, eta = cell_coords(np.atleast_1d(x), np.atleast_1d(y), p.L, p.H, p.nx, p.ny)
+    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    tol_x, tol_y = 1e-12 * L, 1e-12 * H
+    if np.any(x < -tol_x) or np.any(x > L + tol_x) or np.any(y < -tol_y) or np.any(y > H + tol_y):
+        raise OutOfDomain("query point outside the plate domain")
+    hx, hy = L / p.nx, H / p.ny
+    ix = np.clip((x / hx).astype(int), 0, p.nx - 1)
+    iy = np.clip((y / hy).astype(int), 0, p.ny - 1)
+    xi, eta = 2.0 * (x - ix * hx) / hx - 1.0, 2.0 * (y - iy * hy) / hy - 1.0
     corners = np.stack(
         [p.grid[ix, iy], p.grid[ix + 1, iy], p.grid[ix + 1, iy + 1], p.grid[ix, iy + 1]],
         axis=-1,

@@ -41,8 +41,8 @@ class Check:
         return self.measured <= self.tolerance
 
 
-def _uniform(phi, nx, ny, L, H):
-    return Profile2D(np.full((nx + 1, ny + 1), float(phi)), L=L, H=H)
+def _uniform(phi, cfg: ProblemConfig):
+    return Profile2D(np.full((cfg.nx + 1, cfg.ny + 1), float(phi)))
 
 
 def check_shape_partition_of_unity() -> Check:
@@ -62,7 +62,7 @@ def check_linear_conduction() -> Check:
         thermal=ThermalBCSet(left=Dirichlet(0.0), right=Dirichlet(100.0)),
         mode="plane_stress")
     s = ThermoelasticSolver(cfg)
-    theta = s.solve_thermal(_uniform(0.0, 8, 4, 1.0, 0.5))
+    theta = s.solve_thermal(_uniform(0.0, cfg))
     err = float(np.abs(theta - 100.0 * s.mesh.coords[:, 0]).max())
     return Check("linear conduction (exact nodal field)", err, 1e-9)
 
@@ -75,7 +75,7 @@ def check_parabolic_source() -> Check:
         thermal=ThermalBCSet(left=Dirichlet(0.0), right=Dirichlet(0.0)),
         mode="plane_stress")
     s = ThermoelasticSolver(cfg)
-    theta = s.solve_thermal(_uniform(0.0, 20, 2, 1.0, 0.25))
+    theta = s.solve_thermal(_uniform(0.0, cfg))
     x = s.mesh.coords[:, 0]
     exact = Q * x * (1.0 - x) / (2 * k)
     err = float(np.abs(theta - exact).max() / exact.max())
@@ -93,7 +93,7 @@ def check_displacement_patch() -> Check:
         L=0.3, H=0.2, nx=4, ny=3, materials=pair, mech=MechBCSet(edges=edges),
         thermal=None, uniform_delta_theta=0.0, mode="plane_strain")
     s = ThermoelasticSolver(cfg)
-    prof = _uniform(1.0, 4, 3, 0.3, 0.2)
+    prof = _uniform(1.0, cfg)
     theta = np.zeros(s.mesh.n_nodes)
     u = s.solve_elastic(prof, theta)
     stress = s.gauss_stress(prof, u, theta)
@@ -118,7 +118,7 @@ def check_traction_patch() -> Check:
             tractions=(EdgeTraction("right", tx=T),)),
         thermal=None, uniform_delta_theta=0.0, mode="plane_stress")
     s = ThermoelasticSolver(cfg)
-    prof = _uniform(0.0, 6, 2, 1.0, 0.25)
+    prof = _uniform(0.0, cfg)
     theta = np.zeros(s.mesh.n_nodes)
     u = s.solve_elastic(prof, theta)
     stress = s.gauss_stress(prof, u, theta)
@@ -136,7 +136,7 @@ def check_free_expansion() -> Check:
             PointConstraint("bottom_left", "u2"),
             PointConstraint("bottom_right", "u2"))),
         thermal=None, uniform_delta_theta=dT, mode="plane_stress")
-    r = ThermoelasticSolver(cfg).run(_uniform(0.0, 6, 6, 1.0, 1.0))
+    r = ThermoelasticSolver(cfg).run(_uniform(0.0, cfg))
     scale = pair.metal.E * pair.metal.alpha * dT
     return Check("stress-free thermal expansion", r.sigma_e_max / scale, 1e-6)
 
@@ -150,7 +150,7 @@ def check_roller_constrained_expansion() -> Check:
             edges=(EdgeConstraint("left", "u1"), EdgeConstraint("right", "u1")),
             points=(PointConstraint("bottom_left", "u2"),)),
         thermal=None, uniform_delta_theta=dT, mode="plane_strain")
-    r = ThermoelasticSolver(cfg).run(_uniform(1.0, 6, 3, 0.5, 0.25))
+    r = ThermoelasticSolver(cfg).run(_uniform(1.0, cfg))
     E, nu, alpha = pair.ceramic.E, pair.ceramic.nu, pair.ceramic.alpha
     lam = E * nu / ((1 + nu) * (1 - 2 * nu))
     mu = E / (2 * (1 + nu))

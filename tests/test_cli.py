@@ -170,6 +170,21 @@ class TestTrain:
         assert np.isfinite(json.loads(out)["train_r2"])
         assert isinstance(neural.load_model(model), neural.StressSurrogate)
 
+    def test_max_samples_below_one_exits_1_writing_nothing(self, capsys, tmp_path):
+        # -5 used to keep all but the last 4 train rows and the last test row
+        ds = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem1",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        for cap in ("0", "-5"):
+            model, history = tmp_path / "stress.json", tmp_path / "history.csv"
+            code, out, err = run_cli(capsys, "train-stress", "--dataset", str(ds),
+                                     "--out", str(model), "--max-samples", cap,
+                                     "--history", str(history))
+            assert code == 1 and out == ""
+            assert f"error: max_samples must be at least 1, got {cap}" in err
+            assert not model.exists() and not history.exists()
+
 
 class TestOptimize:
     def write_exp(self, tmp_path):
@@ -234,8 +249,14 @@ class TestOptimize:
         # the seed and the threshold are set at the top level only
         ({"ga": {"seed": 5}}, "unknown ga keys ['seed']"),
         ({"ga": {"sigma_star": 0.0}}, "unknown ga keys ['sigma_star']"),
+        # a seed that is not an int: 1.5 used to run seed 1 and record 1.5
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seed": None}, "seed must be an integer, got None"),
     ], ids=["empty-tournament", "nan-threshold", "negative-threshold", "nan-stall-tolerance",
-            "negative-stall-generations", "ga-seed", "ga-threshold"])
+            "negative-stall-generations", "ga-seed", "ga-threshold", "float-seed", "bool-seed",
+            "string-seed", "null-seed"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
                                                                     override, key):
         cfg = problems.problem2()
@@ -247,6 +268,8 @@ class TestOptimize:
         exp["ga"].update(override.get("ga", {}))
         if "sigma_star" in override:
             exp.update(sigma_star=override["sigma_star"], models={"stress": str(model)})
+        if "seed" in override:
+            exp["seed"] = override["seed"]
         path.write_text(json.dumps(exp))
         code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
                                  "--out", str(tmp_path / "r"))

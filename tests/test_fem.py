@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fgmopt.errors import OutOfDomain, PhiOutOfRange, SingularSystem
+from fgmopt.errors import DimensionMismatch, PhiOutOfRange, SingularSystem
 from fgmopt.fem import (
     MATERIALS,
     Adiabatic,
@@ -32,8 +32,8 @@ from fgmopt.verification import check_energy_balance
 from fgmopt import fem, problems
 
 
-def uniform_profile(phi, nx, ny, L, H):
-    return Profile2D(np.full((nx + 1, ny + 1), float(phi)), L=L, H=H)
+def uniform_profile(phi, nx, ny):
+    return Profile2D(np.full((nx + 1, ny + 1), float(phi)))
 
 
 def effective_stress_tensor(sigma) -> float:
@@ -102,7 +102,7 @@ class TestThermal:
             thermal=ThermalBCSet(left=Dirichlet(0.0), right=Dirichlet(100.0)),
             mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(0.0, 8, 4, 1.0, 0.5))
+        theta = s.solve_thermal(uniform_profile(0.0, 8, 4))
         exact = 100.0 * s.mesh.coords[:, 0]
         assert np.abs(theta - exact).max() < 1e-9
 
@@ -114,7 +114,7 @@ class TestThermal:
             thermal=ThermalBCSet(left=Dirichlet(0.0), right=Dirichlet(0.0)),
             mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(0.0, 20, 2, 1.0, 0.25))
+        theta = s.solve_thermal(uniform_profile(0.0, 20, 2))
         x = s.mesh.coords[:, 0]
         exact = Q * x * (1.0 - x) / (2 * k)
         assert np.abs(theta - exact).max() / exact.max() < 1e-6
@@ -125,7 +125,7 @@ class TestThermal:
         # 1D resistance includes a log term for the ramp
         n = 40
         vals = np.where(np.arange(n + 1) <= 19, 0.0, 1.0)
-        prof = Profile2D(np.tile(vals[:, None], (1, 3)), L=1.0, H=0.1)
+        prof = Profile2D(np.tile(vals[:, None], (1, 3)))
         pair = MATERIALS["Ni/Al2O3"]
         cfg = ProblemConfig(
             L=1.0, H=0.1, nx=n, ny=2, materials=pair, mech=simple_mech(),
@@ -160,7 +160,7 @@ class TestThermal:
                                  bottom=Dirichlet(f), top=Dirichlet(f)),
             mode="plane_strain")
         s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(0.25, 5, 4, 0.4, 0.3))
+        theta = s.solve_thermal(uniform_profile(0.25, 5, 4))
         exact = f(s.mesh.coords[:, 0], s.mesh.coords[:, 1])
         assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
 
@@ -172,7 +172,7 @@ class TestThermal:
             thermal=ThermalBCSet(left=Dirichlet(0.0), right=Convection(h, t_inf)),
             mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(1.0, 6, 3, L, 0.4))
+        theta = s.solve_thermal(uniform_profile(1.0, 6, 3))
         k = pair.ceramic.k
         exact = h * t_inf * s.mesh.coords[:, 0] / (k + h * L)
         assert np.abs(theta - exact).max() < 1e-9 * np.abs(exact).max()
@@ -183,7 +183,7 @@ class TestThermal:
             L=1.0, H=1.0, nx=3, ny=3, materials=MATERIALS["Al/ZrO2"], mech=simple_mech(),
             thermal=ThermalBCSet(left=Dirichlet(0.0), top=Dirichlet(100.0)), mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        theta = s.solve_thermal(uniform_profile(0.5, 3, 3, 1.0, 1.0))
+        theta = s.solve_thermal(uniform_profile(0.5, 3, 3))
         assert theta[s.mesh.corner_node("top_left")] == 100.0
         assert theta[s.mesh.corner_node("bottom_left")] == 0.0
         table = dict(zip(s.dirichlet_nodes.tolist(), s.dirichlet_vals.tolist()))
@@ -206,7 +206,7 @@ class TestThermal:
             L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"], mech=simple_mech(),
             thermal=None, uniform_delta_theta=10.0)
         s = ThermoelasticSolver(cfg)
-        prof = uniform_profile(0.5, 2, 2, 1.0, 1.0)
+        prof = uniform_profile(0.5, 2, 2)
         with pytest.raises(SingularSystem):
             s.solve_thermal(prof)
         with pytest.raises(SingularSystem):
@@ -228,7 +228,7 @@ class TestElastic:
             L=1.0, H=1.0, nx=3, ny=3, materials=MATERIALS["Ni/Al2O3"],
             mech=simple_mech(), thermal=None, uniform_delta_theta=0.0)
         s = ThermoelasticSolver(cfg)
-        r = s.run(uniform_profile(0.5, 3, 3, 1.0, 1.0))
+        r = s.run(uniform_profile(0.5, 3, 3))
         assert np.abs(r.nodal_displacement).max() == pytest.approx(0.0, abs=1e-18)
         assert r.sigma_e_max == pytest.approx(0.0, abs=1e-9)
 
@@ -248,7 +248,7 @@ class TestElastic:
             mech=MechBCSet(edges=edges), thermal=None, uniform_delta_theta=0.0,
             mode="plane_strain")
         s = ThermoelasticSolver(cfg)
-        prof = uniform_profile(1.0, 4, 3, 0.3, 0.2)  # pure ceramic
+        prof = uniform_profile(1.0, 4, 3)  # pure ceramic
         theta = np.zeros(s.mesh.n_nodes)
         u = s.solve_elastic(prof, theta)
         stress = s.gauss_stress(prof, u, theta)
@@ -274,7 +274,7 @@ class TestElastic:
             ),
             thermal=None, uniform_delta_theta=0.0, mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        prof = uniform_profile(0.0, 6, 2, 1.0, 0.25)
+        prof = uniform_profile(0.0, 6, 2)
         theta = np.zeros(s.mesh.n_nodes)
         u = s.solve_elastic(prof, theta)
         stress = s.gauss_stress(prof, u, theta)
@@ -293,7 +293,7 @@ class TestElastic:
                 tractions=(EdgeTraction("top", ty=T),)),
             thermal=None, uniform_delta_theta=0.0, mode="plane_stress")
         s = ThermoelasticSolver(cfg)
-        prof = uniform_profile(0.3, 2, 4, 0.5, 1.0)
+        prof = uniform_profile(0.3, 2, 4)
         theta = np.zeros(s.mesh.n_nodes)
         stress = s.gauss_stress(prof, s.solve_elastic(prof, theta), theta)
         assert np.abs(stress["syy"] - T).max() < 1e-8 * T
@@ -310,7 +310,7 @@ class TestElastic:
                 PointConstraint("bottom_left", "u2"),
                 PointConstraint("bottom_right", "u2"))),
             thermal=None, uniform_delta_theta=dT, mode="plane_stress")
-        r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 6, 6, 1.0, 1.0))
+        r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 6, 6))
         scale = pair.metal.E * pair.metal.alpha * dT
         assert r.sigma_e_max < 1e-6 * scale
         expect = pair.metal.alpha * dT * ThermoelasticSolver(cfg).mesh.coords
@@ -327,7 +327,7 @@ class TestElastic:
                 edges=(EdgeConstraint("left", "u1"), EdgeConstraint("right", "u1")),
                 points=(PointConstraint("bottom_left", "u2"),)),
             thermal=None, uniform_delta_theta=dT, mode="plane_strain")
-        r = ThermoelasticSolver(cfg).run(uniform_profile(1.0, 6, 3, 0.5, 0.25))
+        r = ThermoelasticSolver(cfg).run(uniform_profile(1.0, 6, 3))
         E, nu, alpha = pair.ceramic.E, pair.ceramic.nu, pair.ceramic.alpha
         lam = E * nu / ((1 + nu) * (1 - 2 * nu))
         mu = E / (2 * (1 + nu))
@@ -350,7 +350,7 @@ class TestElastic:
             L=1.0, H=1.0, nx=3, ny=3, materials=MATERIALS["Ni/Al2O3"],
             mech=MechBCSet(edges=edges), thermal=None,
             uniform_delta_theta=60.0, mode="plane_strain")
-        r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 3, 3, 1.0, 1.0))
+        r = ThermoelasticSolver(cfg).run(uniform_profile(0.0, 3, 3))
         expect = metal.E * metal.alpha * 60.0 / (1.0 - 2.0 * metal.nu)
         np.testing.assert_allclose(r.gauss_effective_stress, expect, rtol=1e-9)
 
@@ -368,7 +368,7 @@ class TestElastic:
             L=1.0, H=1.0, nx=2, ny=2, materials=MATERIALS["Al/ZrO2"],
             mech=MechBCSet(), thermal=None, uniform_delta_theta=10.0)
         with pytest.raises(SingularSystem):
-            ThermoelasticSolver(cfg).run(uniform_profile(0.0, 2, 2, 1.0, 1.0))
+            ThermoelasticSolver(cfg).run(uniform_profile(0.0, 2, 2))
 
 
 class TestEffectiveStress:
@@ -440,7 +440,7 @@ class TestReducedAssembly:
                            tractions=(EdgeTraction("top", tx=self.TX, ty=self.TY),)),
             mode="plane_strain")
         s = ThermoelasticSolver(cfg)
-        prof = Profile2D(make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)), L=self.L, H=self.H)
+        prof = Profile2D(make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)))
         return s, prof, material_at(self.PAIR, 1.0 - s.phi_at_gauss(prof))
 
     def test_thermal_matches_dense_oracle(self):
@@ -501,17 +501,24 @@ class TestReducedAssembly:
         assert {"_node_rank", "_thermal_pattern", "_mech_pattern"} <= set(vars(s))
         assert s._node_rank.base is None  # not a view that keeps a SuperLU factor alive
 
-    @pytest.mark.parametrize("profile_elems", [(4, 3), (7, 2)], ids=["plate-grid", "other-grid"])
-    def test_phi_at_gauss_is_interpolate_bit_for_bit(self, profile_elems):
+    def test_phi_at_gauss_matches_interpolate(self):
+        # the solver's weights are taken at the exact Gauss coordinates, the oracle's
+        # from gauss_xy, so the two differ in the last bits only
         s, _, _ = self.system()
-        grid = make_rng(9).uniform(0.0, 1.0, (profile_elems[0] + 1, profile_elems[1] + 1))
-        prof = Profile2D(grid, L=self.L, H=self.H)
+        prof = Profile2D(make_rng(9).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)))
         xy = s.gauss_xy.reshape(-1, 2)
-        expect = interpolate(prof, xy[:, 0], xy[:, 1]).reshape(s.mesh.n_elems, 9)
-        assert np.array_equal(s.phi_at_gauss(prof), expect)
-        assert np.array_equal(s.phi_at_gauss(prof), expect)  # from the cached sampling
-        with pytest.raises(OutOfDomain):
-            s.phi_at_gauss(Profile2D(grid, L=0.5 * self.L, H=self.H))
+        expect = interpolate(prof, xy[:, 0], xy[:, 1], self.L, self.H).reshape(s.mesh.n_elems, 9)
+        np.testing.assert_allclose(s.phi_at_gauss(prof), expect, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(8, 3), (4, 5)], ids=["other-grid", "transposed-grid"])
+    def test_a_profile_off_the_plates_vertex_grid_is_rejected(self, shape):
+        # the transposed grid has as many nodes as the plate's 5 x 4 vertices
+        s, prof, _ = self.system()
+        theta = s.solve_thermal(prof)
+        bad = Profile2D(make_rng(9).uniform(0.0, 1.0, shape))
+        for solve in (s.run, s.solve_thermal, lambda p: s.solve_elastic(p, theta)):
+            with pytest.raises(DimensionMismatch, match=rf"{shape[0]} x {shape[1]} nodes.* 5 x 4$"):
+                solve(bad)
 
 
 class TestPostprocessing:
@@ -520,7 +527,7 @@ class TestPostprocessing:
         s = ThermoelasticSolver(cfg)
         rng = make_rng(8)
         grid = rng.uniform(0, 1, (cfg.nx + 1, cfg.ny + 1))
-        prof = Profile2D(grid, L=cfg.L, H=cfg.H)
+        prof = Profile2D(grid)
         wx, wy = np.ones(cfg.nx + 1), np.ones(cfg.ny + 1)  # trapezoid weights
         wx[[0, -1]] = wy[[0, -1]] = 0.5
         assert s.v_ca(prof) == pytest.approx(wx @ grid @ wy / (cfg.nx * cfg.ny), abs=1e-12)
@@ -530,28 +537,31 @@ class TestPostprocessing:
         s = ThermoelasticSolver(cfg)
         prof = problems.power_law_reference(cfg, 1.0, "y")  # top row phi = 1
         r = s.run(prof)
-        grid_t = s.temperature_on_profile_grid(r.nodal_temperature, prof)
+        grid_t = s.temperature_on_profile_grid(r.nodal_temperature)
         metal_max = grid_t[prof.grid < 1.0].max()
         assert r.max_metal_temperature == pytest.approx(metal_max)
         assert r.max_metal_temperature < grid_t.max()  # hottest nodes are ceramic
 
-    def test_interpolate_field_reproduces_nodes(self):
+    def test_temperature_on_profile_grid_is_theta_at_the_vertices(self):
         cfg = problems.problem2()
         s = ThermoelasticSolver(cfg)
-        vals = np.sin(s.mesh.coords[:, 0] * 20) + s.mesh.coords[:, 1]
-        got = s.interpolate_field(vals, s.mesh.coords[:, 0], s.mesh.coords[:, 1])
-        assert np.abs(got - vals).max() < 1e-12
-        with pytest.raises(OutOfDomain):
-            s.interpolate_field(vals, np.array([2 * cfg.L]), np.array([0.0]))
+        r = s.run(problems.power_law_reference(cfg, 2.0, "xy"))
+        # the mesh node nearest to each profile-grid point, in grid.ravel() order
+        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
+        nodes = [np.argmin(np.hypot(*(s.mesh.coords - p).T)) for p in pts]
+        assert r.temperature_grid.shape == (cfg.nx + 1, cfg.ny + 1)
+        assert np.array_equal(r.temperature_grid.ravel(), r.nodal_temperature[nodes])
 
     def test_mesh_refinement_trend(self):
-        # step halving shrinks the change in max effective stress
-        from dataclasses import replace
+        # one field on every mesh, a 10 x 10 three-layer profile refined exactly (it is
+        # bilinear): step halving shrinks the change in max effective stress
         cfg = problems.reference_config("problem1")
-        prof = problems.reference_profile("problem1", 2.0)
+        coarse = problems.three_layer_power_law(replace(cfg, nx=10, ny=10), 2.0)
         vals = []
         for n in (10, 20, 40):
-            r = ThermoelasticSolver(replace(cfg, nx=n, ny=n)).run(prof)
+            pts = grid_points(cfg.L, cfg.H, n, n)
+            fine = interpolate(coarse, pts[:, 0], pts[:, 1], cfg.L, cfg.H).reshape(n + 1, n + 1)
+            r = ThermoelasticSolver(replace(cfg, nx=n, ny=n)).run(Profile2D(fine))
             vals.append(r.sigma_e_max)
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         print(f"refinement sigma_e_max: {[f'{v/1e6:.2f}' for v in vals]} MPa, deltas {d1/1e6:.3f}, {d2/1e6:.3f}")
@@ -571,13 +581,12 @@ class TestPostprocessing:
         write_result_files(r, out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["sigma_e_max"] == pytest.approx(r.sigma_e_max)
-        g = r.gauss_xy.reshape(-1, 2)
-        p = r.profile
-        pts = grid_points(p.L, p.H, p.nx, p.ny)
+        g, m = r.gauss_xy.reshape(-1, 2), r.mesh
+        pts = grid_points(m.L, m.H, m.nx, m.ny)
         columns = {
-            "temperature.csv": (r.mesh.coords[:, 0], r.mesh.coords[:, 1], r.nodal_temperature),
+            "temperature.csv": (m.coords[:, 0], m.coords[:, 1], r.nodal_temperature),
             "effective_stress.csv": (g[:, 0], g[:, 1], r.gauss_effective_stress.ravel()),
-            "volume_fraction.csv": (pts[:, 0], pts[:, 1], p.grid.ravel()),
+            "volume_fraction.csv": (pts[:, 0], pts[:, 1], r.profile.grid.ravel()),
         }
         for name, (xs, ys, vals) in columns.items():
             assert (out / name).read_text().splitlines()[0] == "x,y,value"
@@ -585,14 +594,14 @@ class TestPostprocessing:
 
     def test_result_files(self, tmp_path):
         # the bytes are those of csv.writer with repr() floats: twice through one solver
-        # (the second write reuses the first one's x/y text), on a profile grid coarser
-        # than the mesh, and through a solver of another mesh and plate
+        # (the second write reuses the first one's x/y text), and through a solver of
+        # another mesh and plate
         cfg = problems.problem2()
         solver = ThermoelasticSolver(cfg)
         other = replace(cfg, L=0.5, nx=7, ny=5)
         runs = [
             solver.run(problems.power_law_reference(cfg, 1.0, "y")),
-            solver.run(uniform_profile(0.25, 3, 4, cfg.L, cfg.H)),
+            solver.run(uniform_profile(0.25, cfg.nx, cfg.ny)),
             ThermoelasticSolver(other).run(problems.power_law_reference(other, 2.0, "xy")),
         ]
         for i, r in enumerate(runs):

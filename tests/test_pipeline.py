@@ -56,7 +56,7 @@ class TestDatasetGeneration:
         for r in rows[:3]:
             genes = genes_from_dict(r["genes"], solver.config.nx, solver.config.ny)
             px, py = genes_to_profiles(genes)
-            res = solver.run(tensor_product(px, py, L=0.15, H=0.06))
+            res = solver.run(tensor_product(px, py))
             assert abs(res.sigma_e_max - r["sigma_e_max"]) <= 1e-10 * r["sigma_e_max"]
             np.testing.assert_array_equal(px.values, np.array(r["profile_x"]))
 

@@ -332,31 +332,31 @@ class TestTensorProductAndInterpolation:
     def test_interpolation_reproduces_nodes_and_cell_means(self):
         rng = make_rng(11)
         grid = rng.uniform(0, 1, (5, 4))
-        p = Profile2D(grid, L=2.0, H=1.5)
+        p = Profile2D(grid)
         xs = np.linspace(0, 2.0, 5)
         ys = np.linspace(0, 1.5, 4)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                assert interpolate(p, x, y) == pytest.approx(grid[i, j], abs=1e-13)
+                assert interpolate(p, x, y, 2.0, 1.5) == pytest.approx(grid[i, j], abs=1e-13)
         # cell centre = mean of 4 corners
         xc, yc = 0.5 * (xs[0] + xs[1]), 0.5 * (ys[0] + ys[1])
-        assert interpolate(p, xc, yc) == pytest.approx(grid[:2, :2].mean(), abs=1e-13)
+        assert interpolate(p, xc, yc, 2.0, 1.5) == pytest.approx(grid[:2, :2].mean(), abs=1e-13)
 
     def test_interpolation_bounded_by_corners(self):
         rng = make_rng(12)
-        p = Profile2D(rng.uniform(0, 1, (6, 6)), L=1.0, H=1.0)
+        p = Profile2D(rng.uniform(0, 1, (6, 6)))
         x = rng.uniform(0, 1, 500)
         y = rng.uniform(0, 1, 500)
-        vals = interpolate(p, x, y)
+        vals = interpolate(p, x, y, 1.0, 1.0)
         assert vals.min() >= p.grid.min() - 1e-12
         assert vals.max() <= p.grid.max() + 1e-12
 
     def test_out_of_domain_raises(self):
-        p = Profile2D(np.zeros((3, 3)), L=1.0, H=1.0)
+        p = Profile2D(np.zeros((3, 3)))
         with pytest.raises(OutOfDomain):
-            interpolate(p, 1.5, 0.5)
+            interpolate(p, 1.5, 0.5, 1.0, 1.0)
         with pytest.raises(OutOfDomain):
-            interpolate(p, 0.5, -0.1)
+            interpolate(p, 0.5, -0.1, 1.0, 1.0)
 
 
 class TestPowerLaw:
@@ -409,11 +409,11 @@ class TestAverages:
         rng = make_rng(21)
         px = Profile1D(np.r_[0.0, rng.uniform(0, 1, 3)])
         py = Profile1D(np.r_[0.0, rng.uniform(0, 1, 4)])
-        p = tensor_product(px, py, L=0.3, H=0.2)
+        p = tensor_product(px, py)
         xs = np.linspace(0, 0.3, 901)
         ys = np.linspace(0, 0.2, 601)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        riemann = np.trapezoid(np.trapezoid(interpolate(p, X.ravel(), Y.ravel()).reshape(X.shape), ys, axis=1), xs) / (0.3 * 0.2)
+        riemann = np.trapezoid(np.trapezoid(interpolate(p, X.ravel(), Y.ravel(), 0.3, 0.2).reshape(X.shape), ys, axis=1), xs) / (0.3 * 0.2)
         assert average_ceramic_fraction(px, py) == pytest.approx(riemann, abs=1e-6)
 
     def test_matches_tensor_trapezoid_rule_on_generated_designs(self):
