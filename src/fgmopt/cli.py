@@ -40,7 +40,7 @@ def _profile_for(args):
         config = problems.get_problem(args.problem)
         genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()),
                                 config.nx, config.ny)
-        px, py = genes_to_profiles(genes)
+        px, py = genes_to_profiles(genes, config.nx, config.ny)
         return config, tensor_product(px, py)
     config = problems.reference_config(args.problem)
     profile = problems.reference_profile(args.problem, args.power_law, args.axis)

@@ -1,4 +1,4 @@
-"""Real-coded genetic algorithm over gradation genes.
+"""Real-coded genetic algorithm over gradation gene vectors.
 
 Minimization throughout: fitness = objective + static penalty, tournament
 selection picks the smallest fitness.  Recombination is Deb's bounded
@@ -10,7 +10,8 @@ decreases with the generation g and is floored at 0.01; the bases are
 ETA_C_BASE = 2 and ETA_M_BASE = 10.
 
 Selection and both operators work on a whole generation, so ``evolve``
-selects and varies it in one call each.  Each call draws all its uniforms at
+selects and varies it in one call each, on (rows, genes) arrays of the
+gene vectors that ``profiles`` lays out.  Each call draws all its uniforms at
 once, and that draw order is part of the contract (a seed's trajectory
 depends on it): tournament selection takes ``rng.random((n, pop))``, one row
 of keys per tournament whose k smallest pick the entrants; SBX takes
@@ -44,7 +45,6 @@ import numpy as np
 from .errors import MissingSummary
 from .fem import ThermoelasticSolver
 from .profiles import (
-    GradationGenes,
     average_ceramic_fraction,
     gene_bounds,
     generate_genes,
@@ -98,9 +98,9 @@ class ConstraintSpec:
     penalty_weight: float = 1.0e8  # shared by every constraint, objective units
 
 
-@dataclass
+@dataclass(eq=False)  # an array field has no truth value, so == could not compare two
 class Individual:
-    genes: GradationGenes
+    genes: np.ndarray  # read-only gene vector
     objective: float
     penalty: float
     fitness: float
@@ -227,12 +227,13 @@ class FitnessEvaluator:
         cfg = solver.config
         self._grid_pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
 
-    def evaluate(self, genes: GradationGenes) -> Individual:
-        px, py = genes_to_profiles(genes)
+    def evaluate(self, genes: np.ndarray) -> Individual:
+        """Score one gene vector of the solver's plate; ``genes`` is kept, not copied."""
         cfg = self.solver.config
+        px, py = genes_to_profiles(genes, cfg.nx, cfg.ny)
         dnn_sigma = None
         if self.sigma_star is not None:
-            dnn_sigma = float(self.stress_model.predict(px.values, py.values)[0])
+            dnn_sigma = float(self.stress_model.predict(px, py)[0])
         use_surrogate = self.sigma_star is not None and (
             self.sigma_star == 0.0 or dnn_sigma >= self.sigma_star
         )
@@ -242,9 +243,9 @@ class FitnessEvaluator:
             if cfg.uniform_delta_theta is not None:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
-                temps = self.temp_model.predict(px.values, py.values, self._grid_pts)
+                temps = self.temp_model.predict(px, py, self._grid_pts)
                 summaries["max_metal_temperature"] = metal_maximum(  # grid of tensor_product
-                    temps, np.outer(px.values, py.values).ravel())
+                    temps, np.outer(px, py).ravel())
             source = "surrogate"
         else:
             summaries = self.solver.run(tensor_product(px, py)).summary()
@@ -331,9 +332,11 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     (tournament 2i and 2i + 1 give pair i), one SBX call on the stacked
     pairs, children interleaved c1, c2 per pair (the surplus child of an odd
     count dropped), one mutation call, then one ``evaluate`` per child in
-    order.  Each generation's ``GenerationStats`` counts the individuals
-    evaluated in it (the initial population, then the children), so elites
-    are not counted twice.  One JSON progress line per generation goes to the
+    order.  Each child's genes are a row of the one read-only array of
+    mutated children, not a copy; a carried elite gets a copy of its row.
+    Each generation's ``GenerationStats`` counts the individuals evaluated in
+    it (the initial population, then the children), so elites are not
+    counted twice.  One JSON progress line per generation goes to the
     ``fgmopt.ga`` logger at INFO: the ``GenerationStats`` fields plus
     ``wall_s``, seconds since the run started.
     """
@@ -342,7 +345,6 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     nx, ny = evaluator.solver.config.nx, evaluator.solver.config.ny
     population = evaluated = [evaluator.evaluate(generate_genes(rng, nx, ny))
                               for _ in range(config.population_size)]
-    template = population[0].genes
     lower, upper = gene_bounds(nx, ny)
     n_children = config.population_size - config.elite_count
     stats: list[GenerationStats] = []
@@ -376,11 +378,16 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
         rank = np.argsort(order)  # each individual's place in order
         winners = tournament_select(rank, config.tournament_size,
                                     2 * math.ceil(n_children / 2), rng)
-        parents = np.array([population[i].genes.vector for i in winners])
+        parents = np.array([population[i].genes for i in winners])
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)
         children = np.stack([c1, c2], axis=1).reshape(-1, lower.size)[:n_children]
         children = polynomial_mutation(children, eta_m, lower, upper,
                                        config.mutation_probability, rng)
-        evaluated = [evaluator.evaluate(template.replace_vector(c)) for c in children]
-        population = [population[i] for i in order[: config.elite_count]] + evaluated
+        children.setflags(write=False)
+        evaluated = [evaluator.evaluate(c) for c in children]
+        elites = [population[i] for i in order[: config.elite_count]]
+        for ind in elites:  # an own copy: a row would keep its generation's children alive
+            ind.genes = ind.genes.copy()
+            ind.genes.setflags(write=False)
+        population = elites + evaluated
         g += 1

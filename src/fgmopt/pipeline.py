@@ -25,7 +25,7 @@ from . import neural, problems, version_fingerprint
 from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
-from .profiles import generate_genes, genes_to_profiles, grid_points, tensor_product
+from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
 from .rng import derived_rng
 
 log = logging.getLogger(__name__)
@@ -47,15 +47,15 @@ def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> 
     cfg = solver.config
     stream = derived_rng(seed, index) if attempt == 0 else derived_rng(seed, REPLACEMENT_STREAM, index, attempt)
     genes = generate_genes(stream, cfg.nx, cfg.ny)
-    px, py = genes_to_profiles(genes)
+    px, py = genes_to_profiles(genes, cfg.nx, cfg.ny)
     profile = tensor_product(px, py)
     result = solver.run(profile)
     record = {
         "index": index,
         "problem": problem_id,
-        "genes": genes.to_dict(),
-        "profile_x": px.values.tolist(),
-        "profile_y": py.values.tolist(),
+        "genes": genes_to_dict(genes, cfg.nx),
+        "profile_x": px.tolist(),
+        "profile_y": py.tolist(),
         "sigma_e_max": result.sigma_e_max,
         "v_ca": result.v_ca,
         "max_metal_temperature": result.max_metal_temperature,
@@ -85,6 +85,8 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     """Sample profiles, solve each, write train/test NDJSON plus manifest."""
     if problem_id not in problems.PROBLEM_IDS:
         raise ValueError(f"unknown problem id {problem_id!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if threads > 1:
@@ -286,7 +288,7 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
 
     # the reported optimum is always re-verified with one FEM solve
     best = record.best
-    px, py = genes_to_profiles(best.genes)
+    px, py = genes_to_profiles(best.genes, config.nx, config.ny)
     profile = tensor_product(px, py)
     verified = solver.run(profile)
 
@@ -299,7 +301,7 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         "generations": [asdict(g) for g in record.generations],
         "eval_source_totals": record.eval_source_totals,
         **record.bad_prediction_totals,
-        "best": {"genes": best.genes.to_dict(), **best.summary()},
+        "best": {"genes": genes_to_dict(best.genes, config.nx), **best.summary()},
         "fem_verified": verified.summary(),
         # the optimum's prediction against its FEM verification; None without a prediction
         "surrogate_sigma_rel_error": (None if best.dnn_sigma is None
@@ -308,8 +310,8 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         "surrogate_theta_rel_error": (
             prediction_error(best.max_metal_temperature, verified.max_metal_temperature)
             if best.eval_source == "surrogate" and temp_model is not None else None),
-        "profile_x": px.values.tolist(),
-        "profile_y": py.values.tolist(),
+        "profile_x": px.tolist(),
+        "profile_y": py.tolist(),
     }
     (out / "run_record.json").write_text(json.dumps(bundle, indent=2, sort_keys=True))
     with open(out / "convergence.csv", "w", newline="") as fh:

@@ -113,9 +113,9 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     if axis == "x":
-        grid = np.outer(px.values, np.ones(config.ny + 1))
+        grid = np.outer(px, np.ones(config.ny + 1))
     else:
-        grid = np.outer(np.ones(config.nx + 1), py.values)
+        grid = np.outer(np.ones(config.nx + 1), py)
     return Profile2D(grid)
 
 

@@ -16,8 +16,13 @@ non-decreasing by construction, graded from metal to ceramic.
 
 This module is the only home of that design space.  Its sizes come from the
 plate: on nx-by-ny elements the axis profiles have nx + 1 and ny + 1 nodes,
-so a design has nx - 1 x-ratios and ny - 1 y-ratios (``generate_genes``,
-``gene_bounds`` and ``genes_from_dict`` take nx and ny).
+and a design is one read-only float64 vector of nx + ny genes,
+
+    [phi_x1, phi_y1, nx - 1 x-ratios, ny - 1 y-ratios],
+
+which ``generate_genes`` draws, ``genes_from_dict`` reads and
+``genes_to_dict`` writes.  ``genes_to_profiles`` decodes it into the two
+axis profiles, plain arrays of nodal values.
 
 A 2D field is nodal data on the plate's element vertices: the tensor product
 of two independent 1D profiles on the (nx+1) x (ny+1) vertex grid, bilinear
@@ -33,7 +38,7 @@ admit them while the first ratio 2**m stays within ALPHA_UPPER_MAX and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,47 +50,6 @@ ALPHA_UPPER_MAX = 3.0  # largest ratio a profile can draw, and the ratio genes' 
 # first-node buckets, each drawn with equal probability: one wide bucket along x, two small along y
 FIRST_NODE_BUCKETS_X = ((0.001, 1.0),)
 FIRST_NODE_BUCKETS_Y = ((0.001, 0.01), (0.01, 0.1))
-
-
-def _unit_range_copy(values: np.ndarray, what: str) -> np.ndarray:
-    """A copy of ``values`` clipped to [0, 1]; raises PhiOutOfRange for a value
-    more than _BOUND_TOL outside it, or NaN (which min and max propagate)."""
-    lo, hi = values.min(), values.max()
-    if not (lo >= -_BOUND_TOL and hi <= 1.0 + _BOUND_TOL):
-        raise PhiOutOfRange(f"{what} volume fractions must lie in [0, 1]")
-    return np.clip(values, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else values.copy()
-
-
-def _validated_values(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("profile needs a 1D vector of at least 2 nodal values")
-    if values[0] != 0.0:
-        raise PhiOutOfRange("node 0 must be exactly 0")
-    return _unit_range_copy(values, "nodal")
-
-
-@dataclass(frozen=True)
-class Profile1D:
-    """Nodal ceramic volume fractions at n+1 equispaced nodes; node 0 is 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _validated_values(self.values))
-        self.values.setflags(write=False)
-
-    @classmethod
-    def _of_checked(cls, values: np.ndarray) -> "Profile1D":
-        """A profile on ``values`` as given, no copy: they already hold its
-        invariants and are read-only."""
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "values", values)
-        return profile
-
-    @property
-    def n_elems(self) -> int:
-        return self.values.size - 1
 
 
 @dataclass(frozen=True)
@@ -103,8 +67,12 @@ class Profile2D:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
             raise ValueError("grid must be at least 2x2")
-        object.__setattr__(self, "grid", _unit_range_copy(grid, "grid"))
-        self.grid.setflags(write=False)
+        lo, hi = grid.min(), grid.max()
+        if not (lo >= -_BOUND_TOL and hi <= 1.0 + _BOUND_TOL):  # NaN fails too
+            raise PhiOutOfRange("grid volume fractions must lie in [0, 1]")
+        # a copy clipped to [0, 1]: the caller's array stays writeable and apart
+        grid = np.clip(grid, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else grid.copy()
+        object.__setattr__(self, "grid", _read_only(grid))
 
     @property
     def nx(self) -> int:
@@ -115,63 +83,14 @@ class Profile2D:
         return self.grid.shape[1] - 1
 
 
-@dataclass(frozen=True, eq=False)
-class GradationGenes:
-    """Design variables of one 2D profile: first-node fractions and ratio vectors.
-
-    ``vector`` holds them flat and read-only, in the order [phi_x1, phi_y1,
-    alphas_x..., alphas_y...]; the ratio fields are views of it.  The axis
-    sizes give the plate, and with it the bounds ``validate`` checks.
-    """
-
-    phi_x1: float
-    phi_y1: float
-    alphas_x: np.ndarray
-    alphas_y: np.ndarray
-    vector: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):  # an own vector: the caller's arrays stay writeable and apart
-        ax, ay = (np.asarray(a, dtype=float) for a in (self.alphas_x, self.alphas_y))
-        if ax.ndim != 1 or ay.ndim != 1:
-            raise DimensionMismatch("ratio genes must be 1D vectors")
-        self._hold(np.concatenate(([self.phi_x1, self.phi_y1], ax, ay)), ax.size)
-
-    def _hold(self, vec: np.ndarray, n_alphas_x: int):
-        """Make the fresh array ``vec`` this design's read-only gene vector."""
-        vec.setflags(write=False)
-        for name, value in (("vector", vec), ("phi_x1", float(vec[0])), ("phi_y1", float(vec[1])),
-                            ("alphas_x", vec[2 : 2 + n_alphas_x]),
-                            ("alphas_y", vec[2 + n_alphas_x :])):
-            object.__setattr__(self, name, value)
-
-    def flatten(self) -> np.ndarray:
-        """A writeable copy of ``vector``."""
-        return self.vector.copy()
-
-    def validate(self):
-        lower, upper = _tolerant_bounds(self.alphas_x.size + 1, self.alphas_y.size + 1)
-        within = (self.vector >= lower) & (self.vector <= upper)  # NaN is never within
-        if not within.all():
-            raise GeneOutOfBounds(f"genes {np.flatnonzero(~within).tolist()} outside declared bounds")
-
-    def replace_vector(self, vec: np.ndarray) -> "GradationGenes":
-        """Same axis sizes, new gene values (one copy of ``vec``)."""
-        child = object.__new__(GradationGenes)
-        child._hold(np.array(vec, dtype=float), self.alphas_x.size)
-        return child
-
-    def to_dict(self) -> dict:
-        return {
-            "phi_x1": self.phi_x1,
-            "phi_y1": self.phi_y1,
-            "alphas_x": self.alphas_x.tolist(),
-            "alphas_y": self.alphas_y.tolist(),
-        }
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @functools.cache
 def gene_bounds(nx: int, ny: int):
-    """Per-gene [lo, hi] in flatten order on a plate of nx-by-ny elements; read-only.
+    """Per-gene [lo, hi] in gene-vector order on a plate of nx-by-ny elements; read-only.
 
     First-node genes are bounded by the span of their axis's buckets; ratio
     genes by [1, ALPHA_UPPER_MAX] (the full per-profile ratio range).
@@ -181,32 +100,40 @@ def gene_bounds(nx: int, ny: int):
     n_ratios = nx + ny - 2
     lower = np.concatenate(([xlo, ylo], np.full(n_ratios, 1.0)))
     upper = np.concatenate(([xhi, yhi], np.full(n_ratios, ALPHA_UPPER_MAX)))
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return lower, upper
+    return _read_only(lower), _read_only(upper)
 
 
 @functools.cache
 def _tolerant_bounds(nx: int, ny: int):
-    """``gene_bounds`` widened by _BOUND_TOL: the interval ``validate`` admits."""
+    """``gene_bounds`` widened by _BOUND_TOL: the interval ``genes_to_profiles`` admits."""
     lower, upper = gene_bounds(nx, ny)
-    lower, upper = lower - _BOUND_TOL, upper + _BOUND_TOL
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return lower, upper
+    return _read_only(lower - _BOUND_TOL), _read_only(upper + _BOUND_TOL)
 
 
-def genes_from_dict(d: dict, nx: int, ny: int) -> GradationGenes:
-    """The genes of ``GradationGenes.to_dict`` output for a plate of nx-by-ny elements.
+def genes_from_dict(d, nx: int, ny: int) -> np.ndarray:
+    """The gene vector of ``genes_to_dict`` output for a plate of nx-by-ny elements.
 
-    Raises DimensionMismatch unless there are nx - 1 x-ratios and ny - 1 y-ratios.
+    Raises ValueError unless ``d`` is a dict of numbers, and DimensionMismatch
+    unless it holds nx - 1 x-ratios and ny - 1 y-ratios.
     """
-    genes = GradationGenes(float(d["phi_x1"]), float(d["phi_y1"]), d["alphas_x"], d["alphas_y"])
-    if (genes.alphas_x.shape, genes.alphas_y.shape) != ((nx - 1,), (ny - 1,)):
+    if not isinstance(d, dict):
+        raise ValueError(f"genes must be a JSON object, got {type(d).__name__}")
+    try:
+        phis = [float(d["phi_x1"]), float(d["phi_y1"])]
+        ax, ay = (np.asarray(d[k], dtype=float) for k in ("alphas_x", "alphas_y"))
+    except TypeError as exc:
+        raise ValueError(f"genes must be numbers: {exc}") from None
+    if (ax.shape, ay.shape) != ((nx - 1,), (ny - 1,)):
         raise DimensionMismatch(
-            f"genes have {genes.alphas_x.size} x-ratios and {genes.alphas_y.size} y-ratios, "
+            f"genes have {ax.size} x-ratios and {ay.size} y-ratios, "
             f"a {nx} x {ny} element plate takes {nx - 1} and {ny - 1}")
-    return genes
+    return _read_only(np.concatenate((phis, ax, ay)))
+
+
+def genes_to_dict(genes: np.ndarray, nx: int) -> dict:
+    """The JSON form of the gene vector of a plate nx elements wide."""
+    return {"phi_x1": float(genes[0]), "phi_y1": float(genes[1]),
+            "alphas_x": genes[2 : nx + 1].tolist(), "alphas_y": genes[nx + 1 :].tolist()}
 
 
 def _draw_axis(rng: np.random.Generator, n_elems: int, buckets):
@@ -214,8 +141,7 @@ def _draw_axis(rng: np.random.Generator, n_elems: int, buckets):
     alpha_up = rng.uniform(1.0, ALPHA_UPPER_MAX)
     lo, hi = buckets[rng.integers(len(buckets))]
     phi1 = rng.uniform(lo, hi)
-    alphas = rng.uniform(1.0, alpha_up, size=n_elems - 1)
-    return phi1, alphas
+    return phi1, rng.uniform(1.0, alpha_up, size=n_elems - 1)
 
 
 def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.ndarray:
@@ -225,10 +151,10 @@ def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.nda
     With every ratio at least 1, phi[i+1] = min(1, a[i] * phi[i]) is the
     running product capped at 1: a product that reaches 1 never falls back
     below it, so capping nodes 2..n of this result is bit-identical to the
-    recursion.  A ratio within _BOUND_TOL below 1, which ``validate`` admits,
-    is taken as 1, so every admitted gene vector decodes.  A last node below 1
-    rescales nodes 1..n by 1/phi[n]; the products are then all below 1, so
-    the cap leaves them alone and may come after the rescaling.
+    recursion.  A ratio admitted within _BOUND_TOL below 1 is taken as 1, so
+    every admitted gene vector decodes.  A last node below 1 rescales nodes
+    1..n by 1/phi[n]; the products are then all below 1, so the cap leaves
+    them alone and may come after the rescaling.
     """
     out[0], out[1] = 0.0, phi1
     np.maximum(alphas, 1.0, out=out[2:])
@@ -238,41 +164,46 @@ def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.nda
     return out
 
 
-def generate_genes(rng, nx: int, ny: int) -> GradationGenes:
-    """Draw the genes of one 2D profile on a plate of nx-by-ny elements (x axis first)."""
+def generate_genes(rng, nx: int, ny: int) -> np.ndarray:
+    """Draw the gene vector of one 2D profile on a plate of nx-by-ny elements (x axis first)."""
     rng = make_rng(rng)
     phi_x1, alphas_x = _draw_axis(rng, nx, FIRST_NODE_BUCKETS_X)
     phi_y1, alphas_y = _draw_axis(rng, ny, FIRST_NODE_BUCKETS_Y)
-    return GradationGenes(phi_x1, phi_y1, alphas_x, alphas_y)
+    return _read_only(np.concatenate(([phi_x1, phi_y1], alphas_x, alphas_y)))
 
 
-def genes_to_profiles(genes: GradationGenes):
-    """Deterministically decode genes into the pair of 1D axis profiles.
+def genes_to_profiles(genes: np.ndarray, nx: int, ny: int):
+    """Deterministically decode a plate's gene vector into its two axis profiles.
 
     Both running products go into one buffer of (nx + 1) + (ny + 1) nodes, x
     first, which is capped at 1 and range-checked once; the two profiles are
     read-only views of it.  The cap takes a first node admitted within
-    _BOUND_TOL above 1 to 1, as the range check of ``Profile1D`` would, so
-    each axis is bit-identical to running the recursion
-    phi[i+1] = min(1, a[i] * phi[i]) one node at a time and rescaling by a
-    last node below 1.  Raises GeneOutOfBounds if any gene is outside its
-    declared interval.
+    _BOUND_TOL above 1 to 1, so each axis is bit-identical to running the
+    recursion phi[i+1] = min(1, a[i] * phi[i]) one node at a time and
+    rescaling by a last node below 1.  Raises DimensionMismatch unless
+    ``genes`` has shape (nx + ny,), and GeneOutOfBounds if any gene is outside
+    its declared interval.
     """
-    genes.validate()
-    n_x = genes.alphas_x.size + 2
-    nodes = np.empty(n_x + genes.alphas_y.size + 2)
-    _running_product(nodes[:n_x], genes.phi_x1, genes.alphas_x)
-    _running_product(nodes[n_x:], genes.phi_y1, genes.alphas_y)
+    if genes.shape != (nx + ny,):
+        raise DimensionMismatch(f"a {nx} x {ny} element plate takes a vector of {nx + ny} "
+                                f"genes, got shape {genes.shape}")
+    lower, upper = _tolerant_bounds(nx, ny)
+    within = (genes >= lower) & (genes <= upper)  # NaN is never within
+    if not within.all():
+        raise GeneOutOfBounds(f"genes {np.flatnonzero(~within).tolist()} outside declared bounds")
+    nodes = np.empty(nx + ny + 2)
+    _running_product(nodes[: nx + 1], genes[0], genes[2 : nx + 1])
+    _running_product(nodes[nx + 1 :], genes[1], genes[nx + 1 :])
     np.minimum(nodes, 1.0, out=nodes)
     if not nodes.min() >= 0.0:  # NaN fails too
         raise PhiOutOfRange("nodal volume fractions must lie in [0, 1]")
     nodes.setflags(write=False)
-    return Profile1D._of_checked(nodes[:n_x]), Profile1D._of_checked(nodes[n_x:])
+    return nodes[: nx + 1], nodes[nx + 1 :]
 
 
-def tensor_product(px: Profile1D, py: Profile1D) -> Profile2D:
+def tensor_product(px: np.ndarray, py: np.ndarray) -> Profile2D:
     """2D field as the outer product of the two axis profiles."""
-    return Profile2D(np.outer(px.values, py.values))
+    return Profile2D(np.outer(px, py))
 
 
 def grid_points(L: float, H: float, nx: int, ny: int) -> np.ndarray:
@@ -325,14 +256,14 @@ def interpolate(p: Profile2D, x, y, L: float, H: float):
     return float(out[0]) if scalar else out
 
 
-def power_law_profile(n_elems: int, m: float) -> Profile1D:
-    """Nodal values of (x/L)**m; node 0 is pinned at 0 (convention for m = 0)."""
+def power_law_profile(n_elems: int, m: float) -> np.ndarray:
+    """Nodal values of (x/L)**m; node 0 is pinned at 0 (convention for m = 0).
+    A NaN index passes here and fails the range check of ``Profile2D``."""
     if m < 0.0:
         raise ValueError("power-law index must be >= 0")
-    i = np.arange(n_elems + 1, dtype=float)
-    values = (i / n_elems) ** m
+    values = (np.arange(n_elems + 1, dtype=float) / n_elems) ** m
     values[0] = 0.0
-    return Profile1D(values)
+    return values
 
 
 def _trapezoid_mean(values: np.ndarray) -> float:
@@ -340,7 +271,7 @@ def _trapezoid_mean(values: np.ndarray) -> float:
     return (values[1:-1].sum() + 0.5 * (values[0] + values[-1])) / (values.size - 1)
 
 
-def average_ceramic_fraction(px: Profile1D, py: Profile1D) -> float:
+def average_ceramic_fraction(px: np.ndarray, py: np.ndarray) -> float:
     """Domain average of the tensor-product field ``tensor_product(px, py)``.
 
     The bilinear interpolant of an outer product is the product of the two
@@ -349,7 +280,7 @@ def average_ceramic_fraction(px: Profile1D, py: Profile1D) -> float:
     trapezoid rule on the node grid (exact for piecewise bilinear fields) up
     to summation order, a relative difference of a few ulps.
     """
-    return float(_trapezoid_mean(px.values) * _trapezoid_mean(py.values))
+    return float(_trapezoid_mean(px) * _trapezoid_mean(py))
 
 
 def metal_maximum(values, phi) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from fgmopt import neural, problems
 from fgmopt.cli import main
-from fgmopt.profiles import generate_genes
+from fgmopt.profiles import generate_genes, genes_to_dict
 from fgmopt.rng import make_rng
 
 
@@ -49,7 +49,7 @@ class TestEvalProfile:
     def test_genes_input(self, capsys, tmp_path):
         genes = generate_genes(make_rng(3), problems.problem2().nx, problems.problem2().ny)
         path = tmp_path / "genes.json"
-        path.write_text(json.dumps(genes.to_dict()))
+        path.write_text(json.dumps(genes_to_dict(genes, problems.problem2().nx)))
         out_file = tmp_path / "summary.json"
         code, out, _ = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                "--genes", str(path), "--out", str(out_file))
@@ -62,18 +62,38 @@ class TestEvalProfile:
     def test_nan_gene_is_invalid_input(self, capsys, tmp_path):
         genes = generate_genes(make_rng(3), problems.problem2().nx, problems.problem2().ny)
         path = tmp_path / "genes.json"
-        path.write_text(json.dumps({**genes.to_dict(), "phi_x1": float("nan")}))
+        path.write_text(json.dumps({**genes_to_dict(genes, problems.problem2().nx),
+                                    "phi_x1": float("nan")}))
         code, _, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                "--genes", str(path))
         assert code == 1
         assert "outside declared bounds" in err
+
+    @pytest.mark.parametrize("content, match", [
+        ("null-first-node", "genes must be numbers"),
+        ("list-first-node", "genes must be numbers"),
+        ("top-level-list", "genes must be a JSON object, got list"),
+    ])
+    def test_malformed_gene_file_is_invalid_input(self, capsys, tmp_path, content, match):
+        # a TypeError from these used to escape as a runtime failure, exit 2
+        cfg = problems.problem2()
+        d = genes_to_dict(generate_genes(make_rng(3), cfg.nx, cfg.ny), cfg.nx)
+        data = {"null-first-node": {**d, "phi_x1": None},
+                "list-first-node": {**d, "phi_y1": [0.05]},
+                "top-level-list": [d]}[content]
+        path = tmp_path / "genes.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
+                                 "--genes", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {match}")
 
     def test_genes_of_another_plate_are_invalid_input(self, capsys, tmp_path):
         # the 20 x 20 element plate takes 19 ratios per axis; 20 and 18 add up to the
         # same gene count but would solve a 22 x 20 node profile
         genes = generate_genes(make_rng(3), 21, 19)
         path = tmp_path / "genes.json"
-        path.write_text(json.dumps(genes.to_dict()))
+        path.write_text(json.dumps(genes_to_dict(genes, 21)))
         code, out, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                  "--genes", str(path))
         assert code == 1 and out == ""
@@ -125,6 +145,16 @@ class TestDataAndFields:
         code, _, err = run_cli(capsys, "gen-data", "--problem", "problem2",
                                "--count", "4", "--seed", "7", "--out", str(tmp_path / "ds4"))
         assert code == 0 and "warning" not in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gen_data_count_below_one_exits_1_writing_nothing(self, capsys, tmp_path, count):
+        # -2 used to exit 0 with empty splits and a manifest of "count": -2
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "gen-data", "--problem", "problem1",
+                                    "--count", count, "--seed", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert f"error: count must be at least 1, got {count}" in err
+        assert not out.exists()
 
     def test_export_field(self, capsys, tmp_path):
         out = tmp_path / "fields"

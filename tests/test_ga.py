@@ -34,7 +34,7 @@ from fgmopt.profiles import (
 from fgmopt.rng import derived_rng, make_rng
 from fgmopt import ga, problems
 
-from profile_oracle import replay_loop
+from profile_oracle import axis_genes, replay_loop
 
 
 def tiny_problem(nx=6, ny=6):
@@ -366,7 +366,7 @@ class TestHybridDispatch:
         rng = make_rng(6)
         for _ in range(20):
             genes = generate_genes(rng, 6, 6)
-            px, py = genes_to_profiles(genes)
+            px, py = genes_to_profiles(genes, 6, 6)
             metal = np.flatnonzero(tensor_product(px, py).grid.ravel() < 1.0)
             assert ev.evaluate(genes).max_metal_temperature == float(metal[-1])
 
@@ -389,7 +389,7 @@ class TestHybridDispatch:
 
 class TestSurrogateEvaluationIsTheFormulaPath:
     def test_bit_identical_to_decoding_each_axis_and_the_out_of_place_network(self):
-        # each axis decoded alone into a Profile1D, the features joined, the network as
+        # each axis decoded alone by the recursion, the features joined, the network as
         # act(h @ W + b) per layer, v_ca from the two profiles and the penalty on top
         cfg = problems.problem1()
         model = StressSurrogate.build(make_rng(7), cfg.nx + 1, cfg.ny + 1,
@@ -397,17 +397,15 @@ class TestSurrogateEvaluationIsTheFormulaPath:
         solver = ThermoelasticSolver(cfg)
         rng = make_rng(8)
         lower, upper = gene_bounds(cfg.nx, cfg.ny)
-        template = generate_genes(rng, cfg.nx, cfg.ny)
         designs = [generate_genes(rng, cfg.nx, cfg.ny) for _ in range(40)]
-        designs += [template.replace_vector(rng.uniform(lower, upper)) for _ in range(40)]
+        designs += [rng.uniform(lower, upper) for _ in range(40)]
         act = {"relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
         for objective in ("sigma_e_max", "v_ca"):
             spec = ConstraintSpec(v_star=0.7, sigma_allow=11e6)  # about the medians
             ev = FitnessEvaluator(solver, objective, spec, sigma_star=0.0, stress_model=model)
             for genes in designs:
-                px = replay_loop(genes.phi_x1, genes.alphas_x)
-                py = replay_loop(genes.phi_y1, genes.alphas_y)
-                h = np.concatenate([px.values, py.values])[None]
+                px, py = (replay_loop(*axis) for axis in axis_genes(genes, cfg.nx))
+                h = np.concatenate([px, py])[None]
                 for layer in model.net.layers:
                     h = act[layer.activation](h @ layer.weights + layer.bias)
                 summaries = {"sigma_e_max": float((h[:, 0] * model.output_scale)[0]),
@@ -525,14 +523,14 @@ class TestEvolve:
     def test_fixed_seed_bit_identical(self):
         a = evolve(self.make_config(min_generations=5), fem_evaluator(), self.seed)
         b = evolve(self.make_config(min_generations=5), fem_evaluator(), self.seed)
-        assert np.array_equal(a.best.genes.flatten(), b.best.genes.flatten())
+        assert np.array_equal(a.best.genes, b.best.genes)
         assert [g.best_fitness for g in a.generations] == [g.best_fitness for g in b.generations]
         assert a.best.fitness == b.best.fitness
 
     def test_offspring_within_bounds_every_generation(self):
         rec = evolve(self.make_config(min_generations=6), fem_evaluator(), self.seed)
         for ind in rec.population:
-            v = ind.genes.flatten()
+            v = ind.genes
             assert np.all(v >= gene_bounds(6, 6)[0] - 1e-12)
             assert np.all(v <= gene_bounds(6, 6)[1] + 1e-12)
 
@@ -568,26 +566,46 @@ class TestEvolve:
         for keys in rng.random((10, 11)):
             entrants = np.argsort(keys)[: config.tournament_size]
             winner = min(entrants, key=lambda i: (population[i].fitness, i))
-            parents.append(population[winner].genes.flatten())
+            parents.append(population[winner].genes)
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_schedule(2.0, 0),
                                lower, upper, rng)
         children = [c for pair in zip(c1, c2) for c in pair][:9]
         want = polynomial_mutation(np.array(children), eta_schedule(10.0, 0), lower, upper,
                                    config.mutation_probability, rng)
-        got = np.array([genes.flatten() for genes in evaluator.batches(11, 9)[1]])
+        got = np.array(evaluator.batches(11, 9)[1])
         np.testing.assert_array_equal(got, want)
         order = sorted(range(11), key=lambda i: (population[i].fitness, i))
-        elites = [population[i].genes.flatten() for i in order[:2]]
-        np.testing.assert_array_equal([ind.genes.flatten() for ind in rec.population[:2]], elites)
+        elites = [population[i].genes for i in order[:2]]
+        np.testing.assert_array_equal([ind.genes for ind in rec.population[:2]], elites)
 
     def test_genes_are_sized_by_the_evaluators_plate(self):
-        # a 5 x 3 element plate: every design drawn or bred has 4 x-ratios and 2 y-ratios
+        # a 5 x 3 element plate: every design drawn or bred has 2 + 4 + 2 genes and decodes
         evaluator = RecordingEvaluator(nx=5, ny=3)
         evolve(self.make_config(max_generations=2), evaluator, self.seed)
         assert len(evaluator.calls) == 10 + 8
         for genes in evaluator.calls:
-            assert (genes.alphas_x.size, genes.alphas_y.size) == (4, 2)
-            genes.validate()
+            assert genes.shape == (8,)
+            px, py = genes_to_profiles(genes, 5, 3)
+            assert (px.size, py.size) == (6, 4)
+
+    def test_children_are_read_only_rows_of_one_array(self):
+        # each generation's children reach evaluate as rows of one read-only array, uncopied
+        evaluator = RecordingEvaluator()
+        rec = evolve(self.make_config(max_generations=3), evaluator, self.seed)
+        initial, *generations = evaluator.batches(10, 8)
+        assert len(generations) == 2
+        for children in generations:
+            shared = children[0].base
+            assert shared is not None and shared.shape == (8, 12)
+            assert not shared.flags.writeable
+            for row, genes in enumerate(children):
+                assert genes.base is shared and not genes.flags.writeable
+                assert np.shares_memory(genes, shared[row])
+        assert generations[0][0].base is not generations[1][0].base
+        assert all(not genes.flags.writeable for genes in initial)
+        # the carried elites own their genes, so no elite holds a whole generation alive
+        for ind in rec.population[:2]:
+            assert ind.genes.base is None and not ind.genes.flags.writeable
 
     def test_progress_line_per_generation(self, caplog):
         caplog.set_level(logging.INFO, logger="fgmopt.ga")
@@ -627,7 +645,7 @@ class RecordingEvaluator:
         self.calls = []
 
     def score(self, genes):
-        fitness = float(genes.flatten().sum())
+        fitness = float(genes.sum())
         return Individual(genes=genes, objective=fitness, penalty=0.0, fitness=fitness,
                           eval_source="surrogate", sigma_e_max=fitness, v_ca=0.5,
                           max_metal_temperature=None, dnn_sigma=fitness)

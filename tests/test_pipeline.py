@@ -55,10 +55,10 @@ class TestDatasetGeneration:
         solver = ThermoelasticSolver(problems.problem2())
         for r in rows[:3]:
             genes = genes_from_dict(r["genes"], solver.config.nx, solver.config.ny)
-            px, py = genes_to_profiles(genes)
+            px, py = genes_to_profiles(genes, solver.config.nx, solver.config.ny)
             res = solver.run(tensor_product(px, py))
             assert abs(res.sigma_e_max - r["sigma_e_max"]) <= 1e-10 * r["sigma_e_max"]
-            np.testing.assert_array_equal(px.values, np.array(r["profile_x"]))
+            np.testing.assert_array_equal(px, np.array(r["profile_x"]))
 
     def test_ndjson_round_trip_lossless(self, tmp_path):
         d, _ = gen(tmp_path, "rt", count=5, seed=5)
