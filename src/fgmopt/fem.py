@@ -403,8 +403,12 @@ class ThermoelasticSolver:
     is numbered.  That numbering is one fill-reducing order of the mesh
     nodes, a minimum-degree order of the node graph shared by both fields:
     thermal dofs follow the node rank, elastic dofs (node rank, component).
-    The order and the patterns are built on the first solve and cached;
-    otherwise the solver is immutable, and solves on different profiles share
+    Construction builds neither the order nor the patterns: the first solve
+    builds and caches them, the order with one incomplete SuperLU factor of
+    the node graph and each pattern with one sort of its field's node pairs.
+    On problem 1 that adds about 35 ms for the order and 25-30 ms, with an
+    8 MiB transient, for the elastic pattern, to a solve of about 100 ms.
+    Otherwise the solver is immutable, and solves on different profiles share
     no mutable state and may run concurrently.  A profile holds the volume
     fraction at the mesh's element vertices, so each element is one bilinear
     cell of it: one table of the four corner weights at the nine Gauss points,
@@ -471,7 +475,7 @@ class ThermoelasticSolver:
         self.edge_mass = np.einsum("g,ga,gb->ab", self.edge_w, self.edge_N, self.edge_N)
 
     def _prescribed(self, entries, per_node: int):
-        """(sorted fixed dofs, their values, free dofs) of a field with per_node dofs a node.
+        """(sorted fixed dofs, their values) of a field with per_node dofs a node.
 
         ``entries`` are (node ids, component, value) with value a number or
         f(x, y); a later entry overrides an earlier one on a shared node.
@@ -482,8 +486,7 @@ class ThermoelasticSolver:
                 x, y = self.mesh.coords[nid]
                 fixed[per_node * nid + comp] = value(x, y) if callable(value) else float(value)
         dofs = np.array(sorted(fixed), dtype=np.int64)
-        free = np.delete(np.arange(per_node * self.mesh.n_nodes), dofs)
-        return dofs, np.array([fixed[d] for d in dofs]), free
+        return dofs, np.array([fixed[d] for d in dofs])
 
     def _resolve_thermal_bcs(self):
         """Dirichlet table, convection matrix entries and the load vector, once per solver."""
@@ -494,7 +497,7 @@ class ThermoelasticSolver:
             raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
         bcs = [(e, cfg.thermal.on(e)) for e in EDGES]
         # later edges in EDGES order override shared corners
-        self.dirichlet_nodes, self.dirichlet_vals, self._thermal_free = self._prescribed(
+        self.dirichlet_nodes, self.dirichlet_vals = self._prescribed(
             [(mesh.edge_nodes(e), 0, bc.value) for e, bc in bcs if isinstance(bc, Dirichlet)], 1)
         f = np.zeros(mesh.n_nodes)
         if cfg.heat_source != 0.0:
@@ -515,7 +518,7 @@ class ThermoelasticSolver:
         comp = {"u1": 0, "u2": 1}
         entries = [(mesh.edge_nodes(ec.edge), comp[ec.component], ec.value) for ec in mech.edges]
         entries += [([mesh.corner_node(pc.corner)], comp[pc.component], 0.0) for pc in mech.points]
-        self.fixed_dofs, self.fixed_vals, self._mech_free = self._prescribed(entries, 2)
+        self.fixed_dofs, self.fixed_vals = self._prescribed(entries, 2)
         self._traction_loads = []
         for tr in mech.tractions:
             enodes, half = mesh.edge_conn(tr.edge)
@@ -527,18 +530,14 @@ class ThermoelasticSolver:
         """Position of each node in a fill-reducing elimination order of the mesh."""
         return _minimum_degree_rank(self.mesh)
 
-    def _in_node_order(self, free: np.ndarray, per_node: int) -> np.ndarray:
-        """The free dofs of a field with per_node dofs a node, by (node rank, component)."""
-        return free[np.argsort(per_node * self._node_rank[free // per_node] + free % per_node)]
-
     @functools.cached_property
     def _thermal_pattern(self) -> "_ReducedPattern":
-        return _ReducedPattern(self.mesh.conn, self.dirichlet_nodes,
-                               self._in_node_order(self._thermal_free, 1), const=self._conv)
+        return _ReducedPattern(self.mesh.conn, 1, self._node_rank, self.dirichlet_nodes,
+                               const=self._conv)
 
     @functools.cached_property
     def _mech_pattern(self) -> "_ReducedPattern":
-        return _ReducedPattern(self.elem_dofs, self.fixed_dofs, self._in_node_order(self._mech_free, 2))
+        return _ReducedPattern(self.mesh.conn, 2, self._node_rank, self.fixed_dofs)
 
     # -- profile sampling ----------------------------------------------------
 
@@ -568,8 +567,8 @@ class ThermoelasticSolver:
     def thermal_system(self, profile: Profile2D):
         """Full assembled (K, f) with convection terms, before Dirichlet elimination."""
         ke = self._conductance(profile)
-        everything = _ReducedPattern(self.mesh.conn, np.empty(0, dtype=np.int64),
-                                     np.arange(self.mesh.n_nodes), const=self._conv)
+        everything = _ReducedPattern(self.mesh.conn, 1, np.arange(self.mesh.n_nodes),
+                                     np.empty(0, dtype=np.int64), const=self._conv)
         return everything.assemble(ke)[0], self._thermal_f.copy()
 
     def solve_thermal(self, profile: Profile2D) -> np.ndarray:
@@ -666,43 +665,93 @@ def _scatter_add(f: np.ndarray, idx: np.ndarray, fe: np.ndarray) -> None:
 class _ReducedPattern:
     """CSC patterns of K[free][:, free] and K[free][:, fixed] of one field, fixed per solver.
 
-    ``slot`` sends each entry of the per-row element matrices of ``idx`` to
-    [Kff.data | Kfc.data | one discard slot for the fixed rows], so assembly
-    is one bincount.  Constant element matrices ``const = (idx, matrices)``,
-    the convection terms, are summed into ``base`` once.
+    The field has ``per_node`` dofs a node, dof ``per_node * node + component``.
+    ``free`` lists the dofs not in ``fixed`` by (node position in ``rank``,
+    component), the order SuperLU factors in; the columns of Kfc follow
+    ``fixed``.  The pattern comes from node pairs: the keys (column position,
+    row position) of each element's node pairs and of the constant blocks are
+    sorted once, and each pair expands into its per_node**2 dof pairs.  All
+    dofs of a node share their rows, the free dofs of the node's neighbours,
+    so a free row's offset in a column is the running count of free dofs over
+    the node column's earlier pairs, plus the free components before it in its
+    own node.
+
+    ``slot`` sends each entry of the per-row element matrices on ``conn``, in
+    (node, component) dof order, to [Kff.data | Kfc.data | one discard slot
+    for the fixed rows], so assembly is one bincount.  Constant element
+    matrices ``const = (node ids, matrices)``, the convection terms, are
+    summed into ``base`` once.
     """
 
-    def __init__(self, idx: np.ndarray, fixed: np.ndarray, free: np.ndarray, const=None):
-        nf, n = free.size, free.size + fixed.size
-        pos = np.empty(n, dtype=np.int64)  # free dofs first, then fixed ones
-        pos[free] = np.arange(nf)
-        pos[fixed] = nf + np.arange(fixed.size)
-        blocks = [idx] if const is None else [idx, const[0]]
-        keys, slot = np.unique(np.concatenate([_entry_keys(pos[b], nf, n) for b in blocks]),
-                               return_inverse=True)
-        n_elem = idx.size * idx.shape[1]
-        self.free, self.fixed = free, fixed
-        self.slot = slot[:n_elem].astype(np.int32)
-        self.rows = (keys % nf).astype(np.int32)
-        self.ptr = np.searchsorted(keys, np.arange(n + 1) * nf).astype(np.int32)  # column starts
+    def __init__(self, conn: np.ndarray, per_node: int, rank: np.ndarray, fixed: np.ndarray,
+                 const=None):
+        n_nodes, comps = rank.size, np.arange(per_node)
+        by_pos = np.argsort(rank)  # the node at each position
+        is_free = np.ones((n_nodes, per_node), dtype=bool)
+        is_free.flat[fixed] = False
+        n_free = is_free.sum(axis=1)
+        place = (np.cumsum(is_free, axis=1, dtype=np.int32) - is_free).ravel()
+        is_free = is_free.ravel()
+        dofs = (per_node * by_pos[:, None] + comps).ravel()
+        self.free, self.fixed = dofs[is_free[dofs]], fixed
+        free_pos = np.empty(is_free.size, dtype=np.int32)
+        free_pos[self.free] = np.arange(self.free.size)
+
+        # node pairs keyed column position * n_nodes + row position, in int64: n_nodes**2
+        # overflows int32 beyond 46k nodes
+        blocks = [conn] if const is None else [conn, const[0]]
+        pos = [rank[b].astype(np.int64) for b in blocks]
+        pairs, inv = np.unique(np.concatenate([(q[:, None, :] * n_nodes + q[:, :, None]).ravel()
+                                               for q in pos]), return_inverse=True)
+        first = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)  # each column's first pair
+        row_node = by_pos[pairs % n_nodes]
+        del pairs
+        run = np.zeros(row_node.size + 1, dtype=np.int32)  # free rows of the pairs before each
+        np.cumsum(n_free[row_node], out=run[1:])
+        # where each pair's free rows start within its node column
+        offset = run[:-1] - np.repeat(run[first[:-1]], np.diff(first))
+        row_dofs = (per_node * row_node[:, None] + comps).ravel()
+        row_list = free_pos[row_dofs[is_free[row_dofs]]]  # each node column's free rows, in order
+        discard = int(row_list.size < row_dofs.size)
+        del row_node, row_dofs
+
+        # dof columns: Kff, then Kfc; every dof of a node takes its node column's rows
+        cols = np.concatenate([self.free, fixed])
+        node_col = rank[cols // per_node]
+        lo = run[first[node_col]]
+        count = run[first[node_col + 1]] - lo
+        self.ptr = np.zeros(cols.size + 1, dtype=np.int32)
+        np.cumsum(count, out=self.ptr[1:])
+        nnz = self.ptr[-1]
+        at = np.repeat(lo - self.ptr[:-1], count)
+        at += np.arange(nnz, dtype=np.int32)
+        self.rows = np.concatenate([row_list[at], np.zeros(discard, dtype=np.int32)])
+        del at, row_list, run
+        col_start = np.empty(is_free.size, dtype=np.int32)
+        col_start[cols] = self.ptr[:-1]
+
+        def slots(b, inv_b):
+            e, k = b.shape
+            d = per_node * b[:, :, None] + comps  # (e, k, per_node) dof ids
+            s = np.empty((e, k, per_node, k, per_node), dtype=np.int32)
+            np.add(offset[inv_b].reshape(e, k, 1, k, 1), col_start[d][:, None, None], out=s)
+            s += place[d][:, :, :, None, None]
+            s[np.broadcast_to(~is_free[d][:, :, :, None, None], s.shape)] = nnz
+            return s.ravel()
+
+        n_elem = conn.size * conn.shape[1]
+        self.slot = slots(conn, inv[:n_elem])
         self.base = 0.0 if const is None else np.bincount(
-            slot[n_elem:], weights=const[1].ravel(), minlength=keys.size)
+            slots(const[0], inv[n_elem:]), weights=const[1].ravel(), minlength=self.rows.size)
 
     def assemble(self, ke: np.ndarray):
-        """(Kff, Kfc) from element matrices ordered as ``idx``."""
+        """(Kff, Kfc) from element matrices ordered as ``conn``, by (node, component)."""
         data = np.bincount(self.slot, weights=ke.ravel(), minlength=self.rows.size) + self.base
         nf, p, rows = self.free.size, self.ptr, self.rows
         Kff = sp.csc_matrix((data[:p[nf]], rows[:p[nf]], p[:nf + 1]), shape=(nf, nf))
         Kfc = sp.csc_matrix((data[p[nf]:p[-1]], rows[p[nf]:p[-1]], p[nf:] - p[nf]),
                             shape=(nf, self.fixed.size))
         return Kff, Kfc
-
-
-def _entry_keys(p: np.ndarray, nf: int, n: int) -> np.ndarray:
-    """Column-major key c*nf + r of each entry (r, c) of the per-row element matrices on
-    dof positions p (free dofs first): Kff columns, then Kfc columns, then n*nf for fixed rows."""
-    rows, cols = p[:, :, None], p[:, None, :]
-    return np.where(rows < nf, cols * nf + rows, n * nf).ravel()
 
 
 def _minimum_degree_rank(mesh: Mesh) -> np.ndarray:
@@ -714,7 +763,7 @@ def _minimum_degree_rank(mesh: Mesh) -> np.ndarray:
     keeps the numeric work small.  ``perm_c`` is a view that keeps the whole
     factor alive, so it is copied out.
     """
-    nodes = _ReducedPattern(mesh.conn, np.empty(0, dtype=np.int64), np.arange(mesh.n_nodes))
+    nodes = _ReducedPattern(mesh.conn, 1, np.arange(mesh.n_nodes), np.empty(0, dtype=np.int64))
     graph = nodes.assemble(np.broadcast_to((10.0 * np.eye(9) - 1.0).ravel(), (mesh.n_elems, 81)))[0]
     ilu = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, drop_tol=1.0,
                      fill_factor=1.0, options=dict(SymmetricMode=True))

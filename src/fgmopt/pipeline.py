@@ -87,6 +87,8 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
         raise ValueError(f"unknown problem id {problem_id!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if threads > 1:

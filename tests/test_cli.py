@@ -156,6 +156,16 @@ class TestDataAndFields:
         assert f"error: count must be at least 1, got {count}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_gen_data_threads_below_one_exits_1_writing_nothing(self, capsys, tmp_path, threads):
+        # -3 used to exit 0, writing a dataset serially
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "gen-data", "--problem", "problem2", "--count", "2",
+                                    "--seed", "1", "--threads", threads, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert f"error: threads must be at least 1, got {threads}" in err
+        assert not out.exists()
+
     def test_export_field(self, capsys, tmp_path):
         out = tmp_path / "fields"
         code, _, _ = run_cli(capsys, "export-field", "--problem", "problem2",

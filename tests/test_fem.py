@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from fgmopt.profiles import Profile2D, grid_points, interpolate
 from fgmopt.rng import make_rng
 from fgmopt.verification import check_energy_balance
 from fgmopt import fem, problems
+from fem_oracle import dof_pattern, free_in_node_order
 
 
 def uniform_profile(phi, nx, ny):
@@ -519,6 +521,78 @@ class TestReducedAssembly:
         for solve in (s.run, s.solve_thermal, lambda p: s.solve_elastic(p, theta)):
             with pytest.raises(DimensionMismatch, match=rf"{shape[0]} x {shape[1]} nodes.* 5 x 4$"):
                 solve(bad)
+
+
+def patch_config(**kw):
+    base = dict(L=0.3, H=0.2, nx=4, ny=3, materials=MATERIALS["Al/ZrO2"], thermal=None,
+                uniform_delta_theta=0.0, mode="plane_strain")
+    return ProblemConfig(**{**base, **kw})
+
+
+PATTERN_CONFIGS = {
+    "problem1": problems.problem1,
+    "problem2": problems.problem2,
+    "problem1-reference": lambda: problems.reference_config("problem1"),
+    "problem2-reference": lambda: problems.reference_config("problem2"),
+    "mixed-5x4": lambda: TestReducedAssembly().system()[0].config,
+    # no Dirichlet node, so the thermal pattern has no discard slot
+    "convection-only": lambda: patch_config(
+        mech=simple_mech(), uniform_delta_theta=None,
+        thermal=ThermalBCSet(left=Convection(50.0, t_inf=300.0), top=Convection(20.0))),
+    # every boundary dof fixed, by callables
+    "displacement-patch": lambda: patch_config(mech=MechBCSet(edges=tuple(
+        EdgeConstraint(e, c, lambda x, y: 1e-4 * x - 3e-5 * y)
+        for e in ("left", "right", "bottom", "top") for c in ("u1", "u2")))),
+    "free-expansion": lambda: patch_config(uniform_delta_theta=50.0, mech=MechBCSet(points=(
+        PointConstraint("bottom_left", "u1"), PointConstraint("bottom_left", "u2"),
+        PointConstraint("bottom_right", "u2")))),
+}
+
+
+def assert_pattern_is_oracles(pattern, idx, per_node, rank, fixed, const=None):
+    """The node-pair pattern's six arrays equal the dof-key oracle's, dtype included."""
+    free = free_in_node_order(rank, fixed, per_node)
+    slot, rows, ptr, base = dof_pattern(idx, fixed, free, const)
+    expect = {"slot": slot, "rows": rows, "ptr": ptr, "base": base, "free": free, "fixed": fixed}
+    for name, want in expect.items():
+        got = np.asarray(getattr(pattern, name))
+        assert got.dtype == np.asarray(want).dtype, name
+        assert np.array_equal(got, want), name
+
+
+class TestPatternMatchesDofOracle:
+    @pytest.mark.parametrize("name", list(PATTERN_CONFIGS))
+    def test_field_patterns(self, name):
+        s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
+        fields = [(s._mech_pattern, s.elem_dofs, 2, s.fixed_dofs, None)]
+        if s.config.thermal is not None:
+            fields.append((s._thermal_pattern, s.mesh.conn, 1, s.dirichlet_nodes, s._conv))
+            if s.dirichlet_nodes.size == 0:
+                assert s._thermal_pattern.rows.size == s._thermal_pattern.ptr[-1]
+        for pattern, idx, per_node, fixed, const in fields:
+            assert_pattern_is_oracles(pattern, idx, per_node, s._node_rank, fixed, const)
+
+    @pytest.mark.parametrize("name", ["problem1", "problem2"])
+    def test_identity_order_patterns(self, name):
+        # _minimum_degree_rank's node graph, and thermal_system's pattern with convection
+        s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
+        conn, order, none = s.mesh.conn, np.arange(s.mesh.n_nodes), np.empty(0, dtype=np.int64)
+        blocks = [None] if s.config.thermal is None else [None, s._conv]
+        for const in blocks:
+            pattern = fem._ReducedPattern(conn, 1, order, none, const=const)
+            assert_pattern_is_oracles(pattern, conn, 1, order, none, const)
+
+    def test_problem1_elastic_pattern_peak_memory(self):
+        # sorting every dof-pair key took a 27.6 MiB transient here; node pairs take about 8
+        s = ThermoelasticSolver(problems.problem1())
+        s._node_rank
+        tracemalloc.start()
+        try:
+            s._mech_pattern
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestPostprocessing:
