@@ -3,8 +3,9 @@
 One-way coupled analysis of a rectangular two-phase graded plate: a linear
 steady heat-conduction solve (Dirichlet / convection / adiabatic edge
 conditions) followed by a linear elastic solve with the temperature field
-entering as an initial-stress load.  The volume fraction is given at the
-element vertices (``Profile2D``), so each element is one bilinear cell of it.
+entering as an initial-stress load.  A profile is the (nx+1, ny+1) array of
+the volume fraction at the element vertices, so each element is one bilinear
+cell of it; ``phi_at_gauss``, where every solve samples it, checks it.
 Point properties come from the rule of mixtures at the 3x3 Gauss points of
 every element, where that bilinear field is sampled independently of the
 biquadratic displacement and temperature interpolation.  Temperatures are
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, PhiOutOfRange, SingularSystem
-from .profiles import Profile2D, bilinear_shape, grid_points, metal_maximum
+from .profiles import BOUND_TOL, bilinear_shape, grid_points, metal_maximum
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -323,7 +324,7 @@ class FemResult:
     """Fields and scalar summaries of one thermoelastic solve."""
 
     mesh: Mesh
-    profile: Profile2D
+    profile: np.ndarray  # (nx+1, ny+1): the caller's array as given, checked by phi_at_gauss
     nodal_temperature: np.ndarray  # (n_nodes,)
     nodal_displacement: np.ndarray  # (n_nodes, 2)
     gauss_xy: np.ndarray  # (n_elems, 9, 2)
@@ -353,8 +354,8 @@ def write_result_files(result: FemResult, out_dir) -> None:
     m = result.mesh
     for name, points, values in (("temperature.csv", "nodes", result.nodal_temperature),
                                  ("effective_stress.csv", "gauss", result.gauss_effective_stress),
-                                 ("volume_fraction.csv", "grid", result.profile.grid)):
-        text = _csv_template(points, m.L, m.H, m.nx, m.ny) % tuple(values.ravel().tolist())
+                                 ("volume_fraction.csv", "grid", result.profile)):
+        text = _csv_template(points, m.L, m.H, m.nx, m.ny) % tuple(np.ravel(values).tolist())
         (out / name).write_text(text, newline="")
 
 
@@ -409,10 +410,10 @@ class ThermoelasticSolver:
     On problem 1 that adds about 35 ms for the order and 25-30 ms, with an
     8 MiB transient, for the elastic pattern, to a solve of about 100 ms.
     Otherwise the solver is immutable, and solves on different profiles share
-    no mutable state and may run concurrently.  A profile holds the volume
-    fraction at the mesh's element vertices, so each element is one bilinear
-    cell of it: one table of the four corner weights at the nine Gauss points,
-    built with the basis, samples every element.
+    no mutable state and may run concurrently.  A profile is the array of the
+    volume fraction at the mesh's element vertices, so each element is one
+    bilinear cell of it: one table of the four corner weights at the nine
+    Gauss points, built with the basis, samples every element.
     """
 
     def __init__(self, config: ProblemConfig):
@@ -541,37 +542,44 @@ class ThermoelasticSolver:
 
     # -- profile sampling ----------------------------------------------------
 
-    def phi_at_gauss(self, profile: Profile2D) -> np.ndarray:
+    def phi_at_gauss(self, profile: np.ndarray) -> np.ndarray:
         """Ceramic fraction at every Gauss point, (n_elems, 9): one gather of each
         element's corner values times the bilinear weights at the Gauss points.
 
-        Every solve samples its profile here.  Raises DimensionMismatch unless
-        the profile has a value at each of the mesh's element vertices.
+        Every solve samples its profile here, so here it is checked: raises
+        DimensionMismatch unless it has a value at each of the mesh's element
+        vertices, and PhiOutOfRange unless each lies within BOUND_TOL of [0, 1].
+        Values in the tolerance are sampled clipped into [0, 1], in a copy.
         """
+        grid = np.asarray(profile, dtype=float)
         nodes = (self.mesh.nx + 1, self.mesh.ny + 1)
-        if profile.grid.shape != nodes:
+        if grid.shape != nodes:
             raise DimensionMismatch(
-                f"profile has {profile.grid.shape[0]} x {profile.grid.shape[1]} nodes, "
+                f"profile has {' x '.join(map(str, grid.shape))} nodes, "
                 f"the {self.mesh.nx} x {self.mesh.ny} element plate has {nodes[0]} x {nodes[1]}")
-        return profile.grid.ravel()[self._phi_corners] @ self._phi_weights.T
+        lo, hi = grid.min(), grid.max()
+        if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):  # NaN fails too
+            raise PhiOutOfRange("profile volume fractions must lie in [0, 1]")
+        grid = np.clip(grid, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else grid
+        return grid.ravel()[self._phi_corners] @ self._phi_weights.T
 
     # -- thermal solve -------------------------------------------------------
 
-    def _conductance(self, profile: Profile2D) -> np.ndarray:
+    def _conductance(self, profile: np.ndarray) -> np.ndarray:
         """Element conduction matrices, one flattened 9x9 per row, without convection."""
         if self.config.thermal is None:
             raise SingularSystem("no thermal boundary conditions configured")
         kvals = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
         return kvals @ self.therm_M
 
-    def thermal_system(self, profile: Profile2D):
+    def thermal_system(self, profile: np.ndarray):
         """Full assembled (K, f) with convection terms, before Dirichlet elimination."""
         ke = self._conductance(profile)
         everything = _ReducedPattern(self.mesh.conn, 1, np.arange(self.mesh.n_nodes),
                                      np.empty(0, dtype=np.int64), const=self._conv)
         return everything.assemble(ke)[0], self._thermal_f.copy()
 
-    def solve_thermal(self, profile: Profile2D) -> np.ndarray:
+    def solve_thermal(self, profile: np.ndarray) -> np.ndarray:
         """Nodal temperature change field theta-bar."""
         ke = self._conductance(profile)
         return _constrained_solve(self._thermal_pattern, ke, self._thermal_f, self.dirichlet_vals)
@@ -591,7 +599,7 @@ class ThermoelasticSolver:
             beta = E * alpha / (1.0 - 2.0 * nu)
         return mu, lam_eff, beta
 
-    def solve_elastic(self, profile: Profile2D, theta_nodal: np.ndarray) -> np.ndarray:
+    def solve_elastic(self, profile: np.ndarray, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
         if self.fixed_dofs.size == 0:
             raise SingularSystem("no displacement constraints; rigid modes present")
@@ -608,7 +616,7 @@ class ThermoelasticSolver:
 
     # -- post-processing ---------------------------------------------------
 
-    def gauss_stress(self, profile: Profile2D, u: np.ndarray, theta_nodal: np.ndarray):
+    def gauss_stress(self, profile: np.ndarray, u: np.ndarray, theta_nodal: np.ndarray):
         """In-plane physical stress components and effective stress at Gauss points."""
         phi = self.phi_at_gauss(profile)
         mu, lam_eff, beta = self._blend_elastic(phi)
@@ -627,12 +635,12 @@ class ThermoelasticSolver:
         """The nodal temperatures at the element vertices, (nx+1, ny+1) as a profile grid."""
         return theta_nodal.reshape(-1, 2 * self.mesh.nx + 1)[::2, ::2].T
 
-    def v_ca(self, profile: Profile2D) -> float:
+    def v_ca(self, profile: np.ndarray) -> float:
         """Domain-average ceramic fraction by the element Gauss rule."""
         phi = self.phi_at_gauss(profile)
         return float((phi * self.gauss_w).sum() / (self.config.L * self.config.H))
 
-    def run(self, profile: Profile2D) -> FemResult:
+    def run(self, profile: np.ndarray) -> FemResult:
         """Thermal (or uniform-change) analysis, elastic analysis, summaries."""
         cfg = self.config
         if cfg.uniform_delta_theta is not None:
@@ -652,7 +660,7 @@ class ThermoelasticSolver:
             temperature_grid=theta_grid,
             sigma_e_max=float(se.max()),
             v_ca=self.v_ca(profile),
-            max_metal_temperature=metal_maximum(theta_grid, profile.grid),
+            max_metal_temperature=metal_maximum(theta_grid, profile),
         )
 
 

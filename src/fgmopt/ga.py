@@ -73,6 +73,15 @@ class GAConfig:
     max_generations: int | None = None
 
     def __post_init__(self):
+        # a float count fails in numpy's shapes and indexing, or runs a generation past it
+        for name in ("population_size", "tournament_size", "elite_count", "min_generations",
+                     "stall_generations", "max_generations"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    or name == "max_generations" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.max_generations is not None and self.max_generations < 1:
+            raise ValueError(f"max_generations must be None or >= 1, got {self.max_generations!r}")
         if not (0 < self.elite_count < self.population_size):
             raise ValueError("need 0 < elite_count < population_size")
         if not (1 <= self.tournament_size <= self.population_size):
@@ -96,6 +105,20 @@ class ConstraintSpec:
     theta_max: float | None = None  # max temperature over the metallic region
     sigma_allow: float | None = None  # peak effective stress limit [Pa]
     penalty_weight: float = 1.0e8  # shared by every constraint, objective units
+
+    def __post_init__(self):
+        # the hinge value / limit - 1 reads "above the limit" only for a limit above 0,
+        # and a weight below 0 would reward a violation
+        for name in ("v_star", "theta_max", "sigma_allow", "penalty_weight"):
+            value = getattr(self, name)
+            if (value is not None or name == "penalty_weight") and not (
+                    _is_number(value) and 0.0 < value < math.inf):  # NaN fails too
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """An int or a float, the numbers JSON reads; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)  # an array field has no truth value, so == could not compare two
@@ -214,8 +237,9 @@ class FitnessEvaluator:
                  stress_model=None, temp_model=None):
         if objective not in ("sigma_e_max", "v_ca"):
             raise ValueError("objective must be sigma_e_max or v_ca")
-        if sigma_star is not None and not sigma_star >= 0.0:  # NaN fails >=
-            raise ValueError(f"sigma_star must be None or >= 0, got {sigma_star!r}")
+        # NaN fails >=
+        if sigma_star is not None and not (_is_number(sigma_star) and sigma_star >= 0.0):
+            raise ValueError(f"sigma_star must be None or a number >= 0, got {sigma_star!r}")
         if sigma_star is not None and stress_model is None:
             raise ValueError("surrogate dispatch needs a stress model")
         self.solver = solver
@@ -244,8 +268,8 @@ class FitnessEvaluator:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
                 temps = self.temp_model.predict(px, py, self._grid_pts)
-                summaries["max_metal_temperature"] = metal_maximum(  # grid of tensor_product
-                    temps, np.outer(px, py).ravel())
+                summaries["max_metal_temperature"] = metal_maximum(
+                    temps, tensor_product(px, py).ravel())
             source = "surrogate"
         else:
             summaries = self.solver.run(tensor_product(px, py)).summary()

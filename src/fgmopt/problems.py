@@ -29,7 +29,7 @@ from .fem import (
     ProblemConfig,
     ThermalBCSet,
 )
-from .profiles import Profile2D, power_law_profile, tensor_product
+from .profiles import power_law_profile, tensor_product
 
 PROBLEM_IDS = ("problem1", "problem2")
 
@@ -100,7 +100,7 @@ def mutation_probability(config: ProblemConfig) -> float:
     return 0.3 if config.name == "problem1" else 0.4
 
 
-def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Profile2D:
+def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> np.ndarray:
     """Reference gradation (x/L)^m along one axis, or their tensor product.
 
     ``axis="y"`` varies through the height only (uniform in x), ``"x"`` the
@@ -113,10 +113,8 @@ def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> Pro
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     if axis == "x":
-        grid = np.outer(px, np.ones(config.ny + 1))
-    else:
-        grid = np.outer(np.ones(config.nx + 1), py)
-    return Profile2D(grid)
+        return np.outer(px, np.ones(config.ny + 1))
+    return np.outer(np.ones(config.nx + 1), py)
 
 
 # --- published reference-stress configurations -----------------------------
@@ -143,16 +141,16 @@ def reference_config(problem_id: str) -> ProblemConfig:
     raise ValueError(f"unknown problem id {problem_id!r}")
 
 
-def three_layer_power_law(config: ProblemConfig, m: float) -> Profile2D:
+def three_layer_power_law(config: ProblemConfig, m: float) -> np.ndarray:
     """Through-height profile: metal face, power-law core, ceramic face."""
     f1, f2 = P1_FACE_FRACTION, 1.0 - P1_FACE_FRACTION
     y = np.linspace(0.0, 1.0, config.ny + 1)
     core = np.clip((y - f1) / (f2 - f1), 0.0, 1.0) ** m
     col = np.where(y < f1, 0.0, np.where(y > f2, 1.0, core))
-    return Profile2D(np.tile(col, (config.nx + 1, 1)))
+    return np.tile(col, (config.nx + 1, 1))
 
 
-def reference_profile(problem_id: str, m: float, axis: str = "y") -> Profile2D:
+def reference_profile(problem_id: str, m: float, axis: str = "y") -> np.ndarray:
     """The published comparison gradation for one problem.
 
     Problem 1 uses the three-layer through-height power law; problem 2 the

@@ -24,10 +24,11 @@ which ``generate_genes`` draws, ``genes_from_dict`` reads and
 ``genes_to_dict`` writes.  ``genes_to_profiles`` decodes it into the two
 axis profiles, plain arrays of nodal values.
 
-A 2D field is nodal data on the plate's element vertices: the tensor product
-of two independent 1D profiles on the (nx+1) x (ny+1) vertex grid, bilinear
-within each element.  It carries no geometry; ``interpolate`` evaluates it
-anywhere in an L x H plate.
+A 2D profile is a float array, the ceramic fraction on the plate's
+(nx+1) x (ny+1) element vertices, bilinear within each element; a design's is
+the tensor product of its two axis profiles.  It carries no geometry:
+``interpolate`` evaluates it in an L x H plate, and the solver checks it
+where it samples it, in ``ThermoelasticSolver.phi_at_gauss``.
 
 Power-law profiles (x/L)**m are a subset of this design space: they are the
 recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
@@ -38,49 +39,17 @@ admit them while the first ratio 2**m stays within ALPHA_UPPER_MAX and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from .rng import make_rng
 
-_BOUND_TOL = 1e-9
+BOUND_TOL = 1e-9  # admitted distance of a gene from its bounds and of a fraction from [0, 1]
 ALPHA_UPPER_MAX = 3.0  # largest ratio a profile can draw, and the ratio genes' upper bound
 # first-node buckets, each drawn with equal probability: one wide bucket along x, two small along y
 FIRST_NODE_BUCKETS_X = ((0.001, 1.0),)
 FIRST_NODE_BUCKETS_Y = ((0.001, 0.01), (0.01, 0.1))
-
-
-@dataclass(frozen=True)
-class Profile2D:
-    """Ceramic volume fraction at the (nx+1) x (ny+1) element vertices of an
-    nx-by-ny plate mesh.
-
-    ``grid[i, j]`` is the value at vertex (x_i, y_j).  Within each element the
-    field is bilinear.  The plate it is solved on gives the coordinates.
-    """
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
-            raise ValueError("grid must be at least 2x2")
-        lo, hi = grid.min(), grid.max()
-        if not (lo >= -_BOUND_TOL and hi <= 1.0 + _BOUND_TOL):  # NaN fails too
-            raise PhiOutOfRange("grid volume fractions must lie in [0, 1]")
-        # a copy clipped to [0, 1]: the caller's array stays writeable and apart
-        grid = np.clip(grid, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else grid.copy()
-        object.__setattr__(self, "grid", _read_only(grid))
-
-    @property
-    def nx(self) -> int:
-        return self.grid.shape[0] - 1
-
-    @property
-    def ny(self) -> int:
-        return self.grid.shape[1] - 1
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -105,9 +74,9 @@ def gene_bounds(nx: int, ny: int):
 
 @functools.cache
 def _tolerant_bounds(nx: int, ny: int):
-    """``gene_bounds`` widened by _BOUND_TOL: the interval ``genes_to_profiles`` admits."""
+    """``gene_bounds`` widened by BOUND_TOL: the interval ``genes_to_profiles`` admits."""
     lower, upper = gene_bounds(nx, ny)
-    return _read_only(lower - _BOUND_TOL), _read_only(upper + _BOUND_TOL)
+    return _read_only(lower - BOUND_TOL), _read_only(upper + BOUND_TOL)
 
 
 def genes_from_dict(d, nx: int, ny: int) -> np.ndarray:
@@ -151,7 +120,7 @@ def _running_product(out: np.ndarray, phi1: float, alphas: np.ndarray) -> np.nda
     With every ratio at least 1, phi[i+1] = min(1, a[i] * phi[i]) is the
     running product capped at 1: a product that reaches 1 never falls back
     below it, so capping nodes 2..n of this result is bit-identical to the
-    recursion.  A ratio admitted within _BOUND_TOL below 1 is taken as 1, so
+    recursion.  A ratio admitted within BOUND_TOL below 1 is taken as 1, so
     every admitted gene vector decodes.  A last node below 1 rescales nodes
     1..n by 1/phi[n]; the products are then all below 1, so the cap leaves
     them alone and may come after the rescaling.
@@ -178,7 +147,7 @@ def genes_to_profiles(genes: np.ndarray, nx: int, ny: int):
     Both running products go into one buffer of (nx + 1) + (ny + 1) nodes, x
     first, which is capped at 1 and range-checked once; the two profiles are
     read-only views of it.  The cap takes a first node admitted within
-    _BOUND_TOL above 1 to 1, so each axis is bit-identical to running the
+    BOUND_TOL above 1 to 1, so each axis is bit-identical to running the
     recursion phi[i+1] = min(1, a[i] * phi[i]) one node at a time and
     rescaling by a last node below 1.  Raises DimensionMismatch unless
     ``genes`` has shape (nx + ny,), and GeneOutOfBounds if any gene is outside
@@ -201,9 +170,9 @@ def genes_to_profiles(genes: np.ndarray, nx: int, ny: int):
     return nodes[: nx + 1], nodes[nx + 1 :]
 
 
-def tensor_product(px: np.ndarray, py: np.ndarray) -> Profile2D:
-    """2D field as the outer product of the two axis profiles."""
-    return Profile2D(np.outer(px, py))
+def tensor_product(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The 2D profile of two axis profiles: their outer product on the vertex grid."""
+    return np.outer(px, py)
 
 
 def grid_points(L: float, H: float, nx: int, ny: int) -> np.ndarray:
@@ -233,9 +202,11 @@ def bilinear_shape(xi, eta):
     )
 
 
-def interpolate(p: Profile2D, x, y, L: float, H: float):
-    """Bilinear interpolation of the vertex grid at (x, y) inside an L x H plate.
+def interpolate(grid: np.ndarray, x, y, L: float, H: float):
+    """Bilinear interpolation of a profile at (x, y) inside an L x H plate.
 
+    The plate's nx-by-ny elements come from ``grid``'s (nx+1, ny+1) shape; the
+    values are not checked here, the solver checks a profile it samples.
     Accepts scalars or equally-shaped arrays; raises OutOfDomain for points
     outside [0,L] x [0,H].
     """
@@ -244,12 +215,13 @@ def interpolate(p: Profile2D, x, y, L: float, H: float):
     tol_x, tol_y = 1e-12 * L, 1e-12 * H
     if np.any(x < -tol_x) or np.any(x > L + tol_x) or np.any(y < -tol_y) or np.any(y > H + tol_y):
         raise OutOfDomain("query point outside the plate domain")
-    hx, hy = L / p.nx, H / p.ny
-    ix = np.clip((x / hx).astype(int), 0, p.nx - 1)
-    iy = np.clip((y / hy).astype(int), 0, p.ny - 1)
+    nx, ny = grid.shape[0] - 1, grid.shape[1] - 1
+    hx, hy = L / nx, H / ny
+    ix = np.clip((x / hx).astype(int), 0, nx - 1)
+    iy = np.clip((y / hy).astype(int), 0, ny - 1)
     xi, eta = 2.0 * (x - ix * hx) / hx - 1.0, 2.0 * (y - iy * hy) / hy - 1.0
     corners = np.stack(
-        [p.grid[ix, iy], p.grid[ix + 1, iy], p.grid[ix + 1, iy + 1], p.grid[ix, iy + 1]],
+        [grid[ix, iy], grid[ix + 1, iy], grid[ix + 1, iy + 1], grid[ix, iy + 1]],
         axis=-1,
     )
     out = np.einsum("...c,...c->...", bilinear_shape(xi, eta), corners)
@@ -258,7 +230,7 @@ def interpolate(p: Profile2D, x, y, L: float, H: float):
 
 def power_law_profile(n_elems: int, m: float) -> np.ndarray:
     """Nodal values of (x/L)**m; node 0 is pinned at 0 (convention for m = 0).
-    A NaN index passes here and fails the range check of ``Profile2D``."""
+    A NaN index passes here and fails the solver's range check in ``phi_at_gauss``."""
     if m < 0.0:
         raise ValueError("power-law index must be >= 0")
     values = (np.arange(n_elems + 1, dtype=float) / n_elems) ** m

@@ -25,7 +25,6 @@ from .fem import (
     ThermoelasticSolver,
     shape9,
 )
-from .profiles import Profile2D
 from .rng import make_rng
 from . import problems
 
@@ -42,7 +41,7 @@ class Check:
 
 
 def _uniform(phi, cfg: ProblemConfig):
-    return Profile2D(np.full((cfg.nx + 1, cfg.ny + 1), float(phi)))
+    return np.full((cfg.nx + 1, cfg.ny + 1), float(phi))
 
 
 def check_shape_partition_of_unity() -> Check:

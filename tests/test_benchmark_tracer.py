@@ -14,7 +14,6 @@ import numpy as np
 
 from fgmopt import neural
 from fgmopt.fem import MATERIALS, EdgeConstraint, MechBCSet, ProblemConfig, ThermoelasticSolver
-from fgmopt.profiles import Profile2D
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,7 +38,7 @@ def test_factor_is_traced(monkeypatch):
         thermal=None, uniform_delta_theta=10.0)
     t = tracer.Tracer()
     with t.installed():
-        ThermoelasticSolver(cfg).run(Profile2D(np.full((3, 3), 0.5)))
+        ThermoelasticSolver(cfg).run(np.full((3, 3), 0.5))
     counts = t.round_counts(t.round, bytes_written=0, redraws=0)
     assert counts["fem.factor.calls"] >= 1
     assert counts["fem.lu_nnz"] > 0

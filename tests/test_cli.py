@@ -7,6 +7,7 @@ import pytest
 
 from fgmopt import neural, problems
 from fgmopt.cli import main
+from fgmopt.fem import ThermoelasticSolver
 from fgmopt.profiles import generate_genes, genes_to_dict
 from fgmopt.rng import make_rng
 
@@ -294,11 +295,32 @@ class TestOptimize:
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": "3"}, "seed must be an integer, got '3'"),
         ({"seed": None}, "seed must be an integer, got None"),
+        # a GA count that is not an int failed after generation 0's solves, or ran silently
+        ({"ga": {"population_size": 10.0}}, "population_size must be an integer, got 10.0"),
+        ({"ga": {"tournament_size": 2.0}}, "tournament_size must be an integer, got 2.0"),
+        ({"ga": {"elite_count": 1.5}}, "elite_count must be an integer, got 1.5"),
+        ({"ga": {"min_generations": 2.5}}, "min_generations must be an integer, got 2.5"),
+        ({"ga": {"max_generations": 2.5}}, "max_generations must be an integer, got 2.5"),
+        ({"ga": {"max_generations": -3}}, "max_generations must be None or >= 1, got -3"),
+        # a limit of 0 divided by zero in the hinge, and a weight below 0 rewarded a violation
+        ({"sigma_allow": 0}, "sigma_allow must be a finite number > 0, got 0"),
+        ({"v_star": 0}, "v_star must be a finite number > 0, got 0"),
+        ({"v_star": "0.15"}, "v_star must be a finite number > 0, got '0.15'"),
+        ({"penalty_weight": "1"}, "penalty_weight must be a finite number > 0, got '1'"),
+        ({"penalty_weight": -5}, "penalty_weight must be a finite number > 0, got -5"),
+        ({"sigma_star": "1e8"}, "sigma_star must be None or a number >= 0, got '1e8'"),
     ], ids=["empty-tournament", "nan-threshold", "negative-threshold", "nan-stall-tolerance",
             "negative-stall-generations", "ga-seed", "ga-threshold", "float-seed", "bool-seed",
-            "string-seed", "null-seed"])
+            "string-seed", "null-seed", "float-population", "float-tournament",
+            "fractional-elites", "fractional-min-generations", "fractional-max-generations",
+            "negative-max-generations", "zero-stress-limit", "zero-fraction-limit",
+            "string-fraction-limit", "string-penalty-weight", "negative-penalty-weight",
+            "string-threshold"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
-                                                                    override, key):
+                                                                    monkeypatch, override, key):
+        # every solve samples its profile there: a config error must come before the first
+        monkeypatch.setattr(ThermoelasticSolver, "phi_at_gauss",
+                            lambda *a: pytest.fail("a solve ran before the config was checked"))
         cfg = problems.problem2()
         model = tmp_path / "stress.json"
         neural.save_model(neural.StressSurrogate.build(0, cfg.nx + 1, cfg.ny + 1,
@@ -306,10 +328,9 @@ class TestOptimize:
         path = self.write_exp(tmp_path)
         exp = json.loads(path.read_text())
         exp["ga"].update(override.get("ga", {}))
+        exp.update({k: v for k, v in override.items() if k != "ga"})
         if "sigma_star" in override:
-            exp.update(sigma_star=override["sigma_star"], models={"stress": str(model)})
-        if "seed" in override:
-            exp["seed"] = override["seed"]
+            exp["models"] = {"stress": str(model)}
         path.write_text(json.dumps(exp))
         code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
                                  "--out", str(tmp_path / "r"))

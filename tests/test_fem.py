@@ -27,7 +27,7 @@ from fgmopt.fem import (
     shape9,
     write_result_files,
 )
-from fgmopt.profiles import Profile2D, grid_points, interpolate
+from fgmopt.profiles import BOUND_TOL, grid_points, interpolate
 from fgmopt.rng import make_rng
 from fgmopt.verification import check_energy_balance
 from fgmopt import fem, problems
@@ -35,7 +35,7 @@ from fem_oracle import dof_pattern, free_in_node_order
 
 
 def uniform_profile(phi, nx, ny):
-    return Profile2D(np.full((nx + 1, ny + 1), float(phi)))
+    return np.full((nx + 1, ny + 1), float(phi))
 
 
 def effective_stress_tensor(sigma) -> float:
@@ -127,7 +127,7 @@ class TestThermal:
         # 1D resistance includes a log term for the ramp
         n = 40
         vals = np.where(np.arange(n + 1) <= 19, 0.0, 1.0)
-        prof = Profile2D(np.tile(vals[:, None], (1, 3)))
+        prof = np.tile(vals[:, None], (1, 3))
         pair = MATERIALS["Ni/Al2O3"]
         cfg = ProblemConfig(
             L=1.0, H=0.1, nx=n, ny=2, materials=pair, mech=simple_mech(),
@@ -442,7 +442,7 @@ class TestReducedAssembly:
                            tractions=(EdgeTraction("top", tx=self.TX, ty=self.TY),)),
             mode="plane_strain")
         s = ThermoelasticSolver(cfg)
-        prof = Profile2D(make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)))
+        prof = make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1))
         return s, prof, material_at(self.PAIR, 1.0 - s.phi_at_gauss(prof))
 
     def test_thermal_matches_dense_oracle(self):
@@ -507,20 +507,55 @@ class TestReducedAssembly:
         # the solver's weights are taken at the exact Gauss coordinates, the oracle's
         # from gauss_xy, so the two differ in the last bits only
         s, _, _ = self.system()
-        prof = Profile2D(make_rng(9).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1)))
+        prof = make_rng(9).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1))
         xy = s.gauss_xy.reshape(-1, 2)
         expect = interpolate(prof, xy[:, 0], xy[:, 1], self.L, self.H).reshape(s.mesh.n_elems, 9)
         np.testing.assert_allclose(s.phi_at_gauss(prof), expect, rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def solve_entries(s, prof):
+        """Every public solver entry that samples a profile, as a function of the profile."""
+        theta = s.solve_thermal(prof)
+        u = s.solve_elastic(prof, theta)
+        return (s.run, s.solve_thermal, s.thermal_system, s.v_ca, s.phi_at_gauss,
+                lambda p: s.solve_elastic(p, theta), lambda p: s.gauss_stress(p, u, theta))
 
     @pytest.mark.parametrize("shape", [(8, 3), (4, 5)], ids=["other-grid", "transposed-grid"])
     def test_a_profile_off_the_plates_vertex_grid_is_rejected(self, shape):
         # the transposed grid has as many nodes as the plate's 5 x 4 vertices
         s, prof, _ = self.system()
-        theta = s.solve_thermal(prof)
-        bad = Profile2D(make_rng(9).uniform(0.0, 1.0, shape))
-        for solve in (s.run, s.solve_thermal, lambda p: s.solve_elastic(p, theta)):
+        bad = make_rng(9).uniform(0.0, 1.0, shape)
+        for solve in self.solve_entries(s, prof):
             with pytest.raises(DimensionMismatch, match=rf"{shape[0]} x {shape[1]} nodes.* 5 x 4$"):
                 solve(bad)
+
+    def test_a_profile_value_outside_0_1_is_rejected_by_every_solve(self):
+        s, prof, _ = self.system()
+        entries = self.solve_entries(s, prof)
+        for value in (2.0, np.nan, -0.5, 1.0 + 2 * BOUND_TOL, -2 * BOUND_TOL):
+            bad = prof.copy()
+            bad[2, 1] = value
+            for solve in entries:
+                with pytest.raises(PhiOutOfRange, match=r"must lie in \[0, 1\]$"):
+                    solve(bad)
+
+    def test_a_grid_within_tolerance_solves_to_the_bits_of_its_clipped_copy(self):
+        s, prof, _ = self.system()
+        inside = prof.copy()
+        inside[0, 0], inside[2, 1], inside[-1, -1] = -BOUND_TOL, -0.5 * BOUND_TOL, 1.0 + BOUND_TOL
+        given = inside.copy()
+        clipped = np.clip(inside, 0.0, 1.0)
+        assert clipped[0, 0] == clipped[2, 1] == 0.0 and clipped[-1, -1] == 1.0
+        got, want = s.run(inside), s.run(clipped)
+        for name in ("nodal_temperature", "nodal_displacement", "gauss_effective_stress",
+                     "temperature_grid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.summary() == want.summary()
+        for sample in (s.phi_at_gauss, s.v_ca, lambda p: s.thermal_system(p)[0].data):
+            assert np.asarray(sample(inside)).tobytes() == np.asarray(sample(clipped)).tobytes()
+        # the caller's array is neither clipped nor copied: the result holds it as given
+        assert inside.tobytes() == given.tobytes() and inside.flags.writeable
+        assert got.profile is inside
 
 
 def patch_config(**kw):
@@ -601,10 +636,9 @@ class TestPostprocessing:
         s = ThermoelasticSolver(cfg)
         rng = make_rng(8)
         grid = rng.uniform(0, 1, (cfg.nx + 1, cfg.ny + 1))
-        prof = Profile2D(grid)
         wx, wy = np.ones(cfg.nx + 1), np.ones(cfg.ny + 1)  # trapezoid weights
         wx[[0, -1]] = wy[[0, -1]] = 0.5
-        assert s.v_ca(prof) == pytest.approx(wx @ grid @ wy / (cfg.nx * cfg.ny), abs=1e-12)
+        assert s.v_ca(grid) == pytest.approx(wx @ grid @ wy / (cfg.nx * cfg.ny), abs=1e-12)
 
     def test_max_metal_temperature_masks_pure_ceramic(self):
         cfg = problems.problem2()
@@ -612,7 +646,7 @@ class TestPostprocessing:
         prof = problems.power_law_reference(cfg, 1.0, "y")  # top row phi = 1
         r = s.run(prof)
         grid_t = s.temperature_on_profile_grid(r.nodal_temperature)
-        metal_max = grid_t[prof.grid < 1.0].max()
+        metal_max = grid_t[prof < 1.0].max()
         assert r.max_metal_temperature == pytest.approx(metal_max)
         assert r.max_metal_temperature < grid_t.max()  # hottest nodes are ceramic
 
@@ -635,7 +669,7 @@ class TestPostprocessing:
         for n in (10, 20, 40):
             pts = grid_points(cfg.L, cfg.H, n, n)
             fine = interpolate(coarse, pts[:, 0], pts[:, 1], cfg.L, cfg.H).reshape(n + 1, n + 1)
-            r = ThermoelasticSolver(replace(cfg, nx=n, ny=n)).run(Profile2D(fine))
+            r = ThermoelasticSolver(replace(cfg, nx=n, ny=n)).run(fine)
             vals.append(r.sigma_e_max)
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         print(f"refinement sigma_e_max: {[f'{v/1e6:.2f}' for v in vals]} MPa, deltas {d1/1e6:.3f}, {d2/1e6:.3f}")
@@ -660,7 +694,7 @@ class TestPostprocessing:
         columns = {
             "temperature.csv": (m.coords[:, 0], m.coords[:, 1], r.nodal_temperature),
             "effective_stress.csv": (g[:, 0], g[:, 1], r.gauss_effective_stress.ravel()),
-            "volume_fraction.csv": (pts[:, 0], pts[:, 1], r.profile.grid.ravel()),
+            "volume_fraction.csv": (pts[:, 0], pts[:, 1], r.profile.ravel()),
         }
         for name, (xs, ys, vals) in columns.items():
             assert (out / name).read_text().splitlines()[0] == "x,y,value"

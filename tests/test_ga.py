@@ -280,6 +280,15 @@ class TestStaticPenalty:
         # an inactive constraint's value is not read
         assert static_penalty({**ok, "v_ca": math.nan}, spec) == 0.0
 
+    @pytest.mark.parametrize("name", ["v_star", "theta_max", "sigma_allow", "penalty_weight"])
+    @pytest.mark.parametrize("value", [0, 0.0, -5, math.nan, math.inf, "1", True],
+                             ids=["zero", "float-zero", "negative", "nan", "inf", "string", "bool"])
+    def test_rejects_a_limit_or_weight_that_is_not_a_positive_number(self, name, value):
+        # value / limit - 1 reads "above the limit" only for a limit above 0,
+        # and a weight below 0 would reward a violation
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, got "):
+            ConstraintSpec(**{name: value})
+
     def test_weight_scaling_preserves_feasibility_and_ranking(self):
         rng = make_rng(9)
         cands = [{"sigma_e_max": rng.uniform(50e6, 250e6), "v_ca": rng.uniform(0, 1),
@@ -316,7 +325,9 @@ class TestHybridDispatch:
     @pytest.mark.parametrize("sigma_star, match", [
         (float("nan"), "sigma_star .* got nan"),
         (-1.0, "sigma_star .* got -1.0"),
-    ], ids=["nan-threshold", "negative-threshold"])
+        ("1e8", "sigma_star .* got '1e8'"),
+        (True, "sigma_star .* got True"),
+    ], ids=["nan-threshold", "negative-threshold", "string-threshold", "bool-threshold"])
     def test_rejects_a_threshold_it_cannot_route_by(self, sigma_star, match):
         with pytest.raises(ValueError, match=match):
             FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max",
@@ -367,7 +378,7 @@ class TestHybridDispatch:
         for _ in range(20):
             genes = generate_genes(rng, 6, 6)
             px, py = genes_to_profiles(genes, 6, 6)
-            metal = np.flatnonzero(tensor_product(px, py).grid.ravel() < 1.0)
+            metal = np.flatnonzero(tensor_product(px, py).ravel() < 1.0)
             assert ev.evaluate(genes).max_metal_temperature == float(metal[-1])
 
     def test_fem_only_mode_records_no_prediction(self):
@@ -501,10 +512,21 @@ class TestEvolve:
         (dict(mutation_probability=1.5), r"mutation_probability .* got 1.5"),
         (dict(stall_generations=-1), "stall_generations .* got -1"),
         (dict(stall_generations=-5), "stall_generations .* got -5"),
+        (dict(population_size=10.0), "population_size must be an integer, got 10.0"),
+        (dict(tournament_size=2.0), "tournament_size must be an integer, got 2.0"),
+        (dict(elite_count=1.5), "elite_count must be an integer, got 1.5"),
+        (dict(min_generations=2.5), "min_generations must be an integer, got 2.5"),
+        (dict(stall_generations=True), "stall_generations must be an integer, got True"),
+        (dict(max_generations=2.5), "max_generations must be an integer, got 2.5"),
+        (dict(max_generations=-3), "max_generations must be None or >= 1, got -3"),
+        (dict(max_generations=0), "max_generations must be None or >= 1, got 0"),
     ], ids=["empty-tournament", "tournament-above-population",
             "nan-stall-tolerance", "negative-stall-tolerance",
             "nan-mutation", "negative-mutation", "mutation-above-one",
-            "negative-stall-window", "stall-window-past-the-trace"])
+            "negative-stall-window", "stall-window-past-the-trace",
+            "float-population", "float-tournament", "fractional-elites",
+            "fractional-min-generations", "bool-stall-window", "fractional-max-generations",
+            "negative-max-generations", "zero-max-generations"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.make_config(**bad)

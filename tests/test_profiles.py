@@ -8,7 +8,6 @@ from fgmopt import problems, profiles
 from fgmopt.errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
 from fgmopt.profiles import (
     ALPHA_UPPER_MAX,
-    Profile2D,
     average_ceramic_fraction,
     bilinear_shape,
     gene_bounds,
@@ -55,25 +54,6 @@ class TestTypes:
             genes_to_profiles(np.resize(lower, n_genes), 5, 3)
         with pytest.raises(DimensionMismatch, match=r"vector of 8 genes, got shape \(8, 1\)"):
             genes_to_profiles(lower[:, None], 5, 3)
-
-    def test_profile2d_invariants(self):
-        with pytest.raises(PhiOutOfRange):
-            Profile2D(np.array([[0.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(PhiOutOfRange):
-            Profile2D(np.array([[0.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            Profile2D(np.ones((1, 3)))
-
-    def test_values_within_tolerance_are_clipped_into_a_copy(self):
-        tol = 0.5e-9  # inside _BOUND_TOL
-        grid = np.array([[-tol, 0.5], [0.25, 1.0 + tol]])
-        np.testing.assert_array_equal(Profile2D(grid).grid, [[0.0, 0.5], [0.25, 1.0]])
-        # in-range input is copied too: the caller's array stays writable and apart
-        inside = np.array([[0.0, 0.5], [0.25, 1.0]])
-        q = Profile2D(inside)
-        inside[0, 1] = 0.75
-        assert q.grid[0, 1] == 0.5 and grid[1, 1] == 1.0 + tol
-        assert inside.flags.writeable and not q.grid.flags.writeable
 
 
 class TestGeneration:
@@ -194,7 +174,7 @@ class TestReplayMatchesRecursion:
             genes_to_profiles(gene_vector(np.nan, 0.05, alphas, alphas), 6, 6)
 
     def test_ratios_admitted_just_below_one_decode_as_one(self):
-        # decoding admits a ratio up to _BOUND_TOL below 1; taken as is, 39 of them would
+        # decoding admits a ratio up to BOUND_TOL below 1; taken as is, 39 of them would
         # push phi_x1 0.5 past 1 after the end rescaling and decoding would raise
         cfg = problems.problem1()
         alphas_y = np.full(cfg.ny - 1, 1.5)
@@ -207,7 +187,7 @@ class TestReplayMatchesRecursion:
 
 def edge_designs(nx, ny):
     """Gene vectors on the edges of the admitted box of an nx-by-ny plate."""
-    tol = 5e-10  # inside _BOUND_TOL
+    tol = 5e-10  # inside BOUND_TOL
     lower, upper = gene_bounds(nx, ny)
     mid = (lower + upper) / 2
     designs = []
@@ -284,19 +264,19 @@ class TestDecodingMatchesRecursion:
 class TestTensorProductAndInterpolation:
     def test_outer_product_exact(self):
         p2 = tensor_product(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(p2.grid, [[0, 0], [0, 0.5], [0, 1]])
+        np.testing.assert_array_equal(p2, [[0, 0], [0, 0.5], [0, 1]])
 
     def test_all_ones_column_recovers_px(self):
         px = np.array([0.0, 0.3, 0.7, 1.0])
         p2 = tensor_product(px, np.array([0.0, 1.0, 1.0]))
         for j in (1, 2):
-            np.testing.assert_array_equal(p2.grid[:, j], px)
+            np.testing.assert_array_equal(p2[:, j], px)
 
     def test_monotone_factors_give_monotone_grid(self):
         rng = make_rng(42)
         for _ in range(1000):
             px, py = genes_to_profiles(generate_genes(rng, 10, 10), 10, 10)
-            g = tensor_product(px, py).grid
+            g = tensor_product(px, py)
             assert np.all(np.diff(g, axis=0) >= -1e-15)
             assert np.all(np.diff(g, axis=1) >= -1e-15)
 
@@ -309,27 +289,26 @@ class TestTensorProductAndInterpolation:
     def test_interpolation_reproduces_nodes_and_cell_means(self):
         rng = make_rng(11)
         grid = rng.uniform(0, 1, (5, 4))
-        p = Profile2D(grid)
         xs = np.linspace(0, 2.0, 5)
         ys = np.linspace(0, 1.5, 4)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                assert interpolate(p, x, y, 2.0, 1.5) == pytest.approx(grid[i, j], abs=1e-13)
+                assert interpolate(grid, x, y, 2.0, 1.5) == pytest.approx(grid[i, j], abs=1e-13)
         # cell centre = mean of 4 corners
         xc, yc = 0.5 * (xs[0] + xs[1]), 0.5 * (ys[0] + ys[1])
-        assert interpolate(p, xc, yc, 2.0, 1.5) == pytest.approx(grid[:2, :2].mean(), abs=1e-13)
+        assert interpolate(grid, xc, yc, 2.0, 1.5) == pytest.approx(grid[:2, :2].mean(), abs=1e-13)
 
     def test_interpolation_bounded_by_corners(self):
         rng = make_rng(12)
-        p = Profile2D(rng.uniform(0, 1, (6, 6)))
+        p = rng.uniform(0, 1, (6, 6))
         x = rng.uniform(0, 1, 500)
         y = rng.uniform(0, 1, 500)
         vals = interpolate(p, x, y, 1.0, 1.0)
-        assert vals.min() >= p.grid.min() - 1e-12
-        assert vals.max() <= p.grid.max() + 1e-12
+        assert vals.min() >= p.min() - 1e-12
+        assert vals.max() <= p.max() + 1e-12
 
     def test_out_of_domain_raises(self):
-        p = Profile2D(np.zeros((3, 3)))
+        p = np.zeros((3, 3))
         with pytest.raises(OutOfDomain):
             interpolate(p, 1.5, 0.5, 1.0, 1.0)
         with pytest.raises(OutOfDomain):
@@ -398,7 +377,7 @@ class TestAverages:
             rng = make_rng(22)
             for _ in range(1000):
                 px, py = genes_to_profiles(generate_genes(rng, cfg.nx, cfg.ny), cfg.nx, cfg.ny)
-                want = tensor_trapezoid_mean(tensor_product(px, py).grid)
+                want = tensor_trapezoid_mean(tensor_product(px, py))
                 assert average_ceramic_fraction(px, py) == pytest.approx(want, rel=1e-15, abs=0)
 
 
@@ -419,7 +398,7 @@ class TestMetalMaximum:
         rng = make_rng(23)
         for _ in range(200):
             px, py = genes_to_profiles(generate_genes(rng, cfg.nx, cfg.ny), cfg.nx, cfg.ny)
-            grid = tensor_product(px, py).grid
+            grid = tensor_product(px, py)
             assert grid[0, 0] == 0.0
             assert metal_maximum(np.arange(grid.size, dtype=float), grid.ravel()) >= 0.0
 
@@ -428,6 +407,6 @@ class TestAxisProfiles:
     def test_axis_y_uniform_in_x(self):
         cfg = replace(problems.problem2(), L=2.0, H=1.0, nx=3, ny=4)
         p = problems.power_law_reference(cfg, 1.0, "y")
-        assert p.grid.shape == (4, 5)
+        assert p.shape == (4, 5)
         for i in range(4):
-            np.testing.assert_allclose(p.grid[i], [0, 0.25, 0.5, 0.75, 1.0])
+            np.testing.assert_allclose(p[i], [0, 0.25, 0.5, 0.75, 1.0])
