@@ -145,10 +145,6 @@ class ThermalBCSet:
     def on(self, edge: str):
         return getattr(self, edge)
 
-    def is_well_posed(self) -> bool:
-        conds = [self.on(e) for e in EDGES]
-        return any(isinstance(c, (Dirichlet, Convection)) for c in conds)
-
 
 @dataclass(frozen=True)
 class EdgeConstraint:
@@ -206,8 +202,8 @@ class ProblemConfig:
     def __post_init__(self):
         if self.mode not in ("plane_strain", "plane_stress"):
             raise ValueError("mode must be plane_strain or plane_stress")
-        if self.thermal is None and self.uniform_delta_theta is None:
-            raise ValueError("need thermal BCs or a uniform temperature change")
+        if (self.thermal is None) == (self.uniform_delta_theta is None):
+            raise ValueError("need exactly one of thermal BCs and a uniform temperature change")
         if self.L <= 0 or self.H <= 0 or self.nx < 1 or self.ny < 1:
             raise ValueError("bad geometry or mesh density")
 
@@ -494,9 +490,9 @@ class ThermoelasticSolver:
         cfg, mesh = self.config, self.mesh
         if cfg.thermal is None:
             return
-        if not cfg.thermal.is_well_posed():
-            raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
         bcs = [(e, cfg.thermal.on(e)) for e in EDGES]
+        if not any(isinstance(bc, (Dirichlet, Convection)) for _, bc in bcs):
+            raise SingularSystem("thermal problem needs a Dirichlet or convection edge")
         # later edges in EDGES order override shared corners
         self.dirichlet_nodes, self.dirichlet_vals = self._prescribed(
             [(mesh.edge_nodes(e), 0, bc.value) for e, bc in bcs if isinstance(bc, Dirichlet)], 1)

@@ -44,21 +44,28 @@ import numpy as np
 
 from .errors import MissingSummary
 from .fem import ThermoelasticSolver
-from .profiles import (
-    average_ceramic_fraction,
-    gene_bounds,
-    generate_genes,
-    genes_to_profiles,
-    grid_points,
-    metal_maximum,
-    tensor_product,
-)
+from .profiles import (average_ceramic_fraction, gene_bounds, generate_genes, genes_to_profiles,
+                       grid_points, metal_maximum, tensor_product)
 from .rng import derived_rng, make_rng
 
 log = logging.getLogger(__name__)
 
 _SBX_EPS = 1e-14
 ETA_C_BASE, ETA_M_BASE = 2.0, 10.0
+
+
+# each objective that FitnessEvaluator scores, with the defaults it sets in its own units:
+# every constraint's penalty weight, and the GA's stall tolerance (1e3 Pa = 0.001 MPa)
+OBJECTIVES = {
+    "sigma_e_max": {"penalty_weight": 1.0e8, "stall_tolerance": 1.0e3},
+    "v_ca": {"penalty_weight": 100.0, "stall_tolerance": 0.01},
+}
+
+
+def objective_spec(objective: str) -> dict:
+    if not isinstance(objective, str) or objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    return OBJECTIVES[objective]
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class GAConfig:
     elite_count: int = 2
     min_generations: int = 50
     stall_generations: int = 10
-    stall_tolerance: float = 1.0e3  # objective units; 1e3 Pa = 0.001 MPa
+    stall_tolerance: float = OBJECTIVES["sigma_e_max"]["stall_tolerance"]  # objective units
     max_generations: int | None = None
 
     def __post_init__(self):
@@ -104,7 +111,7 @@ class ConstraintSpec:
     v_star: float | None = None  # average ceramic fraction limit
     theta_max: float | None = None  # max temperature over the metallic region
     sigma_allow: float | None = None  # peak effective stress limit [Pa]
-    penalty_weight: float = 1.0e8  # shared by every constraint, objective units
+    penalty_weight: float = OBJECTIVES["sigma_e_max"]["penalty_weight"]  # shared, objective units
 
     def __post_init__(self):
         # the hinge value / limit - 1 reads "above the limit" only for a limit above 0,
@@ -235,8 +242,7 @@ class FitnessEvaluator:
     def __init__(self, solver: ThermoelasticSolver, objective: str,
                  constraints: ConstraintSpec, sigma_star: float | None = None,
                  stress_model=None, temp_model=None):
-        if objective not in ("sigma_e_max", "v_ca"):
-            raise ValueError("objective must be sigma_e_max or v_ca")
+        objective_spec(objective)  # ValueError names an objective outside OBJECTIVES
         # NaN fails >=
         if sigma_star is not None and not (_is_number(sigma_star) and sigma_star >= 0.0):
             raise ValueError(f"sigma_star must be None or a number >= 0, got {sigma_star!r}")

@@ -473,11 +473,7 @@ def load_model(path):
     raise ValueError(f"unknown model kind {d['kind']!r}")
 
 
-# shipped training schedules
-STRESS_STAGES = {  # by problem id
-    "problem1": (TrainStage(1e-3, 20, 32), TrainStage(1e-4, 50, 32), TrainStage(5e-5, 200, 32)),
-    "problem2": (TrainStage(1e-3, 20, 32), TrainStage(1e-4, 100, 32), TrainStage(5e-5, 200, 32)),
-}
+# the operator's shipped schedule; each problem's stress schedule is in problems.PROBLEMS
 OPERATOR_STAGES = (  # batches of 4 samples, each over every grid point
     TrainStage(1e-3, 40, 4),
     TrainStage(1e-4, 20, 4),

@@ -24,7 +24,7 @@ import numpy as np
 from . import neural, problems, version_fingerprint
 from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
-from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
+from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, objective_spec, prediction_error
 from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
 from .rng import derived_rng
 
@@ -83,8 +83,7 @@ def split_indices(count: int, seed: int):
 
 def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: int = 1) -> dict:
     """Sample profiles, solve each, write train/test NDJSON plus manifest."""
-    if problem_id not in problems.PROBLEM_IDS:
-        raise ValueError(f"unknown problem id {problem_id!r}")
+    problems.problem_spec(problem_id)  # ValueError names an unknown id
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if threads < 1:
@@ -166,13 +165,13 @@ def _capped_split(dataset: dict, max_samples: int | None):
 
 def train_stress_model(dataset: dict, seed: int, stages=None, max_samples: int | None = None):
     """Fit the stress surrogate on a loaded dataset; returns (model, history)."""
-    problem_id = dataset["manifest"]["problem"]
-    cfg = problems.get_problem(problem_id)
-    stages = stages or neural.STRESS_STAGES[problem_id]
-    model = neural.StressSurrogate.build(
-        derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1, problems.stress_scale(cfg))
+    spec = problems.problem_spec(dataset["manifest"]["problem"])
+    cfg = spec.build()
+    model = neural.StressSurrogate.build(derived_rng(seed, 1), cfg.nx + 1, cfg.ny + 1,
+                                         spec.stress_scale)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"], dataset["sigma_e_max"],
-                        _capped_split(dataset, max_samples), stages, derived_rng(seed, 2))
+                        _capped_split(dataset, max_samples), stages or spec.stress_stages,
+                        derived_rng(seed, 2))
     return model, history
 
 
@@ -198,7 +197,7 @@ def train_temperature_model(dataset: dict, seed: int, stages=None,
 
 def _constraints_from(case_spec: dict, overrides: dict) -> ConstraintSpec:
     """The objective's penalty weight, then the case's limits, then the non-null overrides."""
-    merged = {"penalty_weight": 1.0e8 if case_spec["objective"] == "sigma_e_max" else 100.0,
+    merged = {"penalty_weight": objective_spec(case_spec["objective"])["penalty_weight"],
               **case_spec, **{k: v for k, v in overrides.items() if v is not None}}
     return ConstraintSpec(**{f.name: merged[f.name] for f in fields(ConstraintSpec)
                              if f.name in merged})
@@ -237,13 +236,15 @@ def _load_model_for(path, kind, config):
 def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     """Wire evaluator + GA for one experiment config, verify and export.
 
-    ``exp`` keys: problem (problem1|problem2), case (unconstrained|case1..4),
-    sigma_star (null = FEM only), models {stress, temperature}, the constraint
-    overrides v_star, theta_max, sigma_allow and penalty_weight, seed, and ga,
-    whose keys are GAConfig's fields: population_size, tournament_size,
-    mutation_probability, elite_count, min_generations, stall_generations,
-    stall_tolerance, max_generations.  Any other key, at either level, is
-    rejected by name.  The run's seed is ``seed`` if given, else the file's
+    ``exp`` keys: problem (a ``problems.PROBLEMS`` id), case (one that its row
+    ships), sigma_star (null = FEM only), models (an object of string paths,
+    stress and temperature), the constraint overrides v_star, theta_max,
+    sigma_allow and penalty_weight, seed, and ga, whose keys are GAConfig's
+    fields.  Any other key, at either level, is rejected by name.  Defaults:
+    case is unconstrained; the limits are the case's ``CASE_DEFAULTS`` entry;
+    penalty_weight and ga.stall_tolerance are its objective's ``ga.OBJECTIVES``
+    row; ga.mutation_probability is the problem's row; the other ga fields
+    are GAConfig's.  The run's seed is ``seed`` if given, else the file's
     seed, else 0; it must be an int (not a bool), and run_record.json records it.
     """
     unknown = sorted(set(exp) - EXPERIMENT_KEYS)
@@ -253,21 +254,18 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     if not isinstance(run_seed, int) or isinstance(run_seed, bool):
         raise ValueError(f"seed must be an integer, got {run_seed!r}")
     problem_id = exp["problem"]
-    case = exp.get("case", "unconstrained")
-    if case not in problems.CASE_DEFAULTS:
-        raise ValueError(f"unknown case {case!r}")
-    if problem_id == "problem1" and case != "unconstrained" and case != "case1":
-        raise ValueError("problem1 ships as unconstrained optimization only")
-    solver = _solver_for(problem_id)
-    config = solver.config
-    case_spec = problems.CASE_DEFAULTS[case]
+    case_spec = problems.case_defaults(problem_id, exp.get("case", "unconstrained"))
+    paths = exp.get("models", {})
+    if not (isinstance(paths, dict) and all(isinstance(v, str) for v in paths.values())):
+        raise ValueError(f"models must be an object of string paths, got {paths!r}")
     constraints = _constraints_from(case_spec, exp)
     objective = case_spec["objective"]
+    solver = _solver_for(problem_id)
+    config = solver.config
 
     sigma_star = exp.get("sigma_star")
     stress_model = temp_model = None
     if sigma_star is not None:
-        paths = exp.get("models", {})
         if "stress" not in paths or not pathlib.Path(paths["stress"]).exists():
             raise MissingModel("surrogate run needs models.stress")
         stress_model = _load_model_for(paths["stress"], neural.StressSurrogate, config)
@@ -280,9 +278,9 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
     if unknown:
         raise ValueError(f"unknown ga keys {unknown}")
-    ga_config = GAConfig(**{"mutation_probability": problems.mutation_probability(config),
-                            "stall_tolerance": 1.0e3 if objective == "sigma_e_max" else 0.01,
-                            **ga_overrides})
+    ga_config = GAConfig(**{
+        "mutation_probability": problems.problem_spec(problem_id).mutation_probability,
+        "stall_tolerance": objective_spec(objective)["stall_tolerance"], **ga_overrides})
     evaluator = FitnessEvaluator(solver, objective, constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fgmopt import neural, problems
+from fgmopt import neural, pipeline, problems
 from fgmopt.cli import main
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.profiles import generate_genes, genes_to_dict
@@ -348,6 +348,27 @@ class TestOptimize:
         assert code == 1 and out == ""
         assert "unknown experiment keys ['sigma_starr', 'v_starr']" in err
         assert '"generation"' not in err and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("override, key", [
+        # a string failed a substring test and a number failed in pathlib, both exiting 2
+        ({"models": "stress.json"}, "models must be an object of string paths"),
+        ({"models": {"stress": 5}}, "models must be an object of string paths"),
+        ({"problem": "problem3"}, "unknown problem id 'problem3'"),
+        ({"case": "case9"}, "unknown case 'case9'"),
+        ({"problem": "problem1", "case": "case3"}, "unknown case 'case3' for problem1"),
+    ], ids=["string-models", "number-model-path", "unknown-problem", "unknown-case",
+            "case-problem1-does-not-ship"])
+    def test_experiment_outside_the_tables_exits_1_before_any_build(self, capsys, tmp_path,
+                                                                   monkeypatch, override, key):
+        monkeypatch.setattr(pipeline, "_solver_for", lambda *a: pytest.fail("a solver was built"))
+        monkeypatch.setattr(neural, "load_model", lambda *a: pytest.fail("a model was loaded"))
+        path = self.write_exp(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "sigma_star": 0.0,
+                                    **override}))
+        code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {key}") and not (tmp_path / "r").exists()
 
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",

@@ -215,6 +215,14 @@ class TestThermal:
             s.thermal_system(prof)
         assert np.all(s.run(prof).nodal_temperature == 10.0)
 
+    def test_thermal_bcs_with_a_uniform_change_are_rejected(self):
+        # run() took the uniform change and ignored the thermal BCs, and a dataset row
+        # of such a config lost its temperature grid
+        with pytest.raises(ValueError, match="need exactly one of thermal BCs and a uniform"):
+            replace(problems.problem2(), uniform_delta_theta=-700.0)
+        with pytest.raises(ValueError, match="need exactly one of thermal BCs and a uniform"):
+            replace(problems.problem1(), uniform_delta_theta=None)
+
     def test_stiffness_symmetry(self):
         cfg = problems.problem2()
         s = ThermoelasticSolver(cfg)

@@ -1,16 +1,19 @@
 import json
+import logging
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fgmopt import ga, neural, pipeline, problems
-from fgmopt.errors import DimensionMismatch, MissingModel
+from fgmopt.errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.ga import prediction_error
 from fgmopt.neural import TrainStage
-from fgmopt.profiles import genes_from_dict, genes_to_profiles, grid_points, tensor_product
-from fgmopt.rng import make_rng
+from fgmopt.profiles import (genes_from_dict, genes_to_dict, genes_to_profiles, generate_genes,
+                             grid_points, tensor_product)
+from fgmopt.rng import derived_rng, make_rng
 
 
 def tiny_operator(nx_nodes, ny_nodes, L, H):
@@ -87,6 +90,49 @@ class TestDatasetGeneration:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="train.ndjson"):
             pipeline.load_dataset(d)
+
+    def test_a_singular_draw_is_redrawn_from_its_replacement_stream(self, tmp_path,
+                                                                   monkeypatch, caplog):
+        sample = pipeline._sample_record
+
+        def singular_first_draw_of_2(problem_id, seed, index, attempt=0):
+            if index == 2 and attempt == 0:
+                raise SingularSystem("forced")
+            return sample(problem_id, seed, index, attempt)
+
+        clean, _ = gen(tmp_path, "clean", count=5, seed=4)
+        monkeypatch.setattr(pipeline, "_sample_record", singular_first_draw_of_2)
+        with caplog.at_level(logging.WARNING, logger="fgmopt.pipeline"):
+            redrawn, _ = gen(tmp_path, "redrawn", count=5, seed=4)
+
+        def lines(d):
+            rows = [line for part in ("train", "test")
+                    for line in (d / f"{part}.ndjson").read_text().splitlines()]
+            return {json.loads(line)["index"]: line for line in rows}
+
+        before, after = lines(clean), lines(redrawn)
+        assert after.keys() == before.keys() == set(range(5))
+        assert all(after[i] == before[i] for i in (0, 1, 3, 4))
+        cfg = problems.problem2()
+        genes = generate_genes(derived_rng(4, pipeline.REPLACEMENT_STREAM, 2, 1), cfg.nx, cfg.ny)
+        assert json.loads(after[2])["genes"] == genes_to_dict(genes, cfg.nx) != \
+            json.loads(before[2])["genes"]
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("fgmopt.pipeline", logging.WARNING)]
+        assert "sample 2 attempt 0 failed (forced)" in caplog.records[0].getMessage()
+
+    def test_100_consecutive_singular_draws_fail_the_sample(self, monkeypatch, caplog):
+        attempts = []
+
+        def singular(problem_id, seed, index, attempt=0):
+            attempts.append(attempt)
+            raise SingularSystem("forced")
+
+        monkeypatch.setattr(pipeline, "_sample_record", singular)
+        with caplog.at_level(logging.WARNING, logger="fgmopt.pipeline"):
+            with pytest.raises(SolveFailure, match="sample 3: 100 consecutive solve failures"):
+                pipeline._sample_with_replacement("problem2", 0, 3)
+        assert attempts == list(range(100)) and len(caplog.records) == 100
 
     def test_load_dataset_row_order(self, tmp_path):
         d, m = gen(tmp_path, "order", count=10, seed=13)
@@ -180,11 +226,12 @@ class TestExperiments:
             pipeline.run_experiment(exp, tmp_path / "x")
 
     def test_unknown_case_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown case 'case9' for problem2"):
             pipeline.run_experiment(self.tiny_exp(case="case9"), tmp_path / "x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown case 'case2' for problem1"):
             pipeline.run_experiment(self.tiny_exp(problem="problem1", case="case2"),
                                     tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_ga_keys_rejected_by_name(self, tmp_path):
         exp = self.tiny_exp()
@@ -285,3 +332,45 @@ class TestExperiments:
         bundle = pipeline.run_experiment({**exp, "sigma_star": 1e12}, tmp_path / "fem_routed")
         assert bundle["best"]["eval_source"] == "fem"
         assert bundle["surrogate_theta_rel_error"] is None
+
+
+class TestTables:
+    """A problem id, config name, case or objective outside its table raises
+    ValueError naming it."""
+
+    def test_unknown_problem_id(self, tmp_path):
+        for lookup in (problems.get_problem, problems.reference_config,
+                       lambda pid: problems.reference_profile(pid, 1.0),
+                       lambda pid: pipeline.generate_dataset(pid, 1, 0, tmp_path / "d")):
+            with pytest.raises(ValueError, match="unknown problem id 'problem3'"):
+                lookup("problem3")
+        assert not (tmp_path / "d").exists()
+
+    def test_config_name_outside_the_table(self):
+        derived = replace(problems.problem2(), nx=10)  # keeps its name, so its row
+        assert problems.stress_scale(derived) == problems.PROBLEMS["problem2"].stress_scale
+        for name in ("tiny", "problem2-reference"):
+            with pytest.raises(ValueError, match=f"unknown problem id '{name}'"):
+                problems.stress_scale(replace(derived, name=name))
+
+    def test_case_outside_the_problems_row(self):
+        assert problems.case_defaults("problem1", "unconstrained") == {"objective": "sigma_e_max"}
+        with pytest.raises(ValueError, match="unknown case 'case9' for problem2"):
+            problems.case_defaults("problem2", "case9")
+        with pytest.raises(ValueError, match="unknown case 'case3' for problem1"):
+            problems.case_defaults("problem1", "case3")
+        with pytest.raises(ValueError, match="unknown problem id 'problem3'"):
+            problems.case_defaults("problem3", "case1")
+
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError, match="unknown objective 'sigma_pn'"):
+            ga.objective_spec("sigma_pn")
+        with pytest.raises(ValueError, match="unknown objective 'sigma_pn'"):
+            ga.FitnessEvaluator(ThermoelasticSolver(problems.problem2()), "sigma_pn",
+                                ga.ConstraintSpec())
+
+    def test_every_shipped_case_objective_has_a_row_and_the_defaults_are_its_first(self):
+        assert {c["objective"] for c in problems.CASE_DEFAULTS.values()} == set(ga.OBJECTIVES)
+        first = ga.OBJECTIVES["sigma_e_max"]
+        assert ga.GAConfig().stall_tolerance == first["stall_tolerance"]
+        assert ga.ConstraintSpec().penalty_weight == first["penalty_weight"]
