@@ -172,8 +172,10 @@ class EdgeTraction:
 class MechBCSet:
     """Displacement constraints and edge tractions.
 
-    Defaults are traction-free; the constraint list must remove all
-    rigid-body modes (a singular solve raises otherwise).
+    Defaults are traction-free.  The constraints must remove the three
+    rigid-body modes: they do exactly when u1 is fixed somewhere, u2 is fixed
+    somewhere, and either u1 is fixed at two heights or u2 at two abscissae.
+    ``solve_elastic`` raises SingularSystem otherwise.
     """
 
     edges: tuple[EdgeConstraint, ...] = ()
@@ -510,17 +512,27 @@ class ThermoelasticSolver:
         self._thermal_f = f
 
     def _resolve_mech_bcs(self):
-        """Fixed-displacement table and the per-edge traction loads, once per solver."""
+        """Fixed-displacement table, whether it removes the rigid-body modes, and the
+        traction load vector, once per solver."""
         mech, mesh = self.config.mech, self.mesh
         comp = {"u1": 0, "u2": 1}
         entries = [(mesh.edge_nodes(ec.edge), comp[ec.component], ec.value) for ec in mech.edges]
         entries += [([mesh.corner_node(pc.corner)], comp[pc.component], 0.0) for pc in mech.points]
         self.fixed_dofs, self.fixed_vals = self._prescribed(entries, 2)
-        self._traction_loads = []
+        # the only rigid motion u1 = a - c y, u2 = b + c x that vanishes at every fixed dof
+        # is zero exactly when u1 is fixed at one height or more, u2 at one abscissa or
+        # more, and one of the two at two
+        xy = mesh.coords[self.fixed_dofs // 2]
+        counts = (np.unique(xy[self.fixed_dofs % 2 == 0, 1]).size,  # u1: heights
+                  np.unique(xy[self.fixed_dofs % 2 == 1, 0]).size)  # u2: abscissae
+        self._rigid_modes_removed = min(counts) >= 1 and max(counts) >= 2
+        f = np.zeros(2 * mesh.n_nodes)
         for tr in mech.tractions:
             enodes, half = mesh.edge_conn(tr.edge)
             ft = half * self.edge_load
-            self._traction_loads += [(2 * enodes, tr.tx * ft), (2 * enodes + 1, tr.ty * ft)]
+            _scatter_add(f, 2 * enodes, tr.tx * ft)
+            _scatter_add(f, 2 * enodes + 1, tr.ty * ft)
+        self._mech_f = f
 
     @functools.cached_property
     def _node_rank(self) -> np.ndarray:
@@ -597,15 +609,14 @@ class ThermoelasticSolver:
 
     def solve_elastic(self, profile: np.ndarray, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
-        if self.fixed_dofs.size == 0:
-            raise SingularSystem("no displacement constraints; rigid modes present")
+        if not self._rigid_modes_removed:
+            raise SingularSystem("displacement constraints leave a rigid-body mode free: fix u1 "
+                                 "and u2, and u1 at two heights or u2 at two abscissae")
         phi = self.phi_at_gauss(profile)
         mu, lam_eff, beta = self._blend_elastic(phi)
-        f = np.zeros(2 * self.mesh.n_nodes)
+        f = self._mech_f.copy()
         theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
         _scatter_add(f, self.elem_dofs, (beta * theta_g) @ self.elast_V)
-        for dofs, fe in self._traction_loads:
-            _scatter_add(f, dofs, fe)
         u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]) @ self.elast_P, f,
                                self.fixed_vals)
         return u.reshape(-1, 2)

@@ -311,15 +311,15 @@ class StressSurrogate:
         x = self.features(profiles_x, profiles_y)
         return self.net.forward(x)[:, 0] * self.output_scale
 
-    def fit(self, profiles_x, profiles_y, sigma_max, test_fraction_split, stages, rng):
-        """Train on scaled targets; ``test_fraction_split`` is (train_idx, test_idx).
+    def fit(self, profiles_x, profiles_y, sigma_max, split, stages, rng):
+        """Train on scaled targets; ``split`` is (train_idx, test_idx).
 
         Each step takes the mean squared error of the network output against
         ``sigma_max / output_scale`` over its batch of training samples.
         """
         x = self.features(profiles_x, profiles_y)
         y = (np.asarray(sigma_max, dtype=float) / self.output_scale).reshape(len(x), 1)
-        tr, te = test_fraction_split
+        tr, te = split
 
         def batch_grads(idx):
             rows = tr[idx]
@@ -332,7 +332,7 @@ class StressSurrogate:
 
         history = _train_staged(self.net.parameters(), len(tr), batch_grads, epoch_metrics,
                                 stages, rng)
-        self.fingerprint = _fit_fingerprint("stress_surrogate", stages, test_fraction_split)
+        self.fingerprint = _fit_fingerprint("stress_surrogate", stages, split)
         return history
 
     def to_dict(self) -> dict:

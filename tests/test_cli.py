@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fgmopt import neural, pipeline, problems
+from fgmopt import neural, pipeline, problems, verification
 from fgmopt.cli import main
 from fgmopt.fem import ThermoelasticSolver
 from fgmopt.profiles import generate_genes, genes_to_dict
@@ -382,5 +382,5 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) >= 8
+        assert len(lines) == len(verification.ALL_CHECKS)
         assert all(l.startswith("PASS") for l in lines)
