@@ -761,7 +761,8 @@ class _ReducedPattern:
 
     def assemble(self, ke: np.ndarray):
         """(Kff, Kfc) from element matrices ordered as ``conn``, by (node, component)."""
-        data = np.bincount(self.slot, weights=ke.ravel(), minlength=self.rows.size) + self.base
+        data = np.bincount(self.slot, weights=ke.ravel(), minlength=self.rows.size)
+        data += self.base
         nf, p, rows = self.free.size, self.ptr, self.rows
         Kff = sp.csc_matrix((data[:p[nf]], rows[:p[nf]], p[:nf + 1]), shape=(nf, nf))
         Kfc = sp.csc_matrix((data[p[nf]:p[-1]], rows[p[nf]:p[-1]], p[nf:] - p[nf]),

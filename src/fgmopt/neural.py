@@ -3,13 +3,15 @@
 Everything is plain numpy float64: explicit forward/backward passes, exact
 MSE gradients, Adam updates, and a staged learning-rate schedule (list of
 (learning rate, epochs, batch size) stages executed in order, shuffling each
-epoch with a seeded generator).  Both models' ``fit`` take the same step
-shape over ``_train_staged``: a closure that runs the forward pass on one
-minibatch, forms the mean-squared-error residual and returns
-``DenseNet.backward``'s gradients in ``parameters()`` order, and a closure
-that computes the epoch metrics.  For both models the batch size counts
-samples; the operator's loss for a batch covers every point of its samples'
-aligned temperature grids.  Training is deterministic given (seed, dataset
+epoch with a seeded generator).  ``DenseNet`` runs one in-place layer loop;
+training keeps each layer's input, and backprop takes each activation's
+derivative from the layer's output, so no pre-activation is kept.  Both
+models' ``fit`` take the same step shape over ``_train_staged``: a closure
+that runs the forward pass on one minibatch, forms the mean-squared-error
+residual and returns ``DenseNet.backward``'s gradients in ``parameters()``
+order, and a closure that computes the epoch metrics.  For both models the
+batch size counts samples; the operator's loss for a batch covers every point
+of its samples' aligned temperature grids.  Training is deterministic given (seed, dataset
 order, stages).
 
 Two model classes sit on top of the raw ``DenseNet``:
@@ -41,10 +43,10 @@ from . import version_fingerprint
 from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance
 from .rng import make_rng
 
-_ACT = {  # (activation, written into ``out`` when given; its derivative)
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z: (z > 0.0).astype(float)),
-    "tanh": (lambda z, out=None: np.tanh(z, out=out), lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z, out=None: z, lambda z: np.ones_like(z)),
+_ACT = {  # (activation applied in place to h, its derivative from the output y = act(z))
+    "relu": (lambda h: np.maximum(h, 0.0, out=h), lambda y: y > 0.0),
+    "tanh": (lambda h: np.tanh(h, out=h), lambda y: 1.0 - y**2),
+    "identity": (lambda h: h, lambda y: 1.0),
 }
 
 
@@ -79,41 +81,35 @@ class DenseNet:
         return self.layers[-1].weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batch forward pass; x is (n, input_dim) or (input_dim,)."""
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        if h.shape[1] != self.input_dim:
-            raise DimensionMismatch(
-                f"input has {h.shape[1]} features, network expects {self.input_dim}")
-        for layer in self.layers:  # bias and activation in place: no per-layer temporaries
-            h = h @ layer.weights
-            h += layer.bias
-            _ACT[layer.activation][0](h, out=h)
-        return h[0] if single else h
+        """Batch forward pass of an (n, input_dim) array; the output is (n, output_dim)."""
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre-activations for the backward pass."""
+        """Forward pass returning ``(output, seen)``; ``seen[i]`` is layer i's input
+        and ``seen[-1]`` the output.  Each matmul makes a new array that takes its
+        bias and activation in place, so ``x`` is left alone."""
         h = np.asarray(x, dtype=float)
         if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise DimensionMismatch("expected a (batch, input_dim) array")
-        inputs, preacts = [], []
+            raise DimensionMismatch(
+                f"expected an (n, {self.input_dim}) input, got shape {h.shape}")
+        seen = [h]
         for layer in self.layers:
-            inputs.append(h)
-            z = h @ layer.weights + layer.bias
-            preacts.append(z)
-            h = _ACT[layer.activation][0](z)
-        return h, (inputs, preacts)
+            h = h @ layer.weights
+            h += layer.bias
+            _ACT[layer.activation][0](h)
+            seen.append(h)
+        return h, seen
 
-    def backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
+    def backward(self, seen, d_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of a scalar loss given d(loss)/d(output), in ``parameters()``
-        order: [dW_0, db_0, dW_1, db_1, ...]."""
-        inputs, preacts = cache
+        order: [dW_0, db_0, dW_1, db_1, ...].  ``seen`` is ``forward_cached``'s;
+        each activation's derivative comes from its layer's output ``seen[i + 1]``."""
         grads = [None] * (2 * len(self.layers))
         delta = d_out
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            delta = delta * _ACT[layer.activation][1](preacts[i])
-            grads[2 * i], grads[2 * i + 1] = inputs[i].T @ delta, delta.sum(axis=0)
+            delta = delta * _ACT[layer.activation][1](seen[i + 1])
+            grads[2 * i], grads[2 * i + 1] = seen[i].T @ delta, delta.sum(axis=0)
             if i:
                 delta = delta @ layer.weights.T
         return grads
@@ -323,8 +319,8 @@ class StressSurrogate:
 
         def batch_grads(idx):
             rows = tr[idx]
-            pred, cache = self.net.forward_cached(x[rows])
-            return self.net.backward(cache, 2.0 * (pred - y[rows]) / rows.size)
+            pred, seen = self.net.forward_cached(x[rows])
+            return self.net.backward(seen, 2.0 * (pred - y[rows]) / rows.size)
 
         def epoch_metrics():
             pred_te = self.net.forward(x[te]) if len(te) else None
@@ -400,11 +396,6 @@ class OperatorNet:
         f = self.branch.forward(StressSurrogate.features(profile_x, profile_y))  # (1, c)
         return (self._trunk_at(points) @ f[0]) * self.temperature_scale
 
-    def predict_batch(self, profiles_x, profiles_y, points) -> np.ndarray:
-        """(n_profiles, n_points) temperature table via one matmul."""
-        f = self.branch.forward(StressSurrogate.features(profiles_x, profiles_y))
-        return (f @ self._trunk_at(points).T) * self.temperature_scale
-
     def fit(self, profiles_x, profiles_y, temp_grids, points, split, stages, rng):
         """Train on whole samples over the aligned point set; batches count samples.
 
@@ -422,12 +413,12 @@ class OperatorNet:
 
         def batch_grads(idx):
             rows = tr[idx]
-            fb, bcache = self.branch.forward_cached(feats[rows])
-            gt, tcache = self.trunk.forward_cached(pts)
+            fb, b_seen = self.branch.forward_cached(feats[rows])
+            gt, t_seen = self.trunk.forward_cached(pts)
             resid = fb @ gt.T - targets[rows]
             resid *= 2.0 / resid.size
-            return (self.branch.backward(bcache, resid @ gt)
-                    + self.trunk.backward(tcache, resid.T @ fb))
+            return (self.branch.backward(b_seen, resid @ gt)
+                    + self.trunk.backward(t_seen, resid.T @ fb))
 
         def epoch_metrics():
             g = self.trunk.forward(pts).T

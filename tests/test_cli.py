@@ -378,9 +378,26 @@ class TestOptimize:
 
 
 class TestVerify:
-    def test_verify_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify")
+    # verify's reporting on stand-in checks; tests/test_fem.py::TestVerificationSuite runs
+    # the real ones
+    def run_verify(self, capsys, monkeypatch, *checks):
+        monkeypatch.setattr(verification, "run_all", lambda: list(checks))
+        return run_cli(capsys, "verify")
+
+    def test_verify_passes(self, capsys, monkeypatch):
+        code, out, err = self.run_verify(capsys, monkeypatch,
+                                         verification.Check("first", 2.5e-16, 1e-13),
+                                         verification.Check("second", 1e-8, 1e-8))
         assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == len(verification.ALL_CHECKS)
-        assert all(l.startswith("PASS") for l in lines)
+        assert out.splitlines() == ["PASS  first: measured 2.500e-16 (tolerance 1e-13)",
+                                    "PASS  second: measured 1.000e-08 (tolerance 1e-08)"]
+        assert "failed" not in err
+
+    def test_a_failing_check_exits_2(self, capsys, monkeypatch):
+        code, out, err = self.run_verify(capsys, monkeypatch,
+                                         verification.Check("holds", 3e-15, 1e-12),
+                                         verification.Check("breaks", 4.2e-6, 1e-8))
+        assert code == 2
+        assert out.splitlines() == ["PASS  holds: measured 3.000e-15 (tolerance 1e-12)",
+                                    "FAIL  breaks: measured 4.200e-06 (tolerance 1e-08)"]
+        assert "1 verification check(s) failed" in err.splitlines()

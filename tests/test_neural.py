@@ -21,10 +21,32 @@ from fgmopt.neural import (
 from fgmopt.rng import make_rng
 
 
+ACT_FORMULA = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
+
+
 def mse_grads(net, x, y):
     """DenseNet.backward's gradients of the batch-mean squared error of ``net`` on (x, y)."""
-    pred, cache = net.forward_cached(x)
-    return net.backward(cache, 2.0 * (pred - y) / pred.size)
+    pred, seen = net.forward_cached(x)
+    return net.backward(seen, 2.0 * (pred - y) / pred.size)
+
+
+def preactivation_grads(net, x, d_out):
+    """Backprop that keeps each layer's pre-activation z, evaluated out of place, and
+    takes the derivatives from z: relu (z > 0), tanh 1 - tanh(z)**2, identity 1."""
+    deriv = {"relu": lambda z: (z > 0.0).astype(float),
+             "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+             "identity": lambda z: np.ones_like(z)}
+    inputs, preacts, h = [], [], x
+    for layer in net.layers:
+        inputs.append(h)
+        preacts.append(h @ layer.weights + layer.bias)
+        h = ACT_FORMULA[layer.activation](preacts[-1])
+    grads, delta = [], d_out
+    for i in range(len(net.layers) - 1, -1, -1):
+        delta = delta * deriv[net.layers[i].activation](preacts[i])
+        grads[:0] = [inputs[i].T @ delta, delta.sum(axis=0)]
+        delta = delta @ net.layers[i].weights.T
+    return grads
 
 
 def fit_stress(net, x, y, split, stages, rng):
@@ -48,11 +70,11 @@ class TestForward:
     def test_zero_weights_bias_identity(self):
         b = np.array([1.0, -2.0])
         net = DenseNet([DenseLayer(np.zeros((3, 2)), b, "identity")])
-        np.testing.assert_array_equal(net.forward(np.ones(3)), b)
+        np.testing.assert_array_equal(net.forward(np.ones((1, 3))), [b])
 
     def test_single_relu_layer(self):
         net = DenseNet([DenseLayer(np.eye(2), np.zeros(2), "relu")])
-        np.testing.assert_array_equal(net.forward(np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(net.forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
     def test_identity_composition(self):
         net = DenseNet([
@@ -67,30 +89,38 @@ class TestForward:
     def test_in_place_pass_is_the_out_of_place_formula(self, activation):
         # bias and activation written in place give the bits of act(h @ W + b) layer by
         # layer, for one row and for a batch, and leave the input alone
-        formula = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
         net = make_dense(3, [6, 9, 5, 2], activation)
         rng = make_rng(4)
-        for x in (rng.normal(size=6), rng.normal(size=(11, 6))):
+        for x in (rng.normal(size=(1, 6)), rng.normal(size=(11, 6))):
             before = x.copy()
-            h = np.atleast_2d(x)
+            h = x
             for layer in net.layers:
-                h = formula[layer.activation](h @ layer.weights + layer.bias)
-            want = h[0] if x.ndim == 1 else h
-            assert net.forward(x).tobytes() == want.tobytes()
+                h = ACT_FORMULA[layer.activation](h @ layer.weights + layer.bias)
+            assert net.forward(x).tobytes() == h.tobytes()
             assert np.array_equal(x, before)
 
-    def test_forward_cached_keeps_the_pre_activations(self):
-        net = make_dense(5, [4, 8, 1], "relu")
+    def test_forward_cached_sees_each_layer_input_and_the_output(self):
+        # seen = [x, layer 0's output, ..., the network output], each its own array,
+        # every one the out-of-place act(h @ W + b) of the entry before it
+        net = make_dense(5, [4, 8, 6, 1], "relu")
         x = make_rng(6).normal(size=(20, 4))
-        out, (inputs, preacts) = net.forward_cached(x)
-        assert (preacts[0] < 0.0).any()  # not overwritten by the relu
-        assert np.array_equal(inputs[1], np.maximum(preacts[0], 0.0))
-        assert np.array_equal(out, net.forward(x))
+        before = x.copy()
+        out, seen = net.forward_cached(x)
+        assert len(seen) == len(net.layers) + 1
+        assert seen[0] is x and np.array_equal(x, before)
+        assert seen[-1] is out and out.tobytes() == net.forward(x).tobytes()
+        for layer, h, y in zip(net.layers, seen, seen[1:]):
+            z = h @ layer.weights + layer.bias
+            assert y.tobytes() == ACT_FORMULA[layer.activation](z).tobytes()
+        assert (x @ net.layers[0].weights < 0.0).any()  # the relu did cut something
+        assert len({id(h) for h in seen}) == len(seen)
 
     def test_dimension_mismatch(self):
         net = make_dense(0, [3, 5, 1], "relu")
         with pytest.raises(DimensionMismatch):
-            net.forward(np.ones(4))
+            net.forward(np.ones((1, 4)))
+        with pytest.raises(DimensionMismatch):  # a vector is not a batch of one row
+            net.forward(np.ones(3))
         with pytest.raises(DimensionMismatch):
             DenseNet([
                 DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"),
@@ -139,10 +169,26 @@ class TestBackprop:
         rng = make_rng(4)
         net = make_dense(rng, [3, 4, 1], "relu")
         x = rng.normal(size=(5, 3))
-        _, cache = net.forward_cached(x)
+        _, seen = net.forward_cached(x)
         r = rng.normal(size=(5, 1))
-        for g1, g2 in zip(net.backward(cache, r), net.backward(cache, 2 * r)):
+        for g1, g2 in zip(net.backward(seen, r), net.backward(seen, 2 * r)):
             np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_derivative_from_the_output_is_the_preactivation_formula(self, activation):
+        # y > 0 and 1 - y**2 from the layer output give the bits of (z > 0) and
+        # 1 - tanh(z)**2 from the kept pre-activation, through every layer; the zero
+        # row puts the first layer's pre-activations exactly at 0 (zero biases)
+        rng = make_rng(17)
+        net = make_dense(rng, [5, 12, 7, 3], activation)
+        x = np.vstack([rng.normal(size=(9, 5)), np.zeros((1, 5))])
+        pred, seen = net.forward_cached(x)
+        d_out = 2.0 * (pred - rng.normal(size=pred.shape)) / pred.size
+        got = net.backward(seen, d_out)
+        want = preactivation_grads(net, x, d_out)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestAdam:
@@ -247,7 +293,7 @@ class TestStressSurrogate:
     def test_scale_applied(self):
         model = StressSurrogate.build(0, 3, 3, output_scale=1e6)
         px = np.zeros((1, 3))
-        raw = model.net.forward(np.zeros(6))[0]
+        raw = model.net.forward(np.zeros((1, 6)))[0, 0]
         assert model.predict(px, px)[0] == pytest.approx(raw * 1e6)
 
     def test_step_gradients_are_the_batch_mse_gradients(self, monkeypatch):
@@ -351,45 +397,39 @@ class TestOperatorNet:
         s_idx, p_idx = np.repeat(tr[idx], 30), np.tile(np.arange(30), 3)
         feats = np.concatenate([px, py], axis=1)
         targets = temps / model.temperature_scale
-        fb, bcache = model.branch.forward_cached(feats[s_idx])
-        gt, tcache = model.trunk.forward_cached((pts / [2.0, 1.0])[p_idx])
+        fb, b_seen = model.branch.forward_cached(feats[s_idx])
+        gt, t_seen = model.trunk.forward_cached((pts / [2.0, 1.0])[p_idx])
         resid = (np.einsum("nc,nc->n", fb, gt) - targets[s_idx, p_idx]) * (2.0 / s_idx.size)
-        want = (model.branch.backward(bcache, resid[:, None] * gt)
-                + model.trunk.backward(tcache, resid[:, None] * fb))
+        want = (model.branch.backward(b_seen, resid[:, None] * gt)
+                + model.trunk.backward(t_seen, resid[:, None] * fb))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     def test_each_step_runs_the_trunk_once_on_every_point(self):
-        # 10 training samples in batches of 4 for 2 epochs: 2 * ceil(10 / 4) = 6 steps,
-        # each one trunk pass over all 11 points (never a batch of point pairs)
+        # 10 training samples in batches of 4 for 2 epochs: ceil(10 / 4) = 3 steps an
+        # epoch, each one trunk pass over all 11 points (never a batch of point pairs)
+        # and its backward, then the epoch metrics' one pass
         rng = make_rng(15)
         px, py = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
         pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
         model = small_operator(16, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
                                   latent=4, branch_hidden=(8,), trunk_hidden=(8,))
-        calls, forward_cached = [], model.trunk.forward_cached
+        calls, forward_cached, backward = [], model.trunk.forward_cached, model.trunk.backward
 
-        def counting(x):
+        def counting_forward(x):
             calls.append(x.shape)
             return forward_cached(x)
 
-        model.trunk.forward_cached = counting
+        def counting_backward(seen, d_out):
+            calls.append("backward")
+            return backward(seen, d_out)
+
+        model.trunk.forward_cached = counting_forward
+        model.trunk.backward = counting_backward
         model.fit(px, py, rng.uniform(0, 10, (12, 11)), pts, (np.arange(10), np.arange(10, 12)),
                   [TrainStage(1e-3, 2, 4)], rng)
-        assert calls == [(11, 2)] * 6
-
-    def test_batch_equals_pointwise_loop(self):
-        model = small_operator(3, 5, 5, L=1.0, H=1.0, latent=16,
-                                  branch_hidden=(16,), trunk_hidden=(16, 16))
-        rng = make_rng(4)
-        px = rng.uniform(0, 1, (6, 5))
-        py = rng.uniform(0, 1, (6, 5))
-        pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
-        table = model.predict_batch(px, py, pts)
-        for i in range(6):
-            row = model.predict(px[i], py[i], pts)
-            np.testing.assert_allclose(table[i], row, rtol=1e-13)
+        assert calls == ([(11, 2), "backward"] * 3 + [(11, 2)]) * 2
 
     def test_cached_trunk_equals_uncached(self):
         model = small_operator(11, 4, 4, L=2.0, H=1.0, latent=8,
@@ -399,7 +439,7 @@ class TestOperatorNet:
         uncached = model.trunk.forward(np.column_stack([pts[:, 0] / 2.0, pts[:, 1]]))
         for _ in range(3):  # the first call fills the cache, the others read it
             px, py = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
-            f = model.branch.forward(np.concatenate([px, py]))
+            f = model.branch.forward(np.concatenate([px, py])[None])[0]
             np.testing.assert_array_equal(model.predict(px, py, pts),
                                           (uncached @ f) * model.temperature_scale)
         other = pts * 0.5  # a new point set of the same shape replaces the entry
@@ -485,7 +525,8 @@ def _small_models():
 def _predict(model, px, py):
     if isinstance(model, StressSurrogate):
         return model.predict(px, py)
-    return model.predict_batch(px, py, [(0.01, 0.02), (0.1, 0.05), (0.15, 0.0)])
+    pts = [(0.01, 0.02), (0.1, 0.05), (0.15, 0.0)]
+    return np.array([model.predict(x, y, pts) for x, y in zip(px, py)])
 
 
 class TestModelFile:
