@@ -325,7 +325,6 @@ class FemResult:
     profile: np.ndarray  # (nx+1, ny+1): the caller's array as given, checked by phi_at_gauss
     nodal_temperature: np.ndarray  # (n_nodes,)
     nodal_displacement: np.ndarray  # (n_nodes, 2)
-    gauss_xy: np.ndarray  # (n_elems, 9, 2)
     gauss_effective_stress: np.ndarray  # (n_elems, 9)
     temperature_grid: np.ndarray  # (nx+1, ny+1) at the element vertices, as the profile grid
     sigma_e_max: float
@@ -457,8 +456,6 @@ class ThermoelasticSolver:
         M = np.diag([2.0, 2.0, 1.0])
         self.elast_P = np.einsum("g,gia,cij,gjb->cgab", self.gauss_w, Bel, np.stack([A, M]), Bel).reshape(18, 324)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
-
-        self.gauss_xy = mesh.gauss_points()  # (n_elems, 9, 2)
 
         # profile node (i, j) is mesh vertex (2i, 2j): element corners in bilinear_shape's
         # order, as ids into grid.ravel(), and their weights at the Gauss points
@@ -662,7 +659,6 @@ class ThermoelasticSolver:
             profile=profile,
             nodal_temperature=theta,
             nodal_displacement=u,
-            gauss_xy=self.gauss_xy,
             gauss_effective_stress=se,
             temperature_grid=theta_grid,
             sigma_e_max=float(se.max()),
@@ -804,6 +800,8 @@ def _constrained_solve(pattern: _ReducedPattern, ke: np.ndarray, f: np.ndarray,
     if fixed_vals.size:
         rhs = rhs - Kfc @ fixed_vals
     try:
+        # panel_size=24 aborts with glibc's "corrupted size vs. prev_size" on problem 1 (scipy
+        # 1.17.1); 4, 8, 16 and 32 took 105-126 ms a solve against 10's 110 ms: no clear gain
         lu = spla.splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=10,
                        options=dict(SymmetricMode=True))
         x_free = lu.solve(rhs)

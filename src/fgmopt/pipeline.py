@@ -240,16 +240,25 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     ships), sigma_star (null = FEM only), models (an object of string paths,
     stress and temperature), the constraint overrides v_star, theta_max,
     sigma_allow and penalty_weight, seed, and ga, whose keys are GAConfig's
-    fields.  Any other key, at either level, is rejected by name.  Defaults:
+    fields.  Any other key, at either level, is rejected by name, and so is an
+    experiment or ga that is not a JSON object, before any build.  Defaults:
     case is unconstrained; the limits are the case's ``CASE_DEFAULTS`` entry;
     penalty_weight and ga.stall_tolerance are its objective's ``ga.OBJECTIVES``
     row; ga.mutation_probability is the problem's row; the other ga fields
     are GAConfig's.  The run's seed is ``seed`` if given, else the file's
     seed, else 0; it must be an int (not a bool), and run_record.json records it.
     """
+    if not isinstance(exp, dict):
+        raise ValueError(f"experiment must be a JSON object, got {type(exp).__name__}")
     unknown = sorted(set(exp) - EXPERIMENT_KEYS)
     if unknown:
         raise ValueError(f"unknown experiment keys {unknown}")
+    ga_overrides = exp.get("ga", {})
+    if not isinstance(ga_overrides, dict):
+        raise ValueError(f"ga must be a JSON object, got {type(ga_overrides).__name__}")
+    unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
+    if unknown:
+        raise ValueError(f"unknown ga keys {unknown}")
     run_seed = seed if seed is not None else exp.get("seed", 0)
     if not isinstance(run_seed, int) or isinstance(run_seed, bool):
         raise ValueError(f"seed must be an integer, got {run_seed!r}")
@@ -260,6 +269,9 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
         raise ValueError(f"models must be an object of string paths, got {paths!r}")
     constraints = _constraints_from(case_spec, exp)
     objective = case_spec["objective"]
+    ga_config = GAConfig(**{
+        "mutation_probability": problems.problem_spec(problem_id).mutation_probability,
+        "stall_tolerance": objective_spec(objective)["stall_tolerance"], **ga_overrides})
     solver = _solver_for(problem_id)
     config = solver.config
 
@@ -274,13 +286,6 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
                 raise MissingModel("thermal constraint needs models.temperature")
             temp_model = _load_model_for(paths["temperature"], neural.OperatorNet, config)
 
-    ga_overrides = exp.get("ga", {})
-    unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
-    if unknown:
-        raise ValueError(f"unknown ga keys {unknown}")
-    ga_config = GAConfig(**{
-        "mutation_probability": problems.problem_spec(problem_id).mutation_probability,
-        "stall_tolerance": objective_spec(objective)["stall_tolerance"], **ga_overrides})
     evaluator = FitnessEvaluator(solver, objective, constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)

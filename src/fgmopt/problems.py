@@ -59,20 +59,17 @@ def problem2() -> ProblemConfig:
 
 
 def power_law_reference(config: ProblemConfig, m: float, axis: str = "y") -> np.ndarray:
-    """Reference gradation (x/L)^m along one axis, or their tensor product.
+    """Reference gradation (x/L)^m: the tensor product of two axis profiles.
 
-    ``axis="y"`` varies through the height only (uniform in x), ``"x"`` the
-    transpose, ``"xy"`` the 2D product of the two power laws (m = 1 gives the
-    bilinear reference field).
+    ``axis`` names the axes that follow the power law; the other is uniform
+    (all ones).  ``"y"`` varies through the height only, ``"x"`` the
+    transpose, ``"xy"`` both (m = 1 gives the bilinear reference field).
     """
-    px, py = power_law_profile(config.nx, m), power_law_profile(config.ny, m)
-    if axis == "xy":
-        return tensor_product(px, py)
-    if axis not in ("x", "y"):
+    if axis not in ("x", "y", "xy"):
         raise ValueError(f"unknown axis {axis!r}")
-    if axis == "x":
-        return np.outer(px, np.ones(config.ny + 1))
-    return np.outer(np.ones(config.nx + 1), py)
+    px = power_law_profile(config.nx, m) if "x" in axis else np.ones(config.nx + 1)
+    py = power_law_profile(config.ny, m) if "y" in axis else np.ones(config.ny + 1)
+    return tensor_product(px, py)
 
 
 # --- published reference-stress configurations -----------------------------
@@ -94,7 +91,7 @@ def three_layer_power_law(config: ProblemConfig, m: float) -> np.ndarray:
     y = np.linspace(0.0, 1.0, config.ny + 1)
     core = np.clip((y - f1) / (f2 - f1), 0.0, 1.0) ** m
     col = np.where(y < f1, 0.0, np.where(y > f2, 1.0, core))
-    return np.tile(col, (config.nx + 1, 1))
+    return tensor_product(np.ones(config.nx + 1), col)
 
 
 # per-case optimization settings; each problem ships the cases its row lists

@@ -356,8 +356,13 @@ class TestOptimize:
         ({"problem": "problem3"}, "unknown problem id 'problem3'"),
         ({"case": "case9"}, "unknown case 'case9'"),
         ({"problem": "problem1", "case": "case3"}, "unknown case 'case3' for problem1"),
+        # a ga entry that is not an object exited 2; an unknown ga key was named after the build
+        ({"ga": 5}, "ga must be a JSON object, got int"),
+        ({"ga": None}, "ga must be a JSON object, got NoneType"),
+        ({"ga": []}, "ga must be a JSON object, got list"),
+        ({"ga": {"seed": 5}}, "unknown ga keys ['seed']"),
     ], ids=["string-models", "number-model-path", "unknown-problem", "unknown-case",
-            "case-problem1-does-not-ship"])
+            "case-problem1-does-not-ship", "number-ga", "null-ga", "list-ga", "unknown-ga-key"])
     def test_experiment_outside_the_tables_exits_1_before_any_build(self, capsys, tmp_path,
                                                                    monkeypatch, override, key):
         monkeypatch.setattr(pipeline, "_solver_for", lambda *a: pytest.fail("a solver was built"))
@@ -370,11 +375,99 @@ class TestOptimize:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {key}") and not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("content, kind", [("5", "int"), ("null", "NoneType"),
+                                               ('"problem2"', "str")])
+    def test_experiment_that_is_not_an_object_exits_1_before_any_build(
+            self, capsys, tmp_path, monkeypatch, content, kind):
+        # a number or null exited 2, and a string had its letters named as unknown keys
+        monkeypatch.setattr(pipeline, "_solver_for", lambda *a: pytest.fail("a solver was built"))
+        path = tmp_path / "exp.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                                 "--out", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert err == f"error: experiment must be a JSON object, got {kind}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_missing_experiment_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "optimize", "--experiment",
                                str(tmp_path / "none.json"), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "error" in err
+
+
+def assert_resolves_to(capsys, tmp_path, problem, genes, want):
+    """eval-profile of a gene object gives the three summaries of ``want`` bit for bit."""
+    path = tmp_path / "genes.json"
+    path.write_text(json.dumps(genes))
+    code, out, err = run_cli(capsys, "eval-profile", "--problem", problem, "--genes", str(path))
+    assert code == 0, err
+    got = json.loads(out)
+    for key in ("sigma_e_max", "v_ca", "max_metal_temperature"):
+        assert got[key] == want[key], key
+
+
+class TestRoundTrips:
+    """What one command hands the next: genes solved again by eval-profile give the
+    labels of the dataset row or the verified summaries of the optimize run exactly."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("problem2") / "data"
+        assert main(["gen-data", "--problem", "problem2", "--count", "40", "--seed", "1",
+                     "--threads", "2", "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def optimize(capsys, tmp_path, **exp):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"problem": "problem2", "seed": 1, **exp}))
+        code, _, err = run_cli(capsys, "optimize", "--experiment", str(path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 0, err
+        record = json.loads((tmp_path / "run" / "run_record.json").read_text())
+        assert_resolves_to(capsys, tmp_path, "problem2", record["best"]["genes"],
+                           record["fem_verified"])
+        return record
+
+    @staticmethod
+    def train(capsys, tmp_path, dataset, command, *flags):
+        model = tmp_path / f"{command}.json"
+        code, _, err = run_cli(capsys, command, "--dataset", str(dataset), "--out", str(model),
+                               *flags)
+        assert code == 0, err
+        return str(model)
+
+    @pytest.mark.parametrize("problem, count", [("problem2", 6), ("problem1", 3)])
+    def test_dataset_row(self, capsys, tmp_path, problem, count):
+        code, _, err = run_cli(capsys, "gen-data", "--problem", problem, "--count", str(count),
+                               "--seed", "1", "--threads", "2", "--out", str(tmp_path / "data"))
+        assert code == 0, err
+        row = json.loads((tmp_path / "data" / "train.ndjson").read_text().splitlines()[0])
+        assert_resolves_to(capsys, tmp_path, problem, row["genes"], row)
+
+    def test_fem_only_optimum(self, capsys, tmp_path):
+        self.optimize(capsys, tmp_path, case="case2", sigma_star=None,
+                      ga={"population_size": 6, "elite_count": 1, "tournament_size": 2,
+                          "max_generations": 2})
+
+    def test_surrogate_optimum(self, capsys, tmp_path, dataset):
+        stress = self.train(capsys, tmp_path, dataset, "train-stress")
+        record = self.optimize(capsys, tmp_path, case="case1", sigma_star=0,
+                               models={"stress": stress},
+                               ga={"population_size": 8, "max_generations": 2})
+        assert record["eval_source_totals"]["fem"] == 0
+
+    def test_operator_optimum(self, capsys, tmp_path, dataset):
+        models = {"stress": self.train(capsys, tmp_path, dataset, "train-stress",
+                                       "--max-samples", "20"),
+                  "temperature": self.train(capsys, tmp_path, dataset, "train-temp",
+                                            "--max-samples", "10")}
+        record = self.optimize(capsys, tmp_path, case="case3", sigma_star=0, models=models,
+                               ga={"population_size": 8, "max_generations": 2})
+        # no FEM solve in the GA: the operator scored the temperature limit of every child
+        assert record["eval_source_totals"]["fem"] == 0
+        assert isinstance(record["surrogate_theta_rel_error"], float)
 
 
 class TestVerify:

@@ -60,7 +60,8 @@ class TestDatasetGeneration:
             genes = genes_from_dict(r["genes"], solver.config.nx, solver.config.ny)
             px, py = genes_to_profiles(genes, solver.config.nx, solver.config.ny)
             res = solver.run(tensor_product(px, py))
-            assert abs(res.sigma_e_max - r["sigma_e_max"]) <= 1e-10 * r["sigma_e_max"]
+            # the re-solve is deterministic, so every label holds bit for bit
+            assert res.summary() == {k: r[k] for k in res.summary()}
             np.testing.assert_array_equal(px, np.array(r["profile_x"]))
 
     def test_ndjson_round_trip_lossless(self, tmp_path):
