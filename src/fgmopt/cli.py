@@ -214,10 +214,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.fn(args)
-    except (FgmoptError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (FgmoptError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (FileNotFoundError, KeyError, ValueError,
-                                     json.JSONDecodeError)) else 2
+        return 1 if isinstance(exc, (OSError, KeyError, ValueError)) else 2
     except Exception as exc:  # noqa: BLE001 - report and map to runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

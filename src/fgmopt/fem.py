@@ -228,21 +228,25 @@ def shape9(xi, eta):
     """Biquadratic shape functions and parametric derivatives at (xi, eta).
 
     Local node a = 3*j + i corresponds to (xi_i, eta_j) with xi_i, eta_j in
-    (-1, 0, 1); returns (N[9], dN_dxi[9], dN_deta[9]).
+    (-1, 0, 1); for points of any common shape returns (N, dN_dxi, dN_deta),
+    each (*shape, 9).
     """
-    lx, dlx = _lagrange_quadratic(float(xi))
-    ly, dly = _lagrange_quadratic(float(eta))
-    n = np.outer(ly, lx).ravel()
-    dxi = np.outer(ly, dlx).ravel()
-    deta = np.outer(dly, lx).ravel()
-    return n, dxi, deta
+    lx, dlx = _lagrange_quadratic(np.asarray(xi, dtype=float))
+    ly, dly = _lagrange_quadratic(np.asarray(eta, dtype=float))
+
+    def outer(y, x):  # y_j * x_i at node 3*j + i
+        p = y[..., :, None] * x[..., None, :]
+        return p.reshape(p.shape[:-2] + (9,))
+
+    return outer(ly, lx), outer(ly, dlx), outer(dly, lx)
 
 
-GAUSS_1D = (
-    (-math.sqrt(3.0 / 5.0), 5.0 / 9.0),
-    (0.0, 8.0 / 9.0),
-    (math.sqrt(3.0 / 5.0), 5.0 / 9.0),
-)
+# the 3-point Gauss rule on [-1, 1], and the element's 3x3 product rule built from it:
+# point g = 3*j + i at (xi_i, eta_j) with weight w_i * w_j
+GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
+GAUSS_XI, GAUSS_ETA = np.tile(GAUSS_T, 3), np.repeat(GAUSS_T, 3)
+GAUSS_W9 = np.tile(GAUSS_W, 3) * np.repeat(GAUSS_W, 3)
 
 
 @dataclass(frozen=True)
@@ -296,14 +300,12 @@ class Mesh:
 
     def gauss_points(self) -> np.ndarray:
         """Physical coordinates (n_elems, 9, 2) of each element's 3x3 Gauss points,
-        point g = 3 * j + i at parametric (xi_i, eta_j) of GAUSS_1D."""
+        point g at parametric (GAUSS_XI[g], GAUSS_ETA[g])."""
         hx, hy = self.L / self.nx, self.H / self.ny
-        t = np.array([p for p, _ in GAUSS_1D])
-        xi, eta = np.tile(t, 3), np.repeat(t, 3)
         centers_x = np.tile(np.arange(self.nx) * hx + hx / 2.0, self.ny)
         centers_y = np.repeat(np.arange(self.ny) * hy + hy / 2.0, self.nx)
-        gx = centers_x[:, None] + xi[None, :] * hx / 2.0
-        gy = centers_y[:, None] + eta[None, :] * hy / 2.0
+        gx = centers_x[:, None] + GAUSS_XI[None, :] * hx / 2.0
+        gy = centers_y[:, None] + GAUSS_ETA[None, :] * hy / 2.0
         return np.stack([gx, gy], axis=-1)
 
     def corner_node(self, corner: str) -> int:
@@ -426,30 +428,20 @@ class ThermoelasticSolver:
     def _build_basis(self):
         mesh = self.mesh
         hx, hy = mesh.L / mesh.nx, mesh.H / mesh.ny
-        det = hx * hy / 4.0
-        wts, nmat, bx, by = [], [], [], []
-        for eta, weta in GAUSS_1D:
-            for xi, wxi in GAUSS_1D:
-                n, dxi, deta = shape9(xi, eta)
-                wts.append(wxi * weta * det)
-                nmat.append(n)
-                bx.append(dxi * 2.0 / hx)
-                by.append(deta * 2.0 / hy)
-        self.gauss_w = np.array(wts)  # (9,), includes |J|
-        self.gauss_N = np.array(nmat)  # (9 gauss, 9 nodes)
-        self.gauss_bx = np.array(bx)
-        self.gauss_by = np.array(by)
+        n, dxi, deta = shape9(GAUSS_XI, GAUSS_ETA)  # (9 gauss, 9 nodes) each
+        self.gauss_w = GAUSS_W9 * (hx * hy / 4.0)  # (9,), includes |J|
+        self.gauss_N = n
+        self.gauss_B = B = np.stack([dxi * 2.0 / hx, deta * 2.0 / hy], axis=1)  # (9 gauss, 2, 9 nodes)
 
         # thermal: M_g = w |J| B^T B, so Ke = sum_g k_eg M_g, one (9 gauss, 81) matmul
-        B = np.stack([self.gauss_bx, self.gauss_by], axis=1)  # (9, 2, 9)
         self.therm_M = np.einsum("g,gia,gib->gab", self.gauss_w, B, B).reshape(9, 81)
 
         # elastic B (9 gauss, 3, 18); dof order (ux0, uy0, ux1, uy1, ...)
         Bel = np.zeros((9, 3, 18))
-        Bel[:, 0, 0::2] = self.gauss_bx
-        Bel[:, 1, 1::2] = self.gauss_by
-        Bel[:, 2, 0::2] = self.gauss_by
-        Bel[:, 2, 1::2] = self.gauss_bx
+        Bel[:, 0, 0::2] = B[:, 0]
+        Bel[:, 1, 1::2] = B[:, 1]
+        Bel[:, 2, 0::2] = B[:, 1]
+        Bel[:, 2, 1::2] = B[:, 0]
         self.elast_B = Bel
         # Ke = [lambda_eg | mu_eg] @ elast_P, with rows w B^T A B for lambda, then w B^T M B for mu
         A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -459,14 +451,13 @@ class ThermoelasticSolver:
 
         # profile node (i, j) is mesh vertex (2i, 2j): element corners in bilinear_shape's
         # order, as ids into grid.ravel(), and their weights at the Gauss points
-        t = np.array([p for p, _ in GAUSS_1D])
-        self._phi_weights = bilinear_shape(np.tile(t, 3), np.repeat(t, 3))  # (9 gauss, 4)
+        self._phi_weights = bilinear_shape(GAUSS_XI, GAUSS_ETA)  # (9 gauss, 4)
         corners, NX = mesh.conn[:, [0, 2, 8, 6]], 2 * mesh.nx + 1
         self._phi_corners = corners % NX // 2 * (mesh.ny + 1) + corners // NX // 2
 
         # 1D quadratic edge basis at 3-point Gauss, for edge integrals
-        self.edge_w = np.array([w for _, w in GAUSS_1D])
-        self.edge_N = np.array([_lagrange_quadratic(t)[0] for t, _ in GAUSS_1D])  # (3 gauss, 3 nodes)
+        self.edge_w = GAUSS_W
+        self.edge_N = _lagrange_quadratic(GAUSS_T)[0]  # (3 gauss, 3 nodes)
         self.edge_load = self.edge_w @ self.edge_N  # unit edge load per node, per unit half-length
         self.edge_mass = np.einsum("g,ga,gb->ab", self.edge_w, self.edge_N, self.edge_N)
 
@@ -591,8 +582,11 @@ class ThermoelasticSolver:
 
     # -- elastic solve ---------------------------------------------------------
 
-    def _blend_elastic(self, phi):
-        props = material_at(self.config.materials, 1.0 - phi)
+    def _elastic_at_gauss(self, profile: np.ndarray, theta_nodal: np.ndarray):
+        """(lambda_eff, mu, beta * theta) at every Gauss point, each (n_elems, 9): the
+        mode's Lame constants and thermal modulus of the blended phases, and the
+        temperature change interpolated from the nodes."""
+        props = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))
         E, nu, alpha = props["E"], props["nu"], props["alpha"]
         lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         mu = E / (2.0 * (1.0 + nu))
@@ -602,18 +596,16 @@ class ThermoelasticSolver:
         else:
             lam_eff = lam
             beta = E * alpha / (1.0 - 2.0 * nu)
-        return mu, lam_eff, beta
+        return lam_eff, mu, beta * (theta_nodal[self.mesh.conn] @ self.gauss_N.T)
 
     def solve_elastic(self, profile: np.ndarray, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
         if not self._rigid_modes_removed:
             raise SingularSystem("displacement constraints leave a rigid-body mode free: fix u1 "
                                  "and u2, and u1 at two heights or u2 at two abscissae")
-        phi = self.phi_at_gauss(profile)
-        mu, lam_eff, beta = self._blend_elastic(phi)
+        lam_eff, mu, bt = self._elastic_at_gauss(profile, theta_nodal)
         f = self._mech_f.copy()
-        theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T  # (n_elems, 9)
-        _scatter_add(f, self.elem_dofs, (beta * theta_g) @ self.elast_V)
+        _scatter_add(f, self.elem_dofs, bt @ self.elast_V)
         u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]) @ self.elast_P, f,
                                self.fixed_vals)
         return u.reshape(-1, 2)
@@ -622,13 +614,10 @@ class ThermoelasticSolver:
 
     def gauss_stress(self, profile: np.ndarray, u: np.ndarray, theta_nodal: np.ndarray):
         """In-plane physical stress components and effective stress at Gauss points."""
-        phi = self.phi_at_gauss(profile)
-        mu, lam_eff, beta = self._blend_elastic(phi)
+        lam_eff, mu, bt = self._elastic_at_gauss(profile, theta_nodal)
         ue = u.reshape(-1)[self.elem_dofs]  # (n_elems, 18)
         strain = (ue @ self.elast_B.reshape(27, 18).T).reshape(-1, 9, 3)  # (e, g, 3)
-        theta_g = theta_nodal[self.mesh.conn] @ self.gauss_N.T
         tr2 = strain[:, :, 0] + strain[:, :, 1]
-        bt = beta * theta_g
         sxx = lam_eff * tr2 + 2.0 * mu * strain[:, :, 0] - bt
         syy = lam_eff * tr2 + 2.0 * mu * strain[:, :, 1] - bt
         sxy = mu * strain[:, :, 2]
@@ -796,9 +785,7 @@ def _constrained_solve(pattern: _ReducedPattern, ke: np.ndarray, f: np.ndarray,
     """
     Kff, Kfc = pattern.assemble(ke)
     del ke
-    rhs = f[pattern.free]
-    if fixed_vals.size:
-        rhs = rhs - Kfc @ fixed_vals
+    rhs = f[pattern.free] - Kfc @ fixed_vals
     try:
         # panel_size=24 aborts with glibc's "corrupted size vs. prev_size" on problem 1 (scipy
         # 1.17.1); 4, 8, 16 and 32 took 105-126 ms a solve against 10's 110 ms: no clear gain

@@ -457,6 +457,8 @@ def save_model(model, path):
 
 def load_model(path):
     d = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: a model file must hold a JSON object, got {type(d).__name__}")
     if d["kind"] == "stress_surrogate":
         return StressSurrogate.from_dict(d)
     if d["kind"] == "operator_net":

@@ -56,9 +56,7 @@ def _sample_record(problem_id: str, seed: int, index: int, attempt: int = 0) -> 
         "genes": genes_to_dict(genes, cfg.nx),
         "profile_x": px.tolist(),
         "profile_y": py.tolist(),
-        "sigma_e_max": result.sigma_e_max,
-        "v_ca": result.v_ca,
-        "max_metal_temperature": result.max_metal_temperature,
+        **result.summary(),
     }
     if cfg.uniform_delta_theta is None:
         record["temperature_grid"] = result.temperature_grid.ravel(order="C").tolist()
@@ -128,6 +126,9 @@ def load_dataset(dataset_dir):
     """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{d / 'manifest.json'}: a manifest must hold a JSON object, "
+                         f"got {type(manifest).__name__}")
     rows = []
     counts = []
     for part in ("train", "test"):

@@ -37,6 +37,42 @@ class TestBasics:
         assert "error" in err
 
 
+class TestInputOfTheWrongKind:
+    """A path of the wrong kind, and a model file or manifest that holds JSON but no
+    object, are invalid input: each exits 1 (each used to exit 2 as a runtime failure)."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "manifest.json").write_text("[]")
+        for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json")):
+            (tmp_path / name).write_text(json.dumps({
+                "problem": "problem2", "case": "case1", "sigma_star": 0.0,
+                "models": {"stress": str(tmp_path / model)}}))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, reason", [
+        ("eval-profile --problem problem2 --genes {t}/dir", "Is a directory"),
+        ("optimize --experiment {t}/dir --out {t}/r", "Is a directory"),
+        ("optimize --experiment {t}/exp_dir.json --out {t}/r", "Is a directory"),
+        ("train-stress --dataset {t}/file --out {t}/m.json", "Not a directory"),
+        ("gen-data --problem problem1 --count 1 --seed 1 --out {t}/file", "File exists"),
+        ("export-field --problem problem1 --power-law 1 --out {t}/file", "File exists"),
+        ("optimize --experiment {t}/exp_list.json --out {t}/r",
+         "list.json: a model file must hold a JSON object, got list"),
+        ("train-stress --dataset {t}/ds --out {t}/m.json",
+         "manifest.json: a manifest must hold a JSON object, got list"),
+    ])
+    def test_exits_1(self, capsys, inputs, argv, reason):
+        code, out, err = run_cli(capsys, *argv.format(t=inputs).split())
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and reason in err
+        assert not (inputs / "r").exists() and not (inputs / "m.json").exists()
+
+
 class TestEvalProfile:
     def test_reference_linear_y_matches_published_value(self, capsys):
         code, out, err = run_cli(capsys, "eval-profile", "--problem", "problem2",

@@ -78,14 +78,25 @@ class TestMaterials:
 
 class TestShapeFunctions:
     def test_kronecker_delta_at_nodes(self):
-        coords = [(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0),
-                  (-1.0, 0.0), (0.0, 0.0), (1.0, 0.0),
-                  (-1.0, 1.0), (0.0, 1.0), (1.0, 1.0)]
-        for a, (xi, eta) in enumerate(coords):
-            n, _, _ = shape9(xi, eta)
-            expect = np.zeros(9)
-            expect[a] = 1.0
-            np.testing.assert_allclose(n, expect, atol=1e-14)
+        j, i = np.divmod(np.arange(9), 3)
+        n, _, _ = shape9(i - 1.0, j - 1.0)  # node a = 3 j + i sits at (i - 1, j - 1)
+        np.testing.assert_allclose(n, np.eye(9), atol=1e-14)
+
+    def test_batch_is_the_tensor_product_formula(self):
+        # N_a = l_i(xi) l_j(eta) at a = 3 j + i, and its two derivatives, bit for bit
+        xi, eta = make_rng(1).uniform(-1.0, 1.0, (2, 2, 5))
+        n, dxi, deta = shape9(xi, eta)
+        assert n.shape == dxi.shape == deta.shape == (2, 5, 9)
+        lx, dlx = fem._lagrange_quadratic(xi)
+        ly, dly = fem._lagrange_quadratic(eta)
+        for a in range(9):
+            j, i = divmod(a, 3)
+            assert np.array_equal(n[..., a], ly[..., j] * lx[..., i])
+            assert np.array_equal(dxi[..., a], ly[..., j] * dlx[..., i])
+            assert np.array_equal(deta[..., a], dly[..., j] * lx[..., i])
+        # a scalar point gives one row of nine
+        assert all(np.array_equal(v, w[1, 3]) for v, w in zip(shape9(xi[1, 3], eta[1, 3]),
+                                                               (n, dxi, deta)))
 
 
 class TestThermal:
@@ -371,8 +382,7 @@ class TestReducedAssembly:
 
     def test_thermal_matches_dense_oracle(self):
         s, prof, props = self.system()
-        B = np.stack([s.gauss_bx, s.gauss_by], axis=1)  # (9 gauss, 2, 9 nodes)
-        ke = np.einsum("eg,g,gia,gib->eab", props["k"], s.gauss_w, B, B)
+        ke = np.einsum("eg,g,gia,gib->eab", props["k"], s.gauss_w, s.gauss_B, s.gauss_B)
         enodes, half = s.mesh.edge_conn("right")
         conv = self.H_CONV * half * np.einsum("g,ga,gb->ab", s.edge_w, s.edge_N, s.edge_N)
         K = assemble_coo([(s.mesh.conn, ke), (enodes, conv)], s.mesh.n_nodes)
@@ -648,10 +658,12 @@ class TestPostprocessing:
         xy = mesh.gauss_points()
         assert xy.shape == (35, 9, 2)
         # point g = 3 j + i sits at (xi_i, eta_j) of element 0's parametric square
-        t = np.array([p for p, _ in fem.GAUSS_1D])
+        t = fem.GAUSS_T
         hx, hy = 0.5 / 7, cfg.H / 5
-        np.testing.assert_allclose(xy[0, :, 0], np.tile((t + 1) * hx / 2, 3), rtol=1e-15)
-        np.testing.assert_allclose(xy[0, :, 1], np.repeat((t + 1) * hy / 2, 3), rtol=1e-15)
+        for g in range(9):
+            j, i = divmod(g, 3)
+            np.testing.assert_allclose(xy[0, g], ((t[i] + 1) * hx / 2, (t[j] + 1) * hy / 2),
+                                       rtol=1e-15)
 
     def test_solver_determinism(self):
         cfg = problems.problem2()
