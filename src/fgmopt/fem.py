@@ -46,6 +46,7 @@ CORNERS = {
     "top_right": (1.0, 1.0),
 }
 RESIDUAL_TOL = 1e-10
+_ASSEMBLY_CHUNK = 1 << 16  # entries of the element matrices built at a time
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +398,14 @@ class ThermoelasticSolver:
     """Assembles and solves the one-way coupled problem for one configuration.
 
     Boundary conditions are resolved at construction.  Each field (thermal
-    only when ``config.thermal`` is set, elastic always) scatters its element
-    matrices with one bincount into the CSC pattern of the reduced SPD system
-    K[free][:, free], which SuperLU factors in symmetric mode in the order it
-    is numbered.  That numbering is one fill-reducing order of the mesh
-    nodes, a minimum-degree order of the node graph shared by both fields:
-    thermal dofs follow the node rank, elastic dofs (node rank, component).
+    only when ``config.thermal`` is set, elastic always) builds its element
+    matrices a chunk of elements at a time, from the Gauss-point coefficients
+    and one constant table, and adds each chunk into the values of the CSC
+    pattern of the reduced SPD system K[free][:, free], which SuperLU factors
+    in symmetric mode in the order it is numbered.  That numbering is one
+    fill-reducing order of the mesh nodes, a minimum-degree order of the node
+    graph shared by both fields: thermal dofs follow the node rank, elastic
+    dofs (node rank, component).
     Construction builds neither the order nor the patterns: the first solve
     builds and caches them, the order with one incomplete SuperLU factor of
     the node graph and each pattern with one sort of its field's node pairs.
@@ -561,24 +564,25 @@ class ThermoelasticSolver:
 
     # -- thermal solve -------------------------------------------------------
 
-    def _conductance(self, profile: np.ndarray) -> np.ndarray:
-        """Element conduction matrices, one flattened 9x9 per row, without convection."""
+    def _conductivity(self, profile: np.ndarray) -> np.ndarray:
+        """Conductivity at every Gauss point, (n_elems, 9): the element conduction
+        matrices, without convection, are this times ``therm_M``."""
         if self.config.thermal is None:
             raise SingularSystem("no thermal boundary conditions configured")
-        kvals = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
-        return kvals @ self.therm_M
+        return material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
 
     def thermal_system(self, profile: np.ndarray):
         """Full assembled (K, f) with convection terms, before Dirichlet elimination."""
-        ke = self._conductance(profile)
+        k = self._conductivity(profile)
         everything = _ReducedPattern(self.mesh.conn, 1, np.arange(self.mesh.n_nodes),
                                      np.empty(0, dtype=np.int64), const=self._conv)
-        return everything.assemble(ke)[0], self._thermal_f.copy()
+        return everything.assemble(k, self.therm_M)[0], self._thermal_f.copy()
 
     def solve_thermal(self, profile: np.ndarray) -> np.ndarray:
         """Nodal temperature change field theta-bar."""
-        ke = self._conductance(profile)
-        return _constrained_solve(self._thermal_pattern, ke, self._thermal_f, self.dirichlet_vals)
+        k = self._conductivity(profile)
+        return _constrained_solve(self._thermal_pattern, k, self.therm_M, self._thermal_f,
+                                  self.dirichlet_vals)
 
     # -- elastic solve ---------------------------------------------------------
 
@@ -606,7 +610,7 @@ class ThermoelasticSolver:
         lam_eff, mu, bt = self._elastic_at_gauss(profile, theta_nodal)
         f = self._mech_f.copy()
         _scatter_add(f, self.elem_dofs, bt @ self.elast_V)
-        u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]) @ self.elast_P, f,
+        u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]), self.elast_P, f,
                                self.fixed_vals)
         return u.reshape(-1, 2)
 
@@ -678,7 +682,7 @@ class _ReducedPattern:
 
     ``slot`` sends each entry of the per-row element matrices on ``conn``, in
     (node, component) dof order, to [Kff.data | Kfc.data | one discard slot
-    for the fixed rows], so assembly is one bincount.  Constant element
+    for the fixed rows], where ``assemble`` adds it.  Constant element
     matrices ``const = (node ids, matrices)``, the convection terms, are
     summed into ``base`` once.
     """
@@ -744,9 +748,23 @@ class _ReducedPattern:
         self.base = 0.0 if const is None else np.bincount(
             slots(const[0], inv[n_elem:]), weights=const[1].ravel(), minlength=self.rows.size)
 
-    def assemble(self, ke: np.ndarray):
-        """(Kff, Kfc) from element matrices ordered as ``conn``, by (node, component)."""
-        data = np.bincount(self.slot, weights=ke.ravel(), minlength=self.rows.size)
+    def assemble(self, coef: np.ndarray, table: np.ndarray):
+        """(Kff, Kfc) from the element matrices ``coef @ table``, one flattened matrix a
+        row of ``conn``, by (node, component).
+
+        The matrices are built ``_ASSEMBLY_CHUNK`` entries at a time in one reused
+        buffer, so no whole (n_elems, entries) table is held, and each chunk is
+        added into the values with ``np.add.at`` over its slice of ``slot``.
+        ``np.add.at`` adds in input order, so for given matrices the values are
+        bit-identical to one bincount of all of them.
+        """
+        width = table.shape[1]
+        step = max(1, _ASSEMBLY_CHUNK // width)
+        buf = np.empty((min(step, len(coef)), width))
+        data = np.zeros(self.rows.size)
+        for lo in range(0, len(coef), step):
+            ke = np.matmul(coef[lo:lo + step], table, out=buf[:len(coef) - lo])
+            np.add.at(data, self.slot[lo * width:(lo + step) * width], ke.ravel())
         data += self.base
         nf, p, rows = self.free.size, self.ptr, self.rows
         Kff = sp.csc_matrix((data[:p[nf]], rows[:p[nf]], p[:nf + 1]), shape=(nf, nf))
@@ -764,27 +782,31 @@ def _minimum_degree_rank(mesh: Mesh) -> np.ndarray:
     keeps the numeric work small.  ``perm_c`` is a view that keeps the whole
     factor alive, so it is copied out.
     """
-    nodes = _ReducedPattern(mesh.conn, 1, np.arange(mesh.n_nodes), np.empty(0, dtype=np.int64))
-    graph = nodes.assemble(np.broadcast_to((10.0 * np.eye(9) - 1.0).ravel(), (mesh.n_elems, 81)))[0]
-    ilu = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, drop_tol=1.0,
-                     fill_factor=1.0, options=dict(SymmetricMode=True))
+    ilu = spla.spilu(_node_graph(mesh), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     drop_tol=1.0, fill_factor=1.0, options=dict(SymmetricMode=True))
     return ilu.perm_c.copy()
 
 
-def _constrained_solve(pattern: _ReducedPattern, ke: np.ndarray, f: np.ndarray,
-                       fixed_vals: np.ndarray) -> np.ndarray:
+def _node_graph(mesh: Mesh) -> sp.csc_matrix:
+    """The node graph in mesh order: the 9x9 stencil 10 I - 1 of every element, summed."""
+    nodes = _ReducedPattern(mesh.conn, 1, np.arange(mesh.n_nodes), np.empty(0, dtype=np.int64))
+    return nodes.assemble(np.ones((mesh.n_elems, 1)), (10.0 * np.eye(9) - 1.0).reshape(1, 81))[0]
+
+
+def _constrained_solve(pattern: _ReducedPattern, coef: np.ndarray, table: np.ndarray,
+                       f: np.ndarray, fixed_vals: np.ndarray) -> np.ndarray:
     """Direct sparse solve with the Dirichlet dofs eliminated symmetrically.
 
     Kff = K[free][:, free] and the coupling Kfc = K[free][:, fixed] are
     assembled on the solver's precomputed pattern, whose ``free`` already
     lists the dofs in the solver's fill-reducing node order.  Kff is SPD, so
     SuperLU factors it in symmetric mode with no pivoting and no ordering of
-    its own; ``x_free`` maps back through ``pattern.free``.  ``solve_elastic``
-    passes ``ke`` as a temporary, so its element matrices (4 MB on problem 1)
-    are freed here, before the factor sets the solve's peak memory.
+    its own; ``x_free`` maps back through ``pattern.free``.  The element
+    matrices are ``coef @ table``, which ``pattern.assemble`` builds a chunk
+    at a time, so no table of them (4 MiB on problem 1) is held while the
+    factor sets the solve's peak memory.
     """
-    Kff, Kfc = pattern.assemble(ke)
-    del ke
+    Kff, Kfc = pattern.assemble(coef, table)
     rhs = f[pattern.free] - Kfc @ fixed_vals
     try:
         # panel_size=24 aborts with glibc's "corrupted size vs. prev_size" on problem 1 (scipy

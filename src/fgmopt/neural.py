@@ -127,6 +127,15 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
+        """The network of ``to_dict``'s object; raises ValueError unless ``d`` is an
+        object with lists of weights, biases and activations of one length."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a network must be a JSON object, got {type(d).__name__}")
+        sizes = [len(x) if isinstance(x, list) else None
+                 for x in (d["weights"], d["biases"], d["activations"])]
+        if None in sizes or len(set(sizes)) != 1:
+            raise ValueError("a network needs lists of weights, biases and activations of one "
+                             f"length, got lengths {sizes}")
         layers = [
             DenseLayer(_decode_array(w), _decode_array(b), act)
             for w, b, act in zip(d["weights"], d["biases"], d["activations"])
@@ -283,6 +292,8 @@ class StressSurrogate:
                  fingerprint: dict | None = None):
         if net.input_dim != nx_nodes + ny_nodes:
             raise DimensionMismatch("network input does not match the profile node counts")
+        if net.output_dim != 1:
+            raise DimensionMismatch(f"a stress network outputs one value, this one {net.output_dim}")
         self.net = net
         self.output_scale = float(output_scale)
         self.nx_nodes = nx_nodes
@@ -456,14 +467,19 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """The model ``save_model`` wrote to ``path``; a file that holds no valid model
+    raises ValueError naming it."""
     d = json.loads(pathlib.Path(path).read_text())
     if not isinstance(d, dict):
         raise ValueError(f"{path}: a model file must hold a JSON object, got {type(d).__name__}")
-    if d["kind"] == "stress_surrogate":
-        return StressSurrogate.from_dict(d)
-    if d["kind"] == "operator_net":
-        return OperatorNet.from_dict(d)
-    raise ValueError(f"unknown model kind {d['kind']!r}")
+    try:
+        if d["kind"] == "stress_surrogate":
+            return StressSurrogate.from_dict(d)
+        if d["kind"] == "operator_net":
+            return OperatorNet.from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    raise ValueError(f"{path}: unknown model kind {d['kind']!r}")
 
 
 # the operator's shipped schedule; each problem's stress schedule is in problems.PROBLEMS

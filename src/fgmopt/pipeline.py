@@ -122,19 +122,25 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
 def load_dataset(dataset_dir):
     """Manifest plus stacked arrays; order is [train rows..., test rows...].
 
-    Raises ValueError when a file does not match the SHA-256 in the manifest.
+    Raises ValueError when the manifest is malformed or a file does not match
+    the SHA-256 in the manifest.
     """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{d / 'manifest.json'}: a manifest must hold a JSON object, "
                          f"got {type(manifest).__name__}")
+    files, checksums = manifest.get("files"), manifest.get("checksums")
+    if not (isinstance(files, dict) and isinstance(checksums, dict)
+            and all(isinstance(files.get(part), str) for part in ("train", "test"))):
+        raise ValueError(f"{d / 'manifest.json'}: a manifest needs a files object naming the "
+                         "train and test files and a checksums object")
     rows = []
     counts = []
     for part in ("train", "test"):
-        name = manifest["files"][part]
+        name = files[part]
         raw = (d / name).read_bytes()
-        if hashlib.sha256(raw).hexdigest() != manifest["checksums"][name]:
+        if hashlib.sha256(raw).hexdigest() != checksums[name]:
             raise ValueError(f"{d / name}: SHA-256 does not match the manifest")
         lines = raw.decode().splitlines()
         counts.append(len(lines))

@@ -39,7 +39,9 @@ class TestBasics:
 
 class TestInputOfTheWrongKind:
     """A path of the wrong kind, and a model file or manifest that holds JSON but no
-    object, are invalid input: each exits 1 (each used to exit 2 as a runtime failure)."""
+    object, or an object of the wrong shape, are invalid input: each exits 1 (each used
+    to exit 2 as a runtime failure, or, for a stress net one activation short, to load
+    as a 64-output net and optimize on its first output)."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -48,7 +50,18 @@ class TestInputOfTheWrongKind:
         (tmp_path / "list.json").write_text("[1]")
         (tmp_path / "ds").mkdir()
         (tmp_path / "ds" / "manifest.json").write_text("[]")
-        for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json")):
+        (tmp_path / "ds_files").mkdir()
+        (tmp_path / "ds_files" / "manifest.json").write_text('{"files": 5}')
+        scale = problems.stress_scale(problems.problem2())  # passes the plate checks
+        stress = neural.StressSurrogate(neural.make_dense(0, [42, 8, 1], "relu"), scale, 21, 21)
+        d = stress.to_dict()
+        for name, net in (("short.json", {**d["net"], "activations": ["relu"]}),
+                          ("net5.json", 5),
+                          ("wide.json", neural.make_dense(0, [42, 8, 2], "relu").to_dict())):
+            (tmp_path / name).write_text(json.dumps({**d, "net": net}))
+        for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json"),
+                            ("exp_short.json", "short.json"), ("exp_net5.json", "net5.json"),
+                            ("exp_wide.json", "wide.json")):
             (tmp_path / name).write_text(json.dumps({
                 "problem": "problem2", "case": "case1", "sigma_star": 0.0,
                 "models": {"stress": str(tmp_path / model)}}))
@@ -65,6 +78,15 @@ class TestInputOfTheWrongKind:
          "list.json: a model file must hold a JSON object, got list"),
         ("train-stress --dataset {t}/ds --out {t}/m.json",
          "manifest.json: a manifest must hold a JSON object, got list"),
+        ("optimize --experiment {t}/exp_short.json --out {t}/r",
+         "short.json: a network needs lists of weights, biases and activations of one length, "
+         "got lengths [2, 2, 1]"),
+        ("optimize --experiment {t}/exp_net5.json --out {t}/r",
+         "net5.json: a network must be a JSON object, got int"),
+        ("optimize --experiment {t}/exp_wide.json --out {t}/r",
+         "wide.json: a stress network outputs one value, this one 2"),
+        ("train-stress --dataset {t}/ds_files --out {t}/m.json",
+         "ds_files/manifest.json: a manifest needs a files object"),
     ])
     def test_exits_1(self, capsys, inputs, argv, reason):
         code, out, err = run_cli(capsys, *argv.format(t=inputs).split())

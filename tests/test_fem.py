@@ -31,7 +31,17 @@ from fgmopt.fem import (
 from fgmopt.profiles import BOUND_TOL, grid_points, interpolate
 from fgmopt.rng import make_rng
 from fgmopt import fem, problems, verification
-from fem_oracle import dof_pattern, free_in_node_order
+from fem_oracle import broadcast_node_graph, dof_pattern, free_in_node_order
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc saw allocated while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def uniform_profile(phi, nx, ny):
@@ -556,13 +566,49 @@ class TestPatternMatchesDofOracle:
         # sorting every dof-pair key took a 27.6 MiB transient here; node pairs take about 8
         s = ThermoelasticSolver(problems.problem1())
         s._node_rank
-        tracemalloc.start()
-        try:
-            s._mech_pattern
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert traced_peak(lambda: s._mech_pattern) < 12 * 2**20
+
+
+class TestChunkedAssembly:
+    """``assemble`` builds the element matrices a chunk at a time and adds each chunk
+    into the values; one bincount of the whole table is the reference."""
+
+    # problem 1's 1,600 elements are no multiple of a chunk's rows (202 elastic, 809
+    # thermal), and the 4 x 3 element plate's 12 are fewer than one chunk
+    @pytest.mark.parametrize("name", ["problem1", "problem2", "mixed-5x4"])
+    def test_values_match_one_bincount(self, name):
+        s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
+        prof = make_rng(4).uniform(0.0, 1.0, (s.mesh.nx + 1, s.mesh.ny + 1))
+        lam_eff, mu, _ = s._elastic_at_gauss(prof, np.zeros(s.mesh.n_nodes))
+        k = material_at(s.config.materials, 1.0 - s.phi_at_gauss(prof))["k"]
+        thermal = (s._thermal_pattern if s.config.thermal is not None else  # on the node graph
+                   fem._ReducedPattern(s.mesh.conn, 1, s._node_rank, np.empty(0, dtype=np.int64)))
+        for pattern, coef, table in ((s._mech_pattern, np.hstack([lam_eff, mu]), s.elast_P),
+                                     (thermal, k, s.therm_M)):
+            Kff, Kfc = pattern.assemble(coef, table)
+            want = np.bincount(pattern.slot, weights=(coef @ table).ravel(),
+                               minlength=pattern.rows.size) + pattern.base
+            got = np.concatenate([Kff.data, Kfc.data])  # the discard slot dropped
+            err = np.abs(got - want[:got.size]).max()
+            assert err <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["problem1", "problem2"])
+    def test_node_graph_and_order_match_the_broadcast_bincount_graph(self, name, monkeypatch):
+        s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
+        old = broadcast_node_graph(s.mesh.conn, s.mesh.n_nodes)
+        new = fem._node_graph(s.mesh)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(new, attr).tobytes() == getattr(old, attr).tobytes(), attr
+        rank = s._node_rank
+        monkeypatch.setattr(fem, "_node_graph", lambda mesh: old)
+        assert np.array_equal(rank, fem._minimum_degree_rank(s.mesh))
+
+    def test_problem1_warm_solve_peak_memory(self):
+        # the whole (1600, 324) element table and an intp copy of slot took 11.5 MiB here
+        s = ThermoelasticSolver(problems.problem1())
+        prof = problems.power_law_reference(s.config, 2.0, "xy")
+        s.run(prof)
+        assert traced_peak(lambda: s.run(prof)) < 6 * 2**20
 
 
 class TestPostprocessing:
