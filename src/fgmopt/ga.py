@@ -52,10 +52,11 @@ log = logging.getLogger(__name__)
 
 _SBX_EPS = 1e-14
 ETA_C_BASE, ETA_M_BASE = 2.0, 10.0
+TOURNAMENT_SIZE, ELITE_COUNT, STALL_GENERATIONS = 4, 2, 10  # entrants, elites, stall window
 
 
-# each objective that FitnessEvaluator scores, with the defaults it sets in its own units:
-# every constraint's penalty weight, and the GA's stall tolerance (1e3 Pa = 0.001 MPa)
+# each objective that FitnessEvaluator scores, with what it sets in its own units: every
+# constraint's penalty weight, and the GA's stall tolerance (1e3 Pa = 0.001 MPa)
 OBJECTIVES = {
     "sigma_e_max": {"penalty_weight": 1.0e8, "stall_tolerance": 1.0e3},
     "v_ca": {"penalty_weight": 100.0, "stall_tolerance": 0.01},
@@ -71,31 +72,24 @@ def objective_spec(objective: str) -> dict:
 @dataclass(frozen=True)
 class GAConfig:
     population_size: int = 200
-    tournament_size: int = 4
     mutation_probability: float = 0.3
-    elite_count: int = 2
     min_generations: int = 50
-    stall_generations: int = 10
     stall_tolerance: float = OBJECTIVES["sigma_e_max"]["stall_tolerance"]  # objective units
     max_generations: int | None = None
 
     def __post_init__(self):
         # a float count fails in numpy's shapes and indexing, or runs a generation past it
-        for name in ("population_size", "tournament_size", "elite_count", "min_generations",
-                     "stall_generations", "max_generations"):
+        for name in ("population_size", "min_generations", "max_generations"):
             value = getattr(self, name)
             if not (isinstance(value, int) and not isinstance(value, bool)
                     or name == "max_generations" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_generations is not None and self.max_generations < 1:
             raise ValueError(f"max_generations must be None or >= 1, got {self.max_generations!r}")
-        if not (0 < self.elite_count < self.population_size):
-            raise ValueError("need 0 < elite_count < population_size")
-        if not (1 <= self.tournament_size <= self.population_size):
-            raise ValueError("need 1 <= tournament_size <= population_size")
-        # a negative window would read the best fitness from the wrong end of the generations
-        if not self.stall_generations >= 0:
-            raise ValueError(f"stall_generations must be >= 0, got {self.stall_generations!r}")
+        # a tournament draws TOURNAMENT_SIZE distinct entrants; ELITE_COUNT below it leaves a child
+        if self.population_size < TOURNAMENT_SIZE:
+            raise ValueError(f"population_size must be at least {TOURNAMENT_SIZE}, "
+                             f"got {self.population_size!r}")
         # elitism keeps the improvement >= 0, so below 0 (or NaN) the stall test never holds
         if not self.stall_tolerance >= 0.0:
             raise ValueError(f"stall_tolerance must be >= 0, got {self.stall_tolerance!r}")
@@ -351,11 +345,12 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
 
     Initial population comes from the random profile generation scheme, not
     uniform gene sampling, on the plate that ``evaluator.solver`` solves.
-    Elites are copied untouched (no crossover or mutation); termination needs
-    min_generations completed and the best fitness improving by at most
-    stall_tolerance over stall_generations.  The population is ranked by a
-    stable argsort of fitness: equal fitness goes to the lower index, and a
-    NaN fitness comes last, so it is never the best while a number is there.
+    ``config`` sets the population size, the mutation probability and the stop:
+    at max_generations, or once min_generations are done and the best fitness
+    has improved by at most stall_tolerance over STALL_GENERATIONS generations.
+    Tournaments take TOURNAMENT_SIZE entrants, the ELITE_COUNT best are copied
+    untouched, and the population is ranked by a stable argsort of fitness:
+    equal fitness goes to the lower index, and a NaN fitness comes last.
 
     Each generation is drawn as arrays before any child is evaluated: one
     ``tournament_select`` call for the 2 * ceil(n_children / 2) parents
@@ -376,7 +371,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     population = evaluated = [evaluator.evaluate(generate_genes(rng, nx, ny))
                               for _ in range(config.population_size)]
     lower, upper = gene_bounds(nx, ny)
-    n_children = config.population_size - config.elite_count
+    n_children = config.population_size - ELITE_COUNT
     stats: list[GenerationStats] = []
     g = 0
     while True:
@@ -395,19 +390,15 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
             log.info("%s", json.dumps({**asdict(latest),
                                        "wall_s": round(time.perf_counter() - t0, 3)}))
 
-        done = False
-        if g + 1 >= config.min_generations and len(stats) > config.stall_generations:
-            improvement = stats[-1 - config.stall_generations].best_fitness - best.fitness
-            done = improvement <= config.stall_tolerance
-        if config.max_generations is not None and g + 1 >= config.max_generations:
-            done = True
-        if done:
+        stalled = (g + 1 >= config.min_generations and len(stats) > STALL_GENERATIONS
+                   and stats[-1 - STALL_GENERATIONS].best_fitness - best.fitness
+                   <= config.stall_tolerance)
+        if stalled or config.max_generations is not None and g + 1 >= config.max_generations:
             return RunRecord(generations=stats, best=best, population=population)
 
         eta_c, eta_m = eta_schedule(ETA_C_BASE, g), eta_schedule(ETA_M_BASE, g)
         rank = np.argsort(order)  # each individual's place in order
-        winners = tournament_select(rank, config.tournament_size,
-                                    2 * math.ceil(n_children / 2), rng)
+        winners = tournament_select(rank, TOURNAMENT_SIZE, 2 * math.ceil(n_children / 2), rng)
         parents = np.array([population[i].genes for i in winners])
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_c, lower, upper, rng)
         children = np.stack([c1, c2], axis=1).reshape(-1, lower.size)[:n_children]
@@ -415,7 +406,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
                                        config.mutation_probability, rng)
         children.setflags(write=False)
         evaluated = [evaluator.evaluate(c) for c in children]
-        elites = [population[i] for i in order[: config.elite_count]]
+        elites = [population[i] for i in order[:ELITE_COUNT]]
         for ind in elites:  # an own copy: a row would keep its generation's children alive
             ind.genes = ind.genes.copy()
             ind.genes.setflags(write=False)

@@ -477,6 +477,8 @@ def load_model(path):
             return StressSurrogate.from_dict(d)
         if d["kind"] == "operator_net":
             return OperatorNet.from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"{path}: a model file needs the key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     raise ValueError(f"{path}: unknown model kind {d['kind']!r}")

@@ -17,7 +17,7 @@ import hashlib
 import json
 import logging
 import pathlib
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailur
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, objective_spec, prediction_error
 from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
-from .rng import derived_rng
+from .rng import check_seed, derived_rng
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,8 @@ SPLIT_STREAM = 0x5B17
 REPLACEMENT_STREAM = 0x9E9
 TRAIN_FRACTION = 0.8
 EXPERIMENT_KEYS = frozenset({"problem", "case", "ga", "sigma_star", "models", "v_star",
-                             "theta_max", "sigma_allow", "penalty_weight", "seed"})
+                             "theta_max", "sigma_allow", "seed"})
+GA_KEYS = frozenset({"population_size", "min_generations", "max_generations"})
 
 
 @functools.cache
@@ -86,6 +87,7 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
         raise ValueError(f"count must be at least 1, got {count}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    check_seed(seed)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if threads > 1:
@@ -202,14 +204,6 @@ def train_temperature_model(dataset: dict, seed: int, stages=None,
 # experiments
 # ---------------------------------------------------------------------------
 
-def _constraints_from(case_spec: dict, overrides: dict) -> ConstraintSpec:
-    """The objective's penalty weight, then the case's limits, then the non-null overrides."""
-    merged = {"penalty_weight": objective_spec(case_spec["objective"])["penalty_weight"],
-              **case_spec, **{k: v for k, v in overrides.items() if v is not None}}
-    return ConstraintSpec(**{f.name: merged[f.name] for f in fields(ConstraintSpec)
-                             if f.name in merged})
-
-
 def _load_model_for(path, kind, config):
     """Load a model of class ``kind`` and check that it was built for ``config``'s plate.
 
@@ -245,40 +239,40 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
 
     ``exp`` keys: problem (a ``problems.PROBLEMS`` id), case (one that its row
     ships), sigma_star (null = FEM only), models (an object of string paths,
-    stress and temperature), the constraint overrides v_star, theta_max,
-    sigma_allow and penalty_weight, seed, and ga, whose keys are GAConfig's
-    fields.  Any other key, at either level, is rejected by name, and so is an
-    experiment or ga that is not a JSON object, before any build.  Defaults:
-    case is unconstrained; the limits are the case's ``CASE_DEFAULTS`` entry;
-    penalty_weight and ga.stall_tolerance are its objective's ``ga.OBJECTIVES``
-    row; ga.mutation_probability is the problem's row; the other ga fields
-    are GAConfig's.  The run's seed is ``seed`` if given, else the file's
-    seed, else 0; it must be an int (not a bool), and run_record.json records it.
+    stress and temperature), the limits v_star, theta_max and sigma_allow,
+    seed, and ga, whose keys are population_size, min_generations and
+    max_generations.  Any other key, at either level, is rejected by name, and
+    so is an experiment or ga that is not a JSON object, before any build.
+    Defaults: case is unconstrained, the limits are the case's, the ga keys
+    GAConfig's.  Penalty weight and stall tolerance are the objective's
+    ``ga.OBJECTIVES`` row, the mutation probability the problem's row, the rest
+    ``ga``'s TOURNAMENT_SIZE, ELITE_COUNT and STALL_GENERATIONS.  The seed is
+    ``seed``, else the file's, else 0: an int of at least 0 (not a bool).
     """
     if not isinstance(exp, dict):
         raise ValueError(f"experiment must be a JSON object, got {type(exp).__name__}")
-    unknown = sorted(set(exp) - EXPERIMENT_KEYS)
-    if unknown:
-        raise ValueError(f"unknown experiment keys {unknown}")
     ga_overrides = exp.get("ga", {})
     if not isinstance(ga_overrides, dict):
         raise ValueError(f"ga must be a JSON object, got {type(ga_overrides).__name__}")
-    unknown = sorted(set(ga_overrides) - {f.name for f in fields(GAConfig)})
-    if unknown:
-        raise ValueError(f"unknown ga keys {unknown}")
+    for level, obj, known in (("experiment", exp, EXPERIMENT_KEYS), ("ga", ga_overrides, GA_KEYS)):
+        if unknown := sorted(set(obj) - known):
+            raise ValueError(f"unknown {level} keys {unknown}")
     run_seed = seed if seed is not None else exp.get("seed", 0)
     if not isinstance(run_seed, int) or isinstance(run_seed, bool):
         raise ValueError(f"seed must be an integer, got {run_seed!r}")
+    check_seed(run_seed)
     problem_id = exp["problem"]
     case_spec = problems.case_defaults(problem_id, exp.get("case", "unconstrained"))
     paths = exp.get("models", {})
     if not (isinstance(paths, dict) and all(isinstance(v, str) for v in paths.values())):
         raise ValueError(f"models must be an object of string paths, got {paths!r}")
-    constraints = _constraints_from(case_spec, exp)
     objective = case_spec["objective"]
-    ga_config = GAConfig(**{
-        "mutation_probability": problems.problem_spec(problem_id).mutation_probability,
-        "stall_tolerance": objective_spec(objective)["stall_tolerance"], **ga_overrides})
+    row = objective_spec(objective)
+    limits = {k: case_spec.get(k) if exp.get(k) is None else exp[k]  # null keeps the case's
+              for k in ("v_star", "theta_max", "sigma_allow")}
+    constraints = ConstraintSpec(**limits, penalty_weight=row["penalty_weight"])
+    ga_config = GAConfig(**ga_overrides, stall_tolerance=row["stall_tolerance"],
+                         mutation_probability=problems.problem_spec(problem_id).mutation_probability)
     solver = _solver_for(problem_id)
     config = solver.config
 

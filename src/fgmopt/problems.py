@@ -112,7 +112,7 @@ class ProblemSpec:
     reference: dict  # ``replace`` overrides giving the published reference-stress config
     reference_y: Callable  # (config, m) -> the published through-height gradation
     stress_scale: float  # normalization of stress targets before network training
-    mutation_probability: float  # the GA's default
+    mutation_probability: float  # the GA's, per gene
     stress_stages: tuple  # the shipped train-stress schedule
     cases: tuple  # the CASE_DEFAULTS keys it ships
 

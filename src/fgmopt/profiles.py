@@ -82,21 +82,31 @@ def _tolerant_bounds(nx: int, ny: int):
 def genes_from_dict(d, nx: int, ny: int) -> np.ndarray:
     """The gene vector of ``genes_to_dict`` output for a plate of nx-by-ny elements.
 
-    Raises ValueError unless ``d`` is a dict of numbers, and DimensionMismatch
-    unless it holds nx - 1 x-ratios and ny - 1 y-ratios.
+    Raises ValueError naming the key unless ``d`` is a dict whose four keys hold
+    JSON numbers (float() and numpy would also read "0.5" and true), and
+    DimensionMismatch unless it holds nx - 1 x-ratios and ny - 1 y-ratios.
     """
     if not isinstance(d, dict):
         raise ValueError(f"genes must be a JSON object, got {type(d).__name__}")
-    try:
-        phis = [float(d["phi_x1"]), float(d["phi_y1"])]
-        ax, ay = (np.asarray(d[k], dtype=float) for k in ("alphas_x", "alphas_y"))
-    except TypeError as exc:
-        raise ValueError(f"genes must be numbers: {exc}") from None
+    phi_x1, phi_y1, ax, ay = (_gene(d, k) for k in ("phi_x1", "phi_y1", "alphas_x", "alphas_y"))
     if (ax.shape, ay.shape) != ((nx - 1,), (ny - 1,)):
         raise DimensionMismatch(
             f"genes have {ax.size} x-ratios and {ay.size} y-ratios, "
             f"a {nx} x {ny} element plate takes {nx - 1} and {ny - 1}")
-    return _read_only(np.concatenate((phis, ax, ay)))
+    return _read_only(np.concatenate(([phi_x1, phi_y1], ax, ay)))
+
+
+def _gene(d: dict, key: str):
+    """``d[key]`` as a float, or a float array for a ratio list; ValueError names the key."""
+    if key not in d:
+        raise ValueError(f"genes need the key {key!r}")
+    value = d[key]
+    if not any(isinstance(v, (str, bool)) for v in (value if isinstance(value, list) else [value])):
+        try:
+            return np.asarray(value, dtype=float) if key.startswith("alphas") else float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"genes must be numbers, got {key}: {value!r}")
 
 
 def genes_to_dict(genes: np.ndarray, nx: int) -> dict:

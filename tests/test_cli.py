@@ -11,6 +11,8 @@ from fgmopt.fem import ThermoelasticSolver
 from fgmopt.profiles import generate_genes, genes_to_dict
 from fgmopt.rng import make_rng
 
+from tiny_experiment import tiny_experiment
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -59,9 +61,21 @@ class TestInputOfTheWrongKind:
                           ("net5.json", 5),
                           ("wide.json", neural.make_dense(0, [42, 8, 2], "relu").to_dict())):
             (tmp_path / name).write_text(json.dumps({**d, "net": net}))
+        (tmp_path / "no_net.json").write_text('{"kind": "stress_surrogate"}')
+        (tmp_path / "no_kind.json").write_text('{"net": {}}')
+        cfg = problems.problem2()
+        genes = genes_to_dict(generate_genes(make_rng(3), cfg.nx, cfg.ny), cfg.nx)
+        for name, key, value in (("genes_str.json", "phi_x1", "0.5"),
+                                 ("genes_bool.json", "phi_y1", True),
+                                 ("genes_ratios.json", "alphas_x",
+                                  [str(a) for a in genes["alphas_x"]])):
+            (tmp_path / name).write_text(json.dumps({**genes, key: value}))
+        (tmp_path / "genes_no_ratios.json").write_text(json.dumps(
+            {k: v for k, v in genes.items() if k != "alphas_y"}))
         for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json"),
                             ("exp_short.json", "short.json"), ("exp_net5.json", "net5.json"),
-                            ("exp_wide.json", "wide.json")):
+                            ("exp_wide.json", "wide.json"), ("exp_no_net.json", "no_net.json"),
+                            ("exp_no_kind.json", "no_kind.json")):
             (tmp_path / name).write_text(json.dumps({
                 "problem": "problem2", "case": "case1", "sigma_star": 0.0,
                 "models": {"stress": str(tmp_path / model)}}))
@@ -87,6 +101,21 @@ class TestInputOfTheWrongKind:
          "wide.json: a stress network outputs one value, this one 2"),
         ("train-stress --dataset {t}/ds_files --out {t}/m.json",
          "ds_files/manifest.json: a manifest needs a files object"),
+        # a missing key was a bare KeyError naming no file: "error: 'net'"
+        ("optimize --experiment {t}/exp_no_net.json --out {t}/r",
+         "no_net.json: a model file needs the key 'net'"),
+        ("optimize --experiment {t}/exp_no_kind.json --out {t}/r",
+         "no_kind.json: a model file needs the key 'kind'"),
+        # float() and numpy read the string "0.5" and true as genes
+        ("eval-profile --problem problem2 --genes {t}/genes_str.json",
+         "genes must be numbers, got phi_x1: '0.5'"),
+        ("eval-profile --problem problem2 --genes {t}/genes_bool.json",
+         "genes must be numbers, got phi_y1: True"),
+        ("eval-profile --problem problem2 --genes {t}/genes_ratios.json",
+         "genes must be numbers, got alphas_x: ['"),
+        # a missing key was a bare KeyError: "error: 'alphas_y'"
+        ("eval-profile --problem problem2 --genes {t}/genes_no_ratios.json",
+         "genes need the key 'alphas_y'"),
     ])
     def test_exits_1(self, capsys, inputs, argv, reason):
         code, out, err = run_cli(capsys, *argv.format(t=inputs).split())
@@ -215,6 +244,15 @@ class TestDataAndFields:
         assert f"error: count must be at least 1, got {count}" in err
         assert not out.exists()
 
+    def test_gen_data_negative_seed_exits_1_writing_nothing(self, capsys, tmp_path):
+        # numpy used to reject it after the directory was made: "expected non-negative integer"
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "gen-data", "--problem", "problem2", "--count", "2",
+                                    "--seed", "-1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert "error: seed must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_gen_data_threads_below_one_exits_1_writing_nothing(self, capsys, tmp_path, threads):
         # -3 used to exit 0, writing a dataset serially
@@ -285,17 +323,24 @@ class TestTrain:
             assert not model.exists() and not history.exists()
 
 
+    @pytest.mark.parametrize("command", ["train-stress", "train-temp"])
+    def test_negative_seed_exits_1_writing_nothing(self, capsys, tmp_path, command):
+        # numpy used to reject it with "expected non-negative integer", naming no seed
+        ds, model = tmp_path / "ds", tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem2",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        code, out, err = run_cli(capsys, command, "--dataset", str(ds), "--out", str(model),
+                                 "--seed", "-2")
+        assert code == 1 and out == ""
+        assert "error: seed must be a non-negative integer, got -2" in err
+        assert not model.exists()
+
+
 class TestOptimize:
     def write_exp(self, tmp_path):
-        exp = {
-            "problem": "problem2",
-            "case": "case1",
-            "seed": 3,
-            "ga": {"population_size": 6, "elite_count": 1, "tournament_size": 2,
-                   "min_generations": 2, "stall_generations": 1, "max_generations": 2},
-        }
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps(exp))
+        path.write_text(json.dumps(tiny_experiment()))
         return path
 
     def test_optimize_deterministic_bundles(self, capsys, tmp_path):
@@ -316,8 +361,8 @@ class TestOptimize:
         lines = [json.loads(l) for l in err.splitlines() if '"generation"' in l]
         assert [l["generation"] for l in lines] == [0, 1]
         record = json.loads((tmp_path / "r" / "run_record.json").read_text())
-        # 6 initial individuals, then 5 children (the one elite is not re-evaluated)
-        for line, gen, n in zip(lines, record["generations"], (6, 5)):
+        # 6 initial individuals, then 4 children (the 2 elites are not re-evaluated)
+        for line, gen, n in zip(lines, record["generations"], (6, 4)):
             assert {k: v for k, v in line.items() if k != "wall_s"} == gen
             assert line["best_fitness"] == gen["best_fitness"]
             assert line["eval_sources"] == {"fem": n, "surrogate": 0}
@@ -340,11 +385,17 @@ class TestOptimize:
         assert '"generation"' not in err
 
     @pytest.mark.parametrize("override, key", [
-        ({"ga": {"tournament_size": 0}}, "tournament_size"),
         ({"sigma_star": float("nan")}, "sigma_star"),
         ({"sigma_star": -1.0}, "sigma_star"),
-        ({"ga": {"stall_tolerance": float("nan")}}, "stall_tolerance"),
-        ({"ga": {"stall_generations": -5}}, "stall_generations"),
+        # GA and penalty settings that are constants or table rows, not experiment keys
+        ({"ga": {"tournament_size": 4}}, "unknown ga keys ['tournament_size']"),
+        ({"ga": {"elite_count": 2}}, "unknown ga keys ['elite_count']"),
+        ({"ga": {"stall_generations": 10}}, "unknown ga keys ['stall_generations']"),
+        ({"ga": {"mutation_probability": 0.4}}, "unknown ga keys ['mutation_probability']"),
+        ({"ga": {"stall_tolerance": 1e3}}, "unknown ga keys ['stall_tolerance']"),
+        ({"penalty_weight": 1e8}, "unknown experiment keys ['penalty_weight']"),
+        # a tournament draws 4 distinct entrants
+        ({"ga": {"population_size": 3}}, "population_size must be at least 4, got 3"),
         # the seed and the threshold are set at the top level only
         ({"ga": {"seed": 5}}, "unknown ga keys ['seed']"),
         ({"ga": {"sigma_star": 0.0}}, "unknown ga keys ['sigma_star']"),
@@ -353,10 +404,10 @@ class TestOptimize:
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": "3"}, "seed must be an integer, got '3'"),
         ({"seed": None}, "seed must be an integer, got None"),
+        # a negative seed failed in numpy after the solver was built, naming no seed
+        ({"seed": -3}, "seed must be a non-negative integer, got -3"),
         # a GA count that is not an int failed after generation 0's solves, or ran silently
         ({"ga": {"population_size": 10.0}}, "population_size must be an integer, got 10.0"),
-        ({"ga": {"tournament_size": 2.0}}, "tournament_size must be an integer, got 2.0"),
-        ({"ga": {"elite_count": 1.5}}, "elite_count must be an integer, got 1.5"),
         ({"ga": {"min_generations": 2.5}}, "min_generations must be an integer, got 2.5"),
         ({"ga": {"max_generations": 2.5}}, "max_generations must be an integer, got 2.5"),
         ({"ga": {"max_generations": -3}}, "max_generations must be None or >= 1, got -3"),
@@ -364,16 +415,14 @@ class TestOptimize:
         ({"sigma_allow": 0}, "sigma_allow must be a finite number > 0, got 0"),
         ({"v_star": 0}, "v_star must be a finite number > 0, got 0"),
         ({"v_star": "0.15"}, "v_star must be a finite number > 0, got '0.15'"),
-        ({"penalty_weight": "1"}, "penalty_weight must be a finite number > 0, got '1'"),
-        ({"penalty_weight": -5}, "penalty_weight must be a finite number > 0, got -5"),
         ({"sigma_star": "1e8"}, "sigma_star must be None or a number >= 0, got '1e8'"),
-    ], ids=["empty-tournament", "nan-threshold", "negative-threshold", "nan-stall-tolerance",
-            "negative-stall-generations", "ga-seed", "ga-threshold", "float-seed", "bool-seed",
-            "string-seed", "null-seed", "float-population", "float-tournament",
-            "fractional-elites", "fractional-min-generations", "fractional-max-generations",
+    ], ids=["nan-threshold", "negative-threshold", "ga-tournament-size", "ga-elite-count",
+            "ga-stall-generations", "ga-mutation-probability", "ga-stall-tolerance",
+            "penalty-weight", "population-below-tournament", "ga-seed", "ga-threshold",
+            "float-seed", "bool-seed", "string-seed", "null-seed", "negative-seed",
+            "float-population", "fractional-min-generations", "fractional-max-generations",
             "negative-max-generations", "zero-stress-limit", "zero-fraction-limit",
-            "string-fraction-limit", "string-penalty-weight", "negative-penalty-weight",
-            "string-threshold"])
+            "string-fraction-limit", "string-threshold"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
                                                                     monkeypatch, override, key):
         # every solve samples its profile there: a config error must come before the first
@@ -505,9 +554,7 @@ class TestRoundTrips:
         assert_resolves_to(capsys, tmp_path, problem, row["genes"], row)
 
     def test_fem_only_optimum(self, capsys, tmp_path):
-        self.optimize(capsys, tmp_path, case="case2", sigma_star=None,
-                      ga={"population_size": 6, "elite_count": 1, "tournament_size": 2,
-                          "max_generations": 2})
+        self.optimize(capsys, tmp_path, **tiny_experiment(case="case2", sigma_star=None))
 
     def test_surrogate_optimum(self, capsys, tmp_path, dataset):
         stress = self.train(capsys, tmp_path, dataset, "train-stress")

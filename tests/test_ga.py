@@ -1,7 +1,7 @@
 import json
 import logging
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +9,9 @@ import pytest
 
 from fgmopt.errors import MissingSummary
 from fgmopt.ga import (
+    ELITE_COUNT,
+    STALL_GENERATIONS,
+    TOURNAMENT_SIZE,
     ConstraintSpec,
     FitnessEvaluator,
     GAConfig,
@@ -456,8 +459,7 @@ class TestNanPredictionUnderConstraints:
         assert math.isfinite(ind.objective)  # v_ca, which alone would look feasible
 
     def test_nan_designs_leave_the_feasible_fraction_and_a_finite_design_wins(self):
-        config = GAConfig(population_size=8, tournament_size=2, elite_count=1,
-                          min_generations=3, max_generations=3)
+        config = GAConfig(population_size=8, min_generations=3, max_generations=3)
         rec = evolve(config, self.case4_evaluator(self.EveryOtherNan()), 2)
         for stats in rec.generations:
             assert 0.0 < stats.feasible_fraction < 1.0 and math.isfinite(stats.best_fitness)
@@ -483,8 +485,7 @@ class TestNanFitnessOrder:
         ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max",
                               ConstraintSpec(), sigma_star=0.0,
                               stress_model=self.EveryThirdNan())
-        config = GAConfig(population_size=8, tournament_size=2, elite_count=1,
-                          min_generations=3, max_generations=3)
+        config = GAConfig(population_size=8, min_generations=3, max_generations=3)
         rec = evolve(config, ev, 2)
         assert all(math.isfinite(stats.best_fitness) for stats in rec.generations)
         finite = [ind.fitness for ind in rec.population if not math.isnan(ind.fitness)]
@@ -496,49 +497,51 @@ class TestEvolve:
     seed = 11
 
     def make_config(self, **kw):
-        base = dict(population_size=10, tournament_size=3, elite_count=2,
-                    min_generations=4, stall_generations=2, stall_tolerance=1e30,
+        base = dict(population_size=10, min_generations=4, stall_tolerance=1e30,
                     mutation_probability=0.3)
         base.update(kw)
         return GAConfig(**base)
 
     @pytest.mark.parametrize("bad, match", [
-        (dict(tournament_size=0), "tournament_size"),
-        (dict(tournament_size=11), "tournament_size"),
+        # a tournament draws TOURNAMENT_SIZE distinct entrants, and the elites stay below it
+        (dict(population_size=3), "population_size must be at least 4, got 3"),
+        (dict(population_size=0), "population_size must be at least 4, got 0"),
         (dict(stall_tolerance=float("nan")), "stall_tolerance .* got nan"),
         (dict(stall_tolerance=-1.0), "stall_tolerance .* got -1.0"),
         (dict(mutation_probability=float("nan")), r"mutation_probability .* got nan"),
         (dict(mutation_probability=-0.1), r"mutation_probability .* got -0.1"),
         (dict(mutation_probability=1.5), r"mutation_probability .* got 1.5"),
-        (dict(stall_generations=-1), "stall_generations .* got -1"),
-        (dict(stall_generations=-5), "stall_generations .* got -5"),
         (dict(population_size=10.0), "population_size must be an integer, got 10.0"),
-        (dict(tournament_size=2.0), "tournament_size must be an integer, got 2.0"),
-        (dict(elite_count=1.5), "elite_count must be an integer, got 1.5"),
+        (dict(population_size=True), "population_size must be an integer, got True"),
         (dict(min_generations=2.5), "min_generations must be an integer, got 2.5"),
-        (dict(stall_generations=True), "stall_generations must be an integer, got True"),
+        (dict(min_generations=True), "min_generations must be an integer, got True"),
         (dict(max_generations=2.5), "max_generations must be an integer, got 2.5"),
         (dict(max_generations=-3), "max_generations must be None or >= 1, got -3"),
         (dict(max_generations=0), "max_generations must be None or >= 1, got 0"),
-    ], ids=["empty-tournament", "tournament-above-population",
+    ], ids=["population-below-tournament", "empty-population",
             "nan-stall-tolerance", "negative-stall-tolerance",
             "nan-mutation", "negative-mutation", "mutation-above-one",
-            "negative-stall-window", "stall-window-past-the-trace",
-            "float-population", "float-tournament", "fractional-elites",
-            "fractional-min-generations", "bool-stall-window", "fractional-max-generations",
+            "float-population", "bool-population",
+            "fractional-min-generations", "bool-min-generations", "fractional-max-generations",
             "negative-max-generations", "zero-max-generations"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.make_config(**bad)
 
-    def test_terminates_at_min_generations_when_stalled(self):
-        # huge stall tolerance -> stall condition met immediately
-        rec = evolve(self.make_config(), fem_evaluator(), self.seed)
-        assert rec.generations[-1].generation == 3  # 4 generations: 0..3
+    def test_tournament_size_elite_count_and_stall_window_are_constants_not_fields(self):
+        assert [f.name for f in fields(GAConfig)] == [
+            "population_size", "mutation_probability", "min_generations", "stall_tolerance",
+            "max_generations"]
+
+    @pytest.mark.parametrize("min_generations", [4, STALL_GENERATIONS + 3])
+    def test_terminates_once_stalled_and_past_min_generations(self, min_generations):
+        # huge stall tolerance -> stalled as soon as STALL_GENERATIONS generations lie behind
+        rec = evolve(self.make_config(min_generations=min_generations), fem_evaluator(),
+                     self.seed)
+        assert len(rec.generations) == max(min_generations, STALL_GENERATIONS + 1)
 
     def test_elitism_monotone_best_fitness(self):
-        rec = evolve(self.make_config(min_generations=8, stall_generations=3),
-                     fem_evaluator(), self.seed)
+        rec = evolve(self.make_config(min_generations=8), fem_evaluator(), self.seed)
         trace = [g.best_fitness for g in rec.generations]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -562,49 +565,52 @@ class TestEvolve:
         assert rec.generations[-1].generation == 2
         totals = rec.eval_source_totals
         assert totals["fem"] > 0 and totals["surrogate"] == 0
-        assert totals["fem"] == 10 + 2 * 8  # the evaluations made: elites are not re-counted
+        # the evaluations made: elites are not re-counted
+        assert totals["fem"] == 10 + 2 * (10 - ELITE_COUNT)
 
     def test_improvement_drives_past_min_generations(self):
         # tight tolerance: the run should not stop exactly at min_generations
         # unless truly stalled; just assert it runs and returns a best
-        rec = evolve(self.make_config(stall_tolerance=0.0, min_generations=3,
-                                      stall_generations=2, max_generations=8),
+        rec = evolve(self.make_config(stall_tolerance=0.0, min_generations=3, max_generations=8),
                      fem_evaluator(), self.seed)
         assert rec.best.fitness <= rec.generations[0].best_fitness
 
     def test_odd_child_count_follows_documented_generation_order(self):
-        # population 11 with 2 elites: 9 children from 5 pairs, the 10th child dropped
-        config = self.make_config(population_size=11, elite_count=2, max_generations=2)
+        # 9 children from 5 pairs, the 10th child dropped
+        n_children = 9
+        pop = ELITE_COUNT + n_children
+        config = self.make_config(population_size=pop, max_generations=2)
         evaluator = RecordingEvaluator()
         rec = evolve(config, evaluator, self.seed)
-        assert [len(batch) for batch in evaluator.batches(11, 9)] == [11, 9]
-        assert len(rec.population) == 11
+        assert [len(batch) for batch in evaluator.batches(pop, n_children)] == [pop, n_children]
+        assert len(rec.population) == pop
 
         rng = derived_rng(self.seed, 0x6A)
-        population = [evaluator.score(generate_genes(rng, 6, 6)) for _ in range(11)]
+        population = [evaluator.score(generate_genes(rng, 6, 6)) for _ in range(pop)]
         lower, upper = gene_bounds(6, 6)
-        # one row of keys per tournament; its k smallest are the entrants
+        # one row of keys per tournament; its TOURNAMENT_SIZE smallest are the entrants
         parents = []
-        for keys in rng.random((10, 11)):
-            entrants = np.argsort(keys)[: config.tournament_size]
+        for keys in rng.random((n_children + 1, pop)):
+            entrants = np.argsort(keys)[:TOURNAMENT_SIZE]
             winner = min(entrants, key=lambda i: (population[i].fitness, i))
             parents.append(population[winner].genes)
         c1, c2 = sbx_crossover(parents[0::2], parents[1::2], eta_schedule(2.0, 0),
                                lower, upper, rng)
-        children = [c for pair in zip(c1, c2) for c in pair][:9]
+        children = [c for pair in zip(c1, c2) for c in pair][:n_children]
         want = polynomial_mutation(np.array(children), eta_schedule(10.0, 0), lower, upper,
                                    config.mutation_probability, rng)
-        got = np.array(evaluator.batches(11, 9)[1])
+        got = np.array(evaluator.batches(pop, n_children)[1])
         np.testing.assert_array_equal(got, want)
-        order = sorted(range(11), key=lambda i: (population[i].fitness, i))
-        elites = [population[i].genes for i in order[:2]]
-        np.testing.assert_array_equal([ind.genes for ind in rec.population[:2]], elites)
+        order = sorted(range(pop), key=lambda i: (population[i].fitness, i))
+        elites = [population[i].genes for i in order[:ELITE_COUNT]]
+        np.testing.assert_array_equal([ind.genes for ind in rec.population[:ELITE_COUNT]],
+                                      elites)
 
     def test_genes_are_sized_by_the_evaluators_plate(self):
         # a 5 x 3 element plate: every design drawn or bred has 2 + 4 + 2 genes and decodes
         evaluator = RecordingEvaluator(nx=5, ny=3)
         evolve(self.make_config(max_generations=2), evaluator, self.seed)
-        assert len(evaluator.calls) == 10 + 8
+        assert len(evaluator.calls) == 10 + (10 - ELITE_COUNT)
         for genes in evaluator.calls:
             assert genes.shape == (8,)
             px, py = genes_to_profiles(genes, 5, 3)
@@ -614,11 +620,11 @@ class TestEvolve:
         # each generation's children reach evaluate as rows of one read-only array, uncopied
         evaluator = RecordingEvaluator()
         rec = evolve(self.make_config(max_generations=3), evaluator, self.seed)
-        initial, *generations = evaluator.batches(10, 8)
+        initial, *generations = evaluator.batches(10, 10 - ELITE_COUNT)
         assert len(generations) == 2
         for children in generations:
             shared = children[0].base
-            assert shared is not None and shared.shape == (8, 12)
+            assert shared is not None and shared.shape == (10 - ELITE_COUNT, 12)
             assert not shared.flags.writeable
             for row, genes in enumerate(children):
                 assert genes.base is shared and not genes.flags.writeable
@@ -626,7 +632,7 @@ class TestEvolve:
         assert generations[0][0].base is not generations[1][0].base
         assert all(not genes.flags.writeable for genes in initial)
         # the carried elites own their genes, so no elite holds a whole generation alive
-        for ind in rec.population[:2]:
+        for ind in rec.population[:ELITE_COUNT]:
             assert ind.genes.base is None and not ind.genes.flags.writeable
 
     def test_progress_line_per_generation(self, caplog):
@@ -634,8 +640,8 @@ class TestEvolve:
         rec = evolve(self.make_config(max_generations=3), RecordingEvaluator(), self.seed)
         lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "fgmopt.ga"]
         assert [line["generation"] for line in lines] == [0, 1, 2]
-        # 10 initial individuals, then 8 children a generation (2 elites are not re-evaluated)
-        for line, stats, n in zip(lines, rec.generations, (10, 8, 8)):
+        # 10 initial individuals, then the children a generation (elites are not re-evaluated)
+        for line, stats, n in zip(lines, rec.generations, (10, 10 - ELITE_COUNT, 10 - ELITE_COUNT)):
             assert {k: v for k, v in line.items() if k != "wall_s"} == asdict(stats)
             assert line["best_fitness"] == stats.best_fitness
             assert line["feasible_fraction"] == stats.feasible_fraction
@@ -682,23 +688,26 @@ class RecordingEvaluator:
         return [first] + [rest[i:i + n_children] for i in range(0, len(rest), n_children)]
 
 
+# a stub run's evaluations: 6 initial individuals, then the children (elites are not
+# re-predicted)
+STUB_EVALS = [6, 6 - ELITE_COUNT]
+
+
 def stub_run(sigma_star, value):
     """Two generations of 6 with a stress surrogate that always predicts ``value``."""
     solver = ThermoelasticSolver(tiny_problem())
     ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(), sigma_star=sigma_star,
                           stress_model=TestHybridDispatch.StubStress(value))
-    config = GAConfig(population_size=6, tournament_size=2, elite_count=1,
-                      min_generations=2, max_generations=2)
-    return evolve(config, ev, 5)
+    return evolve(GAConfig(population_size=6, min_generations=2, max_generations=2), ev, 5)
 
 
 class TestSurrogateRelError:
     def test_fem_routed_predictions_give_the_max_error(self):
         # a stub below the threshold sends every individual to FEM with its prediction
         rec = stub_run(sigma_star=1e12, value=40e6)
-        assert [s.eval_sources for s in rec.generations] == [{"surrogate": 0, "fem": 6},
-                                                             {"surrogate": 0, "fem": 5}]
-        children = rec.population[1:]  # the last generation's evaluations, after the elite
+        assert [s.eval_sources for s in rec.generations] == [{"surrogate": 0, "fem": n}
+                                                             for n in STUB_EVALS]
+        children = rec.population[ELITE_COUNT:]  # the last generation's evaluations
         errors = [abs(40e6 - ind.sigma_e_max) / ind.sigma_e_max for ind in children]
         assert rec.generations[-1].surrogate_rel_error == max(errors)
         assert evaluation_counts(children)["surrogate_rel_error"] == max(errors)
@@ -724,24 +733,26 @@ class TestSurrogateRelError:
 class TestBadPredictions:
     def test_nan_prediction_routes_to_fem_and_is_counted(self):
         rec = stub_run(sigma_star=50e6, value=np.nan)
-        # 6 initial individuals, then 5 children (one elite is not re-predicted)
-        assert [s.nan_predictions for s in rec.generations] == [6, 5]
+        assert [s.nan_predictions for s in rec.generations] == STUB_EVALS
         assert [s.negative_predictions for s in rec.generations] == [0, 0]
-        assert [s.eval_sources["fem"] for s in rec.generations] == [6, 5]
+        assert [s.eval_sources["fem"] for s in rec.generations] == STUB_EVALS
         assert all(s.eval_sources["surrogate"] == 0 for s in rec.generations)
-        assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
+        assert rec.bad_prediction_totals == {"nan_predictions": sum(STUB_EVALS),
+                                             "negative_predictions": 0}
 
     def test_negative_prediction_is_the_objective_and_is_counted(self):
         rec = stub_run(sigma_star=0.0, value=-5e6)
-        assert [s.negative_predictions for s in rec.generations] == [6, 5]
+        assert [s.negative_predictions for s in rec.generations] == STUB_EVALS
         assert [s.nan_predictions for s in rec.generations] == [0, 0]
         assert rec.best.objective == -5e6 and rec.best.eval_source == "surrogate"
-        assert rec.bad_prediction_totals == {"nan_predictions": 0, "negative_predictions": 11}
+        assert rec.bad_prediction_totals == {"nan_predictions": 0,
+                                             "negative_predictions": sum(STUB_EVALS)}
 
     def test_nan_prediction_is_the_objective_with_sigma_star_zero(self):
         rec = stub_run(sigma_star=0.0, value=np.nan)
-        assert rec.bad_prediction_totals == {"nan_predictions": 11, "negative_predictions": 0}
-        assert [s.eval_sources["surrogate"] for s in rec.generations] == [6, 5]
+        assert rec.bad_prediction_totals == {"nan_predictions": sum(STUB_EVALS),
+                                             "negative_predictions": 0}
+        assert [s.eval_sources["surrogate"] for s in rec.generations] == STUB_EVALS
         assert all(s.eval_sources["fem"] == 0 for s in rec.generations)
         assert math.isnan(rec.best.objective)
 
@@ -771,9 +782,6 @@ def test_surrogate_only_evolve_makes_one_single_row_predict_per_child(monkeypatc
     model = StressSurrogate.build(make_rng(0), 7, 7, output_scale=1e8)
     ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max", ConstraintSpec(),
                           sigma_star=0.0, stress_model=model)
-    config = GAConfig(population_size=8, tournament_size=3, elite_count=2, min_generations=3,
-                      max_generations=3)
-    rec = evolve(config, ev, 4)
-    assert rows == [1] * (8 + 2 * 6)
+    rec = evolve(GAConfig(population_size=8, min_generations=3, max_generations=3), ev, 4)
+    assert rows == [1] * (8 + 2 * (8 - ELITE_COUNT))
     assert rec.eval_source_totals == {"surrogate": len(rows), "fem": 0}
-    assert len(rows) == 20

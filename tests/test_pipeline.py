@@ -15,6 +15,8 @@ from fgmopt.profiles import (genes_from_dict, genes_to_dict, genes_to_profiles, 
                              grid_points, tensor_product)
 from fgmopt.rng import derived_rng, make_rng
 
+from tiny_experiment import tiny_experiment
+
 
 def tiny_operator(nx_nodes, ny_nodes, L, H):
     """An operator of latent 4: the plate binding checks read only its shapes and L, H."""
@@ -175,21 +177,9 @@ class TestTrainingWiring:
 
 
 class TestExperiments:
-    def tiny_exp(self, **kw):
-        exp = {
-            "problem": "problem2",
-            "case": "case1",
-            "seed": 5,
-            "ga": {"population_size": 6, "elite_count": 1, "tournament_size": 2,
-                   "min_generations": 2, "stall_generations": 1,
-                   "max_generations": 3},
-        }
-        exp.update(kw)
-        return exp
-
     def test_fem_only_run_bundle(self, tmp_path):
         out = tmp_path / "run"
-        bundle = pipeline.run_experiment(self.tiny_exp(), out)
+        bundle = pipeline.run_experiment(tiny_experiment(), out)
         assert (out / "run_record.json").exists()
         assert (out / "convergence.csv").exists()
         for f in ("temperature.csv", "effective_stress.csv", "volume_fraction.csv"):
@@ -201,41 +191,41 @@ class TestExperiments:
         # no prediction was made, so there is no prediction error to report
         assert bundle["surrogate_sigma_rel_error"] is None
         assert bundle["surrogate_theta_rel_error"] is None
-        # population 6 with 1 elite: 6 evaluations, then 5 a generation
-        fem = 6 + 5 * (len(bundle["generations"]) - 1)
+        # population 6: 6 evaluations, then the children of each later generation
+        fem = 6 + (6 - ga.ELITE_COUNT) * (len(bundle["generations"]) - 1)
         assert bundle["eval_source_totals"] == {"surrogate": 0, "fem": fem}
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0].startswith("generation,")
         assert len(lines) == 1 + len(bundle["generations"])
 
     def test_run_determinism(self, tmp_path):
-        b1 = pipeline.run_experiment(self.tiny_exp(), tmp_path / "r1")
-        b2 = pipeline.run_experiment(self.tiny_exp(), tmp_path / "r2")
+        b1 = pipeline.run_experiment(tiny_experiment(), tmp_path / "r1")
+        b2 = pipeline.run_experiment(tiny_experiment(), tmp_path / "r2")
         assert b1["best"] == b2["best"]
         assert (tmp_path / "r1" / "run_record.json").read_bytes() == \
                (tmp_path / "r2" / "run_record.json").read_bytes()
 
     def test_case4_objective_is_vca(self, tmp_path):
-        exp = self.tiny_exp(case="case4")
+        exp = tiny_experiment(case="case4")
         bundle = pipeline.run_experiment(exp, tmp_path / "c4")
         assert bundle["best"]["objective"] == pytest.approx(bundle["best"]["v_ca"]) or \
                bundle["best"]["penalty"] > 0
 
     def test_missing_model_raises(self, tmp_path):
-        exp = self.tiny_exp(sigma_star=50e6, models={"stress": str(tmp_path / "nope.json")})
+        exp = tiny_experiment(sigma_star=50e6, models={"stress": str(tmp_path / "nope.json")})
         with pytest.raises(MissingModel):
             pipeline.run_experiment(exp, tmp_path / "x")
 
     def test_unknown_case_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown case 'case9' for problem2"):
-            pipeline.run_experiment(self.tiny_exp(case="case9"), tmp_path / "x")
+            pipeline.run_experiment(tiny_experiment(case="case9"), tmp_path / "x")
         with pytest.raises(ValueError, match="unknown case 'case2' for problem1"):
-            pipeline.run_experiment(self.tiny_exp(problem="problem1", case="case2"),
+            pipeline.run_experiment(tiny_experiment(problem="problem1", case="case2"),
                                     tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
     def test_unknown_ga_keys_rejected_by_name(self, tmp_path):
-        exp = self.tiny_exp()
+        exp = tiny_experiment()
         # a schedule constant that is no longer a setting, and a misspelt field
         exp["ga"] = {**exp["ga"], "eta_c_base": 3.0, "populaton_size": 9}
         with pytest.raises(ValueError, match=r"unknown ga keys \['eta_c_base', 'populaton_size'\]"):
@@ -244,9 +234,9 @@ class TestExperiments:
 
     def test_seed_argument_beats_the_files_seed_and_the_record_names_the_seed_that_ran(
             self, tmp_path):
-        overridden = pipeline.run_experiment(self.tiny_exp(seed=5), tmp_path / "a", seed=1)
-        from_file = pipeline.run_experiment(self.tiny_exp(seed=1), tmp_path / "b")
-        file_seed = pipeline.run_experiment(self.tiny_exp(seed=5), tmp_path / "c")
+        overridden = pipeline.run_experiment(tiny_experiment(seed=5), tmp_path / "a", seed=1)
+        from_file = pipeline.run_experiment(tiny_experiment(seed=1), tmp_path / "b")
+        file_seed = pipeline.run_experiment(tiny_experiment(seed=5), tmp_path / "c")
         assert overridden["best"] == from_file["best"] != file_seed["best"]
         assert overridden["generations"] == from_file["generations"]
         recorded = [json.loads((tmp_path / d / "run_record.json").read_text())["seed"]
@@ -260,7 +250,7 @@ class TestExperiments:
         model = neural.StressSurrogate.build(make_rng(0), cfg.nx + 1, cfg.ny + 1,
                                              output_scale=problems.stress_scale(cfg))
         neural.save_model(model, tmp_path / "stress.json")
-        exp = self.tiny_exp(sigma_star=1e12, models={"stress": str(tmp_path / "stress.json")})
+        exp = tiny_experiment(sigma_star=1e12, models={"stress": str(tmp_path / "stress.json")})
         bundle = pipeline.run_experiment(exp, tmp_path / "fem_routed")
         best, fem = bundle["best"], bundle["fem_verified"]["sigma_e_max"]
         assert best["eval_source"] == "fem" and best["dnn_sigma"] is not None
@@ -299,8 +289,8 @@ class TestExperiments:
         calls = []
         monkeypatch.setattr(ga.FitnessEvaluator, "evaluate",
                             lambda self, genes: calls.append(genes))
-        exp = self.tiny_exp(case="case3", sigma_star=0.0,
-                            models={k: str(v) for k, v in models.items()})
+        exp = tiny_experiment(case="case3", sigma_star=0.0,
+                              models={k: str(v) for k, v in models.items()})
         with pytest.raises(error, match=match) as info:
             pipeline.run_experiment(exp, tmp_path / "x")
         assert str(info.value).startswith(str(models[role]))
@@ -314,9 +304,9 @@ class TestExperiments:
         temp, _ = pipeline.train_temperature_model(data, 0, stages=[TrainStage(1e-3, 1, 512)])
         neural.save_model(stress, tmp_path / "stress.json")
         neural.save_model(temp, tmp_path / "temp.json")
-        exp = self.tiny_exp(case="case3", sigma_star=0.0,
-                            models={"stress": str(tmp_path / "stress.json"),
-                                    "temperature": str(tmp_path / "temp.json")})
+        exp = tiny_experiment(case="case3", sigma_star=0.0,
+                              models={"stress": str(tmp_path / "stress.json"),
+                                      "temperature": str(tmp_path / "temp.json")})
         bundle = pipeline.run_experiment(exp, tmp_path / "sur")
         assert bundle["eval_source_totals"]["fem"] == 0
         assert bundle["fem_verified"]["sigma_e_max"] > 0
