@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test of its input checks."""
+
+
+def is_number(value) -> bool:
+    """An int or a float, the numbers JSON reads; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class FgmoptError(Exception):
@@ -35,10 +40,6 @@ class EmptyDataset(FgmoptError, ValueError):
 
 class TrainingDiverged(FgmoptError, RuntimeError):
     """A parameter became NaN/Inf during training."""
-
-
-class MissingSummary(FgmoptError, KeyError):
-    """A constraint references a quantity the evaluation did not produce."""
 
 
 class MissingModel(FgmoptError, FileNotFoundError):

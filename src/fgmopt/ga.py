@@ -26,6 +26,10 @@ the axis profiles, with no 2D field formed), otherwise the full FEM
 evaluation runs.  sigma_star = None forces FEM everywhere, sigma_star = 0
 forces the surrogate everywhere.
 
+Each objective's penalty weight and stall tolerance, in its own units, live
+only in its ``OBJECTIVES`` row, read where they are applied: by
+``FitnessEvaluator`` and by ``evolve``.
+
 A generation's counts (``evaluation_counts``) cover the individuals evaluated
 in it, so run totals are the exact number of evaluations; its best and
 feasible fraction describe the population.  ``prediction_error`` measures a
@@ -42,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import MissingSummary
+from .errors import is_number
 from .fem import ThermoelasticSolver
 from .profiles import (average_ceramic_fraction, gene_bounds, generate_genes, genes_to_profiles,
                        grid_points, metal_maximum, tensor_product)
@@ -63,18 +67,11 @@ OBJECTIVES = {
 }
 
 
-def objective_spec(objective: str) -> dict:
-    if not isinstance(objective, str) or objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    return OBJECTIVES[objective]
-
-
 @dataclass(frozen=True)
 class GAConfig:
     population_size: int = 200
     mutation_probability: float = 0.3
     min_generations: int = 50
-    stall_tolerance: float = OBJECTIVES["sigma_e_max"]["stall_tolerance"]  # objective units
     max_generations: int | None = None
 
     def __post_init__(self):
@@ -90,36 +87,23 @@ class GAConfig:
         if self.population_size < TOURNAMENT_SIZE:
             raise ValueError(f"population_size must be at least {TOURNAMENT_SIZE}, "
                              f"got {self.population_size!r}")
-        # elitism keeps the improvement >= 0, so below 0 (or NaN) the stall test never holds
-        if not self.stall_tolerance >= 0.0:
-            raise ValueError(f"stall_tolerance must be >= 0, got {self.stall_tolerance!r}")
-        if not 0.0 <= self.mutation_probability <= 1.0:  # NaN would never mutate
-            raise ValueError(f"mutation_probability must lie in [0, 1], "
-                             f"got {self.mutation_probability!r}")
 
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Inequality constraints; normalized quadratic hinge penalties."""
+    """Inequality limits, each a normalized quadratic hinge penalty (``static_penalty``)
+    weighted by the objective's ``OBJECTIVES`` row."""
 
     v_star: float | None = None  # average ceramic fraction limit
     theta_max: float | None = None  # max temperature over the metallic region
     sigma_allow: float | None = None  # peak effective stress limit [Pa]
-    penalty_weight: float = OBJECTIVES["sigma_e_max"]["penalty_weight"]  # shared, objective units
 
     def __post_init__(self):
-        # the hinge value / limit - 1 reads "above the limit" only for a limit above 0,
-        # and a weight below 0 would reward a violation
-        for name in ("v_star", "theta_max", "sigma_allow", "penalty_weight"):
+        # the hinge value / limit - 1 reads "above the limit" only for a limit above 0
+        for name in ("v_star", "theta_max", "sigma_allow"):
             value = getattr(self, name)
-            if (value is not None or name == "penalty_weight") and not (
-                    _is_number(value) and 0.0 < value < math.inf):  # NaN fails too
+            if value is not None and not (is_number(value) and 0.0 < value < math.inf):  # NaN too
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    """An int or a float, the numbers JSON reads; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)  # an array field has no truth value, so == could not compare two
@@ -210,38 +194,42 @@ def polynomial_mutation(genes, eta_m: float, lower, upper, mutation_probability:
     return np.where(mutate, np.clip(y + deltaq * span, lower, upper), y)
 
 
-def static_penalty(summaries: dict, spec: ConstraintSpec) -> float:
-    """Sum of penalty_weight * max(0, normalized violation)^2 over active constraints.
+def static_penalty(summaries: dict, spec: ConstraintSpec, weight: float) -> float:
+    """Sum of weight * max(0, normalized violation)^2 over active constraints.
 
-    A NaN value of a constrained quantity (a NaN surrogate prediction) is
-    infeasible: its penalty is +inf, where ``max(0, nan)`` would read 0.
+    ``weight`` is the ``penalty_weight`` of the objective's ``OBJECTIVES`` row,
+    in the objective's units.  A NaN value of a constrained quantity (a NaN
+    surrogate prediction) is infeasible: its penalty is +inf, where
+    ``max(0, nan)`` would read 0.
     """
     penalty = 0.0
     for limit, key in ((spec.v_star, "v_ca"), (spec.theta_max, "max_metal_temperature"),
                        (spec.sigma_allow, "sigma_e_max")):
-        if limit is None:
-            continue
-        value = summaries.get(key)
-        if value is None:
-            raise MissingSummary(f"{key} required by an active constraint")
-        violation = value / limit - 1.0
-        penalty += (math.inf if math.isnan(violation)
-                    else spec.penalty_weight * max(0.0, violation) ** 2)
+        if limit is not None:
+            violation = summaries[key] / limit - 1.0
+            penalty += math.inf if math.isnan(violation) else weight * max(0.0, violation) ** 2
     return penalty
 
 
 class FitnessEvaluator:
-    """Hybrid surrogate/FEM fitness for one problem and constraint case."""
+    """Hybrid surrogate/FEM fitness for one problem and constraint case, penalized
+    with the weight of its objective's ``OBJECTIVES`` row.  A surrogate route needs
+    a stress model, and a temperature model for a thermal problem's ``theta_max``."""
 
     def __init__(self, solver: ThermoelasticSolver, objective: str,
                  constraints: ConstraintSpec, sigma_star: float | None = None,
                  stress_model=None, temp_model=None):
-        objective_spec(objective)  # ValueError names an objective outside OBJECTIVES
+        if not isinstance(objective, str) or objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
         # NaN fails >=
-        if sigma_star is not None and not (_is_number(sigma_star) and sigma_star >= 0.0):
+        if sigma_star is not None and not (is_number(sigma_star) and sigma_star >= 0.0):
             raise ValueError(f"sigma_star must be None or a number >= 0, got {sigma_star!r}")
         if sigma_star is not None and stress_model is None:
             raise ValueError("surrogate dispatch needs a stress model")
+        if (sigma_star is not None and constraints.theta_max is not None
+                and solver.config.uniform_delta_theta is None and temp_model is None):
+            raise ValueError("a theta_max limit on a thermal problem's surrogate route "
+                             "needs a temperature model")
         self.solver = solver
         self.objective = objective
         self.constraints = constraints
@@ -263,7 +251,7 @@ class FitnessEvaluator:
         )
         if use_surrogate:
             summaries = {"sigma_e_max": dnn_sigma, "v_ca": average_ceramic_fraction(px, py),
-                         "max_metal_temperature": None}
+                         "max_metal_temperature": None}  # None only without a theta_max limit
             if cfg.uniform_delta_theta is not None:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
@@ -275,7 +263,8 @@ class FitnessEvaluator:
             summaries = self.solver.run(tensor_product(px, py)).summary()
             source = "fem"
         objective = summaries[self.objective]
-        penalty = static_penalty(summaries, self.constraints)
+        penalty = static_penalty(summaries, self.constraints,
+                                 OBJECTIVES[self.objective]["penalty_weight"])
         return Individual(genes=genes, objective=float(objective), penalty=float(penalty),
                           fitness=float(objective + penalty), eval_source=source,
                           dnn_sigma=dnn_sigma, **summaries)
@@ -347,7 +336,8 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     uniform gene sampling, on the plate that ``evaluator.solver`` solves.
     ``config`` sets the population size, the mutation probability and the stop:
     at max_generations, or once min_generations are done and the best fitness
-    has improved by at most stall_tolerance over STALL_GENERATIONS generations.
+    has improved by at most the ``stall_tolerance`` of the ``OBJECTIVES`` row
+    of ``evaluator.objective`` over STALL_GENERATIONS generations.
     Tournaments take TOURNAMENT_SIZE entrants, the ELITE_COUNT best are copied
     untouched, and the population is ranked by a stable argsort of fitness:
     equal fitness goes to the lower index, and a NaN fitness comes last.
@@ -366,6 +356,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     ``wall_s``, seconds since the run started.
     """
     t0 = time.perf_counter()
+    stall_tolerance = OBJECTIVES[evaluator.objective]["stall_tolerance"]
     rng = derived_rng(seed, 0x6A)
     nx, ny = evaluator.solver.config.nx, evaluator.solver.config.ny
     population = evaluated = [evaluator.evaluate(generate_genes(rng, nx, ny))
@@ -392,7 +383,7 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
 
         stalled = (g + 1 >= config.min_generations and len(stats) > STALL_GENERATIONS
                    and stats[-1 - STALL_GENERATIONS].best_fitness - best.fitness
-                   <= config.stall_tolerance)
+                   <= stall_tolerance)
         if stalled or config.max_generations is not None and g + 1 >= config.max_generations:
             return RunRecord(generations=stats, best=best, population=population)
 

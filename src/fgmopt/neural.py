@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import version_fingerprint
-from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance
+from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance, is_number
 from .rng import make_rng
 
 _ACT = {  # (activation applied in place to h, its derivative from the output y = act(z))
@@ -156,6 +156,14 @@ def _decode_array(d) -> np.ndarray:
                          "retrain the model to save it in the current format")
     flat = np.frombuffer(base64.b64decode(d["f8"], validate=True), dtype="<f8")
     return flat.reshape(d["shape"]).astype(float)  # astype copies: Adam updates in place
+
+
+def _number(d: dict, key: str, integer: bool = False):
+    """``d[key]``, which must be a JSON number (an int if ``integer``); ValueError names the key."""
+    value = d[key]
+    if not (is_number(value) and (isinstance(value, int) or not integer)):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def make_dense(rng, dims: list[int], hidden_activation: str) -> DenseNet:
@@ -354,8 +362,9 @@ class StressSurrogate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StressSurrogate":
-        return cls(DenseNet.from_dict(d["net"]), d["output_scale"], d["nx_nodes"],
-                   d["ny_nodes"], d.get("fingerprint"))
+        return cls(DenseNet.from_dict(d["net"]), _number(d, "output_scale"),
+                   _number(d, "nx_nodes", integer=True), _number(d, "ny_nodes", integer=True),
+                   d.get("fingerprint"))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +465,8 @@ class OperatorNet:
     @classmethod
     def from_dict(cls, d: dict) -> "OperatorNet":
         return cls(DenseNet.from_dict(d["branch"]), DenseNet.from_dict(d["trunk"]),
-                   d["temperature_scale"], d["L"], d["H"], d.get("fingerprint"))
+                   *(_number(d, key) for key in ("temperature_scale", "L", "H")),
+                   d.get("fingerprint"))
 
 
 def save_model(model, path):

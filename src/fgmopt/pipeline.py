@@ -24,7 +24,7 @@ import numpy as np
 from . import neural, problems, version_fingerprint
 from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
 from .fem import ThermoelasticSolver, write_result_files
-from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, objective_spec, prediction_error
+from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
 from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
 from .rng import check_seed, derived_rng
 
@@ -90,11 +90,12 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     check_seed(seed)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, count)  # the first submit forks every worker of the pool
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sample_with_replacement,
                                     [problem_id] * count, [seed] * count, range(count),
-                                    chunksize=max(1, count // (8 * threads))))
+                                    chunksize=max(1, count // (8 * workers))))
     else:
         records = [_sample_with_replacement(problem_id, seed, i) for i in range(count)]
 
@@ -124,8 +125,8 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
 def load_dataset(dataset_dir):
     """Manifest plus stacked arrays; order is [train rows..., test rows...].
 
-    Raises ValueError when the manifest is malformed or a file does not match
-    the SHA-256 in the manifest.
+    Raises ValueError when the manifest is malformed, lacks a file's checksum,
+    or a file does not match the SHA-256 in the manifest.
     """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
@@ -141,6 +142,8 @@ def load_dataset(dataset_dir):
     counts = []
     for part in ("train", "test"):
         name = files[part]
+        if name not in checksums:
+            raise ValueError(f"{d / 'manifest.json'}: checksums has no entry for {name!r}")
         raw = (d / name).read_bytes()
         if hashlib.sha256(raw).hexdigest() != checksums[name]:
             raise ValueError(f"{d / name}: SHA-256 does not match the manifest")
@@ -242,12 +245,14 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     stress and temperature), the limits v_star, theta_max and sigma_allow,
     seed, and ga, whose keys are population_size, min_generations and
     max_generations.  Any other key, at either level, is rejected by name, and
-    so is an experiment or ga that is not a JSON object, before any build.
-    Defaults: case is unconstrained, the limits are the case's, the ga keys
-    GAConfig's.  Penalty weight and stall tolerance are the objective's
-    ``ga.OBJECTIVES`` row, the mutation probability the problem's row, the rest
-    ``ga``'s TOURNAMENT_SIZE, ELITE_COUNT and STALL_GENERATIONS.  The seed is
-    ``seed``, else the file's, else 0: an int of at least 0 (not a bool).
+    so is an experiment or ga that is not a JSON object, and an experiment
+    without a problem, before any build.  Defaults: case is unconstrained, the
+    limits are the case's, the ga keys GAConfig's.  The mutation probability is
+    the problem's row; the penalty weight and stall tolerance are read by the
+    evaluator and ``evolve`` from the ``ga.OBJECTIVES`` row of the case's
+    objective, the rest are ``ga``'s TOURNAMENT_SIZE, ELITE_COUNT and
+    STALL_GENERATIONS.  The seed is ``seed``, else the file's, else 0: an int of
+    at least 0 (not a bool).
     """
     if not isinstance(exp, dict):
         raise ValueError(f"experiment must be a JSON object, got {type(exp).__name__}")
@@ -257,6 +262,9 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     for level, obj, known in (("experiment", exp, EXPERIMENT_KEYS), ("ga", ga_overrides, GA_KEYS)):
         if unknown := sorted(set(obj) - known):
             raise ValueError(f"unknown {level} keys {unknown}")
+    if "problem" not in exp:
+        raise ValueError("experiment needs the key 'problem', one of "
+                         + ", ".join(problems.PROBLEM_IDS))
     run_seed = seed if seed is not None else exp.get("seed", 0)
     if not isinstance(run_seed, int) or isinstance(run_seed, bool):
         raise ValueError(f"seed must be an integer, got {run_seed!r}")
@@ -266,13 +274,11 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     paths = exp.get("models", {})
     if not (isinstance(paths, dict) and all(isinstance(v, str) for v in paths.values())):
         raise ValueError(f"models must be an object of string paths, got {paths!r}")
-    objective = case_spec["objective"]
-    row = objective_spec(objective)
     limits = {k: case_spec.get(k) if exp.get(k) is None else exp[k]  # null keeps the case's
               for k in ("v_star", "theta_max", "sigma_allow")}
-    constraints = ConstraintSpec(**limits, penalty_weight=row["penalty_weight"])
-    ga_config = GAConfig(**ga_overrides, stall_tolerance=row["stall_tolerance"],
-                         mutation_probability=problems.problem_spec(problem_id).mutation_probability)
+    constraints = ConstraintSpec(**limits)
+    mutation_probability = problems.problem_spec(problem_id).mutation_probability
+    ga_config = GAConfig(**ga_overrides, mutation_probability=mutation_probability)
     solver = _solver_for(problem_id)
     config = solver.config
 
@@ -287,7 +293,7 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
                 raise MissingModel("thermal constraint needs models.temperature")
             temp_model = _load_model_for(paths["temperature"], neural.OperatorNet, config)
 
-    evaluator = FitnessEvaluator(solver, objective, constraints,
+    evaluator = FitnessEvaluator(solver, case_spec["objective"], constraints,
                                  sigma_star=sigma_star, stress_model=stress_model,
                                  temp_model=temp_model)
     record = evolve(ga_config, evaluator, run_seed)

@@ -12,9 +12,11 @@ convecting to 0 C with h = 50 W/m^2/C, right edge adiabatic and u1 = 0
 
 ``PROBLEMS`` holds everything a problem id selects, one ``ProblemSpec`` row
 each.  Its readers raise ValueError naming an id, config name or case outside
-it; ``stress_scale`` reads the row of ``config.name``, which ``replace`` keeps.
-The second table, ``ga.OBJECTIVES``, holds each objective's penalty weight and
-stall tolerance, beside the evaluator that scores it.
+it.  ``stress_scale`` reads the row of ``config.name``: a ``replace`` of an
+optimization config keeps its name and so its row, but ``reference_config``
+renames it ``<id>-reference``, which has none.  The second table,
+``ga.OBJECTIVES``, holds each objective's penalty weight and stall tolerance,
+read only where they are applied: by ``ga.FitnessEvaluator`` and ``ga.evolve``.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange
+from .errors import DimensionMismatch, GeneOutOfBounds, OutOfDomain, PhiOutOfRange, is_number
 from .rng import make_rng
 
 BOUND_TOL = 1e-9  # admitted distance of a gene from its bounds and of a fraction from [0, 1]
@@ -101,11 +101,11 @@ def _gene(d: dict, key: str):
     if key not in d:
         raise ValueError(f"genes need the key {key!r}")
     value = d[key]
-    if not any(isinstance(v, (str, bool)) for v in (value if isinstance(value, list) else [value])):
-        try:
-            return np.asarray(value, dtype=float) if key.startswith("alphas") else float(value)
-        except TypeError:
-            pass
+    if key.startswith("alphas"):  # a JSON list of numbers, or a caller's array
+        if isinstance(value, np.ndarray) or isinstance(value, list) and all(map(is_number, value)):
+            return np.asarray(value, dtype=float)
+    elif is_number(value):
+        return float(value)
     raise ValueError(f"genes must be numbers, got {key}: {value!r}")
 
 

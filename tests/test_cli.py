@@ -41,9 +41,10 @@ class TestBasics:
 
 class TestInputOfTheWrongKind:
     """A path of the wrong kind, and a model file or manifest that holds JSON but no
-    object, or an object of the wrong shape, are invalid input: each exits 1 (each used
-    to exit 2 as a runtime failure, or, for a stress net one activation short, to load
-    as a 64-output net and optimize on its first output)."""
+    object, or an object of the wrong shape or with a value of the wrong type, are
+    invalid input: each exits 1 (most used to exit 2 as a runtime failure; a stress net
+    one activation short loaded as a 64-output net and optimized on its first output,
+    and a scale, length or node count written as a string or a float loaded)."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -54,6 +55,9 @@ class TestInputOfTheWrongKind:
         (tmp_path / "ds" / "manifest.json").write_text("[]")
         (tmp_path / "ds_files").mkdir()
         (tmp_path / "ds_files" / "manifest.json").write_text('{"files": 5}')
+        (tmp_path / "ds_sums").mkdir()
+        (tmp_path / "ds_sums" / "manifest.json").write_text(
+            '{"files": {"train": "a", "test": "b"}, "checksums": {}}')
         scale = problems.stress_scale(problems.problem2())  # passes the plate checks
         stress = neural.StressSurrogate(neural.make_dense(0, [42, 8, 1], "relu"), scale, 21, 21)
         d = stress.to_dict()
@@ -62,6 +66,21 @@ class TestInputOfTheWrongKind:
                           ("wide.json", neural.make_dense(0, [42, 8, 2], "relu").to_dict())):
             (tmp_path / name).write_text(json.dumps({**d, "net": net}))
         (tmp_path / "no_net.json").write_text('{"kind": "stress_surrogate"}')
+        (tmp_path / "stress.json").write_text(json.dumps(d))
+        for name, key, value in (("nx_str.json", "nx_nodes", "21"),
+                                 ("nx_float.json", "nx_nodes", 21.0),
+                                 ("scale_list.json", "output_scale", [scale]),
+                                 ("scale_null.json", "output_scale", None),
+                                 ("scale_str.json", "output_scale", str(scale))):
+            (tmp_path / name).write_text(json.dumps({**d, key: value}))
+        op = neural.OperatorNet(neural.make_dense(0, [42, 4], "relu"),
+                                neural.make_dense(1, [2, 4], "tanh"), 500.0, 0.15, 0.06)
+        (tmp_path / "op_L_str.json").write_text(json.dumps({**op.to_dict(), "L": "0.15"}))
+        (tmp_path / "exp_op_L_str.json").write_text(json.dumps({
+            "problem": "problem2", "case": "case3", "sigma_star": 0.0,
+            "models": {"stress": str(tmp_path / "stress.json"),
+                       "temperature": str(tmp_path / "op_L_str.json")}}))
+        (tmp_path / "exp_no_problem.json").write_text('{"case": "case1"}')
         (tmp_path / "no_kind.json").write_text('{"net": {}}')
         cfg = problems.problem2()
         genes = genes_to_dict(generate_genes(make_rng(3), cfg.nx, cfg.ny), cfg.nx)
@@ -75,7 +94,12 @@ class TestInputOfTheWrongKind:
         for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json"),
                             ("exp_short.json", "short.json"), ("exp_net5.json", "net5.json"),
                             ("exp_wide.json", "wide.json"), ("exp_no_net.json", "no_net.json"),
-                            ("exp_no_kind.json", "no_kind.json")):
+                            ("exp_no_kind.json", "no_kind.json"),
+                            ("exp_nx_str.json", "nx_str.json"),
+                            ("exp_nx_float.json", "nx_float.json"),
+                            ("exp_scale_list.json", "scale_list.json"),
+                            ("exp_scale_null.json", "scale_null.json"),
+                            ("exp_scale_str.json", "scale_str.json")):
             (tmp_path / name).write_text(json.dumps({
                 "problem": "problem2", "case": "case1", "sigma_star": 0.0,
                 "models": {"stress": str(tmp_path / model)}}))
@@ -101,6 +125,25 @@ class TestInputOfTheWrongKind:
          "wide.json: a stress network outputs one value, this one 2"),
         ("train-stress --dataset {t}/ds_files --out {t}/m.json",
          "ds_files/manifest.json: a manifest needs a files object"),
+        # a missing checksum was a bare KeyError: "error: 'a'"
+        ("train-stress --dataset {t}/ds_sums --out {t}/m.json",
+         "ds_sums/manifest.json: checksums has no entry for 'a'"),
+        # a missing problem was a bare KeyError: "error: 'problem'"
+        ("optimize --experiment {t}/exp_no_problem.json --out {t}/r",
+         "experiment needs the key 'problem', one of problem1, problem2"),
+        # a node count or scale that is no number exited 2, and a number in a string loaded
+        ("optimize --experiment {t}/exp_nx_str.json --out {t}/r",
+         "nx_str.json: nx_nodes must be an integer, got '21'"),
+        ("optimize --experiment {t}/exp_nx_float.json --out {t}/r",
+         "nx_float.json: nx_nodes must be an integer, got 21.0"),
+        ("optimize --experiment {t}/exp_scale_list.json --out {t}/r",
+         "scale_list.json: output_scale must be a number, got [1000000.0]"),
+        ("optimize --experiment {t}/exp_scale_null.json --out {t}/r",
+         "scale_null.json: output_scale must be a number, got None"),
+        ("optimize --experiment {t}/exp_scale_str.json --out {t}/r",
+         "scale_str.json: output_scale must be a number, got '1000000.0'"),
+        ("optimize --experiment {t}/exp_op_L_str.json --out {t}/r",
+         "op_L_str.json: L must be a number, got '0.15'"),
         # a missing key was a bare KeyError naming no file: "error: 'net'"
         ("optimize --experiment {t}/exp_no_net.json --out {t}/r",
          "no_net.json: a model file needs the key 'net'"),

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import pathlib
 from dataclasses import replace
 
@@ -47,6 +48,32 @@ class TestDatasetGeneration:
         d1, m1 = gen(tmp_path, "serial", count=8, seed=3, threads=1)
         d2, m2 = gen(tmp_path, "parallel", count=8, seed=3, threads=2)
         assert m1["checksums"] == m2["checksums"]
+
+    @pytest.mark.parametrize("threads, count, pools", [(8, 2, [2]), (3, 5, [3]), (4, 1, [])])
+    def test_pool_has_no_more_workers_than_samples(self, tmp_path, monkeypatch, threads, count,
+                                                   pools):
+        # the first submit forks every worker of a process pool, so 8 threads for 2 samples
+        # forked 8 processes; this pool records its size and maps in this process
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        _, capped = gen(tmp_path, "capped", count=count, seed=3, threads=threads)
+        _, serial = gen(tmp_path, "serial", count=count, seed=3)
+        assert made == pools
+        assert capped["checksums"] == serial["checksums"]
 
     def test_split_sizes_and_partition(self):
         tr, te = pipeline.split_indices(8000, seed=0)
@@ -355,13 +382,15 @@ class TestTables:
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="unknown objective 'sigma_pn'"):
-            ga.objective_spec("sigma_pn")
-        with pytest.raises(ValueError, match="unknown objective 'sigma_pn'"):
             ga.FitnessEvaluator(ThermoelasticSolver(problems.problem2()), "sigma_pn",
                                 ga.ConstraintSpec())
 
-    def test_every_shipped_case_objective_has_a_row_and_the_defaults_are_its_first(self):
+    def test_every_shipped_case_objective_has_a_row_of_values_the_ga_can_run(self):
         assert {c["objective"] for c in problems.CASE_DEFAULTS.values()} == set(ga.OBJECTIVES)
-        first = ga.OBJECTIVES["sigma_e_max"]
-        assert ga.GAConfig().stall_tolerance == first["stall_tolerance"]
-        assert ga.ConstraintSpec().penalty_weight == first["penalty_weight"]
+        for row in ga.OBJECTIVES.values():
+            # a weight of 0 leaves a violation free and one below 0 rewards it; elitism keeps
+            # the improvement >= 0, so below 0 (or NaN) the stall test never holds
+            assert 0.0 < row["penalty_weight"] < math.inf
+            assert 0.0 <= row["stall_tolerance"] < math.inf
+        for spec in problems.PROBLEMS.values():
+            assert 0.0 <= spec.mutation_probability <= 1.0  # NaN would never mutate
