@@ -15,6 +15,9 @@ Conventions
 -----------
 * temperatures are changes relative to the stress-free reference state;
 * the volume fraction ``phi`` is the ceramic fraction, metal is ``1 - phi``;
+* both phases of a pair share one Poisson ratio nu, so Young's modulus E is
+  the only blended elastic modulus: each field's element matrices are one
+  Gauss-point modulus (E, or the conductivity k) times one constant table;
 * engineering shear strain, stress vector (s_xx, s_yy, t_xy);
 * plane strain uses the 3D Lame constants and beta = E*alpha/(1-2nu);
   plane stress uses lambda* = 2*lambda*mu/(lambda+2mu) and
@@ -70,8 +73,20 @@ class PhaseProperties:
 
 @dataclass(frozen=True)
 class MaterialPair:
+    """Two phases of one Poisson ratio, blended by the rule of mixtures."""
+
     metal: PhaseProperties
     ceramic: PhaseProperties
+
+    def __post_init__(self):
+        if self.metal.nu != self.ceramic.nu:
+            raise ValueError(f"the phases of a pair need one Poisson ratio, got metal "
+                             f"{self.metal.nu!r} and ceramic {self.ceramic.nu!r}")
+
+    def blend(self, name: str, phi):
+        """Property ``name`` of PhaseProperties at ceramic fraction ``phi``, a number or
+        an array in [0, 1]: P = P_m (1 - phi) + P_c phi."""
+        return getattr(self.metal, name) * (1.0 - phi) + getattr(self.ceramic, name) * phi
 
 
 MATERIALS = {
@@ -90,24 +105,6 @@ MATERIALS = {
         ceramic=PhaseProperties(E=151.0e9, nu=0.3, alpha=10.0e-6, k=2.09),
     ),
 }
-
-
-def material_at(pair: MaterialPair, phi_metal):
-    """Rule-of-mixtures blend P = P_m*phi_m + P_c*(1 - phi_m) at given metal fraction.
-
-    Accepts scalars or arrays; returns a dict of blended E, nu, alpha, k.
-    """
-    phi_metal = np.asarray(phi_metal, dtype=float)
-    if np.any(phi_metal < -1e-12) or np.any(phi_metal > 1.0 + 1e-12):
-        raise PhiOutOfRange("metal volume fraction must lie in [0, 1]")
-    phi_metal = np.clip(phi_metal, 0.0, 1.0)
-    m, c = pair.metal, pair.ceramic
-    return {
-        "E": m.E * phi_metal + c.E * (1.0 - phi_metal),
-        "nu": m.nu * phi_metal + c.nu * (1.0 - phi_metal),
-        "alpha": m.alpha * phi_metal + c.alpha * (1.0 - phi_metal),
-        "k": m.k * phi_metal + c.k * (1.0 - phi_metal),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +407,8 @@ class ThermoelasticSolver:
     builds and caches them, the order with one incomplete SuperLU factor of
     the node graph and each pattern with one sort of its field's node pairs.
     On problem 1 that adds about 35 ms for the order and 25-30 ms, with an
-    8 MiB transient, for the elastic pattern, to a solve of about 100 ms.
+    8 MiB transient, for the elastic pattern, to a warm solve of about 75 ms
+    (median of 15 on one core, OPENBLAS_NUM_THREADS=1).
     Otherwise the solver is immutable, and solves on different profiles share
     no mutable state and may run concurrently.  A profile is the array of the
     volume fraction at the mesh's element vertices, so each element is one
@@ -446,10 +444,16 @@ class ThermoelasticSolver:
         Bel[:, 2, 0::2] = B[:, 1]
         Bel[:, 2, 1::2] = B[:, 0]
         self.elast_B = Bel
-        # Ke = [lambda_eg | mu_eg] @ elast_P, with rows w B^T A B for lambda, then w B^T M B for mu
-        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        M = np.diag([2.0, 2.0, 1.0])
-        self.elast_P = np.einsum("g,gia,cij,gjb->cgab", self.gauss_w, Bel, np.stack([A, M]), Bel).reshape(18, 324)
+        # the mode's constitutive matrix D and beta / alpha, per unit Young's modulus
+        nu = self.config.materials.metal.nu
+        lam, mu = nu / ((1.0 + nu) * (1.0 - 2.0 * nu)), 1.0 / (2.0 * (1.0 + nu))
+        if self.config.mode == "plane_stress":
+            lam, self.elast_beta = 2.0 * lam * mu / (lam + 2.0 * mu), 1.0 / (1.0 - nu)
+        else:
+            self.elast_beta = 1.0 / (1.0 - 2.0 * nu)
+        self.elast_D = np.array([[lam + 2.0 * mu, lam, 0.0], [lam, lam + 2.0 * mu, 0.0], [0.0, 0.0, mu]])
+        # Ke = E_eg @ elast_P, with rows w B^T D B
+        self.elast_P = np.einsum("g,gia,ij,gjb->gab", self.gauss_w, Bel, self.elast_D, Bel).reshape(9, 324)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
 
         # profile node (i, j) is mesh vertex (2i, 2j): element corners in bilinear_shape's
@@ -569,7 +573,7 @@ class ThermoelasticSolver:
         matrices, without convection, are this times ``therm_M``."""
         if self.config.thermal is None:
             raise SingularSystem("no thermal boundary conditions configured")
-        return material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))["k"]
+        return self.config.materials.blend("k", self.phi_at_gauss(profile))
 
     def thermal_system(self, profile: np.ndarray):
         """Full assembled (K, f) with convection terms, before Dirichlet elimination."""
@@ -587,44 +591,35 @@ class ThermoelasticSolver:
     # -- elastic solve ---------------------------------------------------------
 
     def _elastic_at_gauss(self, profile: np.ndarray, theta_nodal: np.ndarray):
-        """(lambda_eff, mu, beta * theta) at every Gauss point, each (n_elems, 9): the
-        mode's Lame constants and thermal modulus of the blended phases, and the
-        temperature change interpolated from the nodes."""
-        props = material_at(self.config.materials, 1.0 - self.phi_at_gauss(profile))
-        E, nu, alpha = props["E"], props["nu"], props["alpha"]
-        lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-        mu = E / (2.0 * (1.0 + nu))
-        if self.config.mode == "plane_stress":
-            lam_eff = 2.0 * lam * mu / (lam + 2.0 * mu)
-            beta = E * alpha / (1.0 - nu)
-        else:
-            lam_eff = lam
-            beta = E * alpha / (1.0 - 2.0 * nu)
-        return lam_eff, mu, beta * (theta_nodal[self.mesh.conn] @ self.gauss_N.T)
+        """(E, beta * theta) at every Gauss point, each (n_elems, 9): Young's modulus of
+        the blended phases, whose products with ``elast_P`` are the element stiffness
+        matrices, and the mode's thermal modulus times the temperature change
+        interpolated from the nodes."""
+        pair, phi = self.config.materials, self.phi_at_gauss(profile)
+        E = pair.blend("E", phi)
+        beta = self.elast_beta * E * pair.blend("alpha", phi)
+        return E, beta * (theta_nodal[self.mesh.conn] @ self.gauss_N.T)
 
     def solve_elastic(self, profile: np.ndarray, theta_nodal: np.ndarray) -> np.ndarray:
         """Nodal displacements (n_nodes, 2) under thermal + mechanical loads."""
         if not self._rigid_modes_removed:
             raise SingularSystem("displacement constraints leave a rigid-body mode free: fix u1 "
                                  "and u2, and u1 at two heights or u2 at two abscissae")
-        lam_eff, mu, bt = self._elastic_at_gauss(profile, theta_nodal)
+        E, bt = self._elastic_at_gauss(profile, theta_nodal)
         f = self._mech_f.copy()
         _scatter_add(f, self.elem_dofs, bt @ self.elast_V)
-        u = _constrained_solve(self._mech_pattern, np.hstack([lam_eff, mu]), self.elast_P, f,
-                               self.fixed_vals)
+        u = _constrained_solve(self._mech_pattern, E, self.elast_P, f, self.fixed_vals)
         return u.reshape(-1, 2)
 
     # -- post-processing ---------------------------------------------------
 
     def gauss_stress(self, profile: np.ndarray, u: np.ndarray, theta_nodal: np.ndarray):
         """In-plane physical stress components and effective stress at Gauss points."""
-        lam_eff, mu, bt = self._elastic_at_gauss(profile, theta_nodal)
+        E, bt = self._elastic_at_gauss(profile, theta_nodal)
         ue = u.reshape(-1)[self.elem_dofs]  # (n_elems, 18)
         strain = (ue @ self.elast_B.reshape(27, 18).T).reshape(-1, 9, 3)  # (e, g, 3)
-        tr2 = strain[:, :, 0] + strain[:, :, 1]
-        sxx = lam_eff * tr2 + 2.0 * mu * strain[:, :, 0] - bt
-        syy = lam_eff * tr2 + 2.0 * mu * strain[:, :, 1] - bt
-        sxy = mu * strain[:, :, 2]
+        sxx, syy, sxy = np.moveaxis(E[..., None] * (strain @ self.elast_D.T)
+                                    - bt[..., None] * np.array([1.0, 1.0, 0.0]), -1, 0)
         se = effective_stress(sxx, syy, sxy)
         return {"sxx": sxx, "syy": syy, "sxy": sxy, "effective": se}
 

@@ -59,6 +59,9 @@ class DenseLayer:
     def __post_init__(self):
         if self.activation not in _ACT:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.weights.ndim != 2 or self.bias.shape != self.weights.shape[1:]:
+            raise ValueError("a layer needs 2-D weights and a bias of their output width, got "
+                             f"shapes {self.weights.shape} and {self.bias.shape}")
 
 
 class DenseNet:
@@ -154,8 +157,13 @@ def _decode_array(d) -> np.ndarray:
     if not isinstance(d, dict):
         raise ValueError("model weights are stored in the old list format; "
                          "retrain the model to save it in the current format")
+    shape = d["shape"]
+    if not (isinstance(shape, list) and all(is_number(n) and isinstance(n, int) and n >= 0
+                                            for n in shape) and isinstance(d["f8"], str)):
+        raise ValueError(f"an array needs a shape list of sizes and an f8 string, got shape "
+                         f"{shape!r} and f8 of type {type(d['f8']).__name__}")
     flat = np.frombuffer(base64.b64decode(d["f8"], validate=True), dtype="<f8")
-    return flat.reshape(d["shape"]).astype(float)  # astype copies: Adam updates in place
+    return flat.reshape(shape).astype(float)  # astype copies: Adam updates in place
 
 
 def _number(d: dict, key: str, integer: bool = False):

@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import neural, problems, version_fingerprint
-from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure
+from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure, is_number
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
 from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
@@ -122,11 +122,33 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     return manifest
 
 
+def _read_row(line: str, nodes: dict) -> dict:
+    """One dataset row; raises ValueError unless it is an object whose profile_x and
+    profile_y are lists of ``nodes`` x and y numbers, sigma_e_max a number and index
+    an integer."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"a row must be a JSON object, got {type(row).__name__}")
+    for key in ("profile_x", "profile_y", "sigma_e_max", "index"):
+        if key not in row:
+            raise ValueError(f"a row needs the key {key!r}")
+    for key, n in (("profile_x", nodes["x"]), ("profile_y", nodes["y"])):
+        values = row[key]
+        if not (isinstance(values, list) and len(values) == n and all(map(is_number, values))):
+            raise ValueError(f"{key} must be a list of {n} numbers")
+    if not is_number(row["sigma_e_max"]):
+        raise ValueError(f"sigma_e_max must be a number, got {row['sigma_e_max']!r}")
+    if not (is_number(row["index"]) and isinstance(row["index"], int)):
+        raise ValueError(f"index must be an integer, got {row['index']!r}")
+    return row
+
+
 def load_dataset(dataset_dir):
     """Manifest plus stacked arrays; order is [train rows..., test rows...].
 
     Raises ValueError when the manifest is malformed, lacks a file's checksum,
-    or a file does not match the SHA-256 in the manifest.
+    a file does not match the SHA-256 in the manifest, or a row is not one
+    ``_read_row`` reads, naming the file and line.
     """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
@@ -138,18 +160,27 @@ def load_dataset(dataset_dir):
             and all(isinstance(files.get(part), str) for part in ("train", "test"))):
         raise ValueError(f"{d / 'manifest.json'}: a manifest needs a files object naming the "
                          "train and test files and a checksums object")
-    rows = []
-    counts = []
-    for part in ("train", "test"):
-        name = files[part]
+    names = [files["train"], files["test"]]
+    for name in names:
         if name not in checksums:
             raise ValueError(f"{d / 'manifest.json'}: checksums has no entry for {name!r}")
+    nodes = manifest.get("profile_nodes")
+    if not (isinstance(nodes, dict) and all(isinstance(nodes.get(a), int) for a in "xy")):
+        raise ValueError(f"{d / 'manifest.json'}: a manifest needs a profile_nodes object of "
+                         "the x and y node counts")
+    rows = []
+    counts = []
+    for name in names:
         raw = (d / name).read_bytes()
         if hashlib.sha256(raw).hexdigest() != checksums[name]:
             raise ValueError(f"{d / name}: SHA-256 does not match the manifest")
         lines = raw.decode().splitlines()
         counts.append(len(lines))
-        rows.extend(json.loads(line) for line in lines)
+        for number, line in enumerate(lines, 1):
+            try:
+                rows.append(_read_row(line, nodes))
+            except ValueError as exc:
+                raise ValueError(f"{d / name}:{number}: {exc}") from None
     data = {
         "manifest": manifest,
         "profiles_x": np.array([r["profile_x"] for r in rows]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import pathlib
@@ -44,7 +45,8 @@ class TestInputOfTheWrongKind:
     object, or an object of the wrong shape or with a value of the wrong type, are
     invalid input: each exits 1 (most used to exit 2 as a runtime failure; a stress net
     one activation short loaded as a 64-output net and optimized on its first output,
-    and a scale, length or node count written as a string or a float loaded)."""
+    a scale, length or node count written as a string or a float loaded, and so did a
+    bias of the wrong length and a dataset row whose label is a string)."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -66,6 +68,33 @@ class TestInputOfTheWrongKind:
                           ("wide.json", neural.make_dense(0, [42, 8, 2], "relu").to_dict())):
             (tmp_path / name).write_text(json.dumps({**d, "net": net}))
         (tmp_path / "no_net.json").write_text('{"kind": "stress_surrogate"}')
+        (w0, w1), (b0, _) = d["net"]["weights"], d["net"]["biases"]  # (42, 8), (8, 1); (8,)
+        for name, weights, biases in (
+                ("shape_str.json", [{**w0, "shape": "abc"}, w1], [b0, b0]),
+                ("f8_int.json", [w0, w1], [{**b0, "f8": 5}, b0]),
+                ("weights_1d.json", [{**w0, "shape": [42 * 8]}, w1], [b0, b0]),
+                ("bias_long.json", [w0, w1], [b0, b0])):
+            net = {**d["net"], "weights": weights, "biases": biases}
+            (tmp_path / name).write_text(json.dumps({**d, "net": net}))
+        # a dataset whose train file's second row is malformed, or whose manifest has no y
+        # node count, its checksums right
+        good = {"index": 0, "problem": "problem2", "profile_x": [0.5] * 21,
+                "profile_y": [0.5] * 21, "sigma_e_max": 1.0e6}
+        for name, row in (("ds_no_px", {k: v for k, v in good.items() if k != "profile_x"}),
+                          ("ds_row_list", [good]),
+                          ("ds_short_px", {**good, "profile_x": [0.5] * 20}),
+                          ("ds_sigma_str", {**good, "sigma_e_max": "2e6"}),
+                          ("ds_nodes", good)):
+            (tmp_path / name).mkdir()
+            parts = {"train": f"{json.dumps(good)}\n{json.dumps(row)}\n", "test": ""}
+            for part, text in parts.items():
+                (tmp_path / name / f"{part}.ndjson").write_text(text)
+            nodes = {"x": 21} if name == "ds_nodes" else {"x": 21, "y": 21}
+            (tmp_path / name / "manifest.json").write_text(json.dumps({
+                "problem": "problem2", "profile_nodes": nodes,
+                "files": {part: f"{part}.ndjson" for part in parts},
+                "checksums": {f"{part}.ndjson": hashlib.sha256(text.encode()).hexdigest()
+                              for part, text in parts.items()}}))
         (tmp_path / "stress.json").write_text(json.dumps(d))
         for name, key, value in (("nx_str.json", "nx_nodes", "21"),
                                  ("nx_float.json", "nx_nodes", 21.0),
@@ -99,7 +128,11 @@ class TestInputOfTheWrongKind:
                             ("exp_nx_float.json", "nx_float.json"),
                             ("exp_scale_list.json", "scale_list.json"),
                             ("exp_scale_null.json", "scale_null.json"),
-                            ("exp_scale_str.json", "scale_str.json")):
+                            ("exp_scale_str.json", "scale_str.json"),
+                            ("exp_shape_str.json", "shape_str.json"),
+                            ("exp_f8_int.json", "f8_int.json"),
+                            ("exp_weights_1d.json", "weights_1d.json"),
+                            ("exp_bias_long.json", "bias_long.json")):
             (tmp_path / name).write_text(json.dumps({
                 "problem": "problem2", "case": "case1", "sigma_star": 0.0,
                 "models": {"stress": str(tmp_path / model)}}))
@@ -144,6 +177,31 @@ class TestInputOfTheWrongKind:
          "scale_str.json: output_scale must be a number, got '1000000.0'"),
         ("optimize --experiment {t}/exp_op_L_str.json --out {t}/r",
          "op_L_str.json: L must be a number, got '0.15'"),
+        # these exited 2, and a bias of the wrong length failed at the first predict
+        ("optimize --experiment {t}/exp_shape_str.json --out {t}/r",
+         "shape_str.json: an array needs a shape list of sizes and an f8 string, got shape 'abc'"),
+        ("optimize --experiment {t}/exp_f8_int.json --out {t}/r",
+         "f8_int.json: an array needs a shape list of sizes and an f8 string, got shape [8] "
+         "and f8 of type int"),
+        ("optimize --experiment {t}/exp_weights_1d.json --out {t}/r",
+         "weights_1d.json: a layer needs 2-D weights and a bias of their output width, got "
+         "shapes (336,) and (8,)"),
+        ("optimize --experiment {t}/exp_bias_long.json --out {t}/r",
+         "bias_long.json: a layer needs 2-D weights and a bias of their output width, got "
+         "shapes (8, 1) and (8,)"),
+        # a missing key was a bare KeyError, a list row exited 2, a short profile exited 1 on
+        # numpy's inhomogeneous-shape error, and a string label trained
+        ("train-stress --dataset {t}/ds_no_px --out {t}/m.json",
+         "ds_no_px/train.ndjson:2: a row needs the key 'profile_x'"),
+        ("train-stress --dataset {t}/ds_row_list --out {t}/m.json",
+         "ds_row_list/train.ndjson:2: a row must be a JSON object, got list"),
+        ("train-stress --dataset {t}/ds_short_px --out {t}/m.json",
+         "ds_short_px/train.ndjson:2: profile_x must be a list of 21 numbers"),
+        ("train-stress --dataset {t}/ds_sigma_str --out {t}/m.json",
+         "ds_sigma_str/train.ndjson:2: sigma_e_max must be a number, got '2e6'"),
+        ("train-stress --dataset {t}/ds_nodes --out {t}/m.json",
+         "ds_nodes/manifest.json: a manifest needs a profile_nodes object of the x and y node "
+         "counts"),
         # a missing key was a bare KeyError naming no file: "error: 'net'"
         ("optimize --experiment {t}/exp_no_net.json --out {t}/r",
          "no_net.json: a model file needs the key 'net'"),

@@ -23,8 +23,9 @@ from fgmopt.fem import (
     ProblemConfig,
     ThermalBCSet,
     ThermoelasticSolver,
+    MaterialPair,
+    PhaseProperties,
     effective_stress,
-    material_at,
     shape9,
     write_result_files,
 )
@@ -63,27 +64,28 @@ def simple_mech():
 
 class TestMaterials:
     def test_pure_phase_endpoints(self):
+        # phi is the ceramic fraction
         pair = MATERIALS["Al/ZrO2"]
-        metal = material_at(pair, 1.0)
-        assert metal["E"] == pytest.approx(70.0e9)
-        assert metal["k"] == pytest.approx(233.0)
-        ceramic = material_at(pair, 0.0)
-        assert ceramic["E"] == pytest.approx(200.0e9)
-        assert ceramic["k"] == pytest.approx(2.2)
+        assert pair.blend("E", 0.0) == 70.0e9 and pair.blend("k", 0.0) == 233.0
+        assert pair.blend("E", 1.0) == 200.0e9 and pair.blend("k", 1.0) == 2.2
 
     def test_linear_midpoint(self):
-        blend = material_at(MATERIALS["Ni/Al2O3"], 0.5)
-        assert blend["E"] == pytest.approx((199.5e9 + 393.0e9) / 2)
-
-    def test_phi_out_of_range(self):
-        with pytest.raises(PhiOutOfRange):
-            material_at(MATERIALS["Al/ZrO2"], 1.2)
+        pair = MATERIALS["Ni/Al2O3"]
+        assert pair.blend("E", 0.5) == pytest.approx((199.5e9 + 393.0e9) / 2, rel=1e-15)
+        assert pair.blend("alpha", 0.5) == pytest.approx((15.4e-6 + 7.4e-6) / 2, rel=1e-15)
 
     def test_vectorized(self):
-        phi = np.linspace(0, 1, 7)
-        out = material_at(MATERIALS["Al/ZrO2"], phi)
-        assert out["k"].shape == (7,)
-        assert np.all(out["k"] > 0)
+        pair = MATERIALS["Al/ZrO2"]
+        phi = np.linspace(0, 1, 7).reshape(7, 1) * np.ones(3)
+        k = pair.blend("k", phi)
+        assert k.shape == (7, 3)
+        np.testing.assert_allclose(k, 233.0 + (2.2 - 233.0) * phi, rtol=1e-14)
+
+    def test_unequal_poisson_ratios_are_rejected(self):
+        metal = PhaseProperties(E=70.0e9, nu=0.33, alpha=23.4e-6, k=233.0)
+        ceramic = PhaseProperties(E=200.0e9, nu=0.3, alpha=10.0e-6, k=2.2)
+        with pytest.raises(ValueError, match=r"one Poisson ratio, got metal 0\.33 and ceramic 0\.3$"):
+            MaterialPair(metal=metal, ceramic=ceramic)
 
 
 class TestShapeFunctions:
@@ -376,7 +378,7 @@ class TestReducedAssembly:
     PAIR = MATERIALS["Ni/Al2O3"]
 
     def system(self):
-        """(solver, random profile, blended properties at its Gauss points)."""
+        """(solver, random profile, its ceramic fraction at the Gauss points)."""
         cfg = ProblemConfig(
             L=self.L, H=self.H, nx=self.NX, ny=self.NY, materials=self.PAIR,
             thermal=ThermalBCSet(left=Dirichlet(lambda x, y: 50.0 + 200.0 * y),
@@ -388,11 +390,12 @@ class TestReducedAssembly:
             mode="plane_strain")
         s = ThermoelasticSolver(cfg)
         prof = make_rng(5).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1))
-        return s, prof, material_at(self.PAIR, 1.0 - s.phi_at_gauss(prof))
+        return s, prof, s.phi_at_gauss(prof)
 
     def test_thermal_matches_dense_oracle(self):
-        s, prof, props = self.system()
-        ke = np.einsum("eg,g,gia,gib->eab", props["k"], s.gauss_w, s.gauss_B, s.gauss_B)
+        s, prof, phi = self.system()
+        k = self.PAIR.blend("k", phi)
+        ke = np.einsum("eg,g,gia,gib->eab", k, s.gauss_w, s.gauss_B, s.gauss_B)
         enodes, half = s.mesh.edge_conn("right")
         conv = self.H_CONV * half * np.einsum("g,ga,gb->ab", s.edge_w, s.edge_N, s.edge_N)
         K = assemble_coo([(s.mesh.conn, ke), (enodes, conv)], s.mesh.n_nodes)
@@ -402,9 +405,10 @@ class TestReducedAssembly:
         assert np.abs(theta - expect).max() <= 1e-10 * np.abs(expect).max()
 
     def test_elastic_matches_dense_oracle(self):
-        s, prof, props = self.system()
+        # the pair's own plane-strain Lame constants at each Gauss point, not elast_D or elast_P
+        s, prof, phi = self.system()
         theta = s.solve_thermal(prof)
-        E, nu, alpha = props["E"], props["nu"], props["alpha"]
+        E, nu, alpha = self.PAIR.blend("E", phi), self.PAIR.metal.nu, self.PAIR.blend("alpha", phi)
         lam, mu = E * nu / ((1 + nu) * (1 - 2 * nu)), E / (2 * (1 + nu))
         D = np.zeros(E.shape + (3, 3))
         D[..., :2, :2] = lam[..., None, None]
@@ -579,11 +583,12 @@ class TestChunkedAssembly:
     def test_values_match_one_bincount(self, name):
         s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
         prof = make_rng(4).uniform(0.0, 1.0, (s.mesh.nx + 1, s.mesh.ny + 1))
-        lam_eff, mu, _ = s._elastic_at_gauss(prof, np.zeros(s.mesh.n_nodes))
-        k = material_at(s.config.materials, 1.0 - s.phi_at_gauss(prof))["k"]
+        E, _ = s._elastic_at_gauss(prof, np.zeros(s.mesh.n_nodes))
+        k = s.config.materials.blend("k", s.phi_at_gauss(prof))
+        assert E.shape == k.shape == (s.mesh.n_elems, 9) and s.elast_P.shape == (9, 324)
         thermal = (s._thermal_pattern if s.config.thermal is not None else  # on the node graph
                    fem._ReducedPattern(s.mesh.conn, 1, s._node_rank, np.empty(0, dtype=np.int64)))
-        for pattern, coef, table in ((s._mech_pattern, np.hstack([lam_eff, mu]), s.elast_P),
+        for pattern, coef, table in ((s._mech_pattern, E, s.elast_P),
                                      (thermal, k, s.therm_M)):
             Kff, Kfc = pattern.assemble(coef, table)
             want = np.bincount(pattern.slot, weights=(coef @ table).ravel(),
