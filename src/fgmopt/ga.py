@@ -211,6 +211,12 @@ def static_penalty(summaries: dict, spec: ConstraintSpec, weight: float) -> floa
     return penalty
 
 
+def check_sigma_star(sigma_star) -> None:
+    """Raise ValueError unless the trust threshold is None (FEM only) or a number >= 0."""
+    if sigma_star is not None and not (is_number(sigma_star) and sigma_star >= 0.0):  # NaN too
+        raise ValueError(f"sigma_star must be None or a number >= 0, got {sigma_star!r}")
+
+
 class FitnessEvaluator:
     """Hybrid surrogate/FEM fitness for one problem and constraint case, penalized
     with the weight of its objective's ``OBJECTIVES`` row.  A surrogate route needs
@@ -221,9 +227,7 @@ class FitnessEvaluator:
                  stress_model=None, temp_model=None):
         if not isinstance(objective, str) or objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
-        # NaN fails >=
-        if sigma_star is not None and not (is_number(sigma_star) and sigma_star >= 0.0):
-            raise ValueError(f"sigma_star must be None or a number >= 0, got {sigma_star!r}")
+        check_sigma_star(sigma_star)
         if sigma_star is not None and stress_model is None:
             raise ValueError("surrogate dispatch needs a stress model")
         if (sigma_star is not None and constraints.theta_max is not None

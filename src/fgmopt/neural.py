@@ -22,7 +22,9 @@ Two model classes sit on top of the raw ``DenseNet``:
   the temperature at a point is the dot product of branch(profiles) and
   trunk(x/L, y/H), times ``temperature_scale`` (500).
 
-Model files are JSON.  Each weight and bias array is stored as
+Model files are JSON, one format for both models (``_Model``): the class's
+declared ``KIND``, each of its ``NETS`` (``DenseNet.to_dict``), each of its
+``NUMBERS`` and the fingerprint of its fit.  Each weight and bias array is stored as
 ``{"shape": [...], "f8": "<base64>"}``: its shape and its little-endian
 float64 bytes in base64, so a save/load round trip is bit-exact (-0.0,
 subnormals and infinities included) and costs a copy, not float formatting.
@@ -166,14 +168,6 @@ def _decode_array(d) -> np.ndarray:
     return flat.reshape(shape).astype(float)  # astype copies: Adam updates in place
 
 
-def _number(d: dict, key: str, integer: bool = False):
-    """``d[key]``, which must be a JSON number (an int if ``integer``); ValueError names the key."""
-    value = d[key]
-    if not (is_number(value) and (isinstance(value, int) or not integer)):
-        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
-
-
 def make_dense(rng, dims: list[int], hidden_activation: str) -> DenseNet:
     """He-style uniform fan-in initialization, seeded; the output layer is linear."""
     rng = make_rng(rng)
@@ -297,12 +291,53 @@ def history_to_csv(history, path):
             w.writerow({c: row.get(c, "") for c in cols})
 
 
+class _Model:
+    """The model file both surrogates share.  A subclass declares its ``KIND``, its
+    ``DenseNet`` attributes ``NETS`` and its numeric attributes ``NUMBERS`` as (name,
+    integer?) pairs, and its constructor takes the networks, then the numbers, then
+    the fingerprint, so one ``to_dict`` and one ``from_dict`` serve every kind."""
+
+    KIND: str
+    NETS: tuple[str, ...]
+    NUMBERS: tuple[tuple[str, bool], ...]
+
+    def __init__(self, fingerprint: dict | None):
+        self.fingerprint = fingerprint or version_fingerprint()
+
+    @staticmethod
+    def features(profiles_x, profiles_y) -> np.ndarray:
+        """Rows [profile_x, profile_y]: one row for a pair of 1D profiles."""
+        if np.ndim(profiles_x) == np.ndim(profiles_y) == 1:
+            return np.concatenate((profiles_x, profiles_y))[None]
+        return np.concatenate([np.atleast_2d(profiles_x), np.atleast_2d(profiles_y)], axis=1)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.KIND, "fingerprint": self.fingerprint,
+                **{name: getattr(self, name).to_dict() for name in self.NETS},
+                **{name: getattr(self, name) for name, _ in self.NUMBERS}}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The model of ``to_dict``'s object; raises ValueError naming the first network,
+        then the first number, that is malformed (a number must be a JSON number, an
+        integer where declared)."""
+        nets = [DenseNet.from_dict(d[name]) for name in cls.NETS]
+        for key, integer in cls.NUMBERS:
+            if not (is_number(d[key]) and (isinstance(d[key], int) or not integer)):
+                raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, "
+                                 f"got {d[key]!r}")
+        return cls(*nets, *(d[key] for key, _ in cls.NUMBERS), d.get("fingerprint"))
+
+
 # ---------------------------------------------------------------------------
 # stress surrogate
 # ---------------------------------------------------------------------------
 
-class StressSurrogate:
+class StressSurrogate(_Model):
     """Peak-effective-stress regressor over concatenated axis profiles."""
+
+    KIND, NETS = "stress_surrogate", ("net",)
+    NUMBERS = (("output_scale", False), ("nx_nodes", True), ("ny_nodes", True))
 
     def __init__(self, net: DenseNet, output_scale: float, nx_nodes: int, ny_nodes: int,
                  fingerprint: dict | None = None):
@@ -314,19 +349,12 @@ class StressSurrogate:
         self.output_scale = float(output_scale)
         self.nx_nodes = nx_nodes
         self.ny_nodes = ny_nodes
-        self.fingerprint = fingerprint or version_fingerprint()
+        super().__init__(fingerprint)
 
     @classmethod
     def build(cls, rng, nx_nodes: int, ny_nodes: int, output_scale: float) -> "StressSurrogate":
         net = make_dense(rng, [nx_nodes + ny_nodes, 256, 128, 64, 1], "relu")
         return cls(net, output_scale, nx_nodes, ny_nodes)
-
-    @staticmethod
-    def features(profiles_x, profiles_y) -> np.ndarray:
-        """Rows [profile_x, profile_y]: one row for a pair of 1D profiles."""
-        if np.ndim(profiles_x) == np.ndim(profiles_y) == 1:
-            return np.concatenate((profiles_x, profiles_y))[None]
-        return np.concatenate([np.atleast_2d(profiles_x), np.atleast_2d(profiles_y)], axis=1)
 
     def predict(self, profiles_x, profiles_y) -> np.ndarray:
         """Predicted peak effective stress in Pa; raw network output may be
@@ -355,31 +383,15 @@ class StressSurrogate:
 
         history = _train_staged(self.net.parameters(), len(tr), batch_grads, epoch_metrics,
                                 stages, rng)
-        self.fingerprint = _fit_fingerprint("stress_surrogate", stages, split)
+        self.fingerprint = _fit_fingerprint(self.KIND, stages, split)
         return history
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "stress_surrogate",
-            "output_scale": self.output_scale,
-            "nx_nodes": self.nx_nodes,
-            "ny_nodes": self.ny_nodes,
-            "net": self.net.to_dict(),
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StressSurrogate":
-        return cls(DenseNet.from_dict(d["net"]), _number(d, "output_scale"),
-                   _number(d, "nx_nodes", integer=True), _number(d, "ny_nodes", integer=True),
-                   d.get("fingerprint"))
 
 
 # ---------------------------------------------------------------------------
 # branch/trunk operator network
 # ---------------------------------------------------------------------------
 
-class OperatorNet:
+class OperatorNet(_Model):
     """Temperature-field operator: dot(branch(profiles), trunk(x/L, y/H)).
 
     Branch and trunk share the latent output dimension; there is no output
@@ -387,6 +399,9 @@ class OperatorNet:
     points, so its output for the last point set is kept (keyed on the
     points' shape and bytes) until the next ``fit``.
     """
+
+    KIND, NETS = "operator_net", ("branch", "trunk")
+    NUMBERS = (("temperature_scale", False), ("L", False), ("H", False))
 
     def __init__(self, branch: DenseNet, trunk: DenseNet, temperature_scale: float,
                  L: float, H: float, fingerprint: dict | None = None):
@@ -396,7 +411,7 @@ class OperatorNet:
         self.trunk = trunk
         self.temperature_scale = float(temperature_scale)
         self.L, self.H = float(L), float(H)
-        self.fingerprint = fingerprint or version_fingerprint()
+        super().__init__(fingerprint)
         self._trunk_cache = None  # (points key, trunk output) of the last point set
 
     @classmethod
@@ -421,7 +436,7 @@ class OperatorNet:
 
     def predict(self, profile_x, profile_y, points) -> np.ndarray:
         """Temperatures of ONE profile at many points (branch reused)."""
-        f = self.branch.forward(StressSurrogate.features(profile_x, profile_y))  # (1, c)
+        f = self.branch.forward(self.features(profile_x, profile_y))  # (1, c)
         return (self._trunk_at(points) @ f[0]) * self.temperature_scale
 
     def fit(self, profiles_x, profiles_y, temp_grids, points, split, stages, rng):
@@ -434,7 +449,7 @@ class OperatorNet:
         ``branch @ trunk.T``: the per-pair MSE over every point of those samples.
         """
         self._trunk_cache = None
-        feats = StressSurrogate.features(profiles_x, profiles_y)
+        feats = self.features(profiles_x, profiles_y)
         targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
         pts = self._norm_points(points)
         tr, te = split
@@ -456,25 +471,8 @@ class OperatorNet:
 
         params = self.branch.parameters() + self.trunk.parameters()
         history = _train_staged(params, len(tr), batch_grads, epoch_metrics, stages, rng)
-        self.fingerprint = _fit_fingerprint("operator_net", stages, split, n_points=len(pts))
+        self.fingerprint = _fit_fingerprint(self.KIND, stages, split, n_points=len(pts))
         return history
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "operator_net",
-            "temperature_scale": self.temperature_scale,
-            "L": self.L,
-            "H": self.H,
-            "branch": self.branch.to_dict(),
-            "trunk": self.trunk.to_dict(),
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OperatorNet":
-        return cls(DenseNet.from_dict(d["branch"]), DenseNet.from_dict(d["trunk"]),
-                   *(_number(d, key) for key in ("temperature_scale", "L", "H")),
-                   d.get("fingerprint"))
 
 
 def save_model(model, path):
@@ -491,10 +489,9 @@ def load_model(path):
     if not isinstance(d, dict):
         raise ValueError(f"{path}: a model file must hold a JSON object, got {type(d).__name__}")
     try:
-        if d["kind"] == "stress_surrogate":
-            return StressSurrogate.from_dict(d)
-        if d["kind"] == "operator_net":
-            return OperatorNet.from_dict(d)
+        for kind in (StressSurrogate, OperatorNet):
+            if d["kind"] == kind.KIND:  # ==, not a dict lookup: a kind may be unhashable JSON
+                return kind.from_dict(d)
     except KeyError as exc:
         raise ValueError(f"{path}: a model file needs the key {exc}") from None
     except ValueError as exc:

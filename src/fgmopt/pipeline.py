@@ -24,7 +24,8 @@ import numpy as np
 from . import neural, problems, version_fingerprint
 from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure, is_number
 from .fem import ThermoelasticSolver, write_result_files
-from .ga import ConstraintSpec, FitnessEvaluator, GAConfig, evolve, prediction_error
+from .ga import (ConstraintSpec, FitnessEvaluator, GAConfig, check_sigma_star, evolve,
+                 prediction_error)
 from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
 from .rng import check_seed, derived_rng
 
@@ -122,17 +123,24 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     return manifest
 
 
-def _read_row(line: str, nodes: dict) -> dict:
+def _read_row(line: str, nodes: dict, grid: bool | None) -> dict:
     """One dataset row; raises ValueError unless it is an object whose profile_x and
     profile_y are lists of ``nodes`` x and y numbers, sigma_e_max a number and index
-    an integer."""
+    an integer, and whose temperature_grid, a list of x * y numbers, is there if and
+    only if ``grid`` says so (None: the row decides)."""
     row = json.loads(line)
     if not isinstance(row, dict):
         raise ValueError(f"a row must be a JSON object, got {type(row).__name__}")
+    if grid is not None and grid != ("temperature_grid" in row):
+        raise ValueError("a row needs the key 'temperature_grid', as the first row has one"
+                         if grid else "a row has a temperature_grid, and the first row has none")
+    lists = (("profile_x", nodes["x"]), ("profile_y", nodes["y"]))
+    if "temperature_grid" in row:
+        lists += (("temperature_grid", nodes["x"] * nodes["y"]),)
     for key in ("profile_x", "profile_y", "sigma_e_max", "index"):
         if key not in row:
             raise ValueError(f"a row needs the key {key!r}")
-    for key, n in (("profile_x", nodes["x"]), ("profile_y", nodes["y"])):
+    for key, n in lists:
         values = row[key]
         if not (isinstance(values, list) and len(values) == n and all(map(is_number, values))):
             raise ValueError(f"{key} must be a list of {n} numbers")
@@ -146,9 +154,11 @@ def _read_row(line: str, nodes: dict) -> dict:
 def load_dataset(dataset_dir):
     """Manifest plus stacked arrays; order is [train rows..., test rows...].
 
-    Raises ValueError when the manifest is malformed, lacks a file's checksum,
-    a file does not match the SHA-256 in the manifest, or a row is not one
-    ``_read_row`` reads, naming the file and line.
+    Raises ValueError when the manifest is malformed, names no problem of
+    ``problems.PROBLEMS`` or profile node counts other than that plate's,
+    lacks a file's checksum, a file does not match the SHA-256 in the
+    manifest, or a row is not one ``_read_row`` reads, naming the file and
+    line.  The first row decides whether every row carries a temperature grid.
     """
     d = pathlib.Path(dataset_dir)
     manifest = json.loads((d / "manifest.json").read_text())
@@ -168,6 +178,13 @@ def load_dataset(dataset_dir):
     if not (isinstance(nodes, dict) and all(isinstance(nodes.get(a), int) for a in "xy")):
         raise ValueError(f"{d / 'manifest.json'}: a manifest needs a profile_nodes object of "
                          "the x and y node counts")
+    try:
+        cfg = problems.get_problem(manifest.get("problem"))
+    except ValueError as exc:
+        raise ValueError(f"{d / 'manifest.json'}: {exc}") from None
+    if nodes != {"x": cfg.nx + 1, "y": cfg.ny + 1}:
+        raise ValueError(f"{d / 'manifest.json'}: profile_nodes {nodes} are not {cfg.name}'s "
+                         f"{cfg.nx + 1} x {cfg.ny + 1}")
     rows = []
     counts = []
     for name in names:
@@ -178,7 +195,7 @@ def load_dataset(dataset_dir):
         counts.append(len(lines))
         for number, line in enumerate(lines, 1):
             try:
-                rows.append(_read_row(line, nodes))
+                rows.append(_read_row(line, nodes, "temperature_grid" in rows[0] if rows else None))
             except ValueError as exc:
                 raise ValueError(f"{d / name}:{number}: {exc}") from None
     data = {
@@ -272,8 +289,9 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     """Wire evaluator + GA for one experiment config, verify and export.
 
     ``exp`` keys: problem (a ``problems.PROBLEMS`` id), case (one that its row
-    ships), sigma_star (null = FEM only), models (an object of string paths,
-    stress and temperature), the limits v_star, theta_max and sigma_allow,
+    ships), sigma_star (null = FEM only, else a number >= 0, checked by
+    ``ga.check_sigma_star`` before any model is loaded), models (an object of
+    string paths, stress and temperature), the limits v_star, theta_max and sigma_allow,
     seed, and ga, whose keys are population_size, min_generations and
     max_generations.  Any other key, at either level, is rejected by name, and
     so is an experiment or ga that is not a JSON object, and an experiment
@@ -305,6 +323,8 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     paths = exp.get("models", {})
     if not (isinstance(paths, dict) and all(isinstance(v, str) for v in paths.values())):
         raise ValueError(f"models must be an object of string paths, got {paths!r}")
+    sigma_star = exp.get("sigma_star")
+    check_sigma_star(sigma_star)
     limits = {k: case_spec.get(k) if exp.get(k) is None else exp[k]  # null keeps the case's
               for k in ("v_star", "theta_max", "sigma_allow")}
     constraints = ConstraintSpec(**limits)
@@ -313,7 +333,6 @@ def run_experiment(exp: dict, out_dir, seed: int | None = None) -> dict:
     solver = _solver_for(problem_id)
     config = solver.config
 
-    sigma_star = exp.get("sigma_star")
     stress_model = temp_model = None
     if sigma_star is not None:
         if "stress" not in paths or not pathlib.Path(paths["stress"]).exists():

@@ -76,25 +76,33 @@ class TestInputOfTheWrongKind:
                 ("bias_long.json", [w0, w1], [b0, b0])):
             net = {**d["net"], "weights": weights, "biases": biases}
             (tmp_path / name).write_text(json.dumps({**d, "net": net}))
-        # a dataset whose train file's second row is malformed, or whose manifest has no y
-        # node count, its checksums right
+        # a dataset whose train file's second row is malformed, or whose manifest is, its
+        # checksums right; a manifest entry of None is left out
         good = {"index": 0, "problem": "problem2", "profile_x": [0.5] * 21,
                 "profile_y": [0.5] * 21, "sigma_e_max": 1.0e6}
-        for name, row in (("ds_no_px", {k: v for k, v in good.items() if k != "profile_x"}),
-                          ("ds_row_list", [good]),
-                          ("ds_short_px", {**good, "profile_x": [0.5] * 20}),
-                          ("ds_sigma_str", {**good, "sigma_e_max": "2e6"}),
-                          ("ds_nodes", good)):
+        grid = {**good, "temperature_grid": [20.0] * 21 * 21}
+        for name, first, row, entries in (
+                ("ds_no_px", good, {k: v for k, v in good.items() if k != "profile_x"}, {}),
+                ("ds_row_list", good, [good], {}),
+                ("ds_short_px", good, {**good, "profile_x": [0.5] * 20}, {}),
+                ("ds_sigma_str", good, {**good, "sigma_e_max": "2e6"}, {}),
+                ("ds_nodes", good, good, {"profile_nodes": {"x": 21}}),
+                ("ds_no_problem", good, good, {"problem": None}),
+                ("ds_problem5", good, good, {"problem": 5}),
+                ("ds_p1_nodes", good, good, {"problem": "problem1"}),
+                ("ds_no_grid", grid, good, {}),
+                ("ds_extra_grid", good, grid, {}),
+                ("ds_short_grid", grid, {**grid, "temperature_grid": [20.0] * 21}, {})):
             (tmp_path / name).mkdir()
-            parts = {"train": f"{json.dumps(good)}\n{json.dumps(row)}\n", "test": ""}
+            parts = {"train": f"{json.dumps(first)}\n{json.dumps(row)}\n", "test": ""}
             for part, text in parts.items():
                 (tmp_path / name / f"{part}.ndjson").write_text(text)
-            nodes = {"x": 21} if name == "ds_nodes" else {"x": 21, "y": 21}
-            (tmp_path / name / "manifest.json").write_text(json.dumps({
-                "problem": "problem2", "profile_nodes": nodes,
-                "files": {part: f"{part}.ndjson" for part in parts},
-                "checksums": {f"{part}.ndjson": hashlib.sha256(text.encode()).hexdigest()
-                              for part, text in parts.items()}}))
+            manifest = {"problem": "problem2", "profile_nodes": {"x": 21, "y": 21}, **entries,
+                        "files": {part: f"{part}.ndjson" for part in parts},
+                        "checksums": {f"{part}.ndjson": hashlib.sha256(text.encode()).hexdigest()
+                                      for part, text in parts.items()}}
+            (tmp_path / name / "manifest.json").write_text(json.dumps(
+                {k: v for k, v in manifest.items() if v is not None}))
         (tmp_path / "stress.json").write_text(json.dumps(d))
         for name, key, value in (("nx_str.json", "nx_nodes", "21"),
                                  ("nx_float.json", "nx_nodes", 21.0),
@@ -111,6 +119,11 @@ class TestInputOfTheWrongKind:
                        "temperature": str(tmp_path / "op_L_str.json")}}))
         (tmp_path / "exp_no_problem.json").write_text('{"case": "case1"}')
         (tmp_path / "no_kind.json").write_text('{"net": {}}')
+        for name, kind in (("kind_list.json", []), ("kind_object.json", {"a": 1})):
+            (tmp_path / name).write_text(json.dumps({**d, "kind": kind}))
+        for name, sigma_star in (("exp_star_str.json", "0.5"), ("exp_star_neg.json", -1)):
+            (tmp_path / name).write_text(json.dumps(
+                {"problem": "problem2", "case": "case1", "sigma_star": sigma_star}))
         cfg = problems.problem2()
         genes = genes_to_dict(generate_genes(make_rng(3), cfg.nx, cfg.ny), cfg.nx)
         for name, key, value in (("genes_str.json", "phi_x1", "0.5"),
@@ -124,6 +137,8 @@ class TestInputOfTheWrongKind:
                             ("exp_short.json", "short.json"), ("exp_net5.json", "net5.json"),
                             ("exp_wide.json", "wide.json"), ("exp_no_net.json", "no_net.json"),
                             ("exp_no_kind.json", "no_kind.json"),
+                            ("exp_kind_list.json", "kind_list.json"),
+                            ("exp_kind_object.json", "kind_object.json"),
                             ("exp_nx_str.json", "nx_str.json"),
                             ("exp_nx_float.json", "nx_float.json"),
                             ("exp_scale_list.json", "scale_list.json"),
@@ -202,11 +217,36 @@ class TestInputOfTheWrongKind:
         ("train-stress --dataset {t}/ds_nodes --out {t}/m.json",
          "ds_nodes/manifest.json: a manifest needs a profile_nodes object of the x and y node "
          "counts"),
+        # a missing or unknown problem named no file, problem1 over problem-2 rows failed in
+        # the network's input check, and a row without a grid was a bare KeyError
+        ("train-stress --dataset {t}/ds_no_problem --out {t}/m.json",
+         "ds_no_problem/manifest.json: unknown problem id None"),
+        ("train-stress --dataset {t}/ds_problem5 --out {t}/m.json",
+         "ds_problem5/manifest.json: unknown problem id 5"),
+        ("train-stress --dataset {t}/ds_p1_nodes --out {t}/m.json",
+         "ds_p1_nodes/manifest.json: profile_nodes {'x': 21, 'y': 21} are not problem1's 41 x 41"),
+        ("train-temp --dataset {t}/ds_no_grid --out {t}/m.json",
+         "ds_no_grid/train.ndjson:2: a row needs the key 'temperature_grid', as the first row "
+         "has one"),
+        ("train-stress --dataset {t}/ds_extra_grid --out {t}/m.json",
+         "ds_extra_grid/train.ndjson:2: a row has a temperature_grid, and the first row has none"),
+        ("train-temp --dataset {t}/ds_short_grid --out {t}/m.json",
+         "ds_short_grid/train.ndjson:2: temperature_grid must be a list of 441 numbers"),
         # a missing key was a bare KeyError naming no file: "error: 'net'"
         ("optimize --experiment {t}/exp_no_net.json --out {t}/r",
          "no_net.json: a model file needs the key 'net'"),
         ("optimize --experiment {t}/exp_no_kind.json --out {t}/r",
          "no_kind.json: a model file needs the key 'kind'"),
+        # a kind that JSON reads as a list or an object is no kind, not a TypeError
+        ("optimize --experiment {t}/exp_kind_list.json --out {t}/r",
+         "kind_list.json: unknown model kind []"),
+        ("optimize --experiment {t}/exp_kind_object.json --out {t}/r",
+         "kind_object.json: unknown model kind {'a': 1}"),
+        # a threshold that is no number >= 0 was reported as a missing models.stress
+        ("optimize --experiment {t}/exp_star_str.json --out {t}/r",
+         "sigma_star must be None or a number >= 0, got '0.5'"),
+        ("optimize --experiment {t}/exp_star_neg.json --out {t}/r",
+         "sigma_star must be None or a number >= 0, got -1"),
         # float() and numpy read the string "0.5" and true as genes
         ("eval-profile --problem problem2 --genes {t}/genes_str.json",
          "genes must be numbers, got phi_x1: '0.5'"),

@@ -539,6 +539,15 @@ class TestModelFile:
         assert type(back) is type(model)
         assert np.array_equal(_predict(back, px, py), _predict(model, px, py))
 
+    @pytest.mark.parametrize("model, keys", zip(_small_models(), [
+        {"net", "output_scale", "nx_nodes", "ny_nodes"},
+        {"branch", "trunk", "temperature_scale", "L", "H"}]), ids=["stress", "operator"])
+    def test_file_holds_the_declared_kind_networks_and_numbers(self, model, keys):
+        d = model.to_dict()
+        assert set(d) == {"kind", "fingerprint", *keys}
+        assert keys == {*model.NETS, *(name for name, _ in model.NUMBERS)}
+        assert d["kind"] == model.KIND
+
     @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
     def test_save_load_save_is_byte_identical(self, model, tmp_path):
         save_model(model, tmp_path / "a.json")
