@@ -400,15 +400,15 @@ class ThermoelasticSolver:
     and one constant table, and adds each chunk into the values of the CSC
     pattern of the reduced SPD system K[free][:, free], which SuperLU factors
     in symmetric mode in the order it is numbered.  That numbering is one
-    fill-reducing order of the mesh nodes, a minimum-degree order of the node
-    graph shared by both fields: thermal dofs follow the node rank, elastic
-    dofs (node rank, component).
+    fill-reducing order of the mesh nodes shared by both fields, a nested
+    dissection of the node grid along element edges: thermal dofs follow the
+    node rank, elastic dofs (node rank, component).
     Construction builds neither the order nor the patterns: the first solve
-    builds and caches them, the order with one incomplete SuperLU factor of
-    the node graph and each pattern with one sort of its field's node pairs.
-    On problem 1 that adds about 35 ms for the order and 25-30 ms, with an
-    8 MiB transient, for the elastic pattern, to a warm solve of about 75 ms
-    (median of 15 on one core, OPENBLAS_NUM_THREADS=1).
+    builds and caches them, the order by index arithmetic on the grid and
+    each pattern with one sort of its field's node pairs.  On problem 1 that
+    adds about 4 ms for the order and 15 ms, with an 8 MiB transient, for the
+    elastic pattern, to a warm solve of about 54 ms (median of 15 with one
+    BLAS thread, OPENBLAS_NUM_THREADS=1, on a 2-core x86-64 box).
     Otherwise the solver is immutable, and solves on different profiles share
     no mutable state and may run concurrently.  A profile is the array of the
     volume fraction at the mesh's element vertices, so each element is one
@@ -532,7 +532,7 @@ class ThermoelasticSolver:
     @functools.cached_property
     def _node_rank(self) -> np.ndarray:
         """Position of each node in a fill-reducing elimination order of the mesh."""
-        return _minimum_degree_rank(self.mesh)
+        return _dissection_rank(self.mesh)
 
     @functools.cached_property
     def _thermal_pattern(self) -> "_ReducedPattern":
@@ -768,24 +768,38 @@ class _ReducedPattern:
         return Kff, Kfc
 
 
-def _minimum_degree_rank(mesh: Mesh) -> np.ndarray:
-    """Rank of each node in SuperLU's minimum-degree order (MMD on A^T + A) of the node graph.
+def _dissection_rank(mesh: Mesh) -> np.ndarray:
+    """Rank of each node in a nested dissection of the (2ny+1) x (2nx+1) node grid.
 
-    The graph couples the nodes of each element.  The order depends only on
-    the pattern, so SuperLU computes it for an incomplete factor of a
-    diagonally dominant matrix on the graph, with a drop tolerance of 1 that
-    keeps the numeric work small.  ``perm_c`` is a view that keeps the whole
-    factor alive, so it is copied out.
+    An even node row or column lies on element edges, so no element couples
+    the nodes on its two sides.  Each block of the grid is split along such a
+    line: both halves are numbered first, each the same way, and then the
+    line (George, SIAM J. Numer. Anal. 10(2), 1973).  A block that no edge
+    line splits is numbered row by row.
     """
-    ilu = spla.spilu(_node_graph(mesh), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     drop_tol=1.0, fill_factor=1.0, options=dict(SymmetricMode=True))
-    return ilu.perm_c.copy()
+    NX = 2 * mesh.nx + 1
+    order = []
 
+    def number(rows: range, cols: range):
+        # split the longer side (the columns when the sides are equal), else the other,
+        # along the even line nearest its middle (the lower of two) with nodes on both sides
+        for side in (cols, rows) if len(cols) >= len(rows) else (rows, cols):
+            cut = 2 * ((side.start + side.stop) // 4)
+            if side.start < cut < side.stop - 1:
+                for half in range(side.start, cut), range(cut + 1, side.stop):
+                    if side is rows:
+                        number(half, cols)
+                    else:
+                        number(rows, half)
+                line = range(cut, cut + 1)
+                rows, cols = (line, cols) if side is rows else (rows, line)
+                break
+        order.extend(NX * r + c for r in rows for c in cols)
 
-def _node_graph(mesh: Mesh) -> sp.csc_matrix:
-    """The node graph in mesh order: the 9x9 stencil 10 I - 1 of every element, summed."""
-    nodes = _ReducedPattern(mesh.conn, 1, np.arange(mesh.n_nodes), np.empty(0, dtype=np.int64))
-    return nodes.assemble(np.ones((mesh.n_elems, 1)), (10.0 * np.eye(9) - 1.0).reshape(1, 81))[0]
+    number(range(2 * mesh.ny + 1), range(NX))
+    rank = np.empty(mesh.n_nodes, dtype=np.int32)
+    rank[order] = np.arange(mesh.n_nodes)
+    return rank
 
 
 def _constrained_solve(pattern: _ReducedPattern, coef: np.ndarray, table: np.ndarray,
@@ -805,7 +819,7 @@ def _constrained_solve(pattern: _ReducedPattern, coef: np.ndarray, table: np.nda
     rhs = f[pattern.free] - Kfc @ fixed_vals
     try:
         # panel_size=24 aborts with glibc's "corrupted size vs. prev_size" on problem 1 (scipy
-        # 1.17.1); 4, 8, 16 and 32 took 105-126 ms a solve against 10's 110 ms: no clear gain
+        # 1.17.1); 4, 8 and 16 took 49-54 ms a solve there against 10's 51-52 ms: no clear gain
         lu = spla.splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=10,
                        options=dict(SymmetricMode=True))
         x_free = lu.solve(rhs)

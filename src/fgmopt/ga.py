@@ -81,6 +81,8 @@ class GAConfig:
             if not (isinstance(value, int) and not isinstance(value, bool)
                     or name == "max_generations" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.min_generations < 0:
+            raise ValueError(f"min_generations must be >= 0, got {self.min_generations!r}")
         if self.max_generations is not None and self.max_generations < 1:
             raise ValueError(f"max_generations must be None or >= 1, got {self.max_generations!r}")
         # a tournament draws TOURNAMENT_SIZE distinct entrants; ELITE_COUNT below it leaves a child

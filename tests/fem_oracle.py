@@ -8,7 +8,6 @@ entry's slot.  ``fem._ReducedPattern`` builds the same arrays from node pairs.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _entry_keys(p, nf, n):
@@ -38,11 +37,3 @@ def free_in_node_order(rank, fixed, per_node):
     free = np.delete(np.arange(per_node * rank.size), fixed)
     return free[np.argsort(per_node * rank[free // per_node] + free % per_node)]
 
-
-def broadcast_node_graph(conn, n_nodes):
-    """The node graph in mesh order, as one bincount of the stencil 10 I - 1 broadcast
-    to every element of ``conn``, on the dof-key pattern."""
-    slot, rows, ptr, _ = dof_pattern(conn, np.empty(0, dtype=np.int64), np.arange(n_nodes))
-    stencil = np.broadcast_to((10.0 * np.eye(9) - 1.0).ravel(), (len(conn), 81))
-    data = np.bincount(slot, weights=stencil.ravel(), minlength=rows.size)
-    return sp.csc_matrix((data, rows, ptr), shape=(n_nodes, n_nodes))

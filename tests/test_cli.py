@@ -118,6 +118,9 @@ class TestInputOfTheWrongKind:
             "models": {"stress": str(tmp_path / "stress.json"),
                        "temperature": str(tmp_path / "op_L_str.json")}}))
         (tmp_path / "exp_no_problem.json").write_text('{"case": "case1"}')
+        (tmp_path / "exp_min_gen_neg.json").write_text(json.dumps({
+            "problem": "problem2", "case": "case1",
+            "ga": {"population_size": 4, "min_generations": -3, "max_generations": None}}))
         (tmp_path / "no_kind.json").write_text('{"net": {}}')
         for name, kind in (("kind_list.json", []), ("kind_object.json", {"a": 1})):
             (tmp_path / name).write_text(json.dumps({**d, "kind": kind}))
@@ -179,6 +182,9 @@ class TestInputOfTheWrongKind:
         # a missing problem was a bare KeyError: "error: 'problem'"
         ("optimize --experiment {t}/exp_no_problem.json --out {t}/r",
          "experiment needs the key 'problem', one of problem1, problem2"),
+        # a negative minimum ran, as 0 would, and exited 0
+        ("optimize --experiment {t}/exp_min_gen_neg.json --out {t}/r",
+         "min_generations must be >= 0, got -3"),
         # a node count or scale that is no number exited 2, and a number in a string loaded
         ("optimize --experiment {t}/exp_nx_str.json --out {t}/r",
          "nx_str.json: nx_nodes must be an integer, got '21'"),
@@ -550,6 +556,7 @@ class TestOptimize:
         # a GA count that is not an int failed after generation 0's solves, or ran silently
         ({"ga": {"population_size": 10.0}}, "population_size must be an integer, got 10.0"),
         ({"ga": {"min_generations": 2.5}}, "min_generations must be an integer, got 2.5"),
+        ({"ga": {"min_generations": -3}}, "min_generations must be >= 0, got -3"),
         ({"ga": {"max_generations": 2.5}}, "max_generations must be an integer, got 2.5"),
         ({"ga": {"max_generations": -3}}, "max_generations must be None or >= 1, got -3"),
         # a limit of 0 divided by zero in the hinge, and a weight below 0 rewarded a violation
@@ -561,9 +568,9 @@ class TestOptimize:
             "ga-stall-generations", "ga-mutation-probability", "ga-stall-tolerance",
             "penalty-weight", "population-below-tournament", "ga-seed", "ga-threshold",
             "float-seed", "bool-seed", "string-seed", "null-seed", "negative-seed",
-            "float-population", "fractional-min-generations", "fractional-max-generations",
-            "negative-max-generations", "zero-stress-limit", "zero-fraction-limit",
-            "string-fraction-limit", "string-threshold"])
+            "float-population", "fractional-min-generations", "negative-min-generations",
+            "fractional-max-generations", "negative-max-generations", "zero-stress-limit",
+            "zero-fraction-limit", "string-fraction-limit", "string-threshold"])
     def test_config_the_ga_cannot_run_exits_1_before_any_generation(self, capsys, tmp_path,
                                                                     monkeypatch, override, key):
         # every solve samples its profile there: a config error must come before the first

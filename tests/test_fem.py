@@ -32,7 +32,7 @@ from fgmopt.fem import (
 from fgmopt.profiles import BOUND_TOL, grid_points, interpolate
 from fgmopt.rng import make_rng
 from fgmopt import fem, problems, verification
-from fem_oracle import broadcast_node_graph, dof_pattern, free_in_node_order
+from fem_oracle import dof_pattern, free_in_node_order
 
 
 def traced_peak(fn) -> int:
@@ -440,8 +440,8 @@ class TestReducedAssembly:
 
     def test_node_order_is_built_once_on_the_first_solve_and_shared(self, monkeypatch):
         calls = []
-        real = fem._minimum_degree_rank
-        monkeypatch.setattr(fem, "_minimum_degree_rank", lambda mesh: calls.append(1) or real(mesh))
+        real = fem._dissection_rank
+        monkeypatch.setattr(fem, "_dissection_rank", lambda mesh: calls.append(1) or real(mesh))
         s, prof, _ = self.system()
         # set-up builds no order and no pattern: solver construction stays as cheap as before
         assert not {"_node_rank", "_thermal_pattern", "_mech_pattern"} & set(vars(s))
@@ -449,7 +449,7 @@ class TestReducedAssembly:
         s.run(prof)
         assert len(calls) == 1
         assert {"_node_rank", "_thermal_pattern", "_mech_pattern"} <= set(vars(s))
-        assert s._node_rank.base is None  # not a view that keeps a SuperLU factor alive
+        assert s._node_rank.base is None  # its own array, not a view that keeps another alive
 
     def test_phi_at_gauss_matches_interpolate(self):
         # the solver's weights are taken at the exact Gauss coordinates, the oracle's
@@ -544,6 +544,48 @@ def assert_pattern_is_oracles(pattern, idx, per_node, rank, fixed, const=None):
         assert np.array_equal(got, want), name
 
 
+class TestNestedDissection:
+    """``_dissection_rank`` numbers the two halves of a block of nodes, then the element
+    edge line between them; SuperLU's fill in that order is guarded."""
+
+    @pytest.mark.parametrize("nx, ny, last", [
+        (1, 1, None),  # no edge line splits one element: its nodes go row by row
+        (1, 5, ("row", 4)),
+        (5, 1, ("column", 4)),
+        (4, 3, ("column", 4)),
+        (40, 40, ("column", 40)),  # the columns are split first when the sides are equal
+    ], ids=["1x1", "1x5", "5x1", "4x3", "40x40"])
+    def test_ranks_every_node_once_and_the_middle_edge_line_last(self, nx, ny, last):
+        mesh = fem.Mesh.rectangle(nx, ny, 1.0, 1.0)
+        rank = fem._dissection_rank(mesh)
+        assert np.array_equal(np.sort(rank), np.arange(mesh.n_nodes))
+        if last is None:
+            assert np.array_equal(rank, np.arange(mesh.n_nodes))
+        else:
+            grid = rank.reshape(2 * ny + 1, 2 * nx + 1)  # by node row, then column
+            line = grid[last[1]] if last[0] == "row" else grid[:, last[1]]
+            assert np.array_equal(line, mesh.n_nodes - line.size + np.arange(line.size))
+
+    @pytest.mark.parametrize("name, most", [
+        ("problem1", [1_500_000]),  # 1,669,270 in SuperLU's minimum-degree order
+        ("problem2", [75_992, 293_586]),  # thermal, elastic: that order's counts
+    ], ids=["problem1", "problem2"])
+    def test_factor_fill(self, name, most, monkeypatch):
+        # SuperLU's own count of the stored factor: L.nnz + U.nnz drop exact zeros, so
+        # they move with the values
+        nnz, real = [], fem.spla.splu
+
+        def splu(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            nnz.append(lu.nnz)
+            return lu
+
+        monkeypatch.setattr(fem.spla, "splu", splu)
+        cfg = getattr(problems, name)()
+        ThermoelasticSolver(cfg).run(problems.power_law_reference(cfg, 2.0, "xy"))
+        assert len(nnz) == len(most) and all(n <= m for n, m in zip(nnz, most)), nnz
+
+
 class TestPatternMatchesDofOracle:
     @pytest.mark.parametrize("name", list(PATTERN_CONFIGS))
     def test_field_patterns(self, name):
@@ -558,7 +600,7 @@ class TestPatternMatchesDofOracle:
 
     @pytest.mark.parametrize("name", ["problem1", "problem2"])
     def test_identity_order_patterns(self, name):
-        # _minimum_degree_rank's node graph, and thermal_system's pattern with convection
+        # the node graph in mesh order, and thermal_system's pattern with convection
         s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
         conn, order, none = s.mesh.conn, np.arange(s.mesh.n_nodes), np.empty(0, dtype=np.int64)
         blocks = [None] if s.config.thermal is None else [None, s._conv]
@@ -571,6 +613,12 @@ class TestPatternMatchesDofOracle:
         s = ThermoelasticSolver(problems.problem1())
         s._node_rank
         assert traced_peak(lambda: s._mech_pattern) < 12 * 2**20
+
+    def test_problem1_node_order_peak_memory(self):
+        # a minimum-degree order from an incomplete SuperLU factor of the node graph took
+        # 7.3 MiB here
+        s = ThermoelasticSolver(problems.problem1())
+        assert traced_peak(lambda: s._node_rank) < 2 * 2**20
 
 
 class TestChunkedAssembly:
@@ -596,17 +644,6 @@ class TestChunkedAssembly:
             got = np.concatenate([Kff.data, Kfc.data])  # the discard slot dropped
             err = np.abs(got - want[:got.size]).max()
             assert err <= 1e-13 * np.abs(want).max()
-
-    @pytest.mark.parametrize("name", ["problem1", "problem2"])
-    def test_node_graph_and_order_match_the_broadcast_bincount_graph(self, name, monkeypatch):
-        s = ThermoelasticSolver(PATTERN_CONFIGS[name]())
-        old = broadcast_node_graph(s.mesh.conn, s.mesh.n_nodes)
-        new = fem._node_graph(s.mesh)
-        for attr in ("data", "indices", "indptr"):
-            assert getattr(new, attr).tobytes() == getattr(old, attr).tobytes(), attr
-        rank = s._node_rank
-        monkeypatch.setattr(fem, "_node_graph", lambda mesh: old)
-        assert np.array_equal(rank, fem._minimum_degree_rank(s.mesh))
 
     def test_problem1_warm_solve_peak_memory(self):
         # the whole (1600, 324) element table and an intp copy of slot took 11.5 MiB here

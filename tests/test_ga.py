@@ -542,13 +542,14 @@ class TestEvolve:
         (dict(population_size=True), "population_size must be an integer, got True"),
         (dict(min_generations=2.5), "min_generations must be an integer, got 2.5"),
         (dict(min_generations=True), "min_generations must be an integer, got True"),
+        (dict(min_generations=-3), "min_generations must be >= 0, got -3"),
         (dict(max_generations=2.5), "max_generations must be an integer, got 2.5"),
         (dict(max_generations=-3), "max_generations must be None or >= 1, got -3"),
         (dict(max_generations=0), "max_generations must be None or >= 1, got 0"),
     ], ids=["population-below-tournament", "empty-population",
             "float-population", "bool-population",
-            "fractional-min-generations", "bool-min-generations", "fractional-max-generations",
-            "negative-max-generations", "zero-max-generations"])
+            "fractional-min-generations", "bool-min-generations", "negative-min-generations",
+            "fractional-max-generations", "negative-max-generations", "zero-max-generations"])
     def test_config_rejects_values_the_ga_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             self.make_config(**bad)
