@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import neural, pipeline, problems, version_fingerprint
-from .errors import FgmoptError
+from .errors import FgmoptError, naming
 from .fem import ThermoelasticSolver, write_result_files
 from .profiles import genes_from_dict, genes_to_profiles, tensor_product
 
@@ -38,9 +38,10 @@ def _profile_for(args):
     """
     if args.genes is not None:
         config = problems.get_problem(args.problem)
-        genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()),
-                                config.nx, config.ny)
-        px, py = genes_to_profiles(genes, config.nx, config.ny)
+        with naming(args.genes):
+            genes = genes_from_dict(json.loads(pathlib.Path(args.genes).read_text()),
+                                    config.nx, config.ny)
+            px, py = genes_to_profiles(genes, config.nx, config.ny)
         return config, tensor_product(px, py)
     config = problems.reference_config(args.problem)
     profile = problems.reference_profile(args.problem, args.power_law, args.axis)
@@ -78,11 +79,13 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     model, history = args.train(dataset, args.seed, max_samples=args.max_samples)
     _stage(args.command, t0)
+    for path in filter(None, (args.out, args.history)):  # both before either is written
+        pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
     neural.save_model(model, args.out)
     if args.history:
         neural.history_to_csv(history, args.history)
     print(json.dumps({"model": str(args.out),
-                      "train_r2": history[-1]["train_r2"],
+                      "train_r2": history[-1].get("train_r2"),
                       "test_r2": history[-1].get("test_r2")}, sort_keys=True))
     return 0
 
@@ -103,7 +106,8 @@ def _ga_progress_to_stderr():
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    exp = json.loads(pathlib.Path(args.experiment).read_text())
+    with naming(args.experiment):
+        exp = json.loads(pathlib.Path(args.experiment).read_text())
     with _ga_progress_to_stderr():
         bundle = pipeline.run_experiment(exp, args.out, seed=args.seed)
     _stage("optimize", t0)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the number test of its input checks."""
+"""Exception types shared across the package, and the number test and file prefix of its checks."""
+
+import contextlib
 
 
 def is_number(value) -> bool:
@@ -48,3 +50,16 @@ class MissingModel(FgmoptError, FileNotFoundError):
 
 class SolveFailure(FgmoptError, RuntimeError):
     """A finite-element solve failed for one dataset sample."""
+
+
+@contextlib.contextmanager
+def naming(source):
+    """Re-raise a ValueError inside as ``"<source>: <message>"``, ``source`` a file or
+    ``file:line``, of its own type if a package error, and a KeyError as "needs the key"."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{source}: needs the key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        kind = type(exc) if isinstance(exc, FgmoptError) else ValueError
+        raise kind(f"{source}: {exc}") from exc

@@ -35,6 +35,7 @@ rejected with a ValueError; such models must be retrained.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import pathlib
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import version_fingerprint
-from .errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance, is_number
+from .errors import (DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance, is_number,
+                     naming)
 from .rng import make_rng
 
 _ACT = {  # (activation applied in place to h, its derivative from the output y = act(z))
@@ -235,18 +237,14 @@ def _check_finite(params):
 
 
 def _epoch_metrics(pred_tr, y_tr, pred_te, y_te) -> dict:
-    """MSE and R^2 on both sides of the split; test R^2 is skipped when
-    undefined (fewer than 2 test values, or zero variance)."""
-    row = {
-        "train_mse": float(np.mean((pred_tr - y_tr) ** 2)),
-        "train_r2": r2_score(pred_tr, y_tr),
-    }
-    if len(y_te):
-        row["test_mse"] = float(np.mean((pred_te - y_te) ** 2))
-        try:
-            row["test_r2"] = r2_score(pred_te, y_te)
-        except ZeroVariance:
-            pass
+    """MSE and R^2 on each side of the split that has values; an undefined R^2 (fewer
+    than 2 values, or zero variance) is skipped on either side."""
+    row = {}
+    for side, pred, y in (("train", pred_tr, y_tr), ("test", pred_te, y_te)):
+        if len(y):
+            row[f"{side}_mse"] = float(np.mean((pred - y) ** 2))
+            with contextlib.suppress(ZeroVariance):
+                row[f"{side}_r2"] = r2_score(pred, y)
     return row
 
 
@@ -483,20 +481,16 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """The model ``save_model`` wrote to ``path``; a file that holds no valid model
-    raises ValueError naming it."""
-    d = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: a model file must hold a JSON object, got {type(d).__name__}")
-    try:
+    """The model ``save_model`` wrote to ``path``; a file that holds no valid model raises
+    ValueError (a package error keeps its type) naming it, through ``errors.naming``."""
+    with naming(path):
+        d = json.loads(pathlib.Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"a model file must hold a JSON object, got {type(d).__name__}")
         for kind in (StressSurrogate, OperatorNet):
             if d["kind"] == kind.KIND:  # ==, not a dict lookup: a kind may be unhashable JSON
                 return kind.from_dict(d)
-    except KeyError as exc:
-        raise ValueError(f"{path}: a model file needs the key {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    raise ValueError(f"{path}: unknown model kind {d['kind']!r}")
+        raise ValueError(f"unknown model kind {d['kind']!r}")
 
 
 # the operator's shipped schedule; each problem's stress schedule is in problems.PROBLEMS

@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import neural, problems, version_fingerprint
-from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure, is_number
+from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailure, is_number, naming
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import (ConstraintSpec, FitnessEvaluator, GAConfig, check_sigma_star, evolve,
                  prediction_error)
@@ -123,23 +123,19 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     return manifest
 
 
-def _read_row(line: str, nodes: dict, grid: bool | None) -> dict:
-    """One dataset row; raises ValueError unless it is an object whose profile_x and
-    profile_y are lists of ``nodes`` x and y numbers, sigma_e_max a number and index
-    an integer, and whose temperature_grid, a list of x * y numbers, is there if and
-    only if ``grid`` says so (None: the row decides)."""
+def _read_row(line: str, cfg) -> dict:
+    """One dataset row of problem ``cfg``; raises ValueError unless it is an object whose
+    profile_x and profile_y are lists of nx + 1 and ny + 1 numbers, sigma_e_max a number
+    and index an integer, and whose temperature_grid, a list of (nx + 1)(ny + 1) numbers,
+    is there if and only if ``cfg`` solves for temperature.  A missing key raises KeyError."""
     row = json.loads(line)
     if not isinstance(row, dict):
         raise ValueError(f"a row must be a JSON object, got {type(row).__name__}")
-    if grid is not None and grid != ("temperature_grid" in row):
-        raise ValueError("a row needs the key 'temperature_grid', as the first row has one"
-                         if grid else "a row has a temperature_grid, and the first row has none")
-    lists = (("profile_x", nodes["x"]), ("profile_y", nodes["y"]))
-    if "temperature_grid" in row:
-        lists += (("temperature_grid", nodes["x"] * nodes["y"]),)
-    for key in ("profile_x", "profile_y", "sigma_e_max", "index"):
-        if key not in row:
-            raise ValueError(f"a row needs the key {key!r}")
+    lists = (("profile_x", cfg.nx + 1), ("profile_y", cfg.ny + 1))
+    if cfg.thermal is not None:
+        lists += (("temperature_grid", (cfg.nx + 1) * (cfg.ny + 1)),)
+    elif "temperature_grid" in row:
+        raise ValueError(f"a row has a temperature_grid, and {cfg.name} solves for no temperature")
     for key, n in lists:
         values = row[key]
         if not (isinstance(values, list) and len(values) == n and all(map(is_number, values))):
@@ -154,62 +150,59 @@ def _read_row(line: str, nodes: dict, grid: bool | None) -> dict:
 def load_dataset(dataset_dir):
     """Manifest plus stacked arrays; order is [train rows..., test rows...].
 
-    Raises ValueError when the manifest is malformed, names no problem of
-    ``problems.PROBLEMS`` or profile node counts other than that plate's,
-    lacks a file's checksum, a file does not match the SHA-256 in the
-    manifest, or a row is not one ``_read_row`` reads, naming the file and
-    line.  The first row decides whether every row carries a temperature grid.
+    Raises ValueError naming the file and line, through ``errors.naming``, when the
+    manifest is malformed, names no problem of ``problems.PROBLEMS`` or node counts
+    other than that plate's, or lacks a file's checksum, a file does not match its
+    SHA-256, a row is not one ``_read_row`` reads for that problem (which decides
+    whether rows carry a temperature grid), or a row holds a value that is not finite.
     """
     d = pathlib.Path(dataset_dir)
-    manifest = json.loads((d / "manifest.json").read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{d / 'manifest.json'}: a manifest must hold a JSON object, "
-                         f"got {type(manifest).__name__}")
-    files, checksums = manifest.get("files"), manifest.get("checksums")
-    if not (isinstance(files, dict) and isinstance(checksums, dict)
-            and all(isinstance(files.get(part), str) for part in ("train", "test"))):
-        raise ValueError(f"{d / 'manifest.json'}: a manifest needs a files object naming the "
-                         "train and test files and a checksums object")
-    names = [files["train"], files["test"]]
-    for name in names:
-        if name not in checksums:
-            raise ValueError(f"{d / 'manifest.json'}: checksums has no entry for {name!r}")
-    nodes = manifest.get("profile_nodes")
-    if not (isinstance(nodes, dict) and all(isinstance(nodes.get(a), int) for a in "xy")):
-        raise ValueError(f"{d / 'manifest.json'}: a manifest needs a profile_nodes object of "
-                         "the x and y node counts")
-    try:
+    with naming(d / "manifest.json"):
+        manifest = json.loads((d / "manifest.json").read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError(f"a manifest must hold a JSON object, got {type(manifest).__name__}")
+        files, checksums = manifest.get("files"), manifest.get("checksums")
+        if not (isinstance(files, dict) and isinstance(checksums, dict)
+                and all(isinstance(files.get(part), str) for part in ("train", "test"))):
+            raise ValueError("a manifest needs a files object naming the train and test files "
+                             "and a checksums object")
+        names = [files["train"], files["test"]]
+        sums = [checksums[name] for name in names]
+        nodes = manifest.get("profile_nodes")
+        if not (isinstance(nodes, dict) and all(isinstance(nodes.get(a), int) for a in "xy")):
+            raise ValueError("a manifest needs a profile_nodes object of the x and y node counts")
         cfg = problems.get_problem(manifest.get("problem"))
-    except ValueError as exc:
-        raise ValueError(f"{d / 'manifest.json'}: {exc}") from None
-    if nodes != {"x": cfg.nx + 1, "y": cfg.ny + 1}:
-        raise ValueError(f"{d / 'manifest.json'}: profile_nodes {nodes} are not {cfg.name}'s "
-                         f"{cfg.nx + 1} x {cfg.ny + 1}")
-    rows = []
-    counts = []
-    for name in names:
-        raw = (d / name).read_bytes()
-        if hashlib.sha256(raw).hexdigest() != checksums[name]:
-            raise ValueError(f"{d / name}: SHA-256 does not match the manifest")
-        lines = raw.decode().splitlines()
+        if nodes != {"x": cfg.nx + 1, "y": cfg.ny + 1}:
+            raise ValueError(f"profile_nodes {nodes} are not {cfg.name}'s "
+                             f"{cfg.nx + 1} x {cfg.ny + 1}")
+    rows, sources, counts = [], [], []
+    for name, checksum in zip(names, sums):
+        with naming(d / name):
+            raw = (d / name).read_bytes()
+            if hashlib.sha256(raw).hexdigest() != checksum:
+                raise ValueError("SHA-256 does not match the manifest")
+            lines = raw.decode().splitlines()
         counts.append(len(lines))
         for number, line in enumerate(lines, 1):
-            try:
-                rows.append(_read_row(line, nodes, "temperature_grid" in rows[0] if rows else None))
-            except ValueError as exc:
-                raise ValueError(f"{d / name}:{number}: {exc}") from None
-    data = {
+            sources.append(f"{d / name}:{number}")
+            with naming(sources[-1]):
+                rows.append(_read_row(line, cfg))
+    keys = ("profile_x", "profile_y", "sigma_e_max")
+    if cfg.thermal is not None:
+        keys += ("temperature_grid",)
+    columns = {key: np.array([r[key] for r in rows]) for key in keys}
+    for key, column in columns.items():  # one isfinite a column, then the first bad row
+        if (bad := np.flatnonzero(~np.isfinite(column))).size:
+            with naming(sources[bad[0] // (column.size // len(rows))]):
+                raise ValueError(f"{key} must be finite, got {column.flat[bad[0]]}")
+    return {
         "manifest": manifest,
-        "profiles_x": np.array([r["profile_x"] for r in rows]),
-        "profiles_y": np.array([r["profile_y"] for r in rows]),
-        "sigma_e_max": np.array([r["sigma_e_max"] for r in rows]),
+        "profiles_x": columns.pop("profile_x"), "profiles_y": columns.pop("profile_y"),
+        **columns,
         "indices": np.array([r["index"] for r in rows]),
         "train_rows": np.arange(counts[0]),
         "test_rows": np.arange(counts[0], counts[0] + counts[1]),
     }
-    if rows and "temperature_grid" in rows[0]:
-        data["temperature_grid"] = np.array([r["temperature_grid"] for r in rows])
-    return data
 
 
 def _capped_split(dataset: dict, max_samples: int | None):
@@ -265,23 +258,24 @@ def _load_model_for(path, kind, config):
     a model of another problem is rejected before the GA evaluates anything.
     """
     model = neural.load_model(path)
-    if not isinstance(model, kind):
-        raise ValueError(f"{path}: expected a {kind.__name__}, found {type(model).__name__}")
     nodes = (config.nx + 1, config.ny + 1)
-    if kind is neural.StressSurrogate:
-        if (model.nx_nodes, model.ny_nodes) != nodes:
+    with naming(path):
+        if not isinstance(model, kind):
+            raise ValueError(f"expected a {kind.__name__}, found {type(model).__name__}")
+        if kind is neural.StressSurrogate:
+            if (model.nx_nodes, model.ny_nodes) != nodes:
+                raise DimensionMismatch(
+                    f"stress model takes {model.nx_nodes} x {model.ny_nodes} profile nodes, "
+                    f"problem {config.name} has {nodes[0]} x {nodes[1]}")
+            if model.output_scale != problems.stress_scale(config):
+                raise ValueError(
+                    f"stress model scales its output by {model.output_scale!r}, "
+                    f"problem {config.name} by {problems.stress_scale(config)!r}")
+        elif model.branch.input_dim != sum(nodes) or (model.L, model.H) != (config.L, config.H):
             raise DimensionMismatch(
-                f"{path}: stress model takes {model.nx_nodes} x {model.ny_nodes} profile nodes, "
-                f"problem {config.name} has {nodes[0]} x {nodes[1]}")
-        if model.output_scale != problems.stress_scale(config):
-            raise ValueError(
-                f"{path}: stress model scales its output by {model.output_scale!r}, "
-                f"problem {config.name} by {problems.stress_scale(config)!r}")
-    elif model.branch.input_dim != sum(nodes) or (model.L, model.H) != (config.L, config.H):
-        raise DimensionMismatch(
-            f"{path}: temperature model takes {model.branch.input_dim} profile nodes on a "
-            f"{model.L} x {model.H} plate, problem {config.name} has {nodes[0]} + {nodes[1]} "
-            f"nodes on a {config.L} x {config.H} plate")
+                f"temperature model takes {model.branch.input_dim} profile nodes on a "
+                f"{model.L} x {model.H} plate, problem {config.name} has {nodes[0]} + "
+                f"{nodes[1]} nodes on a {config.L} x {config.H} plate")
     return model
 
 

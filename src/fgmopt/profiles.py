@@ -82,9 +82,9 @@ def _tolerant_bounds(nx: int, ny: int):
 def genes_from_dict(d, nx: int, ny: int) -> np.ndarray:
     """The gene vector of ``genes_to_dict`` output for a plate of nx-by-ny elements.
 
-    Raises ValueError naming the key unless ``d`` is a dict whose four keys hold
-    JSON numbers (float() and numpy would also read "0.5" and true), and
-    DimensionMismatch unless it holds nx - 1 x-ratios and ny - 1 y-ratios.
+    Raises KeyError for a missing key, ValueError naming the key unless ``d`` is a
+    dict whose four keys hold JSON numbers (float() and numpy would also read "0.5"
+    and true), and DimensionMismatch unless it holds nx - 1 x-ratios and ny - 1 y-ratios.
     """
     if not isinstance(d, dict):
         raise ValueError(f"genes must be a JSON object, got {type(d).__name__}")
@@ -98,8 +98,6 @@ def genes_from_dict(d, nx: int, ny: int) -> np.ndarray:
 
 def _gene(d: dict, key: str):
     """``d[key]`` as a float, or a float array for a ratio list; ValueError names the key."""
-    if key not in d:
-        raise ValueError(f"genes need the key {key!r}")
     value = d[key]
     if key.startswith("alphas"):  # a JSON list of numbers, or a caller's array
         if isinstance(value, np.ndarray) or isinstance(value, list) and all(map(is_number, value)):

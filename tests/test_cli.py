@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -60,6 +61,11 @@ class TestInputOfTheWrongKind:
         (tmp_path / "ds_sums").mkdir()
         (tmp_path / "ds_sums" / "manifest.json").write_text(
             '{"files": {"train": "a", "test": "b"}, "checksums": {}}')
+        # a file of each reader that holds no JSON: model, manifest, experiment and genes
+        for name in ("not_json.json", "exp_not_json.json", "genes_not_json.json"):
+            (tmp_path / name).write_text("not json")
+        (tmp_path / "ds_not_json").mkdir()
+        (tmp_path / "ds_not_json" / "manifest.json").write_text("{")
         scale = problems.stress_scale(problems.problem2())  # passes the plate checks
         stress = neural.StressSurrogate(neural.make_dense(0, [42, 8, 1], "relu"), scale, 21, 21)
         d = stress.to_dict()
@@ -79,8 +85,11 @@ class TestInputOfTheWrongKind:
         # a dataset whose train file's second row is malformed, or whose manifest is, its
         # checksums right; a manifest entry of None is left out
         good = {"index": 0, "problem": "problem2", "profile_x": [0.5] * 21,
-                "profile_y": [0.5] * 21, "sigma_e_max": 1.0e6}
-        grid = {**good, "temperature_grid": [20.0] * 21 * 21}
+                "profile_y": [0.5] * 21, "sigma_e_max": 1.0e6,
+                "temperature_grid": [20.0] * 21 * 21}
+        no_grid = {k: v for k, v in good.items() if k != "temperature_grid"}
+        p1 = {**no_grid, "problem": "problem1", "profile_x": [0.5] * 41, "profile_y": [0.5] * 41}
+        p1_manifest = {"problem": "problem1", "profile_nodes": {"x": 41, "y": 41}}
         for name, first, row, entries in (
                 ("ds_no_px", good, {k: v for k, v in good.items() if k != "profile_x"}, {}),
                 ("ds_row_list", good, [good], {}),
@@ -90,9 +99,13 @@ class TestInputOfTheWrongKind:
                 ("ds_no_problem", good, good, {"problem": None}),
                 ("ds_problem5", good, good, {"problem": 5}),
                 ("ds_p1_nodes", good, good, {"problem": "problem1"}),
-                ("ds_no_grid", grid, good, {}),
-                ("ds_extra_grid", good, grid, {}),
-                ("ds_short_grid", grid, {**grid, "temperature_grid": [20.0] * 21}, {})):
+                ("ds_no_grid", good, no_grid, {}),
+                ("ds_no_grids", no_grid, no_grid, {}),
+                ("ds_extra_grid", p1, {**p1, "temperature_grid": [20.0] * 41 * 41}, p1_manifest),
+                ("ds_short_grid", good, {**good, "temperature_grid": [20.0] * 21}, {}),
+                ("ds_sigma_nan", good, {**good, "sigma_e_max": float("nan")}, {}),
+                ("ds_grid_inf", good, {**good, "temperature_grid": [20.0] * 440 + [float("inf")]},
+                 {})):
             (tmp_path / name).mkdir()
             parts = {"train": f"{json.dumps(first)}\n{json.dumps(row)}\n", "test": ""}
             for part, text in parts.items():
@@ -137,6 +150,7 @@ class TestInputOfTheWrongKind:
         (tmp_path / "genes_no_ratios.json").write_text(json.dumps(
             {k: v for k, v in genes.items() if k != "alphas_y"}))
         for name, model in (("exp_dir.json", "dir"), ("exp_list.json", "list.json"),
+                            ("exp_model_not_json.json", "not_json.json"),
                             ("exp_short.json", "short.json"), ("exp_net5.json", "net5.json"),
                             ("exp_wide.json", "wide.json"), ("exp_no_net.json", "no_net.json"),
                             ("exp_no_kind.json", "no_kind.json"),
@@ -178,7 +192,7 @@ class TestInputOfTheWrongKind:
          "ds_files/manifest.json: a manifest needs a files object"),
         # a missing checksum was a bare KeyError: "error: 'a'"
         ("train-stress --dataset {t}/ds_sums --out {t}/m.json",
-         "ds_sums/manifest.json: checksums has no entry for 'a'"),
+         "ds_sums/manifest.json: needs the key 'a'"),
         # a missing problem was a bare KeyError: "error: 'problem'"
         ("optimize --experiment {t}/exp_no_problem.json --out {t}/r",
          "experiment needs the key 'problem', one of problem1, problem2"),
@@ -210,10 +224,17 @@ class TestInputOfTheWrongKind:
         ("optimize --experiment {t}/exp_bias_long.json --out {t}/r",
          "bias_long.json: a layer needs 2-D weights and a bias of their output width, got "
          "shapes (8, 1) and (8,)"),
+        # a JSON syntax error named no file: "error: Expecting value: line 1 column 1 (char 0)"
+        ("optimize --experiment {t}/exp_not_json.json --out {t}/r",
+         "exp_not_json.json: Expecting value: line 1 column 1"),
+        ("eval-profile --problem problem2 --genes {t}/genes_not_json.json",
+         "genes_not_json.json: Expecting value: line 1 column 1"),
+        ("train-stress --dataset {t}/ds_not_json --out {t}/m.json",
+         "ds_not_json/manifest.json: Expecting property name enclosed in double quotes"),
         # a missing key was a bare KeyError, a list row exited 2, a short profile exited 1 on
         # numpy's inhomogeneous-shape error, and a string label trained
         ("train-stress --dataset {t}/ds_no_px --out {t}/m.json",
-         "ds_no_px/train.ndjson:2: a row needs the key 'profile_x'"),
+         "ds_no_px/train.ndjson:2: needs the key 'profile_x'"),
         ("train-stress --dataset {t}/ds_row_list --out {t}/m.json",
          "ds_row_list/train.ndjson:2: a row must be a JSON object, got list"),
         ("train-stress --dataset {t}/ds_short_px --out {t}/m.json",
@@ -224,7 +245,8 @@ class TestInputOfTheWrongKind:
          "ds_nodes/manifest.json: a manifest needs a profile_nodes object of the x and y node "
          "counts"),
         # a missing or unknown problem named no file, problem1 over problem-2 rows failed in
-        # the network's input check, and a row without a grid was a bare KeyError
+        # the network's input check, and a row without a grid was a bare KeyError; the first
+        # row decided whether rows carry a grid, so problem-2 rows without any loaded
         ("train-stress --dataset {t}/ds_no_problem --out {t}/m.json",
          "ds_no_problem/manifest.json: unknown problem id None"),
         ("train-stress --dataset {t}/ds_problem5 --out {t}/m.json",
@@ -232,17 +254,28 @@ class TestInputOfTheWrongKind:
         ("train-stress --dataset {t}/ds_p1_nodes --out {t}/m.json",
          "ds_p1_nodes/manifest.json: profile_nodes {'x': 21, 'y': 21} are not problem1's 41 x 41"),
         ("train-temp --dataset {t}/ds_no_grid --out {t}/m.json",
-         "ds_no_grid/train.ndjson:2: a row needs the key 'temperature_grid', as the first row "
-         "has one"),
+         "ds_no_grid/train.ndjson:2: needs the key 'temperature_grid'"),
+        ("train-temp --dataset {t}/ds_no_grids --out {t}/m.json",
+         "ds_no_grids/train.ndjson:1: needs the key 'temperature_grid'"),
         ("train-stress --dataset {t}/ds_extra_grid --out {t}/m.json",
-         "ds_extra_grid/train.ndjson:2: a row has a temperature_grid, and the first row has none"),
+         "ds_extra_grid/train.ndjson:2: a row has a temperature_grid, and problem1 solves for "
+         "no temperature"),
         ("train-temp --dataset {t}/ds_short_grid --out {t}/m.json",
          "ds_short_grid/train.ndjson:2: temperature_grid must be a list of 441 numbers"),
+        # a NaN label loaded; train-stress diverged after an epoch and train-temp exited 0
+        ("train-stress --dataset {t}/ds_sigma_nan --out {t}/m.json",
+         "ds_sigma_nan/train.ndjson:2: sigma_e_max must be finite, got nan"),
+        ("train-temp --dataset {t}/ds_sigma_nan --out {t}/m.json",
+         "ds_sigma_nan/train.ndjson:2: sigma_e_max must be finite, got nan"),
+        ("train-temp --dataset {t}/ds_grid_inf --out {t}/m.json",
+         "ds_grid_inf/train.ndjson:2: temperature_grid must be finite, got inf"),
         # a missing key was a bare KeyError naming no file: "error: 'net'"
         ("optimize --experiment {t}/exp_no_net.json --out {t}/r",
-         "no_net.json: a model file needs the key 'net'"),
+         "no_net.json: needs the key 'net'"),
         ("optimize --experiment {t}/exp_no_kind.json --out {t}/r",
-         "no_kind.json: a model file needs the key 'kind'"),
+         "no_kind.json: needs the key 'kind'"),
+        ("optimize --experiment {t}/exp_model_not_json.json --out {t}/r",
+         "/not_json.json: Expecting value: line 1 column 1"),
         # a kind that JSON reads as a list or an object is no kind, not a TypeError
         ("optimize --experiment {t}/exp_kind_list.json --out {t}/r",
          "kind_list.json: unknown model kind []"),
@@ -262,7 +295,7 @@ class TestInputOfTheWrongKind:
          "genes must be numbers, got alphas_x: ['"),
         # a missing key was a bare KeyError: "error: 'alphas_y'"
         ("eval-profile --problem problem2 --genes {t}/genes_no_ratios.json",
-         "genes need the key 'alphas_y'"),
+         "genes_no_ratios.json: needs the key 'alphas_y'"),
     ])
     def test_exits_1(self, capsys, inputs, argv, reason):
         code, out, err = run_cli(capsys, *argv.format(t=inputs).split())
@@ -321,7 +354,7 @@ class TestEvalProfile:
         code, out, err = run_cli(capsys, "eval-profile", "--problem", "problem2",
                                  "--genes", str(path))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {match}")
+        assert err.startswith(f"error: {path}: {match}")
 
     def test_genes_of_another_plate_are_invalid_input(self, capsys, tmp_path):
         # the 20 x 20 element plate takes 19 ratios per axis; 20 and 18 add up to the
@@ -453,6 +486,38 @@ class TestTrain:
         assert '"test_r2": null' in out
         assert np.isfinite(json.loads(out)["train_r2"])
         assert isinstance(neural.load_model(model), neural.StressSurrogate)
+
+    def test_one_sample_trains_with_no_r2(self, capsys, tmp_path):
+        # one train sample has no R^2: train-stress exited 1 with "need at least 2 samples"
+        # after its first epoch, while train-temp, whose targets are a whole grid, exited 0
+        ds, model, history = tmp_path / "ds", tmp_path / "stress.json", tmp_path / "h.csv"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem1",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        code, out, err = run_cli(capsys, "train-stress", "--dataset", str(ds), "--out", str(model),
+                                 "--max-samples", "1", "--history", str(history))
+        assert code == 0, err
+        assert json.loads(out) == {"model": str(model), "train_r2": None, "test_r2": None}
+        assert isinstance(neural.load_model(model), neural.StressSurrogate)
+        rows = list(csv.DictReader(history.read_text().splitlines()))
+        assert rows and all(np.isfinite(float(r["train_mse"])) and r["train_r2"] == ""
+                            for r in rows)
+
+    def test_missing_out_and_history_directories_are_made(self, capsys, tmp_path):
+        # a new --out directory exited 1 after training, and a new --history directory
+        # exited 1 after the model was written, leaving it without its history
+        ds = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem1",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        for model, history in ((tmp_path / "new" / "deeper" / "s.json", None),
+                               (tmp_path / "s.json", tmp_path / "new2" / "h.csv")):
+            code, out, err = run_cli(capsys, "train-stress", "--dataset", str(ds),
+                                     "--out", str(model),
+                                     *(("--history", str(history)) if history else ()))
+            assert code == 0, err
+            assert isinstance(neural.load_model(model), neural.StressSurrogate)
+            assert history is None or history.read_text().startswith("stage,epoch")
 
     def test_max_samples_below_one_exits_1_writing_nothing(self, capsys, tmp_path):
         # -5 used to keep all but the last 4 train rows and the last test row

@@ -280,6 +280,15 @@ class TestR2:
         with pytest.raises(ZeroVariance):
             r2_score(np.array([1.0]), np.array([1.0]))
 
+    def test_epoch_metrics_skip_an_undefined_r2_on_either_side(self):
+        # a one-value train side raised ZeroVariance, so one train sample stopped a fit
+        one, two = np.array([1.0]), np.array([1.0, 3.0])
+        assert neural._epoch_metrics(one + 1, one, two, two) == {
+            "train_mse": 1.0, "test_mse": 0.0, "test_r2": 1.0}
+        assert neural._epoch_metrics(two, two, one + 1, one) == {
+            "train_mse": 0.0, "train_r2": 1.0, "test_mse": 1.0}
+        assert neural._epoch_metrics(one, one, one[:0], one[:0]) == {"train_mse": 0.0}
+
 
 class TestStressSurrogate:
     def test_zeroed_head_predicts_zero(self):
