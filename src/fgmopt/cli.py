@@ -81,9 +81,14 @@ def cmd_train(args) -> int:
     _stage(args.command, t0)
     for path in filter(None, (args.out, args.history)):  # both before either is written
         pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-    neural.save_model(model, args.out)
-    if args.history:
+    if args.history:  # first, and removed if the model cannot be written: neither is left
         neural.history_to_csv(history, args.history)
+    try:
+        neural.save_model(model, args.out)
+    except OSError:
+        if args.history:
+            pathlib.Path(args.history).unlink()
+        raise
     print(json.dumps({"model": str(args.out),
                       "train_r2": history[-1].get("train_r2"),
                       "test_r2": history[-1].get("test_r2")}, sort_keys=True))
@@ -106,9 +111,8 @@ def _ga_progress_to_stderr():
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    with naming(args.experiment):
+    with naming(args.experiment), _ga_progress_to_stderr():  # run_experiment's checks too
         exp = json.loads(pathlib.Path(args.experiment).read_text())
-    with _ga_progress_to_stderr():
         bundle = pipeline.run_experiment(exp, args.out, seed=args.seed)
     _stage("optimize", t0)
     print(json.dumps({"out": str(args.out),

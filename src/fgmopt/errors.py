@@ -54,12 +54,12 @@ class SolveFailure(FgmoptError, RuntimeError):
 
 @contextlib.contextmanager
 def naming(source):
-    """Re-raise a ValueError inside as ``"<source>: <message>"``, ``source`` a file or
-    ``file:line``, of its own type if a package error, and a KeyError as "needs the key"."""
+    """Re-raise a ValueError or MissingModel inside as ``"<source>: <message>"``, ``source`` a
+    file or ``file:line``, of its own type if a package error, and a KeyError as "needs the key"."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{source}: needs the key {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (ValueError, MissingModel) as exc:
         kind = type(exc) if isinstance(exc, FgmoptError) else ValueError
         raise kind(f"{source}: {exc}") from exc

@@ -20,9 +20,9 @@ takes ``rng.random((2, *shape))`` as mutation decision and perturbation.
 
 Fitness dispatch is hybrid: a stress surrogate predicts the peak effective
 stress; above the trust threshold sigma_star the surrogate path supplies the
-objective (temperature field from the operator net where a thermal
-constraint needs it, average ceramic fraction always by exact quadrature of
-the axis profiles, with no 2D field formed), otherwise the full FEM
+objective (the profile-grid temperatures from the POD operator where a
+thermal constraint needs them, average ceramic fraction always by exact
+quadrature of the axis profiles, with no 2D field formed), otherwise the full FEM
 evaluation runs.  sigma_star = None forces FEM everywhere, sigma_star = 0
 forces the surrogate everywhere.
 
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import is_number
 from .fem import ThermoelasticSolver
 from .profiles import (average_ceramic_fraction, gene_bounds, generate_genes, genes_to_profiles,
-                       grid_points, metal_maximum, tensor_product)
+                       metal_maximum, tensor_product)
 from .rng import derived_rng, make_rng
 
 log = logging.getLogger(__name__)
@@ -242,8 +242,6 @@ class FitnessEvaluator:
         self.sigma_star = sigma_star
         self.stress_model = stress_model
         self.temp_model = temp_model
-        cfg = solver.config
-        self._grid_pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
 
     def evaluate(self, genes: np.ndarray) -> Individual:
         """Score one gene vector of the solver's plate; ``genes`` is kept, not copied."""
@@ -261,9 +259,8 @@ class FitnessEvaluator:
             if cfg.uniform_delta_theta is not None:
                 summaries["max_metal_temperature"] = float(cfg.uniform_delta_theta)
             elif self.temp_model is not None:
-                temps = self.temp_model.predict(px, py, self._grid_pts)
                 summaries["max_metal_temperature"] = metal_maximum(
-                    temps, tensor_product(px, py).ravel())
+                    self.temp_model.predict(px, py)[0], tensor_product(px, py).ravel())
             source = "surrogate"
         else:
             summaries = self.solver.run(tensor_product(px, py)).summary()

@@ -11,16 +11,17 @@ that runs the forward pass on one minibatch, forms the mean-squared-error
 residual and returns ``DenseNet.backward``'s gradients in ``parameters()``
 order, and a closure that computes the epoch metrics.  For both models the
 batch size counts samples; the operator's loss for a batch covers every point
-of its samples' aligned temperature grids.  Training is deterministic given (seed, dataset
-order, stages).
+of its samples' temperature grids.  Training is deterministic given (seed,
+dataset order, stages).
 
 Two model classes sit on top of the raw ``DenseNet``:
 
 * ``StressSurrogate`` maps the concatenated axis profiles to the peak
   effective stress (network output times ``output_scale``);
-* ``OperatorNet`` is a branch/trunk pair sharing a latent dimension of 250;
-  the temperature at a point is the dot product of branch(profiles) and
-  trunk(x/L, y/H), times ``temperature_scale`` (500).
+* ``OperatorNet`` is a POD-DeepONet of the temperature on the profile grid:
+  a trained branch maps the profiles to ``POD_RANK`` coefficients, and a
+  fixed basis, the mean and leading POD modes of the training grids, turns
+  them into the grid, times ``temperature_scale`` (500).
 
 Model files are JSON, one format for both models (``_Model``): the class's
 declared ``KIND``, each of its ``NETS`` (``DenseNet.to_dict``), each of its
@@ -375,9 +376,8 @@ class StressSurrogate(_Model):
             pred, seen = self.net.forward_cached(x[rows])
             return self.net.backward(seen, 2.0 * (pred - y[rows]) / rows.size)
 
-        def epoch_metrics():
-            pred_te = self.net.forward(x[te]) if len(te) else None
-            return _epoch_metrics(self.net.forward(x[tr]), y[tr], pred_te, y[te])
+        def epoch_metrics():  # an empty test split gives empty arrays, which are skipped
+            return _epoch_metrics(self.net.forward(x[tr]), y[tr], self.net.forward(x[te]), y[te])
 
         history = _train_staged(self.net.parameters(), len(tr), batch_grads, epoch_metrics,
                                 stages, rng)
@@ -386,90 +386,85 @@ class StressSurrogate(_Model):
 
 
 # ---------------------------------------------------------------------------
-# branch/trunk operator network
+# POD-DeepONet temperature operator
 # ---------------------------------------------------------------------------
 
-class OperatorNet(_Model):
-    """Temperature-field operator: dot(branch(profiles), trunk(x/L, y/H)).
+POD_RANK = 20  # coefficients the branch outputs: the basis's leading modes
 
-    Branch and trunk share the latent output dimension; there is no output
-    bias, matching the plain dot-product head.  The trunk depends only on the
-    points, so its output for the last point set is kept (keyed on the
-    points' shape and bytes) until the next ``fit``.
+
+class OperatorNet(_Model):
+    """Temperature on the profile grid: basis(branch(profiles)) * temperature_scale.
+
+    The branch is trained; the basis is one fixed identity layer whose bias is
+    the mean training grid and whose weight rows are that grid set's leading
+    POD modes (Lu et al., CMAME 393, 114778, 2022).  Its outputs are the grid
+    nodes in the order of ``tensor_product(px, py).ravel()``.
     """
 
-    KIND, NETS = "operator_net", ("branch", "trunk")
+    KIND, NETS = "pod_operator", ("branch", "basis")
     NUMBERS = (("temperature_scale", False), ("L", False), ("H", False))
 
-    def __init__(self, branch: DenseNet, trunk: DenseNet, temperature_scale: float,
+    def __init__(self, branch: DenseNet, basis: DenseNet, temperature_scale: float,
                  L: float, H: float, fingerprint: dict | None = None):
-        if branch.output_dim != trunk.output_dim:
-            raise DimensionMismatch("branch and trunk latent dimensions differ")
+        # a model file is outside input: the basis must be the one layer fit writes
+        if [(l.activation, l.weights.shape[0]) for l in basis.layers] != [
+                ("identity", branch.output_dim)]:
+            raise DimensionMismatch(f"a basis is one identity layer of the branch's "
+                                    f"{branch.output_dim} outputs")
         self.branch = branch
-        self.trunk = trunk
+        self.basis = basis
         self.temperature_scale = float(temperature_scale)
         self.L, self.H = float(L), float(H)
         super().__init__(fingerprint)
-        self._trunk_cache = None  # (points key, trunk output) of the last point set
 
     @classmethod
     def build(cls, rng, nx_nodes: int, ny_nodes: int, L: float, H: float) -> "OperatorNet":
-        """Branch then trunk, drawn in that order from ``rng``; latent 250, scale 500."""
-        rng = make_rng(rng)
-        branch = make_dense(rng, [nx_nodes + ny_nodes, 200, 250], "relu")
-        trunk = make_dense(rng, [2, 200, 200, 200, 250], "tanh")
-        return cls(branch, trunk, 500.0, L, H)
+        """A branch [nx + ny, 200, POD_RANK] drawn from ``rng``, a zero basis, scale 500."""
+        branch = make_dense(rng, [nx_nodes + ny_nodes, 200, POD_RANK], "relu")
+        n = nx_nodes * ny_nodes
+        return cls(branch, DenseNet([DenseLayer(np.zeros((POD_RANK, n)), np.zeros(n),
+                                                "identity")]), 500.0, L, H)
 
-    def _norm_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.column_stack([pts[:, 0] / self.L, pts[:, 1] / self.H])
+    def predict(self, profiles_x, profiles_y) -> np.ndarray:
+        """Temperatures on the profile grid, one row for each pair of 1D profiles."""
+        f = self.branch.forward(self.features(profiles_x, profiles_y))
+        return self.basis.forward(f) * self.temperature_scale
 
-    def _trunk_at(self, points) -> np.ndarray:
-        """Trunk output (p, c) at ``points``, from the cache when they repeat."""
-        pts = np.asarray(points, dtype=float)
-        key = (pts.shape, pts.tobytes())
-        if self._trunk_cache is None or self._trunk_cache[0] != key:
-            self._trunk_cache = (key, self.trunk.forward(self._norm_points(pts)))
-        return self._trunk_cache[1]
+    def fit(self, profiles_x, profiles_y, temp_grids, split, stages, rng):
+        """Set the basis from the training grids, then train the branch on them.
 
-    def predict(self, profile_x, profile_y, points) -> np.ndarray:
-        """Temperatures of ONE profile at many points (branch reused)."""
-        f = self.branch.forward(self.features(profile_x, profile_y))  # (1, c)
-        return (self._trunk_at(points) @ f[0]) * self.temperature_scale
-
-    def fit(self, profiles_x, profiles_y, temp_grids, points, split, stages, rng):
-        """Train on whole samples over the aligned point set; batches count samples.
-
-        ``temp_grids`` is (n_samples, n_points) aligned with ``points``;
-        ``split`` is (train sample indices, test sample indices).  Each step
-        runs the branch on the batch's B samples and the trunk once on all P
-        points, and takes the mean squared error over the (B, P) table
-        ``branch @ trunk.T``: the per-pair MSE over every point of those samples.
+        ``temp_grids`` is (n_samples, n_nodes); ``split`` is (train sample
+        indices, test sample indices).  The new basis is the mean and the
+        leading right singular vectors of the centred training grids, one SVD;
+        rows beyond the n_train - 1 modes those grids span are zero.  Each step
+        takes the mean squared error over every node of its batch's grids.
         """
-        self._trunk_cache = None
         feats = self.features(profiles_x, profiles_y)
         targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
-        pts = self._norm_points(points)
         tr, te = split
+        if len(tr) == 0:
+            raise EmptyDataset("empty training set")
+        mean = targets[tr].mean(axis=0)
+        modes = np.linalg.svd(targets[tr] - mean, full_matrices=False)[2]
+        weights = np.zeros((self.branch.output_dim, mean.size))
+        rank = min(len(tr) - 1, *weights.shape)
+        weights[:rank] = modes[:rank]
+        self.basis = DenseNet([DenseLayer(weights, mean, "identity")])
 
         def batch_grads(idx):
             rows = tr[idx]
-            fb, b_seen = self.branch.forward_cached(feats[rows])
-            gt, t_seen = self.trunk.forward_cached(pts)
-            resid = fb @ gt.T - targets[rows]
+            fb, seen = self.branch.forward_cached(feats[rows])
+            resid = self.basis.forward(fb) - targets[rows]
             resid *= 2.0 / resid.size
-            return (self.branch.backward(b_seen, resid @ gt)
-                    + self.trunk.backward(t_seen, resid.T @ fb))
+            return self.branch.backward(seen, resid @ weights.T)
 
-        def epoch_metrics():
-            g = self.trunk.forward(pts).T
-            pred_te = self.branch.forward(feats[te]) @ g if len(te) else None
-            return _epoch_metrics(self.branch.forward(feats[tr]) @ g, targets[tr],
-                                  pred_te, targets[te])
+        def epoch_metrics():  # an empty test split gives empty arrays, which are skipped
+            return _epoch_metrics(self.basis.forward(self.branch.forward(feats[tr])), targets[tr],
+                                  self.basis.forward(self.branch.forward(feats[te])), targets[te])
 
-        params = self.branch.parameters() + self.trunk.parameters()
-        history = _train_staged(params, len(tr), batch_grads, epoch_metrics, stages, rng)
-        self.fingerprint = _fit_fingerprint(self.KIND, stages, split, n_points=len(pts))
+        history = _train_staged(self.branch.parameters(), len(tr), batch_grads, epoch_metrics,
+                                stages, rng)
+        self.fingerprint = _fit_fingerprint(self.KIND, stages, split, modes=rank)
         return history
 
 
@@ -490,6 +485,8 @@ def load_model(path):
         for kind in (StressSurrogate, OperatorNet):
             if d["kind"] == kind.KIND:  # ==, not a dict lookup: a kind may be unhashable JSON
                 return kind.from_dict(d)
+        if d["kind"] == "operator_net":  # the operator's kind before its POD basis
+            raise ValueError("an operator_net model is no longer read; retrain it with train-temp")
         raise ValueError(f"unknown model kind {d['kind']!r}")
 
 

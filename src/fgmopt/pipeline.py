@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, MissingModel, SingularSystem, SolveFailur
 from .fem import ThermoelasticSolver, write_result_files
 from .ga import (ConstraintSpec, FitnessEvaluator, GAConfig, check_sigma_star, evolve,
                  prediction_error)
-from .profiles import generate_genes, genes_to_dict, genes_to_profiles, grid_points, tensor_product
+from .profiles import generate_genes, genes_to_dict, genes_to_profiles, tensor_product
 from .rng import check_seed, derived_rng
 
 log = logging.getLogger(__name__)
@@ -230,17 +230,15 @@ def train_stress_model(dataset: dict, seed: int, stages=None, max_samples: int |
 
 def train_temperature_model(dataset: dict, seed: int, stages=None,
                             max_samples: int | None = None):
-    """Fit the branch/trunk operator on the stored temperature grids."""
-    problem_id = dataset["manifest"]["problem"]
+    """Fit the POD operator's basis and branch on the training grids; returns (model, history)."""
     if "temperature_grid" not in dataset:
         raise ValueError("dataset has no temperature grids (uniform-change problem)")
-    cfg = problems.get_problem(problem_id)
-    stages = stages or neural.OPERATOR_STAGES
+    cfg = problems.get_problem(dataset["manifest"]["problem"])
     model = neural.OperatorNet.build(
         derived_rng(seed, 3), cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H)
     history = model.fit(dataset["profiles_x"], dataset["profiles_y"],
-                        dataset["temperature_grid"], grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny),
-                        _capped_split(dataset, max_samples), stages, derived_rng(seed, 4))
+                        dataset["temperature_grid"], _capped_split(dataset, max_samples),
+                        stages or neural.OPERATOR_STAGES, derived_rng(seed, 4))
     return model, history
 
 
@@ -252,8 +250,8 @@ def _load_model_for(path, kind, config):
     """Load a model of class ``kind`` and check that it was built for ``config``'s plate.
 
     A stress model must take the plate's (nx + 1, ny + 1) profile nodes and
-    scale its output by the problem's ``stress_scale``; an operator's branch
-    must take their sum and its L and H must be the plate's.  Raises
+    scale its output by the problem's ``stress_scale``; an operator's branch must
+    take their sum, its basis give their product, and its L and H be the plate's.  Raises
     DimensionMismatch (ValueError for a wrong stress scale) naming the file, so
     a model of another problem is rejected before the GA evaluates anything.
     """
@@ -271,11 +269,13 @@ def _load_model_for(path, kind, config):
                 raise ValueError(
                     f"stress model scales its output by {model.output_scale!r}, "
                     f"problem {config.name} by {problems.stress_scale(config)!r}")
-        elif model.branch.input_dim != sum(nodes) or (model.L, model.H) != (config.L, config.H):
+        elif (model.branch.input_dim, model.basis.output_dim, model.L, model.H) != (
+                sum(nodes), nodes[0] * nodes[1], config.L, config.H):
             raise DimensionMismatch(
-                f"temperature model takes {model.branch.input_dim} profile nodes on a "
-                f"{model.L} x {model.H} plate, problem {config.name} has {nodes[0]} + "
-                f"{nodes[1]} nodes on a {config.L} x {config.H} plate")
+                f"temperature model takes {model.branch.input_dim} profile nodes to "
+                f"{model.basis.output_dim} on a {model.L} x {model.H} plate, problem "
+                f"{config.name} has {nodes[0]} + {nodes[1]} to {nodes[0] * nodes[1]} on a "
+                f"{config.L} x {config.H} plate")
     return model
 
 

@@ -81,3 +81,22 @@ def test_surrogate_ga_items_are_the_evaluations_made(monkeypatch, tmp_path):
     with t.installed():
         items = wl.run_round(0, tmp_path / "round").items
     assert items == t.calls("ga.evaluate_surrogate", 0) + t.calls("ga.evaluate_fem", 0) == 14
+
+
+def test_problem2_design_round_runs_under_the_tracer(monkeypatch, tmp_path):
+    # the full problem 2 flow at the benchmark smoke test's tiny sizes: both trainers'
+    # stages= call, and OperatorNet.fit and predict through the tracer's wrappers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    sizes = workloads.Sizes(p1_samples=1, ga_population=8, ga_generations=2, p2_samples=6,
+                            p2_population=6, p2_generations=2, stress_epochs=50, temp_epochs=1)
+    wl = workloads.P2Design(tmp_path, 3, sizes)
+    wl.prepare()
+    t = tracer.Tracer()
+    t.round = 0
+    with t.installed():
+        result = wl.run_round(0, tmp_path / "round")
+    assert result.errors == []
+    assert t.calls("neural.train_temp", 0) == 1
+    assert t.calls("neural.operator_predict", 0) > 0

@@ -123,14 +123,22 @@ class TestInputOfTheWrongKind:
                                  ("scale_null.json", "output_scale", None),
                                  ("scale_str.json", "output_scale", str(scale))):
             (tmp_path / name).write_text(json.dumps({**d, key: value}))
-        op = neural.OperatorNet(neural.make_dense(0, [42, 4], "relu"),
-                                neural.make_dense(1, [2, 4], "tanh"), 500.0, 0.15, 0.06)
+        basis = neural.DenseNet([neural.DenseLayer(np.zeros((4, 441)), np.zeros(441), "identity")])
+        op = neural.OperatorNet(neural.make_dense(0, [42, 4], "relu"), basis, 500.0, 0.15, 0.06)
         (tmp_path / "op_L_str.json").write_text(json.dumps({**op.to_dict(), "L": "0.15"}))
-        (tmp_path / "exp_op_L_str.json").write_text(json.dumps({
-            "problem": "problem2", "case": "case3", "sigma_star": 0.0,
-            "models": {"stress": str(tmp_path / "stress.json"),
-                       "temperature": str(tmp_path / "op_L_str.json")}}))
+        (tmp_path / "old_op.json").write_text(json.dumps({**op.to_dict(), "kind": "operator_net"}))
+        for name, model in (("exp_op_L_str.json", "op_L_str.json"),
+                            ("exp_old_op.json", "old_op.json")):
+            (tmp_path / name).write_text(json.dumps({
+                "problem": "problem2", "case": "case3", "sigma_star": 0.0,
+                "models": {"stress": str(tmp_path / "stress.json"),
+                           "temperature": str(tmp_path / model)}}))
         (tmp_path / "exp_no_problem.json").write_text('{"case": "case1"}')
+        for name, entry in (("exp_limits.json", {"limits": 1}), ("exp_v_star.json", {"v_star": "x"}),
+                            ("exp_no_model.json", {"sigma_star": 0.0,
+                                                   "models": {"stress": str(tmp_path / "none")}})):
+            (tmp_path / name).write_text(json.dumps({"problem": "problem2", "case": "case1",
+                                                     **entry}))
         (tmp_path / "exp_min_gen_neg.json").write_text(json.dumps({
             "problem": "problem2", "case": "case1",
             "ga": {"population_size": 4, "min_generations": -3, "max_generations": None}}))
@@ -212,6 +220,16 @@ class TestInputOfTheWrongKind:
          "scale_str.json: output_scale must be a number, got '1000000.0'"),
         ("optimize --experiment {t}/exp_op_L_str.json --out {t}/r",
          "op_L_str.json: L must be a number, got '0.15'"),
+        # the branch/trunk operator that the POD operator replaced
+        ("optimize --experiment {t}/exp_old_op.json --out {t}/r",
+         "old_op.json: an operator_net model is no longer read; retrain it with train-temp"),
+        # an experiment's own checks named no file
+        ("optimize --experiment {t}/exp_limits.json --out {t}/r",
+         "exp_limits.json: unknown experiment keys ['limits']"),
+        ("optimize --experiment {t}/exp_v_star.json --out {t}/r",
+         "exp_v_star.json: v_star must be a finite number > 0, got 'x'"),
+        ("optimize --experiment {t}/exp_no_model.json --out {t}/r",
+         "exp_no_model.json: surrogate run needs models.stress"),
         # these exited 2, and a bias of the wrong length failed at the first predict
         ("optimize --experiment {t}/exp_shape_str.json --out {t}/r",
          "shape_str.json: an array needs a shape list of sizes and an f8 string, got shape 'abc'"),
@@ -503,6 +521,20 @@ class TestTrain:
         assert rows and all(np.isfinite(float(r["train_mse"])) and r["train_r2"] == ""
                             for r in rows)
 
+    def test_a_failed_write_leaves_neither_file(self, capsys, tmp_path):
+        # a --history that is a directory exited 1 after the model was written
+        ds = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "gen-data", "--problem", "problem1",
+                             "--count", "2", "--seed", "1", "--out", str(ds))
+        assert code == 0
+        (tmp_path / "dir").mkdir()
+        model, history = tmp_path / "s.json", tmp_path / "h.csv"
+        for out_path, history_path in ((model, tmp_path / "dir"), (tmp_path / "dir", history)):
+            code, out, err = run_cli(capsys, "train-stress", "--dataset", str(ds),
+                                     "--out", str(out_path), "--history", str(history_path))
+            assert code == 1 and out == "" and err.splitlines()[-1].startswith("error: ")
+            assert not model.exists() and not history.exists()
+
     def test_missing_out_and_history_directories_are_made(self, capsys, tmp_path):
         # a new --out directory exited 1 after training, and a new --history directory
         # exited 1 after the model was written, leaving it without its history
@@ -693,7 +725,7 @@ class TestOptimize:
         code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
                                  "--out", str(tmp_path / "r"))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {key}") and not (tmp_path / "r").exists()
+        assert err.startswith(f"error: {path}: {key}") and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("content, kind", [("5", "int"), ("null", "NoneType"),
                                                ('"problem2"', "str")])
@@ -706,7 +738,7 @@ class TestOptimize:
         code, out, err = run_cli(capsys, "optimize", "--experiment", str(path),
                                  "--out", str(tmp_path / "r"))
         assert code == 1 and out == ""
-        assert err == f"error: experiment must be a JSON object, got {kind}\n"
+        assert err == f"error: {path}: experiment must be a JSON object, got {kind}\n"
         assert not (tmp_path / "r").exists()
 
     def test_missing_experiment_file(self, capsys, tmp_path):

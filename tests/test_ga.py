@@ -319,8 +319,8 @@ class TestHybridDispatch:
         def __init__(self, value):
             self.value = value
 
-        def predict(self, px, py, pts):
-            return np.full(len(pts), self.value)
+        def predict(self, px, py):
+            return np.full((1, px.size * py.size), self.value)
 
     @pytest.mark.parametrize("sigma_star, match", [
         (float("nan"), "sigma_star .* got nan"),
@@ -364,11 +364,12 @@ class TestHybridDispatch:
         assert ind.penalty > 0  # 300 C exceeds the 275 C limit
 
     def test_surrogate_metal_temperature_skips_ceramic_nodes(self):
-        # the stub's temperature rises with the node index, so the maximum
-        # lands on the last node of the profile grid that is below phi = 1
+        # the stub's temperature rises with the node index, so the maximum lands on the
+        # last node of the profile grid that is below phi = 1: the operator's nodes are
+        # read in the order of tensor_product(px, py).ravel()
         class IndexTemp:
-            def predict(self, px, py, pts):
-                return np.arange(len(pts), dtype=float)
+            def predict(self, px, py):
+                return np.arange(px.size * py.size, dtype=float)[None]
 
         solver = ThermoelasticSolver(tiny_problem())
         ev = FitnessEvaluator(solver, "sigma_e_max", ConstraintSpec(theta_max=275.0),

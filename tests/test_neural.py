@@ -57,13 +57,21 @@ def fit_stress(net, x, y, split, stages, rng):
     return model.fit(x[:, :half], x[:, half:], y, split, stages, rng)
 
 
-def small_operator(rng, nx_nodes, ny_nodes, L, H, latent, branch_hidden, trunk_hidden,
-                   temperature_scale=500.0):
-    """An OperatorNet of the given sizes; branch then trunk from one rng, as ``build`` draws."""
+def small_operator(rng, nx_nodes, ny_nodes, rank, branch_hidden=(8,), temperature_scale=500.0,
+                   L=1.0, H=1.0):
+    """An OperatorNet whose branch [nx + ny, *branch_hidden, rank] is drawn from ``rng`` as
+    ``build`` draws it, then a basis of random rows and mean, so a test that fits nothing
+    still sees every part of the head."""
     rng = make_rng(rng)
-    branch = make_dense(rng, [nx_nodes + ny_nodes, *branch_hidden, latent], "relu")
-    trunk = make_dense(rng, [2, *trunk_hidden, latent], "tanh")
-    return OperatorNet(branch, trunk, temperature_scale, L, H)
+    branch = make_dense(rng, [nx_nodes + ny_nodes, *branch_hidden, rank], "relu")
+    n = nx_nodes * ny_nodes
+    basis = DenseNet([DenseLayer(rng.normal(size=(rank, n)), rng.normal(size=n), "identity")])
+    return OperatorNet(branch, basis, temperature_scale, L, H)
+
+
+def grid_mse(model, x, targets):
+    """The operator's training loss: the mean squared error over every node of the grids."""
+    return float(np.mean((model.basis.forward(model.branch.forward(x)) - targets) ** 2))
 
 
 class TestForward:
@@ -351,162 +359,185 @@ class TestStressSurrogate:
 
 class TestOperatorNet:
     def test_build_draws_the_shipped_sizes(self):
-        # latent 250, branch (200,), trunk (200, 200, 200), scale 500; branch drawn first
+        # a branch (42, 200, POD_RANK) drawn from the rng, a zero basis of 441 nodes, scale 500
         model = OperatorNet.build(3, 21, 21, L=0.15, H=0.06)
-        assert [l.weights.shape for l in model.branch.layers] == [(42, 200), (200, 250)]
-        assert [l.weights.shape for l in model.trunk.layers] == [
-            (2, 200), (200, 200), (200, 200), (200, 250)]
-        assert model.temperature_scale == 500.0
-        want = small_operator(3, 21, 21, 0.15, 0.06, 250, (200,), (200, 200, 200))
-        assert model.to_dict() == want.to_dict()
+        assert [l.weights.shape for l in model.branch.layers] == [(42, 200),
+                                                                  (200, neural.POD_RANK)]
+        assert model.branch.to_dict() == make_dense(3, [42, 200, neural.POD_RANK],
+                                                    "relu").to_dict()
+        (layer,) = model.basis.layers
+        assert layer.weights.shape == (neural.POD_RANK, 441) and layer.activation == "identity"
+        assert not layer.weights.any() and not layer.bias.any()
+        assert model.temperature_scale == 500.0 and (model.L, model.H) == (0.15, 0.06)
 
     def test_dot_product_head(self):
-        model = small_operator(0, 3, 3, L=1.0, H=1.0, temperature_scale=2.0,
-                                  latent=1, branch_hidden=(4,), trunk_hidden=(4,))
-        # force branch output to [2] and trunk output to [3]
-        model.branch.layers[-1].weights[:] = 0.0
-        model.branch.layers[-1].bias[:] = 2.0
-        model.trunk.layers[-1].weights[:] = 0.0
-        model.trunk.layers[-1].bias[:] = 3.0
-        out = model.predict(np.zeros(3), np.zeros(3), [(0.5, 0.5)])
-        assert out[0] == pytest.approx(2.0 * 3.0 * 2.0)
+        # each row is the mean plus the branch coefficients times the basis rows, times the
+        # scale; one profile pair gives one row
+        model = small_operator(0, 3, 3, rank=2, temperature_scale=2.0)
+        rng = make_rng(1)
+        px, py = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (5, 3))
+        layer = model.basis.layers[0]
+        want = (layer.bias + model.branch.forward(np.concatenate([px, py], axis=1))
+                @ layer.weights) * 2.0
+        np.testing.assert_array_equal(model.predict(px, py), want)
+        np.testing.assert_allclose(model.predict(px[1], py[1]), want[1:2], rtol=1e-14)
 
     def test_zero_branch_gives_zero_everywhere(self):
-        model = small_operator(1, 4, 4, L=2.0, H=1.0, latent=8,
-                                  branch_hidden=(8,), trunk_hidden=(8,))
+        # a zero branch output leaves the mean; with a zero mean the grid is zero
+        model = small_operator(1, 4, 4, rank=3)
         model.branch.layers[-1].weights[:] = 0.0
         model.branch.layers[-1].bias[:] = 0.0
         rng = make_rng(2)
-        pts = np.column_stack([rng.uniform(0, 2.0, 50), rng.uniform(0, 1.0, 50)])
-        out = model.predict(rng.uniform(0, 1, 4), rng.uniform(0, 1, 4), pts)
-        np.testing.assert_array_equal(out, np.zeros(50))
+        px, py = rng.uniform(0, 1, (7, 4)), rng.uniform(0, 1, (7, 4))
+        mean = model.basis.layers[0].bias
+        np.testing.assert_array_equal(model.predict(px, py), np.tile(mean * 500.0, (7, 1)))
+        mean[:] = 0.0
+        np.testing.assert_array_equal(model.predict(px, py), np.zeros((7, 16)))
 
-    def test_sample_batch_gradients_match_per_pair_oracle(self, monkeypatch):
-        # fit's step on a batch of training samples against the per-pair formula
-        # run once for every (sample, point) pair of those samples
-        model = small_operator(5, 5, 5, L=2.0, H=1.0, latent=16,
-                                  branch_hidden=(16,), trunk_hidden=(16, 16))
-        rng = make_rng(6)
-        px, py = rng.uniform(0, 1, (9, 5)), rng.uniform(0, 1, (9, 5))
-        pts = np.column_stack([rng.uniform(0, 2.0, 30), rng.uniform(0, 1.0, 30)])
-        temps = rng.uniform(-300.0, 300.0, (9, 30))
-        tr = np.array([8, 1, 4, 6, 0, 3])
+    def test_linear_in_branch_output(self):
+        model = small_operator(5, 3, 3, rank=4)
+        model.basis.layers[0].bias[:] = 0.0  # without the mean, linear in the coefficients
+        base = model.predict(np.zeros(3), np.zeros(3))
+        model.branch.layers[-1].weights *= 3.0
+        model.branch.layers[-1].bias *= 3.0
+        np.testing.assert_allclose(model.predict(np.zeros(3), np.zeros(3)), 3 * base, rtol=1e-12)
+
+    @staticmethod
+    def fit(model, n, n_train, seed, stages=(TrainStage(1e-3, 1, 8),), temps=None):
+        """``model`` fit on n random samples, the first n_train of them the training split;
+        returns (profiles_x, profiles_y, grids, history)."""
+        rng = make_rng(seed)
+        nx = model.branch.input_dim // 2
+        px = rng.uniform(0, 1, (n, nx))
+        py = rng.uniform(0, 1, (n, model.branch.input_dim - nx))
+        if temps is None:
+            temps = rng.uniform(0.0, 300.0, (n, model.basis.output_dim))
+        history = model.fit(px, py, temps, (np.arange(n_train), np.arange(n_train, n)),
+                            list(stages), rng)
+        return px, py, temps, history
+
+    def test_basis_is_the_mean_and_the_leading_orthonormal_modes(self):
+        # 24 training grids span 23 modes, more than the rank 6: every row is a mode
+        model = small_operator(20, 3, 4, rank=6)
+        _, _, temps, _ = self.fit(model, 30, 24, seed=21)
+        layer = model.basis.layers[0]
+        np.testing.assert_allclose(layer.weights @ layer.weights.T, np.eye(6), atol=1e-12)
+        grids = temps[:24] / 500.0
+        np.testing.assert_allclose(layer.bias, grids.mean(axis=0), rtol=1e-13)
+        # the rows hold the energy of the 6 largest singular values: they are the leading modes
+        centred = grids - layer.bias
+        sv = np.linalg.svd(centred, compute_uv=False)
+        assert np.sum((centred @ layer.weights.T) ** 2) == pytest.approx(np.sum(sv[:6] ** 2),
+                                                                          rel=1e-12)
+
+    def test_test_rows_leave_the_fit_unchanged(self):
+        # the basis is built from the training grids only: a test grid changes no bit
+        fitted = []
+        for bump in (0.0, 1e3):
+            model = small_operator(22, 3, 3, rank=4)
+            temps = make_rng(23).uniform(0.0, 300.0, (12, 9))
+            temps[10] += bump
+            self.fit(model, 12, 9, seed=24, stages=(TrainStage(1e-2, 3, 4),), temps=temps)
+            fitted.append(json.dumps(model.to_dict(), sort_keys=True))
+        assert fitted[0] == fitted[1]
+
+    def test_basis_reproduces_every_training_grid_when_the_rank_allows(self):
+        # 5 training grids span n_train - 1 = 4 modes, below the rank 6: the rows past
+        # them stay zero, and the mean plus the projection gives each grid back
+        model = small_operator(25, 3, 3, rank=6, temperature_scale=1.0)
+        temps = make_rng(26).uniform(0.0, 1.0, (7, 9))
+        self.fit(model, 7, 5, seed=26, temps=temps)
+        layer = model.basis.layers[0]
+        assert not layer.weights[4:].any() and layer.weights[:4].any()
+        mean, modes = layer.bias, layer.weights
+        np.testing.assert_allclose(mean + ((temps[:5] - mean) @ modes.T) @ modes, temps[:5],
+                                   rtol=0, atol=1e-12)
+        assert model.fingerprint["modes"] == 4
+
+    def test_branch_gradients_match_finite_differences(self, monkeypatch):
+        # fit's step on a batch of training samples against central differences of the
+        # grid MSE of those samples, over every branch parameter the basis feeds
+        model = small_operator(27, 3, 3, rank=3, branch_hidden=(6,), temperature_scale=100.0)
         captured = {}
 
         def capture(params, n_samples, batch_grads, epoch_metrics, stages, rng):
-            captured.update(n_samples=n_samples, batch_grads=batch_grads)
+            captured.update(params=params, n_samples=n_samples, batch_grads=batch_grads)
             return []
 
         monkeypatch.setattr(neural, "_train_staged", capture)
-        model.fit(px, py, temps, pts, (tr, np.array([2, 5, 7])), [TrainStage(1e-3, 1, 4)], rng)
-        assert captured["n_samples"] == tr.size
-        idx = np.array([4, 0, 2])  # places in the training split: samples 0, 8 and 4
+        px, py, temps, _ = self.fit(model, 12, 9, seed=28)
+        assert captured["n_samples"] == 9
+        # the branch's own arrays, and no basis array, are trained
+        assert list(map(id, captured["params"])) == list(map(id, model.branch.parameters()))
+        idx = np.array([4, 0, 7])  # places in the training split, here the samples themselves
         got = captured["batch_grads"](idx)
+        x, targets = np.concatenate([px, py], axis=1)[idx], temps[idx] / 100.0
+        h = 1e-6
+        for p, g in zip(model.branch.parameters(), got):
+            assert g.shape == p.shape
+            for i in np.ndindex(p.shape):
+                old = p[i]
+                p[i] = old + h
+                lp = grid_mse(model, x, targets)
+                p[i] = old - h
+                lm = grid_mse(model, x, targets)
+                p[i] = old
+                fd = (lp - lm) / (2 * h)
+                assert abs(fd - g[i]) <= 1e-6 * max(abs(fd), abs(g[i]), 1e-4)
 
-        s_idx, p_idx = np.repeat(tr[idx], 30), np.tile(np.arange(30), 3)
-        feats = np.concatenate([px, py], axis=1)
-        targets = temps / model.temperature_scale
-        fb, b_seen = model.branch.forward_cached(feats[s_idx])
-        gt, t_seen = model.trunk.forward_cached((pts / [2.0, 1.0])[p_idx])
-        resid = (np.einsum("nc,nc->n", fb, gt) - targets[s_idx, p_idx]) * (2.0 / s_idx.size)
-        want = (model.branch.backward(b_seen, resid[:, None] * gt)
-                + model.trunk.backward(t_seen, resid[:, None] * fb))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+    def test_one_training_sample_fits_and_predicts_the_mean(self):
+        model = small_operator(29, 3, 3, rank=4)
+        px, py, temps, history = self.fit(model, 2, 1, seed=30)
+        assert not model.basis.layers[0].weights.any() and model.fingerprint["modes"] == 0
+        assert all(np.isfinite(row["train_mse"]) for row in history)
+        np.testing.assert_allclose(model.predict(px, py), np.tile(temps[0], (2, 1)), rtol=1e-14)
 
-    def test_each_step_runs_the_trunk_once_on_every_point(self):
-        # 10 training samples in batches of 4 for 2 epochs: ceil(10 / 4) = 3 steps an
-        # epoch, each one trunk pass over all 11 points (never a batch of point pairs)
-        # and its backward, then the epoch metrics' one pass
-        rng = make_rng(15)
-        px, py = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
-        pts = np.column_stack([rng.uniform(0, 1, 11), rng.uniform(0, 1, 11)])
-        model = small_operator(16, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
-                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
-        calls, forward_cached, backward = [], model.trunk.forward_cached, model.trunk.backward
-
-        def counting_forward(x):
-            calls.append(x.shape)
-            return forward_cached(x)
-
-        def counting_backward(seen, d_out):
-            calls.append("backward")
-            return backward(seen, d_out)
-
-        model.trunk.forward_cached = counting_forward
-        model.trunk.backward = counting_backward
-        model.fit(px, py, rng.uniform(0, 10, (12, 11)), pts, (np.arange(10), np.arange(10, 12)),
-                  [TrainStage(1e-3, 2, 4)], rng)
-        assert calls == ([(11, 2), "backward"] * 3 + [(11, 2)]) * 2
-
-    def test_cached_trunk_equals_uncached(self):
-        model = small_operator(11, 4, 4, L=2.0, H=1.0, latent=8,
-                                  branch_hidden=(8,), trunk_hidden=(8, 8))
-        rng = make_rng(12)
-        pts = np.column_stack([rng.uniform(0, 2.0, 21), rng.uniform(0, 1.0, 21)])
-        uncached = model.trunk.forward(np.column_stack([pts[:, 0] / 2.0, pts[:, 1]]))
-        for _ in range(3):  # the first call fills the cache, the others read it
-            px, py = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
-            f = model.branch.forward(np.concatenate([px, py])[None])[0]
-            np.testing.assert_array_equal(model.predict(px, py, pts),
-                                          (uncached @ f) * model.temperature_scale)
-        other = pts * 0.5  # a new point set of the same shape replaces the entry
-        np.testing.assert_array_equal(model.predict(px, py, other),
-                                      OperatorNet.from_dict(model.to_dict()).predict(px, py, other))
+    def test_a_basis_that_fit_cannot_write_is_rejected(self):
+        # a model file is outside input: the basis must be one identity layer of the
+        # branch's output width
+        branch = make_dense(0, [6, 4, 3], "relu")
+        for basis in (make_dense(1, [3, 5, 9], "relu"),  # two layers
+                      DenseNet([DenseLayer(np.zeros((3, 9)), np.zeros(9), "tanh")]),
+                      DenseNet([DenseLayer(np.zeros((4, 9)), np.zeros(9), "identity")])):
+            with pytest.raises(DimensionMismatch, match="a basis is one identity layer"):
+                OperatorNet(branch, basis, 500.0, 1.0, 1.0)
 
     def test_fit_between_calls_changes_the_result(self):
-        rng = make_rng(13)
-        px, py = rng.uniform(0, 1, (8, 3)), rng.uniform(0, 1, (8, 3))
-        pts = np.array([(0.2, 0.3), (0.7, 0.9), (0.5, 0.1)])
-        model = small_operator(14, 3, 3, L=1.0, H=1.0, temperature_scale=10.0,
-                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
-        before = model.predict(px[0], py[0], pts)
-        model.fit(px, py, rng.uniform(0, 10, (8, 3)), pts, (np.arange(6), np.arange(6, 8)),
-                  [TrainStage(1e-2, 2, 4)], rng)
-        after = model.predict(px[0], py[0], pts)
+        model = small_operator(14, 3, 3, rank=4, temperature_scale=10.0)
+        before = model.predict(np.full(3, 0.5), np.full(3, 0.5))
+        self.fit(model, 8, 6, seed=13, stages=(TrainStage(1e-2, 2, 4),))
+        after = model.predict(np.full(3, 0.5), np.full(3, 0.5))
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
-            after, OperatorNet.from_dict(model.to_dict()).predict(px[0], py[0], pts))
-
-    def test_linear_in_branch_output(self):
-        model = small_operator(5, 3, 3, L=1.0, H=1.0, latent=4,
-                                  branch_hidden=(4,), trunk_hidden=(4,))
-        pts = [(0.3, 0.6)]
-        base = model.predict(np.zeros(3), np.zeros(3), pts)[0]
-        model.branch.layers[-1].weights *= 3.0
-        model.branch.layers[-1].bias *= 3.0
-        assert model.predict(np.zeros(3), np.zeros(3), pts)[0] == pytest.approx(3 * base, rel=1e-12)
+            after, OperatorNet.from_dict(model.to_dict()).predict(np.full(3, 0.5), np.full(3, 0.5)))
 
     def test_training_learns_smooth_operator(self):
-        # targets: T(p)(x,y) = (p-weighted value) * smooth spatial mode
-        # in batches of 8 samples, each over all 25 points
+        # targets: T(p)(x,y) = (p-weighted value) * smooth spatial mode on a 4 x 4 grid,
+        # in batches of 8 samples, each over all 16 nodes
         rng = make_rng(6)
-        n, d, npts = 150, 4, 25
+        n, d = 150, 4
         px = rng.uniform(0, 1, (n, d))
         py = rng.uniform(0, 1, (n, d))
-        xs = np.linspace(0, 1, 5)
+        xs = np.linspace(0, 1, d)
         pts = np.array([(x, y) for x in xs for y in xs])
         amp = px.sum(axis=1, keepdims=True) - py.sum(axis=1, keepdims=True)
         mode = np.sin(np.pi * pts[:, 0]) * np.cos(0.5 * np.pi * pts[:, 1])
         temps = 100.0 * amp * mode[None, :]
-        model = small_operator(7, d, d, L=1.0, H=1.0, temperature_scale=100.0,
-                                  latent=16, branch_hidden=(32,), trunk_hidden=(32, 32))
-        tr = np.arange(120)
-        te = np.arange(120, 150)
-        hist = model.fit(px, py, temps, pts, (tr, te),
+        model = small_operator(7, d, d, rank=4, branch_hidden=(32,), temperature_scale=100.0)
+        hist = model.fit(px, py, temps, (np.arange(120), np.arange(120, 150)),
                          [TrainStage(3e-3, 40, 8), TrainStage(1e-3, 60, 8)], rng)
         assert hist[-1]["test_r2"] > 0.97
 
     def test_single_value_test_split_skips_test_r2(self):
-        # like StressSurrogate.fit: test_mse is recorded, the undefined test_r2 is not
+        # like StressSurrogate.fit: test_mse is recorded; a test split of one sample whose
+        # grid is one value has no test_r2
         rng = make_rng(9)
         px = rng.uniform(0, 1, (10, 3))
         py = rng.uniform(0, 1, (10, 3))
-        temps = 50.0 * px[:, :1]
-        model = small_operator(10, 3, 3, L=1.0, H=1.0, temperature_scale=50.0,
-                                  latent=4, branch_hidden=(8,), trunk_hidden=(8,))
-        hist = model.fit(px, py, temps, [(0.5, 0.5)], (np.arange(9), np.array([9])),
+        temps = np.repeat(50.0 * px[:, :1], 9, axis=1)
+        temps[:9] += rng.uniform(0, 1, (9, 9))
+        model = small_operator(10, 3, 3, rank=4, temperature_scale=50.0)
+        hist = model.fit(px, py, temps, (np.arange(9), np.array([9])),
                          [TrainStage(1e-3, 2, 4)], rng)
         assert len(hist) == 2
         for row in hist:
@@ -514,28 +545,19 @@ class TestOperatorNet:
             assert "test_r2" not in row
 
     def test_round_trip_bit_exact(self, tmp_path):
-        model = small_operator(8, 4, 4, L=0.15, H=0.06, latent=8,
-                                  branch_hidden=(8,), trunk_hidden=(8,))
+        model = small_operator(8, 4, 4, rank=8, L=0.15, H=0.06)
         save_model(model, tmp_path / "op.json")
         back = load_model(tmp_path / "op.json")
         assert isinstance(back, OperatorNet)
-        for a, b in zip(model.branch.parameters() + model.trunk.parameters(),
-                        back.branch.parameters() + back.trunk.parameters()):
+        for a, b in zip(model.branch.parameters() + model.basis.parameters(),
+                        back.branch.parameters() + back.basis.parameters()):
             assert np.array_equal(a, b)
         assert back.L == 0.15 and back.H == 0.06
 
 
 def _small_models():
     return [StressSurrogate.build(9, 4, 6, output_scale=1e7),
-            small_operator(8, 4, 6, L=0.15, H=0.06, latent=8, branch_hidden=(8,),
-                              trunk_hidden=(8,))]
-
-
-def _predict(model, px, py):
-    if isinstance(model, StressSurrogate):
-        return model.predict(px, py)
-    pts = [(0.01, 0.02), (0.1, 0.05), (0.15, 0.0)]
-    return np.array([model.predict(x, y, pts) for x, y in zip(px, py)])
+            small_operator(8, 4, 6, rank=8, L=0.15, H=0.06)]
 
 
 class TestModelFile:
@@ -546,11 +568,11 @@ class TestModelFile:
         save_model(model, tmp_path / "m.json")
         back = load_model(tmp_path / "m.json")
         assert type(back) is type(model)
-        assert np.array_equal(_predict(back, px, py), _predict(model, px, py))
+        assert np.array_equal(back.predict(px, py), model.predict(px, py))
 
     @pytest.mark.parametrize("model, keys", zip(_small_models(), [
         {"net", "output_scale", "nx_nodes", "ny_nodes"},
-        {"branch", "trunk", "temperature_scale", "L", "H"}]), ids=["stress", "operator"])
+        {"branch", "basis", "temperature_scale", "L", "H"}]), ids=["stress", "operator"])
     def test_file_holds_the_declared_kind_networks_and_numbers(self, model, keys):
         d = model.to_dict()
         assert set(d) == {"kind", "fingerprint", *keys}
@@ -587,7 +609,7 @@ class TestModelFile:
     @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
     def test_list_format_file_is_rejected_by_name(self, model, tmp_path):
         d = model.to_dict()
-        for key in ("net", "branch", "trunk"):
+        for key in ("net", "branch", "basis"):
             if key in d:  # the JSON number lists written before the base64 format
                 d[key]["weights"] = [l.weights.tolist() for l in getattr(model, key).layers]
                 d[key]["biases"] = [l.bias.tolist() for l in getattr(model, key).layers]
@@ -595,10 +617,18 @@ class TestModelFile:
         with pytest.raises(ValueError, match="old list format.*retrain"):
             load_model(tmp_path / "old.json")
 
+    def test_operator_net_file_is_refused_with_a_retrain_message(self, tmp_path):
+        # the branch/trunk kind, whose trunk network stood where the fixed basis is
+        path = tmp_path / "old_op.json"
+        path.write_text(json.dumps({**_small_models()[1].to_dict(), "kind": "operator_net"}))
+        with pytest.raises(ValueError, match=f"^{path}: an operator_net model is no longer "
+                                             "read; retrain it with train-temp$"):
+            load_model(path)
+
     def test_operator_file_stays_near_eleven_bytes_per_parameter(self, tmp_path):
         # base64 float64 is about 10.7 bytes a parameter; decimal text is about 21
         cfg = problems.problem2()
         model = OperatorNet.build(0, cfg.nx + 1, cfg.ny + 1, L=cfg.L, H=cfg.H)
-        n_params = sum(p.size for p in model.branch.parameters() + model.trunk.parameters())
+        n_params = sum(p.size for p in model.branch.parameters() + model.basis.parameters())
         save_model(model, tmp_path / "op.json")
         assert (tmp_path / "op.json").stat().st_size <= 11 * n_params + 4096

@@ -13,16 +13,19 @@ from fgmopt.fem import ThermoelasticSolver
 from fgmopt.ga import prediction_error
 from fgmopt.neural import TrainStage
 from fgmopt.profiles import (genes_from_dict, genes_to_dict, genes_to_profiles, generate_genes,
-                             grid_points, tensor_product)
+                             tensor_product)
 from fgmopt.rng import derived_rng, make_rng
 
 from tiny_experiment import tiny_experiment
 
 
-def tiny_operator(nx_nodes, ny_nodes, L, H):
-    """An operator of latent 4: the plate binding checks read only its shapes and L, H."""
-    return neural.OperatorNet(neural.make_dense(0, [nx_nodes + ny_nodes, 4], "relu"),
-                              neural.make_dense(1, [2, 4], "tanh"), 500.0, L, H)
+def tiny_operator(nx_nodes, ny_nodes, L, H, grid=None):
+    """An operator of rank 4 whose zero basis gives ``grid`` nodes, nx_nodes * ny_nodes
+    unless set: the plate binding checks read only its shapes and L, H."""
+    grid = grid or nx_nodes * ny_nodes
+    basis = neural.DenseNet([neural.DenseLayer(np.zeros((4, grid)), np.zeros(grid), "identity")])
+    return neural.OperatorNet(neural.make_dense(0, [nx_nodes + ny_nodes, 4], "relu"), basis,
+                              500.0, L, H)
 
 
 def gen(tmp_path, name, count=10, seed=7, threads=1):
@@ -189,10 +192,8 @@ class TestTrainingWiring:
         model, hist = pipeline.train_temperature_model(
             data, seed=0, stages=[TrainStage(1e-3, 2, 512)])
         assert len(hist) == 2
-        cfg = problems.problem2()
-        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
-        temps = model.predict(data["profiles_x"][0], data["profiles_y"][0], pts)
-        assert temps.shape == (pts.shape[0],)
+        temps = model.predict(data["profiles_x"], data["profiles_y"])
+        assert temps.shape == data["temperature_grid"].shape and np.all(np.isfinite(temps))
 
     def test_max_samples_caps_split(self, tmp_path):
         d, _ = gen(tmp_path, "cap", count=10, seed=23)
@@ -290,11 +291,14 @@ class TestExperiments:
          DimensionMismatch,
          "stress model takes 41 x 41 profile nodes, problem problem2 has 21 x 21"),
         ("temperature", lambda p1: tiny_operator(p1.nx + 1, p1.ny + 1, p1.L, p1.H),
-         DimensionMismatch, "temperature model takes 82 profile nodes on a 0.1 x 0.1 plate, "
-         "problem problem2 has 21 \\+ 21 nodes"),
+         DimensionMismatch, "temperature model takes 82 profile nodes to 1681 on a 0.1 x 0.1 "
+         "plate, problem problem2 has 21 \\+ 21 to 441 on a 0.15 x 0.06 plate"),
         # right node counts, wrong plate: would run silently without the check
         ("temperature", lambda p1: tiny_operator(21, 21, p1.L, p1.H),
-         DimensionMismatch, "takes 42 profile nodes on a 0.1 x 0.1 plate"),
+         DimensionMismatch, "takes 42 profile nodes to 441 on a 0.1 x 0.1 plate"),
+        # right node counts and plate, a grid of another size
+        ("temperature", lambda p1: tiny_operator(21, 21, 0.15, 0.06, grid=231),
+         DimensionMismatch, "takes 42 profile nodes to 231 on a 0.15 x 0.06 plate"),
         ("stress", lambda p1: tiny_operator(21, 21, 0.15, 0.06),
          ValueError, "expected a StressSurrogate, found OperatorNet"),
         # right node counts, problem 1's output scale: predictions would be 10x off
@@ -302,7 +306,7 @@ class TestExperiments:
          ValueError, "stress model scales its output by 10000000.0, "
          "problem problem2 by 1000000.0"),
     ], ids=["problem1-stress", "problem1-temperature", "other-plate-temperature",
-            "operator-as-stress", "problem1-scale-stress"])
+            "other-grid-temperature", "operator-as-stress", "problem1-scale-stress"])
     def test_model_of_another_problem_rejected_before_evolve(self, tmp_path, monkeypatch,
                                                              role, model, error, match):
         cfg = problems.problem2()
