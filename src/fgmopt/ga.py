@@ -340,7 +340,10 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
     ``config`` sets the population size, the mutation probability and the stop:
     at max_generations, or once min_generations are done and the best fitness
     has improved by at most the ``stall_tolerance`` of the ``OBJECTIVES`` row
-    of ``evaluator.objective`` over STALL_GENERATIONS generations.
+    of ``evaluator.objective`` over STALL_GENERATIONS generations.  A NaN
+    gain, from a NaN best fitness at either end or an infinite one at both,
+    counts as no improvement, so a run whose every fitness is NaN or
+    infinite stops too.
     Tournaments take TOURNAMENT_SIZE entrants, the ELITE_COUNT best are copied
     untouched, and the population is ranked by a stable argsort of fitness:
     equal fitness goes to the lower index, and a NaN fitness comes last.
@@ -384,9 +387,10 @@ def evolve(config: GAConfig, evaluator: FitnessEvaluator, seed: int) -> RunRecor
             log.info("%s", json.dumps({**asdict(latest),
                                        "wall_s": round(time.perf_counter() - t0, 3)}))
 
+        # not (gain > tolerance): a NaN gain (a NaN best, or inf at both ends) is no improvement
         stalled = (g + 1 >= config.min_generations and len(stats) > STALL_GENERATIONS
-                   and stats[-1 - STALL_GENERATIONS].best_fitness - best.fitness
-                   <= stall_tolerance)
+                   and not stats[-1 - STALL_GENERATIONS].best_fitness - best.fitness
+                   > stall_tolerance)
         if stalled or config.max_generations is not None and g + 1 >= config.max_generations:
             return RunRecord(generations=stats, best=best, population=population)
 

@@ -6,12 +6,10 @@ MSE gradients, Adam updates, and a staged learning-rate schedule (list of
 epoch with a seeded generator).  ``DenseNet`` runs one in-place layer loop;
 training keeps each layer's input, and backprop takes each activation's
 derivative from the layer's output, so no pre-activation is kept.  Both
-models' ``fit`` take the same step shape over ``_train_staged``: a closure
-that runs the forward pass on one minibatch, forms the mean-squared-error
-residual and returns ``DenseNet.backward``'s gradients in ``parameters()``
-order, and a closure that computes the epoch metrics.  For both models the
-batch size counts samples; the operator's loss for a batch covers every point
-of its samples' temperature grids.  Training is deterministic given (seed,
+models train through the one loop ``_Model.fit``: each kind names the network
+it trains and the fixed layer after it (none for the stress net, the POD basis
+for the operator), and each Adam step takes the mean squared error over every
+output of a minibatch of samples.  Training is deterministic given (seed,
 dataset order, stages).
 
 Two model classes sit on top of the raw ``DenseNet``:
@@ -249,36 +247,6 @@ def _epoch_metrics(pred_tr, y_tr, pred_te, y_te) -> dict:
     return row
 
 
-def _train_staged(params, n_samples: int, batch_grads, epoch_metrics, stages, rng):
-    """The staged schedule shared by both models; returns one history row per epoch.
-
-    Each epoch shuffles ``range(n_samples)``, takes one Adam step per minibatch
-    of ``batch_size`` training samples with the gradient list
-    ``batch_grads(indices)``, ordered as ``params``, and then records
-    ``epoch_metrics()``.  ``params`` are updated in place.
-    """
-    rng = make_rng(rng)
-    if n_samples == 0:
-        raise EmptyDataset("empty training set")
-    opt = Adam(params)
-    history = []
-    for si, stage in enumerate(stages):
-        for _ in range(stage.epochs):
-            order = rng.permutation(n_samples)
-            for start in range(0, n_samples, stage.batch_size):
-                opt.step(batch_grads(order[start : start + stage.batch_size]), stage.learning_rate)
-            _check_finite(params)
-            history.append({"stage": si, "epoch": len(history) + 1,
-                            "learning_rate": stage.learning_rate, **epoch_metrics()})
-    return history
-
-
-def _fit_fingerprint(model: str, stages, split, **extra) -> dict:
-    tr, te = split
-    return version_fingerprint(model=model, stages=[vars(s).copy() for s in stages],
-                               n_train=int(len(tr)), n_test=int(len(te)), **extra)
-
-
 def history_to_csv(history, path):
     import csv
 
@@ -291,17 +259,74 @@ def history_to_csv(history, path):
 
 
 class _Model:
-    """The model file both surrogates share.  A subclass declares its ``KIND``, its
-    ``DenseNet`` attributes ``NETS`` and its numeric attributes ``NUMBERS`` as (name,
-    integer?) pairs, and its constructor takes the networks, then the numbers, then
-    the fingerprint, so one ``to_dict`` and one ``from_dict`` serve every kind."""
+    """The model file and the training loop both surrogates share.
+
+    A subclass declares its ``KIND``, its ``DenseNet`` attributes ``NETS``, its
+    numeric attributes ``NUMBERS`` as (name, integer?) pairs and, as ``SCALE``, the
+    one of them its network output is multiplied by.  Its constructor takes the
+    networks, then the numbers, then the fingerprint, so one ``to_dict`` and one
+    ``from_dict`` serve every kind; ``_trained`` names what ``fit`` trains.
+    """
 
     KIND: str
     NETS: tuple[str, ...]
     NUMBERS: tuple[tuple[str, bool], ...]
+    SCALE: str
 
     def __init__(self, fingerprint: dict | None):
+        # a model file is outside input: a scale of 0, < 0, NaN or inf predicts 0, -0 or NaN
+        scale = getattr(self, self.SCALE)
+        if not (np.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"{self.SCALE} must be a finite number > 0, got {scale!r}")
         self.fingerprint = fingerprint or version_fingerprint()
+
+    def _trained(self, y_train) -> tuple[DenseNet, DenseLayer | None, dict]:
+        """The network ``fit`` trains, the fixed layer after it (None: none), set from the
+        scaled training targets ``y_train``, and that layer's fingerprint entries."""
+        return getattr(self, self.NETS[0]), None, {}
+
+    def fit(self, profiles_x, profiles_y, targets, split, stages, rng):
+        """Train on ``targets / SCALE`` as (n_samples, outputs); returns the history.
+
+        ``split`` is (train sample indices, test sample indices); an empty training
+        split raises EmptyDataset and leaves the model as it was.  Each epoch of each
+        ``TrainStage`` shuffles the training samples with ``rng`` and takes one Adam
+        step on the trained network per minibatch of ``batch_size`` samples, on the
+        mean squared error over every output of the batch, through the fixed layer.
+        The history has one row per epoch: its stage, epoch number (from 1), learning
+        rate and ``_epoch_metrics`` of the scaled outputs on each side of the split.
+        """
+        x = self.features(profiles_x, profiles_y)
+        y = (np.asarray(targets, dtype=float) / getattr(self, self.SCALE)).reshape(len(x), -1)
+        tr, te = split
+        if len(tr) == 0:
+            raise EmptyDataset("empty training set")
+        net, head, extra = self._trained(y[tr])
+
+        def forward(rows):
+            out, seen = net.forward_cached(x[rows])
+            return (out if head is None else out @ head.weights + head.bias), seen
+
+        rng = make_rng(rng)
+        opt = Adam(net.parameters())
+        history = []
+        for si, stage in enumerate(stages):
+            for _ in range(stage.epochs):
+                order = rng.permutation(len(tr))
+                for start in range(0, len(tr), stage.batch_size):
+                    rows = tr[order[start : start + stage.batch_size]]
+                    pred, seen = forward(rows)
+                    d_out = 2.0 * (pred - y[rows]) / pred.size
+                    opt.step(net.backward(seen, d_out if head is None else d_out @ head.weights.T),
+                             stage.learning_rate)
+                _check_finite(opt.params)
+                history.append({"stage": si, "epoch": len(history) + 1,
+                                "learning_rate": stage.learning_rate,
+                                **_epoch_metrics(forward(tr)[0], y[tr], forward(te)[0], y[te])})
+        self.fingerprint = version_fingerprint(
+            model=self.KIND, stages=[vars(s).copy() for s in stages], n_train=int(len(tr)),
+            n_test=int(len(te)), **extra)
+        return history
 
     @staticmethod
     def features(profiles_x, profiles_y) -> np.ndarray:
@@ -335,7 +360,7 @@ class _Model:
 class StressSurrogate(_Model):
     """Peak-effective-stress regressor over concatenated axis profiles."""
 
-    KIND, NETS = "stress_surrogate", ("net",)
+    KIND, NETS, SCALE = "stress_surrogate", ("net",), "output_scale"
     NUMBERS = (("output_scale", False), ("nx_nodes", True), ("ny_nodes", True))
 
     def __init__(self, net: DenseNet, output_scale: float, nx_nodes: int, ny_nodes: int,
@@ -361,29 +386,6 @@ class StressSurrogate(_Model):
         x = self.features(profiles_x, profiles_y)
         return self.net.forward(x)[:, 0] * self.output_scale
 
-    def fit(self, profiles_x, profiles_y, sigma_max, split, stages, rng):
-        """Train on scaled targets; ``split`` is (train_idx, test_idx).
-
-        Each step takes the mean squared error of the network output against
-        ``sigma_max / output_scale`` over its batch of training samples.
-        """
-        x = self.features(profiles_x, profiles_y)
-        y = (np.asarray(sigma_max, dtype=float) / self.output_scale).reshape(len(x), 1)
-        tr, te = split
-
-        def batch_grads(idx):
-            rows = tr[idx]
-            pred, seen = self.net.forward_cached(x[rows])
-            return self.net.backward(seen, 2.0 * (pred - y[rows]) / rows.size)
-
-        def epoch_metrics():  # an empty test split gives empty arrays, which are skipped
-            return _epoch_metrics(self.net.forward(x[tr]), y[tr], self.net.forward(x[te]), y[te])
-
-        history = _train_staged(self.net.parameters(), len(tr), batch_grads, epoch_metrics,
-                                stages, rng)
-        self.fingerprint = _fit_fingerprint(self.KIND, stages, split)
-        return history
-
 
 # ---------------------------------------------------------------------------
 # POD-DeepONet temperature operator
@@ -401,7 +403,7 @@ class OperatorNet(_Model):
     nodes in the order of ``tensor_product(px, py).ravel()``.
     """
 
-    KIND, NETS = "pod_operator", ("branch", "basis")
+    KIND, NETS, SCALE = "pod_operator", ("branch", "basis"), "temperature_scale"
     NUMBERS = (("temperature_scale", False), ("L", False), ("H", False))
 
     def __init__(self, branch: DenseNet, basis: DenseNet, temperature_scale: float,
@@ -430,42 +432,17 @@ class OperatorNet(_Model):
         f = self.branch.forward(self.features(profiles_x, profiles_y))
         return self.basis.forward(f) * self.temperature_scale
 
-    def fit(self, profiles_x, profiles_y, temp_grids, split, stages, rng):
-        """Set the basis from the training grids, then train the branch on them.
-
-        ``temp_grids`` is (n_samples, n_nodes); ``split`` is (train sample
-        indices, test sample indices).  The new basis is the mean and the
-        leading right singular vectors of the centred training grids, one SVD;
-        rows beyond the n_train - 1 modes those grids span are zero.  Each step
-        takes the mean squared error over every node of its batch's grids.
-        """
-        feats = self.features(profiles_x, profiles_y)
-        targets = np.asarray(temp_grids, dtype=float) / self.temperature_scale
-        tr, te = split
-        if len(tr) == 0:
-            raise EmptyDataset("empty training set")
-        mean = targets[tr].mean(axis=0)
-        modes = np.linalg.svd(targets[tr] - mean, full_matrices=False)[2]
+    def _trained(self, y_train):
+        """The branch, and a new basis from the scaled training grids by one SVD: their
+        mean and leading right singular vectors once centred; rows beyond the
+        n_train - 1 modes those grids span are zero."""
+        mean = y_train.mean(axis=0)
+        modes = np.linalg.svd(y_train - mean, full_matrices=False)[2]
         weights = np.zeros((self.branch.output_dim, mean.size))
-        rank = min(len(tr) - 1, *weights.shape)
+        rank = min(len(y_train) - 1, *weights.shape)
         weights[:rank] = modes[:rank]
         self.basis = DenseNet([DenseLayer(weights, mean, "identity")])
-
-        def batch_grads(idx):
-            rows = tr[idx]
-            fb, seen = self.branch.forward_cached(feats[rows])
-            resid = self.basis.forward(fb) - targets[rows]
-            resid *= 2.0 / resid.size
-            return self.branch.backward(seen, resid @ weights.T)
-
-        def epoch_metrics():  # an empty test split gives empty arrays, which are skipped
-            return _epoch_metrics(self.basis.forward(self.branch.forward(feats[tr])), targets[tr],
-                                  self.basis.forward(self.branch.forward(feats[te])), targets[te])
-
-        history = _train_staged(self.branch.parameters(), len(tr), batch_grads, epoch_metrics,
-                                stages, rng)
-        self.fingerprint = _fit_fingerprint(self.KIND, stages, split, modes=rank)
-        return history
+        return self.branch, self.basis.layers[0], {"modes": rank}
 
 
 def save_model(model, path):

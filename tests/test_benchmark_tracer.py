@@ -85,7 +85,8 @@ def test_surrogate_ga_items_are_the_evaluations_made(monkeypatch, tmp_path):
 
 def test_problem2_design_round_runs_under_the_tracer(monkeypatch, tmp_path):
     # the full problem 2 flow at the benchmark smoke test's tiny sizes: both trainers'
-    # stages= call, and OperatorNet.fit and predict through the tracer's wrappers
+    # stages= call, and each kind's fit, the one inherited _Model.fit, and the operator's
+    # predict through the tracer's wrappers; the block puts each class's fit back
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     workloads = importlib.import_module("workloads")
@@ -95,8 +96,12 @@ def test_problem2_design_round_runs_under_the_tracer(monkeypatch, tmp_path):
     wl.prepare()
     t = tracer.Tracer()
     t.round = 0
+    fits = [neural.StressSurrogate.fit, neural.OperatorNet.fit]
     with t.installed():
         result = wl.run_round(0, tmp_path / "round")
+    assert [neural.StressSurrogate.fit, neural.OperatorNet.fit] == fits
+    assert fits == [neural._Model.fit] * 2
     assert result.errors == []
+    assert t.calls("neural.train_stress", 0) == 1
     assert t.calls("neural.train_temp", 0) == 1
     assert t.calls("neural.operator_predict", 0) > 0

@@ -127,8 +127,14 @@ class TestInputOfTheWrongKind:
         op = neural.OperatorNet(neural.make_dense(0, [42, 4], "relu"), basis, 500.0, 0.15, 0.06)
         (tmp_path / "op_L_str.json").write_text(json.dumps({**op.to_dict(), "L": "0.15"}))
         (tmp_path / "old_op.json").write_text(json.dumps({**op.to_dict(), "kind": "operator_net"}))
+        scales = {"zero": 0, "neg": -500, "nan": float("nan"), "inf": float("inf")}
+        for name, scale in scales.items():  # json writes and reads NaN and Infinity
+            (tmp_path / f"op_scale_{name}.json").write_text(
+                json.dumps({**op.to_dict(), "temperature_scale": scale}))
         for name, model in (("exp_op_L_str.json", "op_L_str.json"),
-                            ("exp_old_op.json", "old_op.json")):
+                            ("exp_old_op.json", "old_op.json"),
+                            *((f"exp_op_scale_{name}.json", f"op_scale_{name}.json")
+                              for name in scales)):
             (tmp_path / name).write_text(json.dumps({
                 "problem": "problem2", "case": "case3", "sigma_star": 0.0,
                 "models": {"stress": str(tmp_path / "stress.json"),
@@ -220,6 +226,16 @@ class TestInputOfTheWrongKind:
          "scale_str.json: output_scale must be a number, got '1000000.0'"),
         ("optimize --experiment {t}/exp_op_L_str.json --out {t}/r",
          "op_L_str.json: L must be a number, got '0.15'"),
+        # a scale of 0 or -500 loaded and predicted 0 or -0 K, so theta_max never bound, and
+        # NaN or Infinity loaded and predicted NaN K, an infinite penalty for every design
+        ("optimize --experiment {t}/exp_op_scale_zero.json --out {t}/r",
+         "op_scale_zero.json: temperature_scale must be a finite number > 0, got 0.0"),
+        ("optimize --experiment {t}/exp_op_scale_neg.json --out {t}/r",
+         "op_scale_neg.json: temperature_scale must be a finite number > 0, got -500.0"),
+        ("optimize --experiment {t}/exp_op_scale_nan.json --out {t}/r",
+         "op_scale_nan.json: temperature_scale must be a finite number > 0, got nan"),
+        ("optimize --experiment {t}/exp_op_scale_inf.json --out {t}/r",
+         "op_scale_inf.json: temperature_scale must be a finite number > 0, got inf"),
         # the branch/trunk operator that the POD operator replaced
         ("optimize --experiment {t}/exp_old_op.json --out {t}/r",
          "old_op.json: an operator_net model is no longer read; retrain it with train-temp"),

@@ -727,6 +727,24 @@ class RecordingEvaluator:
         return [first] + [rest[i:i + n_children] for i in range(0, len(rest), n_children)]
 
 
+@pytest.mark.parametrize("stress, temp, constraints", [
+    (math.nan, None, ConstraintSpec()),  # every fitness NaN
+    (1e8, math.nan, ConstraintSpec(theta_max=275.0)),  # every penalty infinite
+], ids=["nan-fitness", "infinite-penalty"])
+def test_a_run_whose_best_is_nan_or_infinite_stops_once_stalled(stress, temp, constraints):
+    # NaN - NaN and inf - inf are NaN, and NaN <= tolerance is False: without a cap such a
+    # run never stopped; the cap here lets the run end, and the count shows where it stopped
+    ev = FitnessEvaluator(ThermoelasticSolver(tiny_problem()), "sigma_e_max", constraints,
+                          sigma_star=0.0, stress_model=TestHybridDispatch.StubStress(stress),
+                          temp_model=temp and TestHybridDispatch.StubTemp(temp))
+    config = GAConfig(population_size=6, min_generations=2,
+                      max_generations=STALL_GENERATIONS + 5)
+    rec = evolve(config, ev, 4)
+    assert len(rec.generations) == STALL_GENERATIONS + 1
+    assert not math.isfinite(rec.best.fitness)
+    assert rec.eval_source_totals["fem"] == 0
+
+
 # a stub run's evaluations: 6 initial individuals, then the children (elites are not
 # re-predicted)
 STUB_EVALS = [6, 6 - ELITE_COUNT]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fgmopt import neural, problems
-from fgmopt.errors import DimensionMismatch, TrainingDiverged, ZeroVariance
+from fgmopt.errors import DimensionMismatch, EmptyDataset, TrainingDiverged, ZeroVariance
 from fgmopt.neural import (
     Adam,
     DenseLayer,
@@ -67,6 +67,33 @@ def small_operator(rng, nx_nodes, ny_nodes, rank, branch_hidden=(8,), temperatur
     n = nx_nodes * ny_nodes
     basis = DenseNet([DenseLayer(rng.normal(size=(rank, n)), rng.normal(size=n), "identity")])
     return OperatorNet(branch, basis, temperature_scale, L, H)
+
+
+class _FirstStep(Exception):
+    """Raised in place of the first Adam step, so the model keeps the parameters it took."""
+
+
+def first_step(monkeypatch, model, fit):
+    """Run ``fit()`` up to its first Adam step and stop it there; returns the parameters
+    that step would update, its gradients, and the sample indices of its minibatch, read
+    back from the feature rows of the first forward pass ``fit`` runs."""
+    captured = {}
+    forward_cached = DenseNet.forward_cached
+
+    def forward(net, x):
+        captured.setdefault("x", np.array(x))
+        return forward_cached(net, x)
+
+    def step(opt, grads, lr):
+        captured.update(params=opt.params, grads=grads)
+        raise _FirstStep
+
+    monkeypatch.setattr(DenseNet, "forward_cached", forward)
+    monkeypatch.setattr(Adam, "step", step)
+    with pytest.raises(_FirstStep):
+        fit()
+    monkeypatch.undo()
+    return captured["params"], captured["grads"], captured["x"]
 
 
 def grid_mse(model, x, targets):
@@ -217,17 +244,21 @@ class TestAdam:
         assert abs(abs(p[0] - prev[0]) - 0.01) < 1e-5
 
     def test_two_runs_bit_identical(self):
-        def run():
-            rng = make_rng(11)
-            net = make_dense(rng, [3, 6, 1], "relu")
-            x = make_rng(12).normal(size=(64, 3))
-            y = (x[:, :1] * 2 - x[:, 1:2]) ** 2
-            fit_stress(net, x, y, (np.arange(64), np.arange(5)),
-                       [TrainStage(1e-3, 5, 8)], make_rng(13))
-            return np.concatenate([p.ravel() for p in net.parameters()])
+        # each kind, fit twice from one seed, writes the same model file
+        def run(kind):
+            x = make_rng(12).normal(size=(64, 4))
+            if kind == "stress":
+                model = StressSurrogate(make_dense(make_rng(11), [4, 6, 1], "relu"), 1.0, 2, 2)
+                y = (x[:, :1] * 2 - x[:, 1:2]) ** 2
+            else:
+                model = small_operator(11, 2, 2, rank=3, temperature_scale=1.0)
+                y = np.sin(x[:, :1] + x[:, 2:3]) * np.array([1.0, 2.0, 3.0, 4.0])
+            model.fit(x[:, :2], x[:, 2:], y, (np.arange(64), np.arange(5)),
+                      [TrainStage(1e-3, 5, 8)], make_rng(13))
+            return json.dumps(model.to_dict(), sort_keys=True)
 
-        a, b = run(), run()
-        assert np.array_equal(a, b)
+        for kind in ("stress", "operator"):
+            assert run(kind) == run(kind)
 
 
 class TestTraining:
@@ -314,26 +345,20 @@ class TestStressSurrogate:
         assert model.predict(px, px)[0] == pytest.approx(raw * 1e6)
 
     def test_step_gradients_are_the_batch_mse_gradients(self, monkeypatch):
-        # fit's step on a batch of training samples against DenseNet.backward of their MSE
+        # fit's first step, on a minibatch of training samples, against DenseNet.backward of
+        # their MSE
         rng = make_rng(8)
         model = StressSurrogate.build(rng, 3, 4, output_scale=1e6)
         px, py = rng.uniform(0, 1, (9, 3)), rng.uniform(0, 1, (9, 4))
         sigma = rng.uniform(1e6, 5e6, 9)
         tr = np.array([8, 1, 4, 6, 0, 3])
-        captured = {}
-
-        def capture(params, n_samples, batch_grads, epoch_metrics, stages, rng):
-            captured.update(n_samples=n_samples, batch_grads=batch_grads)
-            return []
-
-        monkeypatch.setattr(neural, "_train_staged", capture)
-        model.fit(px, py, sigma, (tr, np.array([2, 5, 7])), [TrainStage(1e-3, 1, 4)], rng)
-        assert captured["n_samples"] == tr.size
-        idx = np.array([4, 0, 2])  # places in the training split: samples 0, 8 and 4
-        rows = tr[idx]
+        params, got, batch = first_step(monkeypatch, model, lambda: model.fit(
+            px, py, sigma, (tr, np.array([2, 5, 7])), [TrainStage(1e-3, 1, 4)], rng))
+        assert list(map(id, params)) == list(map(id, model.net.parameters()))
         x = np.concatenate([px, py], axis=1)
+        rows = [int(np.flatnonzero((x == row).all(axis=1))[0]) for row in batch]
+        assert len(rows) == 4 and len(set(rows)) == 4 and set(rows) <= set(tr)
         want = mse_grads(model.net, x[rows], sigma[rows, None] / 1e6)
-        got = captured["batch_grads"](idx)
         assert len(got) == len(want) == 8
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -455,23 +480,20 @@ class TestOperatorNet:
         assert model.fingerprint["modes"] == 4
 
     def test_branch_gradients_match_finite_differences(self, monkeypatch):
-        # fit's step on a batch of training samples against central differences of the
-        # grid MSE of those samples, over every branch parameter the basis feeds
+        # fit's first step, on a minibatch of training samples, against central differences
+        # of the grid MSE of those samples, over every branch parameter the basis feeds
         model = small_operator(27, 3, 3, rank=3, branch_hidden=(6,), temperature_scale=100.0)
-        captured = {}
-
-        def capture(params, n_samples, batch_grads, epoch_metrics, stages, rng):
-            captured.update(params=params, n_samples=n_samples, batch_grads=batch_grads)
-            return []
-
-        monkeypatch.setattr(neural, "_train_staged", capture)
-        px, py, temps, _ = self.fit(model, 12, 9, seed=28)
-        assert captured["n_samples"] == 9
+        rng = make_rng(28)
+        px, py = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
+        temps = rng.uniform(0.0, 300.0, (12, 9))
+        params, got, batch = first_step(monkeypatch, model, lambda: model.fit(
+            px, py, temps, (np.arange(9), np.arange(9, 12)), [TrainStage(1e-3, 1, 8)], rng))
+        features = np.concatenate([px, py], axis=1)
         # the branch's own arrays, and no basis array, are trained
-        assert list(map(id, captured["params"])) == list(map(id, model.branch.parameters()))
-        idx = np.array([4, 0, 7])  # places in the training split, here the samples themselves
-        got = captured["batch_grads"](idx)
-        x, targets = np.concatenate([px, py], axis=1)[idx], temps[idx] / 100.0
+        assert list(map(id, params)) == list(map(id, model.branch.parameters()))
+        rows = [int(np.flatnonzero((features == row).all(axis=1))[0]) for row in batch]
+        assert len(rows) == 8 and len(set(rows)) == 8 and max(rows) < 9
+        x, targets = features[rows], temps[rows] / 100.0
         h = 1e-6
         for p, g in zip(model.branch.parameters(), got):
             assert g.shape == p.shape
@@ -529,8 +551,8 @@ class TestOperatorNet:
         assert hist[-1]["test_r2"] > 0.97
 
     def test_single_value_test_split_skips_test_r2(self):
-        # like StressSurrogate.fit: test_mse is recorded; a test split of one sample whose
-        # grid is one value has no test_r2
+        # the one loop records test_mse; a test split of one sample whose grid is one value
+        # has no test_r2
         rng = make_rng(9)
         px = rng.uniform(0, 1, (10, 3))
         py = rng.uniform(0, 1, (10, 3))
@@ -632,3 +654,28 @@ class TestModelFile:
         n_params = sum(p.size for p in model.branch.parameters() + model.basis.parameters())
         save_model(model, tmp_path / "op.json")
         assert (tmp_path / "op.json").stat().st_size <= 11 * n_params + 4096
+
+    @pytest.mark.parametrize("model", _small_models(), ids=["stress", "operator"])
+    @pytest.mark.parametrize("scale", [0.0, -500.0, float("nan"), float("inf")])
+    def test_scale_that_is_not_finite_and_positive_is_refused_by_name(self, model, scale,
+                                                                      tmp_path):
+        # a scale of 0 or < 0 predicted 0 or -0 everywhere, and NaN or inf predicted NaN
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**model.to_dict(), model.SCALE: scale}))
+        with pytest.raises(ValueError, match=f"^{path}: {model.SCALE} must be a finite number "
+                                             f"> 0, got {scale!r}$"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["stress", "operator"])
+def test_empty_training_split_raises_and_leaves_the_model(which):
+    # both kinds train through one loop, which checks the split once, before the operator's
+    # basis is set: networks, numbers and fingerprint are the ones before the call
+    model = _small_models()[which]
+    before = json.dumps(model.to_dict(), sort_keys=True)
+    rng = make_rng(32)
+    px, py = rng.uniform(0, 1, (3, 4)), rng.uniform(0, 1, (3, 6))
+    with pytest.raises(EmptyDataset, match="empty training set"):
+        model.fit(px, py, model.predict(px, py) + 1.0, (np.arange(0), np.arange(3)),
+                  [TrainStage(1e-3, 1, 2)], rng)
+    assert json.dumps(model.to_dict(), sort_keys=True) == before
