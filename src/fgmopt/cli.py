@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--threads", type=int, default=1,
-                   help="worker processes; results are identical for any value")
+                   help="worker processes, at most the usable CPUs; same results for any value")
     g.set_defaults(fn=cmd_gen_data)
 
     for name, train, text in (

@@ -9,7 +9,8 @@ cell of it; ``phi_at_gauss``, where every solve samples it, checks it.
 Point properties come from the rule of mixtures at the 3x3 Gauss points of
 every element, where that bilinear field is sampled independently of the
 biquadratic displacement and temperature interpolation.  Temperatures are
-reported on the same vertex grid, as the nodal values there.
+reported on the same vertex grid, as the nodal values there;
+``Mesh.vertex_nodes`` is the one place where that grid meets the mesh.
 
 Conventions
 -----------
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, PhiOutOfRange, SingularSystem
-from .profiles import BOUND_TOL, bilinear_shape, grid_points, metal_maximum
+from .profiles import BOUND_TOL, bilinear_shape, metal_maximum
 
 EDGES = ("left", "right", "bottom", "top")
 CORNERS = {
@@ -249,7 +250,8 @@ GAUSS_W9 = np.tile(GAUSS_W, 3) * np.repeat(GAUSS_W, 3)
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform nx-by-ny grid of 9-node quadrilaterals over [0,L] x [0,H]."""
+    """Uniform nx-by-ny grid of 9-node quadrilaterals over [0,L] x [0,H]; ``vertex_nodes`` is
+    the one place where the profile grid meets it: profile node (i, j) is vertex (2i, 2j)."""
 
     nx: int
     ny: int
@@ -257,6 +259,7 @@ class Mesh:
     H: float
     coords: np.ndarray = field(repr=False)  # (n_nodes, 2)
     conn: np.ndarray = field(repr=False)  # (n_elems, 9) global node ids
+    vertex_nodes: np.ndarray = field(repr=False)  # (nx+1, ny+1) node id of each profile node
 
     @classmethod
     def rectangle(cls, nx: int, ny: int, L: float, H: float) -> "Mesh":
@@ -268,7 +271,8 @@ class Mesh:
         # element e = ey*nx + ex, local node a = 3*jl + il -> (2*ey + jl)*NX + 2*ex + il
         first = (2 * NX * np.arange(ny, dtype=np.int64)[:, None] + 2 * np.arange(nx)).ravel()
         conn = first[:, None] + (NX * np.arange(3, dtype=np.int64)[:, None] + np.arange(3)).ravel()
-        return cls(nx=nx, ny=ny, L=L, H=H, coords=coords, conn=conn)
+        vertex_nodes = 2 * np.arange(nx + 1, dtype=np.int64)[:, None] + 2 * NX * np.arange(ny + 1)
+        return cls(nx=nx, ny=ny, L=L, H=H, coords=coords, conn=conn, vertex_nodes=vertex_nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -308,9 +312,7 @@ class Mesh:
 
     def corner_node(self, corner: str) -> int:
         fx, fy = CORNERS[corner]
-        ix = int(round(fx * 2 * self.nx))
-        iy = int(round(fy * 2 * self.ny))
-        return iy * (2 * self.nx + 1) + ix
+        return int(self.vertex_nodes[round(fx * self.nx), round(fy * self.ny)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ class FemResult:
     nodal_temperature: np.ndarray  # (n_nodes,)
     nodal_displacement: np.ndarray  # (n_nodes, 2)
     gauss_effective_stress: np.ndarray  # (n_elems, 9)
-    temperature_grid: np.ndarray  # (nx+1, ny+1) at the element vertices, as the profile grid
+    temperature_grid: np.ndarray  # (nx+1, ny+1) nodal temperatures at mesh.vertex_nodes
     sigma_e_max: float
     v_ca: float
     max_metal_temperature: float
@@ -340,7 +342,7 @@ def write_result_files(result: FemResult, out_dir) -> None:
 
     Each CSV holds the bytes csv.writer gives with repr() floats.  Its x/y
     text comes from ``_csv_template`` of the mesh geometry (the solver's
-    nodes, Gauss points and profile grid are functions of it), so only the
+    nodes, Gauss points and vertex nodes are functions of it), so only the
     values are formatted here.
     """
     import pathlib
@@ -358,19 +360,17 @@ def write_result_files(result: FemResult, out_dir) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _csv_template(points: str, L: float, H: float, nx: int, ny: int) -> str:
-    """``x,y,value`` CSV text at the nodes, the Gauss points or the element
-    vertices (the profile grid, x-major) of the nx-by-ny mesh over [0,L] x [0,H],
-    with a ``%r`` slot for each value; rows end in CRLF, as csv.writer's do.
+    """``x,y,value`` CSV text at the nodes, the Gauss points or the vertex nodes
+    (the profile grid, x-major) of the nx-by-ny mesh over [0,L] x [0,H], with a
+    ``%r`` slot for each value; rows end in CRLF, as csv.writer's do.
 
     repr() of a float never holds a "%", so the x/y text needs no escaping.
     It is formatted in one pass: a string per row left the allocator's heap
     fragmented and raised the process's peak memory by about 1.7 MB on problem 1.
     """
-    if points == "grid":
-        xy = grid_points(L, H, nx, ny)
-    else:
-        mesh = Mesh.rectangle(nx, ny, L, H)
-        xy = mesh.coords if points == "nodes" else mesh.gauss_points().reshape(-1, 2)
+    mesh = Mesh.rectangle(nx, ny, L, H)
+    xy = (mesh.coords[mesh.vertex_nodes.ravel()] if points == "grid" else
+          mesh.coords if points == "nodes" else mesh.gauss_points().reshape(-1, 2))
     return "x,y,value\r\n" + ("%r,%r,%%r\r\n" * (xy.size // 2)) % tuple(xy.ravel().tolist())
 
 
@@ -456,11 +456,12 @@ class ThermoelasticSolver:
         self.elast_P = np.einsum("g,gia,ij,gjb->gab", self.gauss_w, Bel, self.elast_D, Bel).reshape(9, 324)
         self.elast_V = np.einsum("g,gia,i->ga", self.gauss_w, Bel, np.array([1.0, 1.0, 0.0]))
 
-        # profile node (i, j) is mesh vertex (2i, 2j): element corners in bilinear_shape's
-        # order, as ids into grid.ravel(), and their weights at the Gauss points
+        # element corners in bilinear_shape's order, as ids into grid.ravel() by the
+        # inverse of mesh.vertex_nodes, and their weights at the Gauss points
         self._phi_weights = bilinear_shape(GAUSS_XI, GAUSS_ETA)  # (9 gauss, 4)
-        corners, NX = mesh.conn[:, [0, 2, 8, 6]], 2 * mesh.nx + 1
-        self._phi_corners = corners % NX // 2 * (mesh.ny + 1) + corners // NX // 2
+        grid_id = np.empty(mesh.n_nodes, dtype=np.int64)
+        grid_id[mesh.vertex_nodes.ravel()] = np.arange(mesh.vertex_nodes.size)
+        self._phi_corners = grid_id[mesh.conn[:, [0, 2, 8, 6]]]
 
         # 1D quadratic edge basis at 3-point Gauss, for edge integrals
         self.edge_w = GAUSS_W
@@ -550,12 +551,12 @@ class ThermoelasticSolver:
         element's corner values times the bilinear weights at the Gauss points.
 
         Every solve samples its profile here, so here it is checked: raises
-        DimensionMismatch unless it has a value at each of the mesh's element
-        vertices, and PhiOutOfRange unless each lies within BOUND_TOL of [0, 1].
+        DimensionMismatch unless it has a value at each of the mesh's vertex
+        nodes, and PhiOutOfRange unless each lies within BOUND_TOL of [0, 1].
         Values in the tolerance are sampled clipped into [0, 1], in a copy.
         """
         grid = np.asarray(profile, dtype=float)
-        nodes = (self.mesh.nx + 1, self.mesh.ny + 1)
+        nodes = self.mesh.vertex_nodes.shape
         if grid.shape != nodes:
             raise DimensionMismatch(
                 f"profile has {' x '.join(map(str, grid.shape))} nodes, "
@@ -624,8 +625,8 @@ class ThermoelasticSolver:
         return {"sxx": sxx, "syy": syy, "sxy": sxy, "effective": se}
 
     def temperature_on_profile_grid(self, theta_nodal: np.ndarray) -> np.ndarray:
-        """The nodal temperatures at the element vertices, (nx+1, ny+1) as a profile grid."""
-        return theta_nodal.reshape(-1, 2 * self.mesh.nx + 1)[::2, ::2].T
+        """(nx+1, ny+1) copy of the nodal temperatures at ``Mesh.vertex_nodes``, the profile grid."""
+        return theta_nodal[self.mesh.vertex_nodes]
 
     def v_ca(self, profile: np.ndarray) -> float:
         """Domain-average ceramic fraction by the element Gauss rule."""

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import pathlib
 from dataclasses import asdict
 
@@ -82,7 +83,8 @@ def split_indices(count: int, seed: int):
 
 
 def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: int = 1) -> dict:
-    """Sample profiles, solve each, write train/test NDJSON plus manifest."""
+    """Sample profiles, solve each, write train/test NDJSON plus manifest.  Up to
+    ``threads`` worker processes run, no more than the samples or the usable CPUs."""
     problems.problem_spec(problem_id)  # ValueError names an unknown id
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -91,7 +93,8 @@ def generate_dataset(problem_id: str, count: int, seed: int, out_dir, threads: i
     check_seed(seed)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = min(threads, count)  # the first submit forks every worker of the pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, count, cpus or 1)  # the first submit forks every worker of the pool
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sample_with_replacement,

@@ -28,7 +28,9 @@ A 2D profile is a float array, the ceramic fraction on the plate's
 (nx+1) x (ny+1) element vertices, bilinear within each element; a design's is
 the tensor product of its two axis profiles.  It carries no geometry:
 ``interpolate`` evaluates it in an L x H plate, and the solver checks it
-where it samples it, in ``ThermoelasticSolver.phi_at_gauss``.
+where it samples it, in ``ThermoelasticSolver.phi_at_gauss``.  Where the
+grid's nodes sit on the mesh is ``fem.Mesh.vertex_nodes``, the one place
+where the grid meets the mesh.
 
 Power-law profiles (x/L)**m are a subset of this design space: they are the
 recursion from phi[1] = (1/n)**m with ratios ((i+1)/i)**m.  The gene bounds
@@ -181,15 +183,6 @@ def genes_to_profiles(genes: np.ndarray, nx: int, ny: int):
 def tensor_product(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """The 2D profile of two axis profiles: their outer product on the vertex grid."""
     return np.outer(px, py)
-
-
-def grid_points(L: float, H: float, nx: int, ny: int) -> np.ndarray:
-    """(x, y) of the (nx+1) x (ny+1) profile node grid, x-major.
-
-    Row ``i * (ny + 1) + j`` is node (x_i, y_j), the order of ``grid.ravel()``.
-    """
-    X, Y = np.meshgrid(np.linspace(0.0, L, nx + 1), np.linspace(0.0, H, ny + 1), indexing="ij")
-    return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def bilinear_shape(xi, eta):

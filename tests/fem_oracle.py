@@ -1,4 +1,8 @@
-"""Reference construction of a field's reduced sparse pattern, one key per dof pair.
+"""Reference constructions for the FEM tests: the profile grid's coordinates, and a
+field's reduced sparse pattern, one key per dof pair.
+
+``grid_points`` lays the profile grid out by its own linspace, independent of
+the mesh, where ``fem.Mesh.vertex_nodes`` reads it from the mesh nodes.
 
 Every entry (r, c) of the per-row element matrices gets the column-major key
 c * nf + r on dof positions (free dofs first, in the given order, then the
@@ -8,6 +12,13 @@ entry's slot.  ``fem._ReducedPattern`` builds the same arrays from node pairs.
 """
 
 import numpy as np
+
+
+def grid_points(L, H, nx, ny):
+    """(x, y) of the (nx+1) x (ny+1) profile node grid, x-major: row ``i * (ny + 1) + j``
+    is node (x_i, y_j), the order of ``grid.ravel()``."""
+    X, Y = np.meshgrid(np.linspace(0.0, L, nx + 1), np.linspace(0.0, H, ny + 1), indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def _entry_keys(p, nf, n):

@@ -29,10 +29,10 @@ from fgmopt.fem import (
     shape9,
     write_result_files,
 )
-from fgmopt.profiles import BOUND_TOL, grid_points, interpolate
+from fgmopt.profiles import BOUND_TOL, interpolate
 from fgmopt.rng import make_rng
 from fgmopt import fem, problems, verification
-from fem_oracle import dof_pattern, free_in_node_order
+from fem_oracle import dof_pattern, free_in_node_order, grid_points
 
 
 def traced_peak(fn) -> int:
@@ -43,6 +43,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def unequal_plate() -> ProblemConfig:
+    """Problem 2's physics on 6 x 3 elements of a plate longer than it is high: every
+    shipped plate has nx == ny, where a transposed profile grid keeps its shape."""
+    return replace(problems.problem2(), L=0.12, H=0.05, nx=6, ny=3)
 
 
 def uniform_profile(phi, nx, ny):
@@ -454,11 +460,12 @@ class TestReducedAssembly:
     def test_phi_at_gauss_matches_interpolate(self):
         # the solver's weights are taken at the exact Gauss coordinates, the oracle's
         # from the mesh's Gauss points, so the two differ in the last bits only
-        s, _, _ = self.system()
-        prof = make_rng(9).uniform(0.0, 1.0, (self.NX + 1, self.NY + 1))
-        xy = s.mesh.gauss_points().reshape(-1, 2)
-        expect = interpolate(prof, xy[:, 0], xy[:, 1], self.L, self.H).reshape(s.mesh.n_elems, 9)
-        np.testing.assert_allclose(s.phi_at_gauss(prof), expect, rtol=0.0, atol=1e-15)
+        for s in (self.system()[0], ThermoelasticSolver(unequal_plate())):
+            m = s.mesh
+            prof = make_rng(9).uniform(0.0, 1.0, (m.nx + 1, m.ny + 1))
+            xy = m.gauss_points().reshape(-1, 2)
+            expect = interpolate(prof, xy[:, 0], xy[:, 1], m.L, m.H).reshape(m.n_elems, 9)
+            np.testing.assert_allclose(s.phi_at_gauss(prof), expect, rtol=0.0, atol=1e-15)
 
     @staticmethod
     def solve_entries(s, prof):
@@ -674,14 +681,18 @@ class TestPostprocessing:
         assert r.max_metal_temperature < grid_t.max()  # hottest nodes are ceramic
 
     def test_temperature_on_profile_grid_is_theta_at_the_vertices(self):
-        cfg = problems.problem2()
-        s = ThermoelasticSolver(cfg)
-        r = s.run(problems.power_law_reference(cfg, 2.0, "xy"))
-        # the mesh node nearest to each profile-grid point, in grid.ravel() order
-        pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
-        nodes = [np.argmin(np.hypot(*(s.mesh.coords - p).T)) for p in pts]
-        assert r.temperature_grid.shape == (cfg.nx + 1, cfg.ny + 1)
-        assert np.array_equal(r.temperature_grid.ravel(), r.nodal_temperature[nodes])
+        for cfg in (problems.problem2(), unequal_plate()):
+            s = ThermoelasticSolver(cfg)
+            r = s.run(problems.power_law_reference(cfg, 2.0, "xy"))
+            # the mesh node nearest to each profile-grid point, in grid.ravel() order
+            pts = grid_points(cfg.L, cfg.H, cfg.nx, cfg.ny)
+            nodes = [np.argmin(np.hypot(*(s.mesh.coords - p).T)) for p in pts]
+            assert np.array_equal(s.mesh.vertex_nodes.ravel(), nodes)
+            assert np.array_equal(s.mesh.coords[s.mesh.vertex_nodes.ravel()], pts)
+            assert r.temperature_grid.shape == (cfg.nx + 1, cfg.ny + 1)
+            assert np.array_equal(r.temperature_grid.ravel(), r.nodal_temperature[nodes])
+            assert np.array_equal(s.temperature_on_profile_grid(r.nodal_temperature),
+                                  r.temperature_grid)
 
     def test_mesh_refinement_trend(self):
         # one field on every mesh, a 10 x 10 three-layer profile refined exactly (it is
@@ -726,16 +737,17 @@ class TestPostprocessing:
 
     def test_result_files(self, tmp_path):
         # the bytes are those of csv.writer with repr() floats: twice through one solver
-        # (the second write reuses the first one's x/y text), and through a solver of
-        # another mesh and plate
+        # (the second write reuses the first one's x/y text), and through solvers of two
+        # other meshes and plates, one of them the 6 x 3 plate
         cfg = problems.problem2()
         solver = ThermoelasticSolver(cfg)
-        other = replace(cfg, L=0.5, nx=7, ny=5)
         runs = [
             solver.run(problems.power_law_reference(cfg, 1.0, "y")),
             solver.run(uniform_profile(0.25, cfg.nx, cfg.ny)),
-            ThermoelasticSolver(other).run(problems.power_law_reference(other, 2.0, "xy")),
         ]
+        for other in (replace(cfg, L=0.5, nx=7, ny=5), unequal_plate()):
+            runs.append(ThermoelasticSolver(other).run(
+                problems.power_law_reference(other, 2.0, "xy")))
         for i, r in enumerate(runs):
             self.assert_result_files(r, tmp_path / str(i))
         assert len((tmp_path / "0" / "temperature.csv").read_text().splitlines()) == 41 * 41 + 1

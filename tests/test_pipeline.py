@@ -52,11 +52,14 @@ class TestDatasetGeneration:
         d2, m2 = gen(tmp_path, "parallel", count=8, seed=3, threads=2)
         assert m1["checksums"] == m2["checksums"]
 
-    @pytest.mark.parametrize("threads, count, pools", [(8, 2, [2]), (3, 5, [3]), (4, 1, [])])
+    @pytest.mark.parametrize("threads, count, cpus, pools",
+                             [(8, 2, 4, [2]), (3, 5, 4, [3]), (4, 1, 4, []), (8, 5, 2, [2])],
+                             ids=["8-2-pools0", "3-5-pools1", "4-1-pools2", "8-5-2cpus"])
     def test_pool_has_no_more_workers_than_samples(self, tmp_path, monkeypatch, threads, count,
-                                                   pools):
+                                                   cpus, pools):
         # the first submit forks every worker of a process pool, so 8 threads for 2 samples
-        # forked 8 processes; this pool records its size and maps in this process
+        # forked 8 processes, and 8 threads for 5 samples on 2 CPUs forked 5; this pool
+        # records its size and maps in this process
         made = []
 
         class SerialPool:
@@ -73,6 +76,8 @@ class TestDatasetGeneration:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         _, capped = gen(tmp_path, "capped", count=count, seed=3, threads=threads)
         _, serial = gen(tmp_path, "serial", count=count, seed=3)
         assert made == pools
